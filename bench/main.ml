@@ -142,16 +142,17 @@ let run_parallel_bench ~jobs:requested =
   let jobs = max 1 (min requested cores) in
   let scenarios = P.Campaign.quick_scenarios () in
   let benchmarks = [ P.Benchmarks.matched_filter () ] in
+  let workload = P.Campaign.workload ~scenarios ~benchmarks () in
   let run ~jobs =
     P.Pool.with_pool ~jobs (fun pool ->
         let t0 = now_s () in
-        let cells = P.Campaign.run_cells ~pool ~scenarios ~benchmarks () in
-        (cells, now_s () -. t0))
+        let outcome = P.Workload.run_local ~pool P.Supervisor.plain workload in
+        (outcome, now_s () -. t0))
   in
   ignore (run ~jobs:1);
-  let cells1, t1 = run ~jobs:1 in
-  let cells_n, tn = run ~jobs in
-  let identical = cells1 = cells_n in
+  let out1, t1 = run ~jobs:1 in
+  let out_n, tn = run ~jobs in
+  let identical = out1 = out_n in
   let speedup = t1 /. tn in
   let note =
     if jobs < requested then
@@ -173,7 +174,9 @@ let run_parallel_bench ~jobs:requested =
     \  \"speedup\": %.3f,\n\
     \  \"identical_output\": %b%s\n\
      }\n"
-    (List.length scenarios) (List.length cells1) cores requested jobs t1 jobs
+    (List.length scenarios)
+    (List.length scenarios * List.length benchmarks)
+    cores requested jobs t1 jobs
     tn speedup identical note;
   close_out oc;
   Format.fprintf ppf
@@ -556,18 +559,7 @@ let run_report cli =
   let names =
     match cli.names with
     | [] -> if cli.quick then P.Report.quick_names () else P.Report.all_names ()
-    | names ->
-        List.filter
-          (fun name ->
-            let known =
-              List.exists (fun (n, _, _) -> n = name) P.Report.sections
-            in
-            if not known then
-              Format.fprintf ppf "unknown section %S; available: %s@." name
-                (String.concat ", "
-                   (List.map (fun (n, _, _) -> n) P.Report.sections));
-            known)
-          names
+    | names -> P.Report.known_names ppf names
   in
   let incidents =
     match cli.incidents with
@@ -587,27 +579,24 @@ let run_report cli =
       in
       let outcome =
         P.Pool.with_pool ~jobs (fun pool ->
-            P.Report.run_sections_supervised ~pool session ppf names)
+            P.Workload.run_local ~pool session (P.Report.workload names))
       in
-      Format.pp_print_flush ppf ();
       P.Incident.close incidents;
       (match outcome with
-      | P.Report.Sections_interrupted { completed; total } ->
+      | P.Workload.Done (results, _) ->
+          let quarantined = P.Report.print ppf names results in
+          if quarantined > 0 then
+            Format.eprintf "%d sections were quarantined@." quarantined
+      | P.Workload.Interrupted { completed; total } ->
           Format.eprintf
             "interrupted at %d/%d sections; resume with: bench --checkpoint \
              %s --resume@."
             completed total
             (Option.value cli.checkpoint ~default:"FILE");
-          exit
-            (match P.Supervisor.stop_signal stop with
-            | Some s when s = Sys.sigterm -> 143
-            | _ -> 130)
-      | P.Report.Sections_rejected e ->
+          exit (P.Supervisor.exit_code stop)
+      | P.Workload.Rejected e ->
           prerr_endline (P.Error.to_string e);
-          exit 2
-      | P.Report.Sections_done { quarantined } ->
-          if quarantined > 0 then
-            Format.eprintf "%d sections were quarantined@." quarantined);
+          exit 2);
       run_micro ();
       Format.fprintf ppf "@.done.@."
 

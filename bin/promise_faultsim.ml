@@ -26,30 +26,6 @@ module P = Promise
 let () = Printexc.record_backtrace true
 open Cmdliner
 
-(* A cmdliner conv over the typed validator: junk reports the same
-   structured Error.t a PROMISE_* env-var failure does. *)
-let validated_int ~what ~min ~max =
-  Arg.conv
-    ( (fun s ->
-        match P.Validate.int_in_range ~what ~min ~max s with
-        | Ok v -> Ok v
-        | Error e -> Error (`Msg (P.Error.to_string e))),
-      Format.pp_print_int )
-
-let validated_float_ms ~what =
-  Arg.conv
-    ( (fun s ->
-        match P.Validate.non_negative_float ~what s with
-        | Ok v -> Ok v
-        | Error e -> Error (`Msg (P.Error.to_string e))),
-      (fun ppf v -> Format.fprintf ppf "%g" v) )
-
-let exit_code_of_signal stop =
-  match P.Supervisor.stop_signal stop with
-  | Some s when s = Sys.sigterm -> 143
-  | Some s when s = Sys.sigint -> 130
-  | _ -> 130
-
 let run quick jobs seed timeout_ms max_retries max_residual checkpoint resume
     incidents_path =
   match P.check_env () with
@@ -73,42 +49,38 @@ let run quick jobs seed timeout_ms max_retries max_residual checkpoint resume
           in
           let on_checkpoint ~completed ~total =
             (* stderr: the stdout table must stay diffable *)
-            Format.eprintf "checkpoint: %d/%d cells -> %s@." completed total
+            Format.eprintf "checkpoint: %d/%d items -> %s@." completed total
               (Option.value checkpoint ~default:"-")
           in
           let ppf = Format.std_formatter in
+          let scenarios =
+            if quick then P.Campaign.quick_scenarios ()
+            else P.Campaign.all_scenarios ()
+          in
+          let benchmarks = P.Campaign.fast_benchmarks () in
+          P.Campaign.print_header ppf ~quick ~scenarios ~benchmarks;
           let outcome =
             P.Pool.with_pool ~jobs (fun pool ->
-                P.Campaign.report_supervised ~quick ~pool ~on_checkpoint
-                  session ppf)
+                P.Workload.run_local ~pool ~on_checkpoint session
+                  (P.Campaign.workload ~scenarios ~benchmarks ()))
           in
-          Format.pp_print_flush ppf ();
           P.Incident.close incidents;
-          (match outcome with
-          | P.Campaign.Interrupted { completed; total } ->
+          match outcome with
+          | P.Workload.Done (results, _) -> (
+              let cells = P.Campaign.assemble ~scenarios ~benchmarks results in
+              P.Campaign.print ppf cells;
+              match P.Campaign.verdict ~max_residual cells with
+              | Ok () -> `Ok ()
+              | Error msg -> `Error (false, msg))
+          | P.Workload.Rejected e -> `Error (false, P.Error.to_string e)
+          | P.Workload.Interrupted { completed; total } ->
               Format.eprintf
-                "interrupted at %d/%d cells; resume with: promise-faultsim%s \
+                "interrupted at %d/%d items; resume with: promise-faultsim%s \
                  --checkpoint %s --resume@."
                 completed total
                 (if quick then " --quick" else "")
                 (Option.value checkpoint ~default:"FILE");
-              Stdlib.exit (exit_code_of_signal stop)
-          | P.Campaign.Rejected e -> `Error (false, P.Error.to_string e)
-          | P.Campaign.Completed results ->
-              let s = P.Campaign.summarize_results results in
-              if s.P.Campaign.undetected > 0 then
-                `Error
-                  ( false,
-                    Printf.sprintf "campaign missed faults in %d cells"
-                      s.P.Campaign.undetected )
-              else if s.P.Campaign.residual_errors > max_residual then
-                `Error
-                  ( false,
-                    Printf.sprintf
-                      "%d residual (unrecovered or quarantined) errors \
-                       exceed --max-residual %d"
-                      s.P.Campaign.residual_errors max_residual )
-              else `Ok ()))
+              Stdlib.exit (P.Supervisor.exit_code stop))
 
 let quick_arg =
   Arg.(
@@ -121,7 +93,7 @@ let quick_arg =
 let jobs_arg =
   Arg.(
     value
-    & opt (validated_int ~what:"--jobs" ~min:1 ~max:64) 1
+    & opt (Cli.validated_int ~what:"--jobs" ~min:1 ~max:64) 1
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
           "Fan the campaign cells out across $(docv) domains. The table is \
@@ -130,7 +102,7 @@ let jobs_arg =
 let seed_arg =
   Arg.(
     value
-    & opt (validated_int ~what:"--seed" ~min:0 ~max:max_int) 0
+    & opt (Cli.validated_int ~what:"--seed" ~min:0 ~max:max_int) 0
     & info [ "seed" ] ~docv:"S"
         ~doc:
           "Seed of the retry-backoff jitter stream: reruns replay the exact \
@@ -139,7 +111,7 @@ let seed_arg =
 let timeout_arg =
   Arg.(
     value
-    & opt (some (validated_float_ms ~what:"--timeout-ms")) None
+    & opt (some (Cli.validated_float_ms ~what:"--timeout-ms")) None
     & info [ "timeout-ms" ] ~docv:"T"
         ~doc:
           "Per-cell deadline in milliseconds. An overdue cell is logged by \
@@ -150,7 +122,7 @@ let timeout_arg =
 let max_retries_arg =
   Arg.(
     value
-    & opt (validated_int ~what:"--max-retries" ~min:0 ~max:16) 0
+    & opt (Cli.validated_int ~what:"--max-retries" ~min:0 ~max:16) 0
     & info [ "max-retries" ] ~docv:"R"
         ~doc:
           "Retries per cell after its first failure (exponential backoff \
@@ -159,7 +131,7 @@ let max_retries_arg =
 let max_residual_arg =
   Arg.(
     value
-    & opt (validated_int ~what:"--max-residual" ~min:0 ~max:max_int) 0
+    & opt (Cli.validated_int ~what:"--max-residual" ~min:0 ~max:max_int) 0
     & info [ "max-residual" ] ~docv:"K"
         ~doc:
           "Exit nonzero when more than $(docv) cells end unrecovered or \

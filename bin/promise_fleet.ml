@@ -26,22 +26,6 @@ open Cmdliner
 
 let () = Printexc.record_backtrace true
 
-let validated_int ~what ~min ~max =
-  Arg.conv
-    ( (fun s ->
-        match P.Validate.int_in_range ~what ~min ~max s with
-        | Ok v -> Ok v
-        | Error e -> Error (`Msg (P.Error.to_string e))),
-      Format.pp_print_int )
-
-let validated_float_ms ~what =
-  Arg.conv
-    ( (fun s ->
-        match P.Validate.non_negative_float ~what s with
-        | Ok v -> Ok v
-        | Error e -> Error (`Msg (P.Error.to_string e))),
-      (fun ppf v -> Format.fprintf ppf "%g" v) )
-
 let chaos_conv =
   Arg.conv
     ( (fun s ->
@@ -52,12 +36,6 @@ let chaos_conv =
         Format.pp_print_string ppf
           (match c with P.Fleet.Kill_one -> "kill-one" | P.Fleet.No_chaos -> "none")
     )
-
-let exit_code_of_signal stop =
-  match P.Supervisor.stop_signal stop with
-  | Some s when s = Sys.sigterm -> 143
-  | Some s when s = Sys.sigint -> 130
-  | _ -> 130
 
 (* BENCH_fleet.json: the multi-process sibling of BENCH_parallel.json —
    aggregate wall time plus the per-shard detail the summary carries. *)
@@ -156,33 +134,38 @@ let run workload_args quick shards workers batch seed timeout_ms liveness_ms
                     completed total
                 in
                 let ppf = Format.std_formatter in
+                let run w ~print =
+                  match P.Workload.run_fleet ~on_shard_done cfg ~shards w with
+                  | P.Workload.Interrupted _ ->
+                      resume_hint ~workload ~quick ~checkpoint_dir;
+                      `Interrupted
+                  | P.Workload.Rejected e -> `Failed (P.Error.to_string e)
+                  | P.Workload.Done (results, summary) -> (
+                      Option.iter (eprint_summary workload) summary;
+                      Option.iter
+                        (fun p ->
+                          Option.iter (write_bench p ~workload ~quick) summary)
+                        bench_path;
+                      match print results with
+                      | Ok () -> `Ok
+                      | Error msg -> `Failed msg)
+                in
                 let status =
                   if workload = "campaign" then begin
-                    match
-                      P.Campaign.report_fleet ~quick ~on_shard_done ~batch cfg
-                        ~shards ppf
-                    with
-                    | P.Campaign.Fleet_interrupted _ ->
-                        resume_hint ~workload ~quick ~checkpoint_dir;
-                        `Interrupted
-                    | P.Campaign.Fleet_rejected e ->
-                        `Failed (P.Error.to_string e)
-                    | P.Campaign.Fleet_completed (results, summary) ->
-                        eprint_summary workload summary;
-                        Option.iter
-                          (fun p ->
-                            write_bench p ~workload ~quick summary)
-                          bench_path;
-                        let s = P.Campaign.summarize_results results in
-                        if s.P.Campaign.quarantined > 0 then
-                          `Failed
-                            (Printf.sprintf "%d cells quarantined"
-                               s.P.Campaign.quarantined)
-                        else if s.P.Campaign.undetected > 0 then
-                          `Failed
-                            (Printf.sprintf "campaign missed faults in %d cells"
-                               s.P.Campaign.undetected)
-                        else `Ok
+                    let scenarios =
+                      if quick then P.Campaign.quick_scenarios ()
+                      else P.Campaign.all_scenarios ()
+                    in
+                    let benchmarks = P.Campaign.fast_benchmarks () in
+                    P.Campaign.print_header ppf ~quick ~scenarios ~benchmarks;
+                    run
+                      (P.Campaign.workload ~batch ~scenarios ~benchmarks ())
+                      ~print:(fun results ->
+                        let cells =
+                          P.Campaign.assemble ~scenarios ~benchmarks results
+                        in
+                        P.Campaign.print ppf cells;
+                        P.Campaign.verdict ~max_residual:0 cells)
                   end
                   else begin
                     let names =
@@ -197,35 +180,17 @@ let run workload_args quick shards workers batch seed timeout_ms liveness_ms
                     if unknown <> [] then
                       `Failed
                         ("unknown sections: " ^ String.concat ", " unknown)
-                    else begin
-                      match
-                        P.Report.run_sections_fleet ~on_shard_done cfg ~shards
-                          ppf names
-                      with
-                      | P.Report.Sections_fleet_interrupted _ ->
-                          resume_hint ~workload ~quick ~checkpoint_dir;
-                          `Interrupted
-                      | P.Report.Sections_fleet_rejected e ->
-                          `Failed (P.Error.to_string e)
-                      | P.Report.Sections_fleet_done { quarantined; summary }
-                        ->
-                          eprint_summary workload summary;
-                          Option.iter
-                            (fun p ->
-                              write_bench p ~workload ~quick summary)
-                            bench_path;
-                          if quarantined > 0 then
-                            `Failed
-                              (Printf.sprintf "%d sections quarantined"
-                                 quarantined)
-                          else `Ok
-                    end
+                    else
+                      run (P.Report.workload names) ~print:(fun results ->
+                          match P.Report.print ppf names results with
+                          | 0 -> Ok ()
+                          | n -> Error (Printf.sprintf "%d sections quarantined" n))
                   end
                 in
                 Format.pp_print_flush ppf ();
                 P.Incident.close incidents;
                 (match status with
-                | `Interrupted -> Stdlib.exit (exit_code_of_signal stop)
+                | `Interrupted -> Stdlib.exit (P.Supervisor.exit_code stop)
                 | `Failed msg -> `Error (false, msg)
                 | `Ok -> `Ok ()))
       end)
@@ -249,7 +214,7 @@ let quick_arg =
 let shards_arg =
   Arg.(
     value
-    & opt (validated_int ~what:"--shards" ~min:1 ~max:4096) 4
+    & opt (Cli.validated_int ~what:"--shards" ~min:1 ~max:4096) 4
     & info [ "shards" ] ~docv:"N"
         ~doc:
           "Split the workload into at most $(docv) independent shards — the \
@@ -258,7 +223,7 @@ let shards_arg =
 let workers_arg =
   Arg.(
     value
-    & opt (validated_int ~what:"--workers" ~min:1 ~max:64) 2
+    & opt (Cli.validated_int ~what:"--workers" ~min:1 ~max:64) 2
     & info [ "workers"; "j" ] ~docv:"M"
         ~doc:
           "Forked worker processes. The output is bit-identical at any \
@@ -267,7 +232,7 @@ let workers_arg =
 let batch_arg =
   Arg.(
     value
-    & opt (validated_int ~what:"--batch" ~min:1 ~max:4096)
+    & opt (Cli.validated_int ~what:"--batch" ~min:1 ~max:4096)
         (P.Arch.Machine.default_batch ())
     & info [ "batch" ] ~docv:"N"
         ~doc:
@@ -280,7 +245,7 @@ let batch_arg =
 let seed_arg =
   Arg.(
     value
-    & opt (validated_int ~what:"--seed" ~min:0 ~max:max_int) 0
+    & opt (Cli.validated_int ~what:"--seed" ~min:0 ~max:max_int) 0
     & info [ "seed" ] ~docv:"S"
         ~doc:
           "Seed of the restart-backoff jitter stream: reruns replay the \
@@ -289,7 +254,7 @@ let seed_arg =
 let timeout_arg =
   Arg.(
     value
-    & opt (some (validated_float_ms ~what:"--timeout-ms")) None
+    & opt (some (Cli.validated_float_ms ~what:"--timeout-ms")) None
     & info [ "timeout-ms" ] ~docv:"T"
         ~doc:
           "Per-shard deadline in milliseconds: an overdue shard's worker is \
@@ -299,7 +264,7 @@ let timeout_arg =
 let liveness_arg =
   Arg.(
     value
-    & opt (some (validated_float_ms ~what:"--liveness-ms")) None
+    & opt (some (Cli.validated_float_ms ~what:"--liveness-ms")) None
     & info [ "liveness-ms" ] ~docv:"L"
         ~doc:
           "Max heartbeat silence before a worker is presumed wedged and \
@@ -308,14 +273,14 @@ let liveness_arg =
 let heartbeat_arg =
   Arg.(
     value
-    & opt (validated_float_ms ~what:"--heartbeat-ms") 100.0
+    & opt (Cli.validated_float_ms ~what:"--heartbeat-ms") 100.0
     & info [ "heartbeat-ms" ] ~docv:"H"
         ~doc:"Worker heartbeat period in milliseconds.")
 
 let max_restarts_arg =
   Arg.(
     value
-    & opt (validated_int ~what:"--max-restarts" ~min:0 ~max:16) 2
+    & opt (Cli.validated_int ~what:"--max-restarts" ~min:0 ~max:16) 2
     & info [ "max-restarts" ] ~docv:"R"
         ~doc:
           "Worker deaths a single shard may consume before it is \

@@ -283,19 +283,12 @@ let write_baseline_arg =
           "Write the fingerprints of every current diagnostic to $(docv) \
            and exit 0 — the seed for $(b,--baseline) gating.")
 
-let max_warnings_conv =
-  Arg.conv
-    ( (fun s ->
-        match P.Validate.int_in_range ~what:"--max-warnings" ~min:0
-                ~max:1_000_000 s with
-        | Ok v -> Ok v
-        | Error e -> Error (`Msg (P.Error.to_string e))),
-      Format.pp_print_int )
-
 let max_warnings_arg =
   Arg.(
     value
-    & opt (some max_warnings_conv) None
+    & opt
+        (some (Cli.validated_int ~what:"--max-warnings" ~min:0 ~max:1_000_000))
+        None
     & info [ "max-warnings" ] ~docv:"N"
         ~doc:
           "Exit 1 when more than $(docv) warnings remain after baseline \
@@ -310,21 +303,14 @@ let deny_arg =
            $(b,P-TIM)) to errors; repeatable. Merged with \
            $(b,PROMISE_LINT_DENY) (comma-separated).")
 
-let adc_units_conv =
-  Arg.conv
-    ( (fun s ->
-        match
-          P.Validate.int_in_range ~what:"--adc-units" ~min:1
-            ~max:P.Analog.Adc.units_per_bank s
-        with
-        | Ok v -> Ok v
-        | Error e -> Error (`Msg (P.Error.to_string e))),
-      Format.pp_print_int )
-
 let adc_units_arg =
   Arg.(
     value
-    & opt (some adc_units_conv) None
+    & opt
+        (some
+           (Cli.validated_int ~what:"--adc-units" ~min:1
+              ~max:P.Analog.Adc.units_per_bank))
+        None
     & info [ "adc-units" ] ~docv:"N"
         ~doc:
           "Lint the timing pass against a degraded bank with only $(docv) \

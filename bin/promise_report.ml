@@ -18,28 +18,6 @@ module P = Promise
 let () = Printexc.record_backtrace true
 open Cmdliner
 
-let validated_int ~what ~min ~max =
-  Arg.conv
-    ( (fun s ->
-        match P.Validate.int_in_range ~what ~min ~max s with
-        | Ok v -> Ok v
-        | Error e -> Error (`Msg (P.Error.to_string e))),
-      Format.pp_print_int )
-
-let validated_float_ms ~what =
-  Arg.conv
-    ( (fun s ->
-        match P.Validate.non_negative_float ~what s with
-        | Ok v -> Ok v
-        | Error e -> Error (`Msg (P.Error.to_string e))),
-      (fun ppf v -> Format.fprintf ppf "%g" v) )
-
-let exit_code_of_signal stop =
-  match P.Supervisor.stop_signal stop with
-  | Some s when s = Sys.sigterm -> 143
-  | Some s when s = Sys.sigint -> 130
-  | _ -> 130
-
 let run quick jobs seed timeout_ms max_retries checkpoint resume
     incidents_path sections =
   match P.check_env () with
@@ -48,25 +26,11 @@ let run quick jobs seed timeout_ms max_retries checkpoint resume
       `Error (false, "--resume needs --checkpoint FILE to resume from")
   | Ok () -> (
       let ppf = Format.std_formatter in
-      (* resolve the section list up front, warning on unknown names
-         exactly like the unsupervised CLI did *)
       let names =
         match (quick, sections) with
         | true, _ -> P.Report.quick_names ()
         | false, [] -> P.Report.all_names ()
-        | false, names ->
-            List.filter
-              (fun name ->
-                let known =
-                  List.exists (fun (n, _, _) -> n = name) P.Report.sections
-                in
-                if not known then
-                  Format.fprintf ppf "unknown section %S; available: %s@."
-                    name
-                    (String.concat ", "
-                       (List.map (fun (n, _, _) -> n) P.Report.sections));
-                known)
-              names
+        | false, names -> P.Report.known_names ppf names
       in
       let incidents_r =
         match incidents_path with
@@ -89,28 +53,25 @@ let run quick jobs seed timeout_ms max_retries checkpoint resume
           in
           let outcome =
             P.Pool.with_pool ~jobs (fun pool ->
-                P.Report.run_sections_supervised ~pool ~on_checkpoint session
-                  ppf names)
+                P.Workload.run_local ~pool ~on_checkpoint session
+                  (P.Report.workload names))
           in
-          Format.pp_print_flush ppf ();
           P.Incident.close incidents;
-          (match outcome with
-          | P.Report.Sections_interrupted { completed; total } ->
+          match outcome with
+          | P.Workload.Done (results, _) ->
+              let quarantined = P.Report.print ppf names results in
+              if quarantined > 0 then
+                `Error
+                  (false, Printf.sprintf "%d sections were quarantined" quarantined)
+              else `Ok ()
+          | P.Workload.Rejected e -> `Error (false, P.Error.to_string e)
+          | P.Workload.Interrupted { completed; total } ->
               Format.eprintf
                 "interrupted at %d/%d sections; resume with: promise-report \
                  --checkpoint %s --resume@."
                 completed total
                 (Option.value checkpoint ~default:"FILE");
-              Stdlib.exit (exit_code_of_signal stop)
-          | P.Report.Sections_rejected e ->
-              `Error (false, P.Error.to_string e)
-          | P.Report.Sections_done { quarantined } ->
-              if quarantined > 0 then
-                `Error
-                  ( false,
-                    Printf.sprintf "%d sections were quarantined" quarantined
-                  )
-              else `Ok ()))
+              Stdlib.exit (P.Supervisor.exit_code stop))
 
 let quick_arg =
   Arg.(
@@ -120,7 +81,7 @@ let quick_arg =
 let jobs_arg =
   Arg.(
     value
-    & opt (validated_int ~what:"--jobs" ~min:1 ~max:64) 1
+    & opt (Cli.validated_int ~what:"--jobs" ~min:1 ~max:64) 1
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
           "Render sections and fan simulations out across $(docv) domains. \
@@ -129,13 +90,13 @@ let jobs_arg =
 let seed_arg =
   Arg.(
     value
-    & opt (validated_int ~what:"--seed" ~min:0 ~max:max_int) 0
+    & opt (Cli.validated_int ~what:"--seed" ~min:0 ~max:max_int) 0
     & info [ "seed" ] ~docv:"S" ~doc:"Retry-backoff jitter seed.")
 
 let timeout_arg =
   Arg.(
     value
-    & opt (some (validated_float_ms ~what:"--timeout-ms")) None
+    & opt (some (Cli.validated_float_ms ~what:"--timeout-ms")) None
     & info [ "timeout-ms" ] ~docv:"T"
         ~doc:
           "Per-section deadline in milliseconds; overdue sections are \
@@ -144,7 +105,7 @@ let timeout_arg =
 let max_retries_arg =
   Arg.(
     value
-    & opt (validated_int ~what:"--max-retries" ~min:0 ~max:16) 0
+    & opt (Cli.validated_int ~what:"--max-retries" ~min:0 ~max:16) 0
     & info [ "max-retries" ] ~docv:"R"
         ~doc:"Retries per section after its first failure.")
 

@@ -117,17 +117,9 @@ let optimize_arg =
     value & flag
     & info [ "optimize" ] ~doc:"Run the compiler swing optimization.")
 
-let jobs_conv =
-  Arg.conv
-    ( (fun s ->
-        match P.Validate.int_in_range ~what:"--jobs" ~min:1 ~max:64 s with
-        | Ok v -> Ok v
-        | Error e -> Error (`Msg (P.Error.to_string e))),
-      Format.pp_print_int )
-
 let jobs_arg =
   Arg.(
-    value & opt jobs_conv 1
+    value & opt (Cli.validated_int ~what:"--jobs" ~min:1 ~max:64) 1
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
           "Fan the per-bank simulation and swing search out across $(docv) \
@@ -147,18 +139,12 @@ let kernel_mode_arg =
            path). The two are bit-identical; reference exists as the \
            differential oracle.")
 
-let batch_conv =
-  Arg.conv
-    ( (fun s ->
-        match P.Validate.int_in_range ~what:"--batch" ~min:1 ~max:4096 s with
-        | Ok v -> Ok v
-        | Error e -> Error (`Msg (P.Error.to_string e))),
-      Format.pp_print_int )
-
 let batch_arg =
   Arg.(
     value
-    & opt batch_conv (P.Arch.Machine.default_batch ())
+    & opt
+        (Cli.validated_int ~what:"--batch" ~min:1 ~max:4096)
+        (P.Arch.Machine.default_batch ())
     & info [ "batch" ] ~docv:"N"
         ~doc:
           "Evaluate $(docv) batched noise realizations of every query \

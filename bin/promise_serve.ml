@@ -39,22 +39,6 @@ open Cmdliner
 
 let () = Printexc.record_backtrace true
 
-let validated_int ~what ~min ~max =
-  Arg.conv
-    ( (fun s ->
-        match P.Validate.int_in_range ~what ~min ~max s with
-        | Ok v -> Ok v
-        | Error e -> Error (`Msg (P.Error.to_string e))),
-      Format.pp_print_int )
-
-let validated_float_ms ~what =
-  Arg.conv
-    ( (fun s ->
-        match P.Validate.non_negative_float ~what s with
-        | Ok v -> Ok v
-        | Error e -> Error (`Msg (P.Error.to_string e))),
-      (fun ppf v -> Format.fprintf ppf "%g" v) )
-
 (* ------------------------------------------------------------------ *)
 (* Model registry                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -124,12 +108,6 @@ let load_conv =
         match l with
         | P.Serve.Closed_loop n -> Format.fprintf ppf "closed:%d" n
         | P.Serve.Open_loop r -> Format.fprintf ppf "open:%g" r )
-
-let exit_code_of_signal stop =
-  match P.Supervisor.stop_signal stop with
-  | Some s when s = Sys.sigterm -> 143
-  | Some s when s = Sys.sigint -> 130
-  | _ -> 130
 
 (* ------------------------------------------------------------------ *)
 (* BENCH_serve.json                                                     *)
@@ -236,7 +214,7 @@ let run_daemon ~listen ~models ~noise ~max_requests ~queue ~batch_max
                 summary.P.Serve.d_completed
                 summary.P.Serve.d_stats.P.Serve.batches;
               if P.Supervisor.stop_requested stop then
-                Stdlib.exit (exit_code_of_signal stop);
+                Stdlib.exit (P.Supervisor.exit_code stop);
               `Ok ()))
 
 let run_probe ~path ~model ~requests ~connect_timeout_ms =
@@ -573,7 +551,7 @@ let model_arg =
 let noise_arg =
   Arg.(
     value
-    & opt (some (validated_int ~what:"--noise" ~min:0 ~max:max_int)) None
+    & opt (some (Cli.validated_int ~what:"--noise" ~min:0 ~max:max_int)) None
     & info [ "noise" ] ~docv:"SEED"
         ~doc:
           "Seed the analog noise streams (Monte-Carlo serving). Default: \
@@ -582,7 +560,7 @@ let noise_arg =
 let max_requests_arg =
   Arg.(
     value
-    & opt (validated_int ~what:"--max-requests" ~min:0 ~max:max_int) 0
+    & opt (Cli.validated_int ~what:"--max-requests" ~min:0 ~max:max_int) 0
     & info [ "max-requests" ] ~docv:"N"
         ~doc:
           "Daemon: exit after $(docv) responses (0 = serve until \
@@ -591,7 +569,7 @@ let max_requests_arg =
 let requests_arg =
   Arg.(
     value
-    & opt (validated_int ~what:"--requests" ~min:0 ~max:10_000_000) 0
+    & opt (Cli.validated_int ~what:"--requests" ~min:0 ~max:10_000_000) 0
     & info [ "requests" ] ~docv:"N"
         ~doc:
           "Requests to issue (default: 8 for --probe, 512 for \
@@ -600,7 +578,7 @@ let requests_arg =
 let repeats_arg =
   Arg.(
     value
-    & opt (validated_int ~what:"--repeats" ~min:1 ~max:100) 1
+    & opt (Cli.validated_int ~what:"--repeats" ~min:1 ~max:100) 1
     & info [ "repeats" ] ~docv:"K"
         ~doc:
           "Selftest: run each mode $(docv) times and score its best \
@@ -612,7 +590,7 @@ let queue_arg =
   Arg.(
     value
     & opt
-        (validated_int ~what:"--queue" ~min:1 ~max:1_048_576)
+        (Cli.validated_int ~what:"--queue" ~min:1 ~max:1_048_576)
         (P.Serve.default_queue ())
     & info [ "queue" ] ~docv:"N"
         ~doc:
@@ -623,7 +601,7 @@ let batch_max_arg =
   Arg.(
     value
     & opt
-        (validated_int ~what:"--batch-max" ~min:1 ~max:4096)
+        (Cli.validated_int ~what:"--batch-max" ~min:1 ~max:4096)
         (P.Serve.default_batch_max ())
     & info [ "batch-max" ] ~docv:"N"
         ~doc:
@@ -634,7 +612,7 @@ let flush_us_arg =
   Arg.(
     value
     & opt
-        (validated_int ~what:"--flush-us" ~min:1 ~max:10_000_000)
+        (Cli.validated_int ~what:"--flush-us" ~min:1 ~max:10_000_000)
         (P.Serve.default_flush_us ())
     & info [ "flush-us" ] ~docv:"U"
         ~doc:
@@ -644,7 +622,7 @@ let flush_us_arg =
 let deadline_arg =
   Arg.(
     value
-    & opt (some (validated_float_ms ~what:"--deadline-ms")) None
+    & opt (some (Cli.validated_float_ms ~what:"--deadline-ms")) None
     & info [ "deadline-ms" ] ~docv:"T"
         ~doc:
           "Per-request watchdog: a request undispatched $(docv) ms after \
@@ -653,7 +631,7 @@ let deadline_arg =
 let jobs_arg =
   Arg.(
     value
-    & opt (validated_int ~what:"--jobs" ~min:1 ~max:64) 1
+    & opt (Cli.validated_int ~what:"--jobs" ~min:1 ~max:64) 1
     & info [ "jobs"; "j" ] ~docv:"J"
         ~doc:
           "Domain pool fanning multi-bank groups out bank-major \
@@ -681,14 +659,14 @@ let load_arg =
 let seed_arg =
   Arg.(
     value
-    & opt (validated_int ~what:"--seed" ~min:0 ~max:max_int) 0
+    & opt (Cli.validated_int ~what:"--seed" ~min:0 ~max:max_int) 0
     & info [ "seed" ] ~docv:"S"
         ~doc:"Seed of the open-loop inter-arrival stream.")
 
 let cache_capacity_arg =
   Arg.(
     value
-    & opt (some (validated_int ~what:"--cache-capacity" ~min:1 ~max:max_int))
+    & opt (some (Cli.validated_int ~what:"--cache-capacity" ~min:1 ~max:max_int))
         None
     & info [ "cache-capacity" ] ~docv:"N"
         ~doc:
@@ -699,7 +677,7 @@ let cache_capacity_arg =
 let connect_timeout_arg =
   Arg.(
     value
-    & opt (validated_float_ms ~what:"--connect-timeout-ms") 10_000.0
+    & opt (Cli.validated_float_ms ~what:"--connect-timeout-ms") 10_000.0
     & info [ "connect-timeout-ms" ] ~docv:"T"
         ~doc:"--probe: keep retrying the connect for $(docv) ms.")
 
@@ -728,7 +706,7 @@ let breaker_threshold_arg =
   Arg.(
     value
     & opt
-        (some (validated_int ~what:"--breaker-threshold" ~min:1 ~max:10_000))
+        (some (Cli.validated_int ~what:"--breaker-threshold" ~min:1 ~max:10_000))
         None
     & info [ "breaker-threshold" ] ~docv:"N"
         ~doc:
@@ -740,7 +718,7 @@ let dwell_budget_arg =
   Arg.(
     value
     & opt
-        (some (validated_int ~what:"--dwell-budget-us" ~min:1 ~max:10_000_000))
+        (some (Cli.validated_int ~what:"--dwell-budget-us" ~min:1 ~max:10_000_000))
         None
     & info [ "dwell-budget-us" ] ~docv:"U"
         ~doc:

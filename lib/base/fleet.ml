@@ -418,9 +418,12 @@ let run ?(on_shard_done = fun ~shard:_ ~completed:_ ~total:_ -> ())
             workers.(slot) <-
               Some (spawn_worker cfg ~live:(live_workers ()) ~slot ~f)
           in
-          for slot = 0 to n_workers - 1 do
-            spawn_into slot
-          done;
+          (* a stop raised before the run forks nothing; the loop below
+             reports the interrupt *)
+          if not (Sup.stop_requested cfg.stop) then
+            for slot = 0 to n_workers - 1 do
+              spawn_into slot
+            done;
           let chaos_fired = ref false in
           let record_done s res ms pid =
             if results.(s) = None then begin

@@ -185,6 +185,9 @@ let signal_name n =
   else if n = Sys.sighup then "sighup"
   else string_of_int n
 
+let exit_code s =
+  match stop_signal s with Some n when n = Sys.sigterm -> 143 | _ -> 130
+
 (* ------------------------------------------------------------------ *)
 (* Sessions                                                            *)
 (* ------------------------------------------------------------------ *)

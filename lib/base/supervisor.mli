@@ -81,9 +81,9 @@ val map_result :
 
 type stop
 (** A stop request flag shared between signal handlers and the
-    chunked drivers ({!Campaign}, [Report]): handlers only set an
-    atomic — checkpoint flushing happens at the next chunk boundary
-    in the driver, where it is safe. *)
+    executors ({!Workload.run_local}, {!Fleet.run}): handlers only set
+    an atomic — checkpoint flushing happens at the next chunk boundary
+    in the executor, where it is safe. *)
 
 val never_stop : unit -> stop
 (** A flag nothing sets (the default for library callers). *)
@@ -103,6 +103,10 @@ val stop_signal : stop -> int option
 val signal_name : int -> string
 (** ["sigint"] / ["sigterm"] / ["sighup"] for the OCaml signal
     numbers, the raw number otherwise (incident-log readability). *)
+
+val exit_code : stop -> int
+(** The conventional exit status of a run interrupted through the flag:
+    143 when SIGTERM set it, 130 otherwise (SIGINT or a request). *)
 
 (** {2 Sessions}
 

@@ -180,93 +180,69 @@ let recovered_banks (b : B.t) (r : Runtime.recovery) =
   let base = Runtime.required_banks ~max_lanes b.B.graph in
   if r.Runtime.excluded_banks = [] then base else 2 * base
 
-let run_cell ?pool ?(batch = 1) ~scenario (b : B.t) ~baseline =
+let fast_benchmarks () = [ B.matched_filter (); B.template_l1 (); B.knn_l1 () ]
+
+(* ------------------------------------------------------------------ *)
+(* The campaign as a workload                                          *)
+(* ------------------------------------------------------------------ *)
+
+type item =
+  | Baseline of float
+  | Probe of { detected : bool; faulted : float; recovered : float }
+
+let baseline ~batch (b : B.t) =
+  (b.B.evaluate ~batch ~swings:(B.max_swings b) ()).B.promise_accuracy
+
+let probe ~batch ~scenario (b : B.t) =
   let swings = B.max_swings b in
   let faulted =
-    (b.B.evaluate ~prepare:scenario.inject ?pool ~batch ~swings ())
-      .B.promise_accuracy
+    (b.B.evaluate ~prepare:scenario.inject ~batch ~swings ()).B.promise_accuracy
   in
   let report = probe_report scenario in
-  let detected = detected_in report scenario in
   let recovery = Runtime.recovery_of_report report in
   let recovered =
     (b.B.evaluate ~prepare:scenario.inject ~recovery
-       ~banks:(recovered_banks b recovery) ?pool ~batch ~swings ())
+       ~banks:(recovered_banks b recovery) ~batch ~swings ())
       .B.promise_accuracy
   in
-  let residual = Float.max 0.0 (baseline -. recovered) in
+  Probe { detected = detected_in report scenario; faulted; recovered }
+
+(* [batch] is part of the digest: a checkpoint (or fleet shard) written
+   at one batch width holds different values than another, so resuming
+   it at a different width must be a stale-checkpoint rejection, never
+   a silent mix. *)
+let config_digest ~batch ~scenarios ~benchmarks =
+  Promise_core.Checkpoint.digest_of_config ~kind:"campaign-cells"
+    ((Printf.sprintf "budget=%.4f" residual_budget
+     :: Printf.sprintf "batch=%d" batch
+     :: List.map (fun s -> s.sname ^ "/" ^ s.kind) scenarios)
+    @ List.map (fun (b : B.t) -> b.B.short) benchmarks)
+
+(* Every item is independent (each evaluation creates its own machines
+   from fixed seeds): a grid cell does not wait for its baseline, which
+   is joined in only when the cells are assembled. *)
+let workload ?(batch = 1) ~scenarios ~benchmarks () =
+  let barr = Array.of_list benchmarks and sarr = Array.of_list scenarios in
+  let nb = Array.length barr and ns = Array.length sarr in
+  let grid i = ((i - nb) / ns, (i - nb) mod ns) in
   {
-    benchmark = b.B.short;
-    scenario = scenario.sname;
-    detected;
-    baseline;
-    faulted;
-    recovered;
-    residual;
-    recovered_ok = residual <= residual_budget;
+    Promise_core.Workload.kind = "campaign";
+    digest = config_digest ~batch ~scenarios ~benchmarks;
+    labels =
+      Array.init
+        (nb + (nb * ns))
+        (fun i ->
+          if i < nb then "baseline:" ^ barr.(i).B.short
+          else
+            let bi, si = grid i in
+            Printf.sprintf "cell:%s:%s" barr.(bi).B.short sarr.(si).sname);
+    run =
+      (fun i ->
+        if i < nb then Baseline (baseline ~batch barr.(i))
+        else
+          let bi, si = grid i in
+          probe ~batch ~scenario:sarr.(si) barr.(bi));
   }
-
-(* ------------------------------------------------------------------ *)
-(* The campaign                                                        *)
-(* ------------------------------------------------------------------ *)
-
-let fast_benchmarks () = [ B.matched_filter (); B.template_l1 (); B.knn_l1 () ]
-
-(* Cells are independent (each evaluation creates its own machines from
-   fixed seeds), so the campaign fans out across the pool: first the
-   per-benchmark baselines, then the full scenario × benchmark grid.
-   Results come back in input order — the table is identical at any
-   job count. *)
-let run_cells ?pool ?(batch = 1) ~scenarios ~benchmarks () =
-  let pool = Option.value pool ~default:Promise_core.Pool.sequential in
-  let baselines =
-    Promise_core.Pool.map_list pool
-      (fun (b : B.t) ->
-        (b.B.evaluate ~batch ~swings:(B.max_swings b) ()).B.promise_accuracy)
-      benchmarks
-  in
-  let grid =
-    List.concat_map
-      (fun (b, baseline) -> List.map (fun s -> (b, baseline, s)) scenarios)
-      (List.combine benchmarks baselines)
-  in
-  Promise_core.Pool.map_list pool
-    (fun ((b : B.t), baseline, s) -> run_cell ~batch ~scenario:s b ~baseline)
-    grid
-
-let print_cells ppf cells =
-  Format.fprintf ppf
-    "   %-20s %-14s %-9s %8s %8s %8s %8s  %s@." "scenario" "benchmark"
-    "detected" "baseline" "faulted" "recover" "residual" "ok";
-  List.iter
-    (fun c ->
-      Format.fprintf ppf
-        "   %-20s %-14s %-9s %8.3f %8.3f %8.3f %8.3f  %s@." c.scenario
-        c.benchmark
-        (if c.detected then "yes" else "NO")
-        c.baseline c.faulted c.recovered c.residual
-        (if c.recovered_ok then "ok" else "FAIL"))
-    cells
-
-let summarize cells =
-  let n = List.length cells in
-  let count p = List.length (List.filter p cells) in
-  let detection = float_of_int (count (fun c -> c.detected)) /. float_of_int n in
-  let recovery =
-    float_of_int (count (fun c -> c.recovered_ok)) /. float_of_int n
-  in
-  let mean_residual =
-    List.fold_left (fun a c -> a +. c.residual) 0.0 cells /. float_of_int n
-  in
-  (detection, recovery, mean_residual)
-
-(* ------------------------------------------------------------------ *)
-(* Supervised, checkpointed execution                                  *)
-(* ------------------------------------------------------------------ *)
-
-module Sup = Promise_core.Supervisor
-module Ckpt = Promise_core.Checkpoint
-module Inc = Promise_core.Incident
 
 type cell_result = {
   r_benchmark : string;
@@ -274,233 +250,52 @@ type cell_result = {
   r_cell : (cell, E.t) result;  (** [Error] = the cell was quarantined *)
 }
 
-type outcome =
-  | Completed of cell_result list
-  | Interrupted of { completed : int; total : int }
-  | Rejected of E.t
+let assemble ~scenarios ~benchmarks results =
+  let nb = List.length benchmarks and ns = List.length scenarios in
+  List.concat
+    (List.mapi
+       (fun bi (b : B.t) ->
+         List.mapi
+           (fun si s ->
+             let r_cell =
+               match (results.(bi), results.(nb + (bi * ns) + si)) with
+               | Error e, _ ->
+                   (* a quarantined baseline condemns its benchmark's cells *)
+                   Error (E.with_context e [ ("cascade", "baseline quarantined") ])
+               | _, Error e -> Error e
+               | Ok (Baseline baseline), Ok (Probe { detected; faulted; recovered })
+                 ->
+                   let residual = Float.max 0.0 (baseline -. recovered) in
+                   Ok
+                     {
+                       benchmark = b.B.short;
+                       scenario = s.sname;
+                       detected;
+                       baseline;
+                       faulted;
+                       recovered;
+                       residual;
+                       recovered_ok = residual <= residual_budget;
+                     }
+               | _ -> invalid_arg "Campaign.assemble: results of another workload"
+             in
+             { r_benchmark = b.B.short; r_scenario = s.sname; r_cell })
+           scenarios)
+       benchmarks)
 
-(* The checkpoint payload: per-benchmark baselines and per-grid-cell
-   results, indexed positionally over the (benchmark × scenario) grid.
-   Everything in here is plain data (floats, strings, Error.t), so
-   Marshal round-trips it bit-exactly. *)
-type progress = {
-  p_baselines : (float, E.t) result option array;
-  p_cells : cell_result option array;
-}
+(* ------------------------------------------------------------------ *)
+(* Output and verdict                                                  *)
+(* ------------------------------------------------------------------ *)
 
-(* [batch] is part of the digest: a checkpoint (or fleet shard) written
-   at one batch width holds different cell values than another, so
-   resuming it at a different width must be a stale-checkpoint
-   rejection, never a silent mix. *)
-let config_digest ?(batch = 1) ~scenarios ~benchmarks () =
-  Ckpt.digest_of_config ~kind:"campaign-cells"
-    ((Printf.sprintf "budget=%.4f" residual_budget
-     :: Printf.sprintf "batch=%d" batch
-     :: List.map (fun s -> s.sname ^ "/" ^ s.kind) scenarios)
-    @ List.map (fun (b : B.t) -> b.B.short) benchmarks)
+let print_header ppf ~quick ~scenarios ~benchmarks =
+  Format.fprintf ppf
+    "@.== Fault-injection campaign (%d scenarios x %d benchmarks%s) ==@."
+    (List.length scenarios) (List.length benchmarks)
+    (if quick then ", quick" else "")
 
-let count_some arr =
-  Array.fold_left (fun n o -> if o = None then n else n + 1) 0 arr
+let ok_cells results = List.filter_map (fun r -> Result.to_option r.r_cell) results
 
-(* Cells processed between checkpoint flushes: one pool width per
-   chunk keeps every domain busy while bounding how much work a crash
-   or SIGTERM can lose. *)
-let chunk_size pool = max 1 (Promise_core.Pool.jobs pool)
-
-let rec take k = function
-  | [] -> ([], [])
-  | l when k = 0 -> ([], l)
-  | x :: tl ->
-      let a, b = take (k - 1) tl in
-      (x :: a, b)
-
-let run_cells_supervised ?pool ?(batch = 1)
-    ?(on_checkpoint = fun ~completed:_ ~total:_ -> ())
-    (session : Sup.session) ~scenarios ~benchmarks () =
-  let pool = Option.value pool ~default:Promise_core.Pool.sequential in
-  let cfg = session.Sup.sup in
-  let inc = cfg.Sup.incidents in
-  let barr = Array.of_list benchmarks in
-  let sarr = Array.of_list scenarios in
-  let nb = Array.length barr and ns = Array.length sarr in
-  let total = nb * ns in
-  let digest = config_digest ~batch ~scenarios ~benchmarks () in
-  let fresh () =
-    { p_baselines = Array.make nb None; p_cells = Array.make total None }
-  in
-  let loaded =
-    match session.Sup.checkpoint with
-    | Some path when session.Sup.resume && Ckpt.exists path -> (
-        match (Ckpt.load ~path ~config_digest:digest : (progress, E.t) result) with
-        | Ok p
-          when Array.length p.p_baselines = nb
-               && Array.length p.p_cells = total ->
-            Inc.record inc Inc.Checkpoint_resume
-              [
-                ("path", path);
-                ("cells_done", string_of_int (count_some p.p_cells));
-                ("total", string_of_int total);
-              ];
-            Ok p
-        | Ok _ ->
-            Error
-              (E.make ~layer:"campaign" ~code:E.Stale_checkpoint
-                 ~context:[ ("path", path) ]
-                 "checkpoint grid shape does not match this campaign")
-        | Error e ->
-            Inc.record inc Inc.Checkpoint_stale [ ("error", E.to_string e) ];
-            Error e)
-    | _ -> Ok (fresh ())
-  in
-  match loaded with
-  | Error e -> Rejected e
-  | Ok progress ->
-      let save () =
-        match session.Sup.checkpoint with
-        | None -> ()
-        | Some path -> (
-            match Ckpt.save ~path ~config_digest:digest progress with
-            | Ok () ->
-                let completed = count_some progress.p_cells in
-                Inc.record inc Inc.Checkpoint_write
-                  [
-                    ("path", path);
-                    ("cells_done", string_of_int completed);
-                    ("total", string_of_int total);
-                  ];
-                on_checkpoint ~completed ~total
-            | Error e ->
-                (* losing persistence degrades, it does not abort *)
-                Inc.record inc Inc.Degradation
-                  [ ("what", "checkpoint write failed");
-                    ("error", E.to_string e) ])
-      in
-      let interrupted () =
-        save ();
-        Inc.record inc Inc.Signal
-          [
-            ( "signal",
-              match Sup.stop_signal session.Sup.stop with
-              | Some n -> Sup.signal_name n
-              | None -> "request" );
-            ("cells_done", string_of_int (count_some progress.p_cells));
-            ("total", string_of_int total);
-          ];
-        Interrupted { completed = count_some progress.p_cells; total }
-      in
-      Inc.record inc Inc.Run_start
-        [
-          ("what", "campaign");
-          ("total_cells", string_of_int total);
-          ("jobs", string_of_int (Promise_core.Pool.jobs pool));
-          ("resumed", string_of_int (count_some progress.p_cells));
-        ];
-      if Sup.stop_requested session.Sup.stop then interrupted ()
-      else begin
-        (* 1. per-benchmark baselines (supervised items themselves) *)
-        let missing_b =
-          List.filter
-            (fun i -> progress.p_baselines.(i) = None)
-            (List.init nb Fun.id)
-        in
-        if missing_b <> [] then begin
-          let results =
-            Sup.map_result ~pool cfg
-              ~label:(fun k ->
-                "baseline:" ^ (barr.(List.nth missing_b k)).B.short)
-              (fun i ->
-                let b = barr.(i) in
-                Ok
-                  (b.B.evaluate ~batch ~swings:(B.max_swings b) ())
-                    .B.promise_accuracy)
-              missing_b
-          in
-          List.iter2
-            (fun i r -> progress.p_baselines.(i) <- Some r)
-            missing_b results;
-          (* a quarantined baseline condemns that benchmark's cells *)
-          Array.iteri
-            (fun bi baseline ->
-              match baseline with
-              | Some (Error e) ->
-                  for si = 0 to ns - 1 do
-                    let gi = (bi * ns) + si in
-                    if progress.p_cells.(gi) = None then
-                      progress.p_cells.(gi) <-
-                        Some
-                          {
-                            r_benchmark = barr.(bi).B.short;
-                            r_scenario = sarr.(si).sname;
-                            r_cell =
-                              Error
-                                (E.with_context e
-                                   [ ("cascade", "baseline quarantined") ]);
-                          }
-                  done
-              | _ -> ())
-            progress.p_baselines;
-          save ()
-        end;
-        (* 2. the grid, chunk by chunk *)
-        let pending =
-          List.filter
-            (fun i -> progress.p_cells.(i) = None)
-            (List.init total Fun.id)
-        in
-        let run_one gi =
-          let bi = gi / ns and si = gi mod ns in
-          let b = barr.(bi) and s = sarr.(si) in
-          match progress.p_baselines.(bi) with
-          | Some (Ok baseline) -> Ok (run_cell ~batch ~scenario:s b ~baseline)
-          | _ ->
-              E.fail ~layer:"campaign" ~code:E.Internal
-                ~context:[ ("benchmark", b.B.short) ]
-                "cell ran without a baseline"
-        in
-        let rec loop pending =
-          if Sup.stop_requested session.Sup.stop then interrupted ()
-          else
-            match pending with
-            | [] ->
-                Inc.record inc Inc.Run_end
-                  [
-                    ("what", "campaign");
-                    ("total_cells", string_of_int total);
-                  ];
-                (match session.Sup.checkpoint with
-                | Some path -> Ckpt.remove path
-                | None -> ());
-                Completed
-                  (List.init total (fun i -> Option.get progress.p_cells.(i)))
-            | _ ->
-                let chunk, rest = take (chunk_size pool) pending in
-                let carr = Array.of_list chunk in
-                let results =
-                  Sup.map_result ~pool cfg
-                    ~label:(fun k ->
-                      let gi = carr.(k) in
-                      Printf.sprintf "cell:%s:%s"
-                        (barr.(gi / ns)).B.short
-                        sarr.(gi mod ns).sname)
-                    run_one chunk
-                in
-                List.iter2
-                  (fun gi r ->
-                    progress.p_cells.(gi) <-
-                      Some
-                        {
-                          r_benchmark = (barr.(gi / ns)).B.short;
-                          r_scenario = sarr.(gi mod ns).sname;
-                          r_cell = r;
-                        })
-                  chunk results;
-                save ();
-                loop rest
-        in
-        loop pending
-      end
-
-let print_cell_results ppf results =
+let print ppf results =
   Format.fprintf ppf
     "   %-20s %-14s %-9s %8s %8s %8s %8s  %s@." "scenario" "benchmark"
     "detected" "baseline" "faulted" "recover" "residual" "ok";
@@ -517,224 +312,41 @@ let print_cell_results ppf results =
       | Error e ->
           Format.fprintf ppf "   %-20s %-14s QUARANTINED  %s@." r.r_scenario
             r.r_benchmark (E.to_string e))
-    results
-
-type supervised_summary = {
-  cells : int;
-  quarantined : int;
-  undetected : int;  (** completed cells whose BIST missed a fault *)
-  residual_errors : int;
-      (** quarantined cells + completed cells over the residual budget *)
-}
-
-let summarize_results results =
-  let cells = List.length results in
-  let quarantined =
-    List.length (List.filter (fun r -> Result.is_error r.r_cell) results)
-  in
-  let ok_cells = List.filter_map (fun r -> Result.to_option r.r_cell) results in
-  let undetected =
-    List.length (List.filter (fun c -> not c.detected) ok_cells)
-  in
-  let unrecovered =
-    List.length (List.filter (fun c -> not c.recovered_ok) ok_cells)
-  in
-  {
-    cells;
-    quarantined;
-    undetected;
-    residual_errors = quarantined + unrecovered;
-  }
-
-let report_supervised ?(quick = false) ?pool ?on_checkpoint session ppf =
-  let scenarios = if quick then quick_scenarios () else all_scenarios () in
-  let benchmarks = fast_benchmarks () in
-  Format.fprintf ppf
-    "@.== Fault-injection campaign (%d scenarios x %d benchmarks%s) ==@."
-    (List.length scenarios) (List.length benchmarks)
-    (if quick then ", quick" else "");
-  match
-    run_cells_supervised ?pool ?on_checkpoint session ~scenarios ~benchmarks ()
-  with
-  | (Interrupted _ | Rejected _) as o -> o
-  | Completed results as o ->
-      print_cell_results ppf results;
-      let ok_cells =
-        List.filter_map (fun r -> Result.to_option r.r_cell) results
-      in
-      if ok_cells <> [] then begin
-        let detection, recovery, mean_residual = summarize ok_cells in
-        Format.fprintf ppf
-          "   detection rate %.0f%%   recovery rate %.0f%%   mean residual \
-           loss %.3f (budget %.2f)@."
-          (100.0 *. detection) (100.0 *. recovery) mean_residual
-          residual_budget
-      end;
-      let s = summarize_results results in
-      if s.quarantined > 0 then
-        Format.fprintf ppf "   quarantined cells: %d of %d@." s.quarantined
-          s.cells;
-      o
-
-(* ------------------------------------------------------------------ *)
-(* Fleet (multi-process) execution                                     *)
-(* ------------------------------------------------------------------ *)
-
-module Fleet = Promise_core.Fleet
-
-type fleet_outcome =
-  | Fleet_completed of cell_result list * Fleet.summary
-  | Fleet_interrupted of { completed_shards : int; total_shards : int }
-  | Fleet_rejected of E.t
-
-let capture_cell_exn ~what exn =
-  let bt = String.trim (Printexc.get_backtrace ()) in
-  E.make ~layer:"campaign-fleet" ~code:E.Internal
-    ~context:
-      (("what", what)
-      :: ("exn", Printexc.to_string exn)
-      :: (if bt = "" then [] else [ ("backtrace", bt) ]))
-    "cell raised in fleet worker"
-
-(* The fleet path shards the same (benchmark x scenario) grid as the
-   supervised path into contiguous index ranges, one range per forked
-   worker shard. A shard recomputes the baselines of the benchmarks it
-   touches (memoized within the shard) — deterministic recomputation
-   beats shipping floats between processes, and a shard's result then
-   depends only on its index, which is what makes kill/resume runs
-   bit-identical to clean ones. *)
-let run_cells_fleet ?on_shard_done ?(batch = 1) (fcfg : Fleet.config) ~shards
-    ~scenarios ~benchmarks () =
-  let barr = Array.of_list benchmarks and sarr = Array.of_list scenarios in
-  let nb = Array.length barr and ns = Array.length sarr in
-  let total = nb * ns in
-  if total = 0 then
-    Fleet_completed
-      ( [],
-        {
-          Fleet.shards = 0;
-          workers = 0;
-          restarts = 0;
-          resumed = 0;
-          quarantined = 0;
-          total_ms = 0.0;
-          timings = [||];
-        } )
-  else begin
-    let ranges = Fleet.ranges ~shards ~items:total in
-    let digest = config_digest ~batch ~scenarios ~benchmarks () in
-    let f ~shard =
-      let off, len = ranges.(shard) in
-      let baselines = Array.make nb None in
-      let baseline_for bi =
-        match baselines.(bi) with
-        | Some r -> r
-        | None ->
-            let r =
-              try
-                let b = barr.(bi) in
-                Ok
-                  (b.B.evaluate ~batch ~swings:(B.max_swings b) ())
-                    .B.promise_accuracy
-              with exn ->
-                Error
-                  (capture_cell_exn
-                     ~what:("baseline:" ^ barr.(bi).B.short)
-                     exn)
-            in
-            baselines.(bi) <- Some r;
-            r
-      in
-      let cell_of gi =
-        let bi = gi / ns and si = gi mod ns in
-        let b = barr.(bi) and s = sarr.(si) in
-        let r_cell =
-          match baseline_for bi with
-          | Error e -> Error (E.with_context e [ ("cascade", "baseline failed") ])
-          | Ok baseline -> (
-              try Ok (run_cell ~batch ~scenario:s b ~baseline)
-              with exn ->
-                Error
-                  (capture_cell_exn
-                     ~what:(Printf.sprintf "cell:%s:%s" b.B.short s.sname)
-                     exn))
-        in
-        { r_benchmark = b.B.short; r_scenario = s.sname; r_cell }
-      in
-      Ok (List.init len (fun k -> cell_of (off + k)))
+    results;
+  let ok = ok_cells results in
+  let n = List.length ok in
+  if n > 0 then begin
+    let rate p =
+      float_of_int (List.length (List.filter p ok)) /. float_of_int n
     in
-    match Fleet.run ?on_shard_done fcfg ~digest ~shards:(Array.length ranges) ~f with
-    | Fleet.Fleet_rejected e -> Fleet_rejected e
-    | Fleet.Fleet_interrupted { completed; total } ->
-        Fleet_interrupted { completed_shards = completed; total_shards = total }
-    | Fleet.Fleet_done (slots, summary) ->
-        (* shard-major expansion: a quarantined shard becomes one
-           QUARANTINED row per cell it covered *)
-        let cells =
-          Array.mapi
-            (fun sh slot ->
-              match slot with
-              | Ok cells -> cells
-              | Error e ->
-                  let off, len = ranges.(sh) in
-                  List.init len (fun k ->
-                      let gi = off + k in
-                      {
-                        r_benchmark = (barr.(gi / ns)).B.short;
-                        r_scenario = sarr.(gi mod ns).sname;
-                        r_cell =
-                          Error
-                            (E.with_context e
-                               [ ("shard", string_of_int sh) ]);
-                      }))
-            slots
-          |> Array.to_list |> List.concat
-        in
-        Fleet_completed (cells, summary)
-  end
+    let mean_residual =
+      List.fold_left (fun a c -> a +. c.residual) 0.0 ok /. float_of_int n
+    in
+    Format.fprintf ppf
+      "   detection rate %.0f%%   recovery rate %.0f%%   mean residual loss \
+       %.3f (budget %.2f)@."
+      (100.0 *. rate (fun c -> c.detected))
+      (100.0 *. rate (fun c -> c.recovered_ok))
+      mean_residual residual_budget
+  end;
+  let quarantined = List.length results - n in
+  if quarantined > 0 then
+    Format.fprintf ppf "   quarantined cells: %d of %d@." quarantined
+      (List.length results)
 
-let report_fleet ?(quick = false) ?on_shard_done ?(batch = 1) fcfg ~shards ppf =
-  let scenarios = if quick then quick_scenarios () else all_scenarios () in
-  let benchmarks = fast_benchmarks () in
-  Format.fprintf ppf
-    "@.== Fault-injection campaign (%d scenarios x %d benchmarks%s) ==@."
-    (List.length scenarios) (List.length benchmarks)
-    (if quick then ", quick" else "");
-  match
-    run_cells_fleet ?on_shard_done ~batch fcfg ~shards ~scenarios ~benchmarks ()
-  with
-  | (Fleet_interrupted _ | Fleet_rejected _) as o -> o
-  | Fleet_completed (results, _) as o ->
-      print_cell_results ppf results;
-      let ok_cells =
-        List.filter_map (fun r -> Result.to_option r.r_cell) results
-      in
-      if ok_cells <> [] then begin
-        let detection, recovery, mean_residual = summarize ok_cells in
-        Format.fprintf ppf
-          "   detection rate %.0f%%   recovery rate %.0f%%   mean residual \
-           loss %.3f (budget %.2f)@."
-          (100.0 *. detection) (100.0 *. recovery) mean_residual
-          residual_budget
-      end;
-      let s = summarize_results results in
-      if s.quarantined > 0 then
-        Format.fprintf ppf "   quarantined cells: %d of %d@." s.quarantined
-          s.cells;
-      o
-
-let report ?(quick = false) ?pool ppf =
-  let scenarios = if quick then quick_scenarios () else all_scenarios () in
-  let benchmarks = fast_benchmarks () in
-  Format.fprintf ppf
-    "@.== Fault-injection campaign (%d scenarios x %d benchmarks%s) ==@."
-    (List.length scenarios) (List.length benchmarks)
-    (if quick then ", quick" else "");
-  let cells = run_cells ?pool ~scenarios ~benchmarks () in
-  print_cells ppf cells;
-  let detection, recovery, mean_residual = summarize cells in
-  Format.fprintf ppf
-    "   detection rate %.0f%%   recovery rate %.0f%%   mean residual loss \
-     %.3f (budget %.2f)@."
-    (100.0 *. detection) (100.0 *. recovery) mean_residual residual_budget;
-  detection = 1.0 && recovery = 1.0
+let verdict ~max_residual results =
+  let ok = ok_cells results in
+  let count p = List.length (List.filter p ok) in
+  let undetected = count (fun c -> not c.detected) in
+  let residual_errors =
+    List.length results - List.length ok + count (fun c -> not c.recovered_ok)
+  in
+  if undetected > 0 then
+    Error (Printf.sprintf "campaign missed faults in %d cells" undetected)
+  else if residual_errors > max_residual then
+    Error
+      (Printf.sprintf
+         "%d residual (unrecovered or quarantined) errors exceed \
+          --max-residual %d"
+         residual_errors max_residual)
+  else Ok ()

@@ -10,7 +10,11 @@
       the BIST report implies ({!Promise_compiler.Runtime.recovery_of_report}
       — lane sparing, bank exclusion, canary retry/fallback).
 
-    The campaign is deterministic (fixed seeds) and prints one table
+    The campaign is a {!Promise_core.Workload}: one baseline item per
+    benchmark, then one item per benchmark × scenario cell. Every item
+    is independent and deterministic (fixed seeds), so either executor
+    — in-process or fleet, at any width, interrupted and resumed or not
+    — assembles the same cells, bit for bit, and prints the same table
     plus summary rates. *)
 
 type scenario = {
@@ -46,149 +50,57 @@ val residual_budget : float
 val fast_benchmarks : unit -> Benchmarks.t list
 (** Matched filter, template matching L1, k-NN L1. *)
 
-val run_cells :
-  ?pool:Promise_core.Pool.t ->
+type item
+(** One item's result: a benchmark's baseline or a cell's detection
+    and accuracies before its baseline is joined in. Plain data. *)
+
+val workload :
   ?batch:int ->
   scenarios:scenario list ->
   benchmarks:Benchmarks.t list ->
   unit ->
-  cell list
-(** Cells are independent and fan out across [pool] (baselines first,
-    then the scenario × benchmark grid); the result list is identical
-    at any job count. [batch] (default 1) scores that many batched
-    noise realizations per query ({!Benchmarks}); batch 1 is
-    bit-identical to the historical campaign. *)
-
-val print_cells : Format.formatter -> cell list -> unit
-
-val summarize : cell list -> float * float * float
-(** (detection rate, recovery rate, mean residual loss). *)
-
-(** [report ?quick ?pool ppf] — run the campaign and print the table;
-    [true] when detection and recovery rates are both 100%. [quick]
-    restricts to {!quick_scenarios}; [pool] fans the cells out across
-    domains. *)
-val report : ?quick:bool -> ?pool:Promise_core.Pool.t -> Format.formatter -> bool
-
-(** {2 Supervised, checkpointed execution}
-
-    The same campaign as a resumable item stream: cells run under a
-    {!Promise_core.Supervisor.session} (deadline, bounded retry,
-    quarantine, incident log), progress is checkpointed atomically
-    after every chunk, SIGINT/SIGTERM (via the session's stop flag)
-    flushes a final checkpoint instead of losing the run, and a rerun
-    with [resume] picks up exactly where the previous process died.
-    Both paths are deterministic: an interrupted-and-resumed run
-    assembles the same cell list, bit for bit, as an uninterrupted one
-    at the same job count. *)
+  item Promise_core.Workload.t
+(** The campaign's items: one fault-free baseline per benchmark, then
+    the benchmark-major benchmark × scenario grid. [batch] (default 1)
+    scores that many batched noise realizations per query
+    ({!Benchmarks}); batch 1 is bit-identical to the historical
+    campaign. The digest covers the scenario names/kinds, the benchmark
+    names, the residual budget, the batch width and the library
+    version, so a checkpoint written at one batch width is a
+    stale-checkpoint rejection at any other. *)
 
 type cell_result = {
   r_benchmark : string;
   r_scenario : string;
   r_cell : (cell, Promise_core.Error.t) result;
-      (** [Error] = the cell was quarantined (deadline or retry budget
-          exhausted); its siblings are unaffected *)
+      (** [Error] = the cell, or its benchmark's baseline, was
+          quarantined; its siblings are unaffected *)
 }
 
-type outcome =
-  | Completed of cell_result list  (** every cell accounted for *)
-  | Interrupted of { completed : int; total : int }
-      (** the stop flag was raised; progress is in the checkpoint *)
-  | Rejected of Promise_core.Error.t
-      (** the checkpoint belongs to a different run configuration *)
-
-val config_digest :
-  ?batch:int ->
+val assemble :
   scenarios:scenario list ->
   benchmarks:Benchmarks.t list ->
-  unit ->
-  string
-(** The digest guarding campaign checkpoints: scenario names/kinds,
-    benchmark shorts, the residual budget, the batch width, the
-    library version. A checkpoint written at one batch width is a
-    stale-checkpoint rejection at any other. *)
+  (item, Promise_core.Error.t) result array ->
+  cell_result list
+(** Join each cell with its benchmark's baseline ([residual =
+    max 0 (baseline − recovered)]), in grid order. A failed baseline
+    cascades an [Error] into all of its benchmark's cells. The results
+    must come from [workload ~scenarios ~benchmarks ()]. *)
 
-val run_cells_supervised :
-  ?pool:Promise_core.Pool.t ->
-  ?batch:int ->
-  ?on_checkpoint:(completed:int -> total:int -> unit) ->
-  Promise_core.Supervisor.session ->
-  scenarios:scenario list ->
-  benchmarks:Benchmarks.t list ->
-  unit ->
-  outcome
-(** Supervised {!run_cells}. Baselines are supervised items too (a
-    quarantined baseline cascades to its benchmark's cells); the grid
-    then runs in pool-width chunks with a checkpoint flush (and
-    [on_checkpoint] callback) after each. A completed run removes its
-    checkpoint. *)
-
-val print_cell_results : Format.formatter -> cell_result list -> unit
-(** The {!print_cells} table with QUARANTINED rows for [Error] cells. *)
-
-type supervised_summary = {
-  cells : int;
-  quarantined : int;
-  undetected : int;  (** completed cells whose BIST missed a fault *)
-  residual_errors : int;
-      (** quarantined cells + completed cells over the residual budget *)
-}
-
-val summarize_results : cell_result list -> supervised_summary
-
-val report_supervised :
-  ?quick:bool ->
-  ?pool:Promise_core.Pool.t ->
-  ?on_checkpoint:(completed:int -> total:int -> unit) ->
-  Promise_core.Supervisor.session ->
+val print_header :
   Format.formatter ->
-  outcome
-(** Supervised {!report}: prints the same header/table/summary (plus a
-    quarantine line when any cell was isolated) and returns the
-    outcome for the CLI to turn into an exit status. *)
-
-(** {2 Fleet (multi-process) execution}
-
-    The same grid sharded across forked worker processes via
-    {!Promise_core.Fleet}: contiguous index ranges, one per shard,
-    each shard recomputing (memoized, deterministic) the baselines of
-    the benchmarks it touches. Results aggregate shard-major, so the
-    cell list — and the printed table — is bit-identical to the
-    supervised path at any worker count, through worker crashes, and
-    across kill/resume cycles. A quarantined shard expands to one
-    QUARANTINED row per cell it covered. *)
-
-type fleet_outcome =
-  | Fleet_completed of cell_result list * Promise_core.Fleet.summary
-  | Fleet_interrupted of { completed_shards : int; total_shards : int }
-      (** the stop flag was raised; finished shards are in the
-          checkpoint dir (when configured) *)
-  | Fleet_rejected of Promise_core.Error.t
-
-val run_cells_fleet :
-  ?on_shard_done:(shard:int -> completed:int -> total:int -> unit) ->
-  ?batch:int ->
-  Promise_core.Fleet.config ->
-  shards:int ->
+  quick:bool ->
   scenarios:scenario list ->
   benchmarks:Benchmarks.t list ->
-  unit ->
-  fleet_outcome
-(** {!run_cells} across a worker fleet. [shards] is a request: the
-    grid is split into at most that many non-empty ranges. [batch]
-    (default 1) is forwarded to every evaluation and folded into the
-    shard checkpoint digest, so kill/resume runs at batch N stay
-    bit-identical to uninterrupted batch-N runs and can never resume a
-    differently-batched shard. *)
+  unit
+(** The campaign's title line; printed before the run starts. *)
 
-val report_fleet :
-  ?quick:bool ->
-  ?on_shard_done:(shard:int -> completed:int -> total:int -> unit) ->
-  ?batch:int ->
-  Promise_core.Fleet.config ->
-  shards:int ->
-  Format.formatter ->
-  fleet_outcome
-(** Fleet {!report_supervised}: identical header/table/summary on
-    [ppf] (fleet statistics are in the returned summary, not printed —
-    stdout stays diffable against the supervised path). *)
+val print : Format.formatter -> cell_result list -> unit
+(** The table (QUARANTINED rows for [Error] cells), the detection /
+    recovery / mean-residual summary over the completed cells, and a
+    quarantine count when any cell was isolated. *)
+
+val verdict : max_residual:int -> cell_result list -> (unit, string) result
+(** The campaign's pass/fail gate: [Error] when the BIST missed a fault
+    in any cell, or when more than [max_residual] cells end unrecovered
+    (over the residual budget) or quarantined. *)

@@ -124,6 +124,7 @@ module Checkpoint = Promise_core.Checkpoint
 module Supervisor = Promise_core.Supervisor
 module Ipc = Promise_core.Ipc
 module Fleet = Promise_core.Fleet
+module Workload = Promise_core.Workload
 module Validate = Promise_core.Validate
 module Failpoint = Promise_core.Failpoint
 module Benchmarks = Benchmarks

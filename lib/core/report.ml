@@ -10,7 +10,7 @@ module Program = Promise_isa.Program
 module Task = Promise_isa.Task
 module At = Promise_ir.Abstract_task
 module Graph = Promise_ir.Graph
-module Pool = Promise_core.Pool
+module E = Promise_core.Error
 
 let section ppf title note =
   Format.fprintf ppf "@.== %s ==@." title;
@@ -30,35 +30,34 @@ type opt_result = {
   opt_energy : float;
 }
 
-(* Memoized on first call; the pool only changes how fast the sweep
-   runs, never its result (the optimization is deterministic), so a
-   later caller with a different pool gets the same cached value. *)
+(* Memoized on first call and shared by fig12 and table2; the lock
+   keeps two sections rendering on different domains from racing the
+   cache. *)
 let optimizations_lock = Mutex.create ()
 let optimizations_cache : opt_result list option ref = ref None
 
-let optimizations ?(pool = Pool.sequential) () =
+let optimizations () =
   Mutex.protect optimizations_lock (fun () ->
       match !optimizations_cache with
       | Some v -> v
       | None ->
           let v =
-            List.filter_map Fun.id
-              (Pool.map_list pool
-                 (fun (b : B.t) ->
-                   match B.optimize ~pool b ~pm:0.01 with
-                   | Ok (swings, eval) ->
-                       Some
-                         {
-                           bench = b;
-                           swings;
-                           eval;
-                           full_energy =
-                             Model.total
-                               (B.promise_energy b ~swings:(B.max_swings b));
-                           opt_energy = Model.total (B.promise_energy b ~swings);
-                         }
-                   | Error _ -> None)
-                 (B.fig12_suite ()))
+            List.filter_map
+              (fun (b : B.t) ->
+                match B.optimize b ~pm:0.01 with
+                | Ok (swings, eval) ->
+                    Some
+                      {
+                        bench = b;
+                        swings;
+                        eval;
+                        full_energy =
+                          Model.total
+                            (B.promise_energy b ~swings:(B.max_swings b));
+                        opt_energy = Model.total (B.promise_energy b ~swings);
+                      }
+                | Error _ -> None)
+              (B.fig12_suite ())
           in
           optimizations_cache := Some v;
           v)
@@ -236,7 +235,7 @@ let fig11 ppf =
 (* Figure 12 / Table 2                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let fig12 ?pool ppf =
+let fig12 ppf =
   section ppf "Figure 12 - compiler energy optimization at p_m = 1%"
     "paper: 4-25% savings, geometric mean 17%; DNN swings e.g. (3,3,4,6)";
   Format.fprintf ppf "   %-16s %12s %-14s %9s %9s %10s@." "benchmark"
@@ -254,7 +253,7 @@ let fig12 ?pool ppf =
         ratio
         ((1.0 -. ratio) *. 100.0)
         r.eval.B.mismatch)
-    (optimizations ?pool ());
+    (optimizations ());
   let geo =
     Promise_ml.Metrics.geometric_mean !ratios
   in
@@ -262,13 +261,13 @@ let fig12 ?pool ppf =
   Format.fprintf ppf "   geometric-mean saving: %.1f%% (paper: 17%%)@."
     ((1.0 -. geo) *. 100.0)
 
-let table2 ?pool ppf =
+let table2 ppf =
   section ppf "Table 2 - benchmark inventory"
     "dims / tasks / minimum digital precision / optimal swing at p_m = 1%";
   Format.fprintf ppf "   %-16s %8s %8s %6s %8s %8s %-12s@." "benchmark" "N"
     "rows" "#AT" "ref acc" "CONV-OPT" "opt swing";
   hr ppf;
-  let opts = optimizations ?pool () in
+  let opts = optimizations () in
   let opt_for (b : B.t) =
     List.find_opt (fun r -> r.bench.B.short = b.B.short) opts
   in
@@ -465,7 +464,7 @@ let adc_fidelity ppf =
 (* Drivers                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let yield_analysis ?(pool = Pool.sequential) ppf =
+let yield_analysis ppf =
   section ppf "Yield - accuracy across process-variation corners"
     "each noise seed models a different die; Eq. (3)'s 2.6-sigma margin \
      targets 99% per-aggregate confidence";
@@ -475,9 +474,8 @@ let yield_analysis ?(pool = Pool.sequential) ppf =
   hr ppf;
   List.iter
     (fun ((b : B.t), swing) ->
-      (* one die (seed) per pool slot; the sort erases completion order *)
       let accs =
-        Pool.map_list pool
+        List.map
           (fun seed ->
             (b.B.evaluate ~seed ~swings:[ swing ] ()).B.promise_accuracy)
           seeds
@@ -499,327 +497,97 @@ let yield_analysis ?(pool = Pool.sequential) ppf =
     [ (B.matched_filter (), 1); (B.template_l2 (), 2); (B.template_l2 (), 4) ]
 
 let validation ppf = ignore (Validation.report ppf)
-let resilience ?pool ppf = ignore (Campaign.report ?pool ppf)
 
-(* Each section printer takes the pool explicitly so the CLI can thread
-   [--jobs] through named-section selection; pool-oblivious sections
-   just drop it. *)
-let sections : (string * bool * (Pool.t -> Format.formatter -> unit)) list =
-  let p f = fun _pool ppf -> f ppf in
+let resilience ppf =
+  let scenarios = Campaign.all_scenarios () in
+  let benchmarks = Campaign.fast_benchmarks () in
+  Campaign.print_header ppf ~quick:false ~scenarios ~benchmarks;
+  match
+    Promise_core.Workload.run_local Promise_core.Supervisor.plain
+      (Campaign.workload ~scenarios ~benchmarks ())
+  with
+  | Promise_core.Workload.Done (results, _) ->
+      Campaign.print ppf (Campaign.assemble ~scenarios ~benchmarks results)
+  | Promise_core.Workload.Interrupted _ | Promise_core.Workload.Rejected _ ->
+      (* the plain session has no stop flag and no checkpoint *)
+      ()
+
+let sections =
   [
-    ("validation", false, p validation);
-    ("resilience", true, fun pool ppf -> resilience ~pool ppf);
-    ("table1", false, p table1);
-    ("table3", false, p table3);
-    ("eq3", false, p eq3_table);
-    ("isa", false, p isa_demo);
-    ("fig10a", false, p fig10a);
-    ("fig10b", false, p fig10b);
-    ("fig11", false, p fig11);
-    ("fig12", true, fun pool ppf -> fig12 ~pool ppf);
-    ("table2", true, fun pool ppf -> table2 ~pool ppf);
-    ("soa_knn", false, p soa_knn);
-    ("soa_dnn", true, p soa_dnn);
-    ("cm", false, p cm_compare);
-    ("ablation", false, p ablation_tp);
-    ("extensions", false, p ext_ablation);
-    ("adc_fidelity", false, p adc_fidelity);
-    ("size_sweep", false, p size_sweep);
-    ("error_sources", false, p error_sources);
-    ("dma", false, p dma_overhead);
-    ("yield", true, fun pool ppf -> yield_analysis ~pool ppf);
+    ("validation", false, validation);
+    ("resilience", true, resilience);
+    ("table1", false, table1);
+    ("table3", false, table3);
+    ("eq3", false, eq3_table);
+    ("isa", false, isa_demo);
+    ("fig10a", false, fig10a);
+    ("fig10b", false, fig10b);
+    ("fig11", false, fig11);
+    ("fig12", true, fig12);
+    ("table2", true, table2);
+    ("soa_knn", false, soa_knn);
+    ("soa_dnn", true, soa_dnn);
+    ("cm", false, cm_compare);
+    ("ablation", false, ablation_tp);
+    ("extensions", false, ext_ablation);
+    ("adc_fidelity", false, adc_fidelity);
+    ("size_sweep", false, size_sweep);
+    ("error_sources", false, error_sources);
+    ("dma", false, dma_overhead);
+    ("yield", true, yield_analysis);
   ]
-
-(* Sections are rendered to private buffers — concurrently when the
-   pool allows — and printed in list order, so the assembled report is
-   byte-identical at any job count (each section is deterministic and
-   writes only to its own formatter). *)
-let print_sections ?(pool = Pool.sequential) ppf fns =
-  let render f =
-    let buf = Buffer.create 4096 in
-    let bppf = Format.formatter_of_buffer buf in
-    f pool bppf;
-    Format.pp_print_flush bppf ();
-    Buffer.contents buf
-  in
-  List.iter
-    (Format.pp_print_string ppf)
-    (Pool.map_list pool render fns);
-  Format.pp_print_flush ppf ()
-
-let quick ?pool ppf =
-  print_sections ?pool ppf
-    (List.filter_map
-       (fun (_, slow, f) -> if slow then None else Some f)
-       sections)
-
-let all ?pool ppf =
-  print_sections ?pool ppf (List.map (fun (_, _, f) -> f) sections)
-
-(* ------------------------------------------------------------------ *)
-(* Supervised, checkpointed rendering                                  *)
-(* ------------------------------------------------------------------ *)
-
-module Sup = Promise_core.Supervisor
-module Ckpt = Promise_core.Checkpoint
-module Inc = Promise_core.Incident
-module E = Promise_core.Error
-
-type sections_outcome =
-  | Sections_done of { quarantined : int }
-  | Sections_interrupted of { completed : int; total : int }
-  | Sections_rejected of E.t
-
-let sections_digest names =
-  Ckpt.digest_of_config ~kind:"report-sections" names
 
 let quick_names () =
   List.filter_map (fun (n, slow, _) -> if slow then None else Some n) sections
 
 let all_names () = List.map (fun (n, _, _) -> n) sections
 
-(* Render the named sections under the session: each section is one
-   supervised work item (deadline / retry / quarantine), finished
-   renders checkpoint after every pool-width chunk, and the assembled
-   report prints only once everything is in — in list order, so the
-   output is byte-identical to the unsupervised path whatever the job
-   count or the number of interruptions. *)
-let run_sections_supervised ?(pool = Pool.sequential)
-    ?(on_checkpoint = fun ~completed:_ ~total:_ -> ())
-    (session : Sup.session) ppf names =
-  let cfg = session.Sup.sup in
-  let inc = cfg.Sup.incidents in
-  let named =
-    List.filter_map
-      (fun name ->
-        List.find_opt (fun (n, _, _) -> n = name) sections
-        |> Option.map (fun (n, _, f) -> (n, f)))
-      names
+let known_names ppf names =
+  List.filter
+    (fun name ->
+      let known = List.exists (fun (n, _, _) -> n = name) sections in
+      if not known then
+        Format.fprintf ppf "unknown section %S; available: %s@." name
+          (String.concat ", " (all_names ()));
+      known)
+    names
+
+(* Each item renders one section into a private buffer; the report is
+   printed only once every item is in, in list order, so it is
+   byte-identical whichever executor rendered the sections. *)
+let workload names =
+  let printers =
+    Array.of_list
+      (List.map
+         (fun name ->
+           match List.find_opt (fun (n, _, _) -> n = name) sections with
+           | Some (_, _, f) -> f
+           | None -> invalid_arg ("Report.workload: unknown section " ^ name))
+         names)
   in
-  let narr = Array.of_list named in
-  let total = Array.length narr in
-  let digest = sections_digest (List.map fst named) in
-  let count_some arr =
-    Array.fold_left (fun n o -> if o = None then n else n + 1) 0 arr
-  in
-  let loaded =
-    match session.Sup.checkpoint with
-    | Some path when session.Sup.resume && Ckpt.exists path -> (
-        match
-          (Ckpt.load ~path ~config_digest:digest
-            : ((string, E.t) result option array, E.t) result)
-        with
-        | Ok p when Array.length p = total ->
-            Inc.record inc Inc.Checkpoint_resume
-              [
-                ("path", path);
-                ("sections_done", string_of_int (count_some p));
-                ("total", string_of_int total);
-              ];
-            Ok p
-        | Ok _ ->
-            Error
-              (E.make ~layer:"report" ~code:E.Stale_checkpoint
-                 ~context:[ ("path", path) ]
-                 "checkpoint section count does not match this report")
-        | Error e ->
-            Inc.record inc Inc.Checkpoint_stale [ ("error", E.to_string e) ];
-            Error e)
-    | _ -> Ok (Array.make total None)
-  in
-  match loaded with
-  | Error e -> Sections_rejected e
-  | Ok rendered ->
-      let save () =
-        match session.Sup.checkpoint with
-        | None -> ()
-        | Some path -> (
-            match Ckpt.save ~path ~config_digest:digest rendered with
-            | Ok () ->
-                let completed = count_some rendered in
-                Inc.record inc Inc.Checkpoint_write
-                  [
-                    ("path", path);
-                    ("sections_done", string_of_int completed);
-                    ("total", string_of_int total);
-                  ];
-                on_checkpoint ~completed ~total
-            | Error e ->
-                Inc.record inc Inc.Degradation
-                  [ ("what", "checkpoint write failed");
-                    ("error", E.to_string e) ])
-      in
-      let interrupted () =
-        save ();
-        Inc.record inc Inc.Signal
-          [
-            ( "signal",
-              match Sup.stop_signal session.Sup.stop with
-              | Some n -> Sup.signal_name n
-              | None -> "request" );
-            ("sections_done", string_of_int (count_some rendered));
-            ("total", string_of_int total);
-          ];
-        Sections_interrupted { completed = count_some rendered; total }
-      in
-      let render i () =
-        let _, f = narr.(i) in
+  {
+    Promise_core.Workload.kind = "report";
+    digest = Promise_core.Checkpoint.digest_of_config ~kind:"report-sections" names;
+    labels = Array.of_list (List.map (fun n -> "section:" ^ n) names);
+    run =
+      (fun i ->
         let buf = Buffer.create 4096 in
         let bppf = Format.formatter_of_buffer buf in
-        f pool bppf;
+        printers.(i) bppf;
         Format.pp_print_flush bppf ();
-        Ok (Buffer.contents buf)
-      in
-      Inc.record inc Inc.Run_start
-        [
-          ("what", "report");
-          ("total_sections", string_of_int total);
-          ("jobs", string_of_int (Pool.jobs pool));
-          ("resumed", string_of_int (count_some rendered));
-        ];
-      let chunk_size = max 1 (Pool.jobs pool) in
-      let rec take k = function
-        | [] -> ([], [])
-        | l when k = 0 -> ([], l)
-        | x :: tl ->
-            let a, b = take (k - 1) tl in
-            (x :: a, b)
-      in
-      let rec loop pending =
-        if Sup.stop_requested session.Sup.stop then interrupted ()
-        else
-          match pending with
-          | [] ->
-              let quarantined = ref 0 in
-              Array.iteri
-                (fun i r ->
-                  match Option.get r with
-                  | Ok s -> Format.pp_print_string ppf s
-                  | Error e ->
-                      incr quarantined;
-                      Format.fprintf ppf
-                        "@.== %s ==@.   SECTION QUARANTINED: %s@."
-                        (fst narr.(i)) (E.to_string e))
-                rendered;
-              Format.pp_print_flush ppf ();
-              Inc.record inc Inc.Run_end
-                [ ("what", "report"); ("total_sections", string_of_int total) ];
-              (match session.Sup.checkpoint with
-              | Some path -> Ckpt.remove path
-              | None -> ());
-              Sections_done { quarantined = !quarantined }
-          | _ ->
-              let chunk, rest = take chunk_size pending in
-              let carr = Array.of_list chunk in
-              let results =
-                Sup.map_result ~pool cfg
-                  ~label:(fun k -> "section:" ^ fst narr.(carr.(k)))
-                  (fun i -> render i ())
-                  chunk
-              in
-              List.iter2
-                (fun i r -> rendered.(i) <- Some r)
-                chunk results;
-              save ();
-              loop rest
-      in
-      loop
-        (List.filter (fun i -> rendered.(i) = None) (List.init total Fun.id))
-
-(* ------------------------------------------------------------------ *)
-(* Fleet (multi-process) rendering                                     *)
-(* ------------------------------------------------------------------ *)
-
-module Fleet = Promise_core.Fleet
-
-type sections_fleet_outcome =
-  | Sections_fleet_done of { quarantined : int; summary : Fleet.summary }
-  | Sections_fleet_interrupted of { completed_shards : int; total_shards : int }
-  | Sections_fleet_rejected of E.t
-
-let empty_fleet_summary =
-  {
-    Fleet.shards = 0;
-    workers = 0;
-    restarts = 0;
-    resumed = 0;
-    quarantined = 0;
-    total_ms = 0.0;
-    timings = [||];
+        Buffer.contents buf);
   }
 
-(* The named sections sharded across forked workers: each shard
-   renders a contiguous slice of the section list to strings (one
-   buffer per section, exceptions captured per section so a broken
-   section quarantines only itself), and the parent prints the slices
-   in list order — byte-identical to the in-process paths whatever the
-   worker count or how many workers died on the way. *)
-let run_sections_fleet ?on_shard_done (fcfg : Fleet.config) ~shards ppf names =
-  let named =
-    List.filter_map
-      (fun name ->
-        List.find_opt (fun (n, _, _) -> n = name) sections
-        |> Option.map (fun (n, _, f) -> (n, f)))
-      names
-  in
-  let narr = Array.of_list named in
-  let total = Array.length narr in
-  if total = 0 then
-    Sections_fleet_done { quarantined = 0; summary = empty_fleet_summary }
-  else begin
-    let ranges = Fleet.ranges ~shards ~items:total in
-    let digest = sections_digest (List.map fst named) in
-    let render_one i =
-      let name, f = narr.(i) in
-      try
-        let buf = Buffer.create 4096 in
-        let bppf = Format.formatter_of_buffer buf in
-        f Pool.sequential bppf;
-        Format.pp_print_flush bppf ();
-        Ok (Buffer.contents buf)
-      with exn ->
-        let bt = String.trim (Printexc.get_backtrace ()) in
-        Error
-          (E.make ~layer:"report-fleet" ~code:E.Internal
-             ~context:
-               (("section", name)
-               :: ("exn", Printexc.to_string exn)
-               :: (if bt = "" then [] else [ ("backtrace", bt) ]))
-             "section raised in fleet worker")
-    in
-    let f ~shard =
-      let off, len = ranges.(shard) in
-      Ok (List.init len (fun k -> render_one (off + k)))
-    in
-    match Fleet.run ?on_shard_done fcfg ~digest ~shards:(Array.length ranges) ~f with
-    | Fleet.Fleet_rejected e -> Sections_fleet_rejected e
-    | Fleet.Fleet_interrupted { completed; total } ->
-        Sections_fleet_interrupted
-          { completed_shards = completed; total_shards = total }
-    | Fleet.Fleet_done (slots, summary) ->
-        let quarantined = ref 0 in
-        Array.iteri
-          (fun sh slot ->
-            let off, len = ranges.(sh) in
-            let per_section =
-              match slot with
-              | Ok rendered -> rendered
-              | Error e ->
-                  List.init len (fun _ ->
-                      Error (E.with_context e [ ("shard", string_of_int sh) ]))
-            in
-            List.iteri
-              (fun k r ->
-                match r with
-                | Ok s -> Format.pp_print_string ppf s
-                | Error e ->
-                    incr quarantined;
-                    Format.fprintf ppf
-                      "@.== %s ==@.   SECTION QUARANTINED: %s@."
-                      (fst narr.(off + k))
-                      (E.to_string e))
-              per_section)
-          slots;
-        Format.pp_print_flush ppf ();
-        Sections_fleet_done { quarantined = !quarantined; summary }
-  end
+let print ppf names results =
+  let quarantined = ref 0 in
+  List.iteri
+    (fun i name ->
+      match results.(i) with
+      | Ok s -> Format.pp_print_string ppf s
+      | Error e ->
+          incr quarantined;
+          Format.fprintf ppf "@.== %s ==@.   SECTION QUARANTINED: %s@." name
+            (E.to_string e))
+    names;
+  Format.pp_print_flush ppf ();
+  !quarantined

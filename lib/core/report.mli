@@ -32,18 +32,16 @@ val fig10b : Format.formatter -> unit
     SVM on CONV-8b (Figure 11). *)
 val fig11 : Format.formatter -> unit
 
-(** [fig12 ?pool ppf] — compiler swing optimization at p_m = 1%:
+(** [fig12 ppf] — compiler swing optimization at p_m = 1%:
     optimized vs full-precision energy and the search-space size per
     kernel (Figure 12; paper savings 4–25%, geometric mean 17%). Slow:
     sweeps all eight swings for the six single-task kernels and trains
-    the three DNNs; [pool] fans the per-benchmark sweeps out across
-    domains. *)
-val fig12 : ?pool:Promise_core.Pool.t -> Format.formatter -> unit
+    the three DNNs. *)
+val fig12 : Format.formatter -> unit
 
-(** [table2 ?pool ppf] — the benchmark inventory with the optimal
-    swings at p_m = 1% (Table 2). Shares the memoized fig12
-    optimizations. *)
-val table2 : ?pool:Promise_core.Pool.t -> Format.formatter -> unit
+(** [table2 ppf] — the benchmark inventory with the optimal swings at
+    p_m = 1% (Table 2). Shares the memoized fig12 optimizations. *)
+val table2 : Format.formatter -> unit
 
 (** [soa_knn ppf] — §6.2 comparison with the 14 nm k-NN accelerator [7],
     ITRS-scaled to 65 nm. *)
@@ -90,92 +88,41 @@ val dma_overhead : Format.formatter -> unit
     ({!Validation.report}). *)
 val validation : Format.formatter -> unit
 
-(** [resilience ?pool ppf] — the fault-injection campaign
-    ({!Campaign.report}): scenario × benchmark detection / recovery
-    table. Slow; [pool] fans the campaign cells out across domains. *)
-val resilience : ?pool:Promise_core.Pool.t -> Format.formatter -> unit
+(** [resilience ppf] — the full fault-injection campaign
+    ({!Campaign}): scenario × benchmark detection / recovery table.
+    Slow. *)
+val resilience : Format.formatter -> unit
 
-(** [yield_analysis ?pool ppf] — accuracy distribution across
+(** [yield_analysis ppf] — accuracy distribution across
     process-variation corners (noise seeds = dies) at reduced swings:
-    the die-to-die view behind Eq. (3)'s 99% confidence margin. Slow;
-    [pool] evaluates the dies concurrently. *)
-val yield_analysis : ?pool:Promise_core.Pool.t -> Format.formatter -> unit
+    the die-to-die view behind Eq. (3)'s 99% confidence margin. Slow. *)
+val yield_analysis : Format.formatter -> unit
 
-(** [quick ?pool ppf] — every section except the slow
-    {!fig12}/{!table2}. *)
-val quick : ?pool:Promise_core.Pool.t -> Format.formatter -> unit
-
-(** [all ?pool ppf] — every section. *)
-val all : ?pool:Promise_core.Pool.t -> Format.formatter -> unit
-
-(** [sections] — (name, slow, printer) for CLI selection; every printer
-    takes the pool explicitly (pool-oblivious sections ignore it). *)
-val sections :
-  (string * bool * (Promise_core.Pool.t -> Format.formatter -> unit)) list
-
-(** [print_sections ?pool ppf fns] — render each section to a private
-    buffer (concurrently when [pool] allows) and print them in list
-    order: the output is byte-identical at any job count. *)
-val print_sections :
-  ?pool:Promise_core.Pool.t ->
-  Format.formatter ->
-  (Promise_core.Pool.t -> Format.formatter -> unit) list ->
-  unit
-
-(** {2 Supervised, checkpointed rendering} *)
-
-type sections_outcome =
-  | Sections_done of { quarantined : int }
-      (** printed; [quarantined] sections were replaced by their error *)
-  | Sections_interrupted of { completed : int; total : int }
-      (** stop flag raised; finished renders are in the checkpoint *)
-  | Sections_rejected of Promise_core.Error.t
-      (** the checkpoint belongs to a different section list *)
+(** [sections] — (name, slow, printer) in report order, for CLI
+    selection. *)
+val sections : (string * bool * (Format.formatter -> unit)) list
 
 val quick_names : unit -> string list
 (** Names of the non-slow sections, in print order. *)
 
 val all_names : unit -> string list
 
-val sections_digest : string list -> string
-(** The digest guarding report checkpoints (ordered section names). *)
+val known_names : Format.formatter -> string list -> string list
+(** [names] without the unknown ones, each reported on [ppf] with the
+    list of available sections. *)
 
-val run_sections_supervised :
-  ?pool:Promise_core.Pool.t ->
-  ?on_checkpoint:(completed:int -> total:int -> unit) ->
-  Promise_core.Supervisor.session ->
+(** {2 The report as a workload} *)
+
+val workload : string list -> string Promise_core.Workload.t
+(** One item per named section (in order), rendering it to a string.
+    The digest covers the ordered names. Raises [Invalid_argument] on
+    an unknown name: filter with {!known_names} first. *)
+
+val print :
   Format.formatter ->
   string list ->
-  sections_outcome
-(** Render the named sections as supervised work items: each render is
-    deadline/retry/quarantine-supervised, finished renders are
-    checkpointed after every pool-width chunk, and the assembled
-    report prints once, in section order — byte-identical to
-    {!print_sections} however often the run was interrupted and
-    resumed. Unknown names are skipped (the CLIs report them). A
-    completed run removes its checkpoint. *)
-
-(** {2 Fleet (multi-process) rendering} *)
-
-type sections_fleet_outcome =
-  | Sections_fleet_done of {
-      quarantined : int;
-      summary : Promise_core.Fleet.summary;
-    }
-      (** printed; [quarantined] sections were replaced by their error *)
-  | Sections_fleet_interrupted of { completed_shards : int; total_shards : int }
-  | Sections_fleet_rejected of Promise_core.Error.t
-
-val run_sections_fleet :
-  ?on_shard_done:(shard:int -> completed:int -> total:int -> unit) ->
-  Promise_core.Fleet.config ->
-  shards:int ->
-  Format.formatter ->
-  string list ->
-  sections_fleet_outcome
-(** {!run_sections_supervised} across forked worker processes: the
-    named sections are split into at most [shards] contiguous slices,
-    each rendered in a crash-isolated worker (exceptions captured per
-    section; a quarantined {e shard} quarantines every section it
-    covered), and printed in section order — byte-identical to
-    {!print_sections} through worker crashes and kill/resume cycles. *)
+  (string, Promise_core.Error.t) result array ->
+  int
+(** [print ppf names results] prints the rendered sections of
+    [workload names] in order, a [SECTION QUARANTINED] block in place
+    of each [Error], and returns the number of those. *)

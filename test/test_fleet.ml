@@ -497,46 +497,41 @@ let test_fleet_chaos_kill_one () =
 (* Campaign over a fleet ≡ the in-process campaign                     *)
 (* ------------------------------------------------------------------ *)
 
+let expect_items = function
+  | P.Workload.Done (results, _) -> results
+  | _ -> fail "expected the workload to complete"
+
 let test_campaign_fleet_matches_plain () =
   let scenarios = [ List.hd (P.Campaign.quick_scenarios ()) ] in
   let benchmarks = [ P.Benchmarks.matched_filter () ] in
-  let plain = P.Campaign.run_cells ~scenarios ~benchmarks () in
+  let w = P.Campaign.workload ~scenarios ~benchmarks () in
+  let plain = expect_items (P.Workload.run_local Sup.plain w) in
   let cfg = fleet_config ~workers:2 () in
-  match P.Campaign.run_cells_fleet cfg ~shards:2 ~scenarios ~benchmarks () with
-  | P.Campaign.Fleet_completed (results, summary) ->
-      check int "same cell count" (List.length plain) (List.length results);
-      List.iter2
-        (fun (c : P.Campaign.cell) (r : P.Campaign.cell_result) ->
-          check bool "cell identical to the in-process path" true
-            (get_ok r.P.Campaign.r_cell = c))
-        plain results;
+  match P.Workload.run_fleet cfg ~shards:2 w with
+  | P.Workload.Done (results, Some summary) ->
+      check bool "items identical to the in-process path" true
+        (results = plain);
       check int "no quarantine" 0 summary.Fleet.quarantined
   | _ -> fail "expected completion"
 
 (* Chaos kill-one at batch 8: a fleet that loses a worker mid-run must
-   produce cells byte-identical to the uninterrupted in-process batched
+   produce items byte-identical to the uninterrupted in-process batched
    campaign (the shard checkpoint digest folds the batch width in, so
    the restarted worker re-executes at the same width). *)
 let test_campaign_fleet_batch_chaos () =
   let scenarios = [ List.hd (P.Campaign.quick_scenarios ()) ] in
   let benchmarks = [ P.Benchmarks.matched_filter () ] in
-  let batch = 8 in
-  let plain = P.Campaign.run_cells ~batch ~scenarios ~benchmarks () in
+  let w = P.Campaign.workload ~batch:8 ~scenarios ~benchmarks () in
+  let plain = expect_items (P.Workload.run_local Sup.plain w) in
   let buf = Buffer.create 256 in
   let inc = Inc.to_buffer buf in
   let cfg =
     fleet_config ~workers:2 ~chaos:Fleet.Kill_one ~incidents:inc ()
   in
-  match
-    P.Campaign.run_cells_fleet ~batch cfg ~shards:2 ~scenarios ~benchmarks ()
-  with
-  | P.Campaign.Fleet_completed (results, summary) ->
-      check int "same cell count" (List.length plain) (List.length results);
-      List.iter2
-        (fun (c : P.Campaign.cell) (r : P.Campaign.cell_result) ->
-          check bool "batched cell identical despite the kill" true
-            (get_ok r.P.Campaign.r_cell = c))
-        plain results;
+  match P.Workload.run_fleet cfg ~shards:2 w with
+  | P.Workload.Done (results, Some summary) ->
+      check bool "batched items identical despite the kill" true
+        (results = plain);
       check int "nothing quarantined" 0 summary.Fleet.quarantined;
       check int "exactly one chaos kill" 1
         (count_substring ~needle:"\"kind\":\"chaos\"" (Buffer.contents buf))
@@ -547,11 +542,54 @@ let test_campaign_fleet_batch_chaos () =
 let test_campaign_digest_includes_batch () =
   let scenarios = [ List.hd (P.Campaign.quick_scenarios ()) ] in
   let benchmarks = [ P.Benchmarks.matched_filter () ] in
-  let d1 = P.Campaign.config_digest ~batch:1 ~scenarios ~benchmarks () in
-  let d8 = P.Campaign.config_digest ~batch:8 ~scenarios ~benchmarks () in
-  let d1' = P.Campaign.config_digest ~scenarios ~benchmarks () in
+  let digest ?batch () =
+    (P.Campaign.workload ?batch ~scenarios ~benchmarks ()).P.Workload.digest
+  in
+  let d1 = digest ~batch:1 () in
+  let d8 = digest ~batch:8 () in
   check bool "batch 1 and 8 digests differ" true (d1 <> d8);
-  check string "batch defaults to 1" d1 d1'
+  check string "batch defaults to 1" d1 (digest ())
+
+(* ------------------------------------------------------------------ *)
+(* The executors agree on a toy workload                               *)
+(* ------------------------------------------------------------------ *)
+
+(* Item [k] raises; every executor must return the same array with the
+   Error only at [k]. Runs last: the jobs-2 pool spawns domains, after
+   which OCaml 5 forbids the fork the fleet needs. *)
+let test_executors_agree () =
+  let n = 7 and k = 4 in
+  let w =
+    {
+      P.Workload.kind = "toy";
+      digest = "executors-agree";
+      labels = Array.init n (Printf.sprintf "item-%d");
+      run = (fun i -> if i = k then failwith "boom" else i * i);
+    }
+  in
+  (* errors compared by code, message and item: a backtrace, when
+     recorded, differs between a forked worker and a domain *)
+  let shape results =
+    Array.map
+      (Result.map_error (fun (e : E.t) ->
+           (e.E.code, e.E.message, List.assoc_opt "item" e.E.context)))
+      results
+  in
+  let fleet =
+    shape (expect_items (P.Workload.run_fleet (fleet_config ~workers:2 ()) ~shards:3 w))
+  in
+  let local1 = shape (expect_items (P.Workload.run_local Sup.plain w)) in
+  let local2 =
+    P.Pool.with_pool ~jobs:2 (fun pool ->
+        shape (expect_items (P.Workload.run_local ~pool Sup.plain w)))
+  in
+  Array.iteri
+    (fun i r ->
+      check bool (Printf.sprintf "item %d is an Error iff it raised" i)
+        (i = k) (Result.is_error r))
+    fleet;
+  check bool "local jobs 1 == fleet" true (local1 = fleet);
+  check bool "local jobs 2 == fleet" true (local2 = fleet)
 
 let () =
   run "promise-fleet"
@@ -611,5 +649,10 @@ let () =
             `Slow test_campaign_fleet_batch_chaos;
           test_case "config digest folds the batch width in" `Quick
             test_campaign_digest_includes_batch;
+        ] );
+      ( "workload",
+        [
+          test_case "fleet, jobs 1 and jobs 2 agree item for item" `Quick
+            test_executors_agree;
         ] );
     ]

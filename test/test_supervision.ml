@@ -347,29 +347,30 @@ let test_deadline_exactly_equal_passes () =
   check int "no timeout incident" 0 (Inc.count inc)
 
 let test_stop_before_first_chunk () =
-  (* a stop flag raised before any work: both drivers must return an
-     Interrupted outcome with completed = 0, before touching a cell *)
-  let scenarios =
-    match P.Campaign.quick_scenarios () with
-    | a :: _ -> [ a ]
-    | [] -> fail "expected at least one quick scenario"
-  in
-  let benchmarks = [ P.Benchmarks.matched_filter () ] in
+  (* a stop flag raised before any work: both executors must return an
+     Interrupted outcome with completed = 0, before running an item (and
+     the fleet before forking a worker) *)
   let stop = Sup.never_stop () in
   Sup.request_stop stop;
-  let session = Sup.session ~stop () in
-  (match P.Campaign.run_cells_supervised session ~scenarios ~benchmarks () with
-  | P.Campaign.Interrupted { completed; total } ->
-      check int "no cells computed" 0 completed;
-      check bool "total still reported" true (total > 0)
-  | _ -> fail "expected Interrupted before the first chunk");
-  let buf = Buffer.create 64 in
-  let ppf = Format.formatter_of_buffer buf in
-  (match P.Report.run_sections_supervised session ppf [ "table1" ] with
-  | P.Report.Sections_interrupted { completed; total } ->
-      check int "no sections rendered" 0 completed;
-      check int "one section requested" 1 total
-  | _ -> fail "expected Sections_interrupted before the first section")
+  let w =
+    {
+      P.Workload.kind = "toy";
+      digest = "stop-before-first-chunk";
+      labels = Array.init 4 (Printf.sprintf "item-%d");
+      run = (fun _ -> fail "no item may run");
+    }
+  in
+  (match P.Workload.run_local (Sup.session ~stop ()) w with
+  | P.Workload.Interrupted { completed; total } ->
+      check int "no items computed" 0 completed;
+      check int "total still reported" 4 total
+  | _ -> fail "expected run_local to be interrupted before the first chunk");
+  let cfg = get_ok (P.Fleet.config ~workers:2 ~stop ()) in
+  match P.Workload.run_fleet cfg ~shards:2 w with
+  | P.Workload.Interrupted { completed; total } ->
+      check int "no shards computed" 0 completed;
+      check int "total shards reported" 2 total
+  | _ -> fail "expected run_fleet to be interrupted before the first shard"
 
 let test_pool_item_failure_context () =
   (* a Pool.Item_failure escaping the supervised function must surface
@@ -431,21 +432,20 @@ let campaign_fixture () =
   let benchmarks = [ P.Benchmarks.matched_filter () ] in
   (scenarios, benchmarks)
 
-let render_results results =
+let render_results ~scenarios ~benchmarks results =
   let buf = Buffer.create 1024 in
   let ppf = Format.formatter_of_buffer buf in
-  P.Campaign.print_cell_results ppf results;
+  P.Campaign.print ppf (P.Campaign.assemble ~scenarios ~benchmarks results);
   Format.pp_print_flush ppf ();
   Buffer.contents buf
 
 let test_campaign_resume_bit_identical () =
   let scenarios, benchmarks = campaign_fixture () in
+  let w = P.Campaign.workload ~scenarios ~benchmarks () in
   (* 1: uninterrupted reference run *)
   let reference =
-    match
-      P.Campaign.run_cells_supervised Sup.plain ~scenarios ~benchmarks ()
-    with
-    | P.Campaign.Completed results -> results
+    match P.Workload.run_local Sup.plain w with
+    | P.Workload.Done (results, _) -> results
     | _ -> fail "uninterrupted run did not complete"
   in
   (* 2: interrupt after the first checkpoint flush *)
@@ -453,15 +453,13 @@ let test_campaign_resume_bit_identical () =
   let stop = Sup.never_stop () in
   let session = Sup.session ~checkpoint:path ~stop () in
   let interrupted =
-    (* the first flush (after baselines) reports 0 grid cells; stop at
-       the first flush that shows real grid progress *)
-    P.Campaign.run_cells_supervised session
+    P.Workload.run_local session
       ~on_checkpoint:(fun ~completed ~total:_ ->
         if completed >= 1 then Sup.request_stop stop)
-      ~scenarios ~benchmarks ()
+      w
   in
   (match interrupted with
-  | P.Campaign.Interrupted { completed; total } ->
+  | P.Workload.Interrupted { completed; total } ->
       check bool "made progress before the stop" true (completed >= 1);
       check bool "stopped before the end" true (completed < total)
   | _ -> fail "expected the run to be interrupted");
@@ -469,17 +467,15 @@ let test_campaign_resume_bit_identical () =
   (* 3: resume to completion *)
   let resumed_session = Sup.session ~checkpoint:path ~resume:true () in
   let resumed =
-    match
-      P.Campaign.run_cells_supervised resumed_session ~scenarios ~benchmarks
-        ()
-    with
-    | P.Campaign.Completed results -> results
+    match P.Workload.run_local resumed_session w with
+    | P.Workload.Done (results, _) -> results
     | _ -> fail "resumed run did not complete"
   in
   check bool "completed run removed its checkpoint" false (Ckpt.exists path);
-  check bool "resumed cells == uninterrupted cells" true (resumed = reference);
+  check bool "resumed items == uninterrupted items" true (resumed = reference);
   check string "rendered tables are bit-identical"
-    (render_results reference) (render_results resumed)
+    (render_results ~scenarios ~benchmarks reference)
+    (render_results ~scenarios ~benchmarks resumed)
 
 let test_campaign_stale_checkpoint_rejected () =
   let scenarios, benchmarks = campaign_fixture () in
@@ -487,56 +483,108 @@ let test_campaign_stale_checkpoint_rejected () =
   let stop = Sup.never_stop () in
   let session = Sup.session ~checkpoint:path ~stop () in
   (match
-     P.Campaign.run_cells_supervised session
+     P.Workload.run_local session
        ~on_checkpoint:(fun ~completed:_ ~total:_ -> Sup.request_stop stop)
-       ~scenarios ~benchmarks ()
+       (P.Campaign.workload ~scenarios ~benchmarks ())
    with
-  | P.Campaign.Interrupted _ -> ()
+  | P.Workload.Interrupted _ -> ()
   | _ -> fail "expected an interrupted run");
   (* resuming under a different scenario set must be refused *)
   let other_scenarios = P.Campaign.quick_scenarios () in
   let resumed_session = Sup.session ~checkpoint:path ~resume:true () in
   (match
-     P.Campaign.run_cells_supervised resumed_session
-       ~scenarios:other_scenarios ~benchmarks ()
+     P.Workload.run_local resumed_session
+       (P.Campaign.workload ~scenarios:other_scenarios ~benchmarks ())
    with
-  | P.Campaign.Rejected e ->
+  | P.Workload.Rejected e ->
       check string "typed rejection" "stale-checkpoint" (E.code_name e.E.code)
   | _ -> fail "expected the stale checkpoint to be rejected");
   Ckpt.remove path
+
+let test_older_payload_format_refused () =
+  (* A checkpoint written before the campaign became a workload carries
+     the same configuration digest but another payload type. The
+     executor folds a payload-format tag into its digest, so the file is
+     refused as stale and never unmarshalled at the wrong type. *)
+  let scenarios, benchmarks = campaign_fixture () in
+  let older_digest =
+    Ckpt.digest_of_config ~kind:"campaign-cells"
+      (("budget=0.0600" :: "batch=1"
+       :: List.map
+            (fun (s : P.Campaign.scenario) ->
+              s.P.Campaign.sname ^ "/" ^ s.P.Campaign.kind)
+            scenarios)
+      @ List.map (fun (b : P.Benchmarks.t) -> b.P.Benchmarks.short) benchmarks)
+  in
+  let path = tmp_path ".ckpt" in
+  get_ok (Ckpt.save ~path ~config_digest:older_digest 42);
+  (match
+     P.Workload.run_local
+       (Sup.session ~checkpoint:path ~resume:true ())
+       (P.Campaign.workload ~scenarios ~benchmarks ())
+   with
+  | P.Workload.Rejected e ->
+      check string "typed rejection" "stale-checkpoint" (E.code_name e.E.code)
+  | _ -> fail "expected the older checkpoint to be refused");
+  Ckpt.remove path
+
+let test_campaign_verdict () =
+  (* the gate both campaign CLIs share: an unrecovered cell fails at
+     --max-residual 0 even though the BIST detected its fault *)
+  let cell ~recovered_ok =
+    {
+      P.Campaign.r_benchmark = "mf";
+      r_scenario = "stuck-lane";
+      r_cell =
+        Ok
+          {
+            P.Campaign.benchmark = "mf";
+            scenario = "stuck-lane";
+            detected = true;
+            baseline = 0.9;
+            faulted = 0.5;
+            recovered = (if recovered_ok then 0.9 else 0.7);
+            residual = (if recovered_ok then 0.0 else 0.2);
+            recovered_ok;
+          };
+    }
+  in
+  let ok = cell ~recovered_ok:true and bad = cell ~recovered_ok:false in
+  check bool "all-ok cells pass" true
+    (Result.is_ok (P.Campaign.verdict ~max_residual:0 [ ok; ok ]));
+  check bool "one unrecovered cell fails" true
+    (Result.is_error (P.Campaign.verdict ~max_residual:0 [ ok; bad ]));
+  check bool "--max-residual 1 forgives it" true
+    (Result.is_ok (P.Campaign.verdict ~max_residual:1 [ ok; bad ]))
 
 (* ------------------------------------------------------------------ *)
 (* Report sections: supervised == plain printer                        *)
 (* ------------------------------------------------------------------ *)
 
-let test_report_supervised_matches_plain () =
+let test_report_workload_matches_plain () =
   let names = [ "table1"; "table3"; "eq3" ] in
-  let names =
-    List.filter
-      (fun n -> List.exists (fun (s, _, _) -> s = n) P.Report.sections)
-      names
-  in
-  check bool "fixture sections exist" true (List.length names >= 2);
   let plain =
     let buf = Buffer.create 4096 in
     let ppf = Format.formatter_of_buffer buf in
-    P.Report.print_sections ppf
-      (List.filter_map
-         (fun n ->
-           List.find_opt (fun (s, _, _) -> s = n) P.Report.sections
-           |> Option.map (fun (_, _, f) -> f))
-         names);
+    List.iter
+      (fun n ->
+        match List.find_opt (fun (s, _, _) -> s = n) P.Report.sections with
+        | Some (_, _, f) -> f ppf
+        | None -> fail ("fixture section missing: " ^ n))
+      names;
     Format.pp_print_flush ppf ();
     Buffer.contents buf
   in
   let supervised =
     let buf = Buffer.create 4096 in
     let ppf = Format.formatter_of_buffer buf in
-    (match P.Report.run_sections_supervised Sup.plain ppf names with
-    | P.Report.Sections_done { quarantined } ->
-        check int "nothing quarantined" 0 quarantined
+    (match
+       P.Pool.with_pool ~jobs:2 (fun pool ->
+           P.Workload.run_local ~pool Sup.plain (P.Report.workload names))
+     with
+    | P.Workload.Done (results, _) ->
+        check int "nothing quarantined" 0 (P.Report.print ppf names results)
     | _ -> fail "supervised render did not complete");
-    Format.pp_print_flush ppf ();
     Buffer.contents buf
   in
   check string "supervised output == plain output" plain supervised
@@ -605,7 +653,11 @@ let () =
             `Slow test_campaign_resume_bit_identical;
           Alcotest.test_case "stale campaign checkpoint rejected" `Slow
             test_campaign_stale_checkpoint_rejected;
+          Alcotest.test_case "older payload format refused" `Quick
+            test_older_payload_format_refused;
+          Alcotest.test_case "campaign verdict gates unrecovered cells" `Quick
+            test_campaign_verdict;
           Alcotest.test_case "supervised report == plain report" `Slow
-            test_report_supervised_matches_plain;
+            test_report_workload_matches_plain;
         ] );
     ]
