@@ -304,7 +304,7 @@ let run_kernels_bench ~quick =
 (* ------------------------------------------------------------------ *)
 
 (* Replays the matched-filter decision on twin machines — one decision
-   at a time (the PR-3 fused baseline) against the batch engine — and
+   at a time (batch 1 of the fused plane) against wider batches — and
    proves the batched emission stream bitwise identical to the
    sequential one, including the ragged final batch. Three batched
    rows: the program-level path (run_program_batch), the
@@ -343,7 +343,7 @@ let run_batch_bench ~quick ~batch =
     let tasks = float_of_int (decisions * n_tasks) in
     (v, seconds, tasks /. seconds, minor /. tasks)
   in
-  (* 1. fused sequential: one run_program per decision (the PR-3 row) *)
+  (* 1. fused sequential: one run_program per decision *)
   let seq_machine = mk () in
   ignore (ok (P.Arch.Machine.run_program ~kernel_mode:P.Arch.Machine.Fused seq_machine program));
   let seq_out, seq_s, seq_tps, seq_mwpt =

@@ -110,83 +110,19 @@ let gaussian t =
 
 let gaussian_scaled t ~mu ~sigma = mu +. (sigma *. gaussian t)
 
-(* Rejection fallback for [gaussian_fill]'s first uniform; reached with
+(* Rejection fallback for [gaussian_fill_ba]'s first uniform; reached with
    probability ~1e-300 per pair, so it may allocate freely. *)
 let rec reject_small t =
   let u = float t in
   if u > 1e-300 then u else reject_small t
 
-(* The pair loop behind [gaussian_fill]. A module-level tail-recursive
-   function on an int index, rather than a [while] over a [ref], so one
-   call allocates nothing at all: the counter stays in a register and
-   the uniform draws inline the [float] chain (same operations, same
-   values) instead of paying a boxed return per draw. *)
-let rec fill_pairs t dst n i =
-  if i < n then begin
-    let s = Int64.add (Bigarray.Array1.unsafe_get t.state 0) golden_gamma in
-    Bigarray.Array1.unsafe_set t.state 0 s;
-    let z =
-      Int64.mul
-        (Int64.logxor s (Int64.shift_right_logical s 30))
-        0xBF58476D1CE4E5B9L
-    in
-    let z =
-      Int64.mul
-        (Int64.logxor z (Int64.shift_right_logical z 27))
-        0x94D049BB133111EBL
-    in
-    let z = Int64.logxor z (Int64.shift_right_logical z 31) in
-    let u =
-      Int64.to_float (Int64.shift_right_logical z 11)
-      *. (1.0 /. 9007199254740992.0)
-    in
-    let u1 = if u > 1e-300 then u else reject_small t in
-    let s = Int64.add (Bigarray.Array1.unsafe_get t.state 0) golden_gamma in
-    Bigarray.Array1.unsafe_set t.state 0 s;
-    let z =
-      Int64.mul
-        (Int64.logxor s (Int64.shift_right_logical s 30))
-        0xBF58476D1CE4E5B9L
-    in
-    let z =
-      Int64.mul
-        (Int64.logxor z (Int64.shift_right_logical z 27))
-        0x94D049BB133111EBL
-    in
-    let z = Int64.logxor z (Int64.shift_right_logical z 31) in
-    let u2 =
-      Int64.to_float (Int64.shift_right_logical z 11)
-      *. (1.0 /. 9007199254740992.0)
-    in
-    let r = sqrt (-2.0 *. log u1) in
-    let theta = 2.0 *. Float.pi *. u2 in
-    Array.unsafe_set dst i (r *. cos theta);
-    if i + 1 < n then begin
-      Array.unsafe_set dst (i + 1) (r *. sin theta);
-      fill_pairs t dst n (i + 2)
-    end
-    else begin
-      t.cached.(0) <- r *. sin theta;
-      t.has_cached <- true
-    end
-  end
-
-let gaussian_fill t dst =
-  (* Equivalent to [for i = 0 to n-1 do dst.(i) <- gaussian t done] —
-     same draws, same final cache state — with zero allocations. *)
-  let n = Array.length dst in
-  if n > 0 then
-    if t.has_cached then begin
-      t.has_cached <- false;
-      Array.unsafe_set dst 0 t.cached.(0);
-      fill_pairs t dst n 1
-    end
-    else fill_pairs t dst n 0
-
-(* [fill_pairs] on a float64 bigarray — the batch-noise plane of the
-   batched kernels lives in a bigarray so it can be shared and sliced
-   without the float-array bounds of the minor heap. Same draws, same
-   pair structure, same cache behavior as [fill_pairs]. *)
+(* The pair loop behind [gaussian_fill_ba], into a float64 bigarray —
+   the batched kernels' noise plane, which can be shared and sliced
+   without the float-array bounds of the minor heap. A module-level
+   tail-recursive function on an int index, rather than a [while] over a
+   [ref], so one call allocates nothing at all: the counter stays in a
+   register and the uniform draws inline the [float] chain (same
+   operations, same values) instead of paying a boxed return per draw. *)
 let rec fill_pairs_ba t (dst : ba) n i =
   if i < n then begin
     let s = Int64.add (Bigarray.Array1.unsafe_get t.state 0) golden_gamma in

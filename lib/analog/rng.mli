@@ -39,24 +39,17 @@ val gaussian : t -> float
 (** [gaussian_scaled t ~mu ~sigma] — N(mu, sigma²). *)
 val gaussian_scaled : t -> mu:float -> sigma:float -> float
 
-(** [gaussian_fill t dst] fills [dst] with standard normals, consuming
-    the stream exactly as [Array.length dst] successive [gaussian]
-    calls would (same values, same final cache state). Exists so hot
-    loops can draw a whole lane vector without boxing a float per
-    draw. *)
-val gaussian_fill : t -> float array -> unit
-
 (** A float64 bigarray vector — the batched kernels' noise plane. *)
 type ba = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 (** [gaussian_fill_ba t dst ~len] fills [dst.{0..len-1}] with standard
     normals, consuming the stream exactly as [len] successive
-    {!gaussian} calls (or any composition of {!gaussian_fill} calls
-    totalling [len] draws) would — same values, same final cache
-    state. The batch execution engine draws the noise for a whole
-    batch of decisions through one call, into a bigarray plane that
-    outlives the minor heap. Raises [Invalid_argument] when [len]
-    exceeds [dst]'s length. *)
+    {!gaussian} calls (or any composition of fills totalling [len]
+    draws) would — same values, same final cache state — with zero
+    allocations. The fused kernels draw the noise for a whole batch of
+    decisions through one call, into a bigarray plane that outlives the
+    minor heap. Raises [Invalid_argument] when [len] exceeds [dst]'s
+    length. *)
 val gaussian_fill_ba : t -> ba -> len:int -> unit
 
 (** [shuffle t arr] — in-place Fisher-Yates shuffle. *)

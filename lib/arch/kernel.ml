@@ -1,26 +1,23 @@
-(* Compiled per-task iteration kernels for the analog datapath.
+(* Compiled per-task kernels for the analog datapath: the one fused
+   sampler.
 
    [specialize] hoists everything [Bank.run_iteration] recomputes per
    iteration — effective swing and its noise factor, LUT selection, the
    idle-leakage exponential, stuck/dead lane overrides, charge-share
-   membership, ADC constants, X addressing — into a flat record, with
-   the aREAD transfer curve and noise sigma pre-sampled per 8-bit code
-   (the aREAD input is always [code / 128], so a 256-entry table is
-   exact, not an approximation). [sample_into] then runs
-   class1 → leakage → ASD → charge-share → ADC as tight loops over
-   preallocated scratch buffers: zero minor-heap allocations per
-   iteration in the steady state (noise and transient faults draw
-   through the RNG, whose Box-Muller cache allocates; the no-noise path
-   is allocation-free, which the Gc test in test_kernels asserts).
+   membership, the ADC offset, X addressing — into an immutable record,
+   with the aREAD transfer curve and noise sigma pre-sampled per 8-bit
+   code (the aREAD input is always [code / 128], so a 256-entry table is
+   exact, not an approximation). [sample_batch_into] then runs
+   aREAD → class-1 combine → leakage → aSD → charge share → ADC for a
+   whole batch of decisions; a single decision is batch 1.
 
    BIT-IDENTITY CONTRACT: every float operation below reproduces the
-   scalar path's arithmetic in the scalar path's order, and every RNG
-   stream (the bank's noise stream, the transient-upset stream) is the
-   bank's own object consumed in ascending lane order exactly as
-   [Bitcell_array.aread] / [Bank.xreg_normalized] consume it. The
-   QCheck differential suite (test_kernels) holds Fused ≡ Reference
-   over random tasks, profiles, faults and lane masks; any edit here
-   or in Bank/Bitcell_array/Faults must keep that suite green. *)
+   scalar path's arithmetic in the scalar path's order, and the bank's
+   noise stream is consumed in (decision, iteration, lane) order exactly
+   as [Bitcell_array.aread] consumes it. The QCheck differential suites
+   (test_kernels, test_batch) hold fused ≡ Reference over random tasks,
+   profiles, faults, destinations and lane masks; any edit here or in
+   Bank/Bitcell_array/Faults must keep them green. *)
 
 open Promise_isa
 module A = Promise_analog
@@ -35,27 +32,24 @@ type asd_kind =
   | S_sign_mult
   | S_unsign_mult
 
-(* The launch shape the kernel was specialized for, kept for cache
-   validation ([matches]). *)
-type spec = {
+type t = {
+  (* the launch shape, kept for cache validation ([matches]) *)
+  bank : Bank.t;
   task : Task.t;
   active_lanes : int;
-  adc_gain : float;
   lane_mask : bool array option;
   faults : Faults.t;
-}
-
-type fused = {
+  (* the specialization *)
   array : Bitcell_array.t;
   xreg : Xreg.t;
   c1 : c1_kind;
   asd : asd_kind;
+  uses_x : bool;
+  iters : int;
   (* per-code pre-samples: index [code + 128] *)
   shaped : float array;  (* aREAD LUT of code/128 *)
   sigma : float array;  (* |shaped| × noise factor at effective swing *)
   noise_rng : A.Rng.t option;
-  flip_rng : A.Rng.t option;  (* X-REG transient upsets *)
-  flip_rate : float;
   asd_tbl : float array;  (* ASD transfer-curve entries; [||] when none *)
   has_leak : bool;
   leak : float;  (* idle-slot droop factor, paid once per task *)
@@ -68,63 +62,57 @@ type fused = {
   w_addr : int;
   x_base : int;
   x_period : int;
-  adc_gain : float;
   adc_offset : float;
-  (* preallocated scratch: the zero-allocation working set *)
-  wbuf : float array;  (* class-1 / ASD value per lane *)
-  gbuf : float array;  (* standard normals, one batch draw per iteration *)
-  xbuf : float array;  (* normalized X operand per lane *)
+}
+
+(* Max floats in the noise tile (128 KiB): big enough to amortize the
+   fill-call overhead, small enough to stay cache-resident. A Task runs
+   at most 128 iterations of 128 lanes, so one decision always fits. *)
+let tile_floats = 16384
+
+(* The sampler's working set, one per domain: one iteration's per-lane
+   invariants — [wrow] the aREAD value, [srow] its noise sigma, [xrow]
+   the normalized X operand, all the same for every decision of a batch
+   — the noise tile one [Rng.gaussian_fill_ba] call fills, and the lane
+   vector and charge-share slot of the per-sample loop. Kernels hold no
+   scratch, so a machine's kernel slots stay small, and pool domains
+   sampling different banks never share a buffer. *)
+type scratch = {
+  wrow : float array;
+  srow : float array;
+  xrow : float array;
+  nplane : A.Rng.ba;
+  wbuf : float array;
   sbuf : float array;  (* [0] = charge-share accumulator *)
-  out1 : float array;  (* [0] = sample, for the [step] wrapper *)
 }
 
-(* Per-kernel batch scratch (lazy): the structure-of-arrays working set
-   of [sample_batch_into]. [wt]/[st]/[xt] are per-(iteration × lane)
-   tables hoisted once per batch call — the aREAD transfer value, its
-   noise sigma and the normalized X operand are all invariant across
-   the decisions of a batch (no cross-decision state feedback on the
-   batched path) — and [nplane] is the bigarray noise plane one
-   [Rng.gaussian_fill_ba] call fills per tile of decisions. *)
-type bstate = {
-  mutable nplane : A.Rng.ba;
-  mutable wt : float array;  (* shaped value per (iteration, lane) *)
-  mutable st : float array;  (* noise sigma per (iteration, lane) *)
-  mutable xt : float array;  (* normalized X per (iteration, lane) *)
-  mutable table_iters : int;  (* iterations the tables have room for *)
-}
+let scratch_key =
+  Domain.DLS.new_key (fun () ->
+      let lanes () = Array.make Params.lanes 0.0 in
+      {
+        wrow = lanes ();
+        srow = lanes ();
+        xrow = lanes ();
+        nplane =
+          Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout tile_floats;
+        wbuf = lanes ();
+        sbuf = Array.make 1 0.0;
+      })
 
-type impl = Fused of fused | Passthrough
+let fusable (task : Task.t) =
+  (match task.class1 with
+  | Opcode.C1_aread | Opcode.C1_asubt | Opcode.C1_aadd -> true
+  | Opcode.C1_none | Opcode.C1_write | Opcode.C1_read -> false)
+  && task.class2.Opcode.avd && Task.uses_adc task
 
-type t = {
-  spec : spec;
-  bank : Bank.t;
-  flip_stream : A.Rng.t option;  (* object captured at specialization *)
-  impl : impl;
-  bstate : bstate;
-}
-
-let is_fused t = match t.impl with Fused _ -> true | Passthrough -> false
-
-let empty_ba = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout 0
-
-let fresh_bstate () =
-  { nplane = empty_ba; wt = [||]; st = [||]; xt = [||]; table_iters = 0 }
-
-let specialize ?lane_mask bank ~(task : Task.t) ~active_lanes ~adc_gain =
+let specialize ?lane_mask bank ~(task : Task.t) ~active_lanes =
   if active_lanes < 1 || active_lanes > Params.lanes then
     invalid_arg "Kernel.specialize: active_lanes out of [1, 128]";
-  if adc_gain <= 0.0 then invalid_arg "Kernel.specialize: adc_gain <= 0";
   let faults = Bank.faults bank in
-  let spec = { task; active_lanes; adc_gain; lane_mask; faults } in
-  let flip_stream = Bank.transient_rng bank in
-  let fusable =
-    (match task.class1 with
-    | Opcode.C1_aread | Opcode.C1_asubt | Opcode.C1_aadd -> true
-    | Opcode.C1_none | Opcode.C1_write | Opcode.C1_read -> false)
-    && task.class2.Opcode.avd && Task.uses_adc task
-  in
-  if not fusable then
-    { spec; bank; flip_stream; impl = Passthrough; bstate = fresh_bstate () }
+  (* transient X-REG upsets draw a data-dependent number of variates
+     per X read; the scalar path models them draw for draw *)
+  if (not (fusable task)) || Option.is_some (Faults.xreg_flip faults) then
+    None
   else begin
     let p = task.op_param in
     let profile = Bank.profile bank in
@@ -226,632 +214,250 @@ let specialize ?lane_mask bank ~(task : Task.t) ~active_lanes ~adc_gain =
             mask;
           (!n = 0, float_of_int !n)
     in
-    let flip_rng, flip_rate =
-      match (Faults.xreg_flip faults, flip_stream) with
-      | Some { Faults.rate; _ }, (Some _ as rng) -> (rng, rate)
-      | _ -> (None, 0.0)
-    in
     let x_base =
       match asd with
       | S_sign_mult | S_unsign_mult -> p.Op_param.x_addr2
       | _ -> p.Op_param.x_addr1
     in
-    {
-      spec;
-      bank;
-      flip_stream;
-      bstate = fresh_bstate ();
-      impl =
-        Fused
-          {
-            array = Bank.array bank;
-            xreg = Bank.xreg bank;
-            c1;
-            asd;
-            shaped;
-            sigma;
-            noise_rng = A.Noise.rng (Bank.noise bank);
-            flip_rng;
-            flip_rate;
-            asd_tbl;
-            has_leak;
-            leak;
-            override_any;
-            override_on;
-            override_val;
-            acc_on;
-            acc_empty;
-            divisor;
-            w_addr = p.Op_param.w_addr;
-            x_base;
-            x_period = p.Op_param.x_prd + 1;
-            adc_gain;
-            adc_offset = Faults.adc_offset faults;
-            wbuf = Array.make Params.lanes 0.0;
-            gbuf = Array.make Params.lanes 0.0;
-            xbuf = Array.make Params.lanes 0.0;
-            sbuf = Array.make 1 0.0;
-            out1 = Array.make 1 0.0;
-          };
-    }
+    Some
+      {
+        bank;
+        task;
+        active_lanes;
+        lane_mask;
+        faults;
+        array = Bank.array bank;
+        xreg = Bank.xreg bank;
+        c1;
+        asd;
+        uses_x =
+          Opcode.class1_reads_x task.class1
+          || Opcode.asd_reads_x task.class2.Opcode.asd;
+        iters = Task.iterations task;
+        shaped;
+        sigma;
+        noise_rng = A.Noise.rng (Bank.noise bank);
+        asd_tbl;
+        has_leak;
+        leak;
+        override_any;
+        override_on;
+        override_val;
+        acc_on;
+        acc_empty;
+        divisor;
+        w_addr = p.Op_param.w_addr;
+        x_base;
+        x_period = p.Op_param.x_prd + 1;
+        adc_offset = Faults.adc_offset faults;
+      }
   end
 
-let matches t bank ~task ~active_lanes ~adc_gain ~lane_mask =
+let matches t bank ~task ~active_lanes ~lane_mask =
   t.bank == bank
-  && Task.equal t.spec.task task
-  && t.spec.active_lanes = active_lanes
-  && Float.equal t.spec.adc_gain adc_gain
-  && (match (t.spec.lane_mask, lane_mask) with
+  && Task.equal t.task task
+  && t.active_lanes = active_lanes
+  && (match (t.lane_mask, lane_mask) with
      | None, None -> true
      | Some a, Some b -> a == b || a = b
      | None, Some _ | Some _, None -> false)
-  && Faults.equal t.spec.faults (Bank.faults bank)
-  (* [set_faults] re-seeds the transient stream even for an equal fault
-     record; the kernel must consume the same stream object as the
-     scalar path would *)
-  && (match (t.flip_stream, Bank.transient_rng bank) with
-     | None, None -> true
-     | Some a, Some b -> a == b
-     | None, Some _ | Some _, None -> false)
-
-(* Load the normalized X operand (with the transient single-bit-upset
-   model of [Bank.xreg_normalized] — same stream, same per-lane draw
-   order) into the [xbuf] scratch. *)
-let load_x f ~iteration =
-  let xrow =
-    Xreg.row_unsafe f.xreg ~index:((f.x_base + iteration) mod f.x_period)
-  in
-  match f.flip_rng with
-  | None ->
-      for lane = 0 to Params.lanes - 1 do
-        Array.unsafe_set f.xbuf lane
-          (float_of_int (Array.unsafe_get xrow lane) /. 128.0)
-      done
-  | Some rng ->
-      let rate = f.flip_rate in
-      for lane = 0 to Params.lanes - 1 do
-        let c = Array.unsafe_get xrow lane in
-        let c =
-          if A.Rng.float rng < rate then begin
-            let u = (c + 256) land 0xff in
-            let u = u lxor (1 lsl A.Rng.int rng 8) in
-            if u > 127 then u - 256 else u
-          end
-          else c
-        in
-        Array.unsafe_set f.xbuf lane (float_of_int c /. 128.0)
-      done
-
-(* NOTE on the inlined interpolation in the ASD loops below: it is
-   [Lut.apply_raw] spelled out (clamp, position, floor, lerp — same
-   operations, same order) because an out-of-line float-returning call
-   would box its result on every lane. The clamp is written with
-   comparisons instead of [Float.min]/[Float.max] for the same reason;
-   for every non-NaN input the result is bitwise the same, and the
-   analog chain can produce no NaN. *)
-
-let sample_into t ~iteration ~dst ~at =
-  match t.impl with
-  | Passthrough -> invalid_arg "Kernel.sample_into: kernel is not fused"
-  | Fused f ->
-      let lanes = Params.lanes in
-      let word_row = (f.w_addr + iteration) mod Params.word_rows in
-      let row = Bitcell_array.row_unsafe f.array ~word_row in
-      (* S1 aREAD: per-code table + the bank's own noise stream, drawn
-         for all 128 lanes in lane order exactly like the scalar path *)
-      (match f.noise_rng with
-      | None ->
-          for lane = 0 to lanes - 1 do
-            let code = Array.unsafe_get row lane in
-            Array.unsafe_set f.wbuf lane
-              (Array.unsafe_get f.shaped (code + 128))
-          done
-      | Some rng ->
-          (* one batched draw: consumes the stream exactly like a
-             per-lane [gaussian_scaled] loop, without boxing a float
-             per lane (the scaling below is [gaussian_scaled]'s own
-             [mu +. sigma *. g], applied after the fact) *)
-          A.Rng.gaussian_fill rng f.gbuf;
-          for lane = 0 to lanes - 1 do
-            let idx = Array.unsafe_get row lane + 128 in
-            Array.unsafe_set f.wbuf lane
-              (Array.unsafe_get f.shaped idx
-              +. (Array.unsafe_get f.sigma idx *. Array.unsafe_get f.gbuf lane))
-          done);
-      (* stuck/dead lanes override after noise, like [Faults.apply_stuck] *)
-      if f.override_any then
-        for lane = 0 to lanes - 1 do
-          if Array.unsafe_get f.override_on lane then
-            Array.unsafe_set f.wbuf lane (Array.unsafe_get f.override_val lane)
-        done;
-      (* class-1 combine with X, then idle-slot leakage *)
-      (match f.c1 with
-      | K_aread ->
-          if f.has_leak then
-            for lane = 0 to lanes - 1 do
-              Array.unsafe_set f.wbuf lane
-                (Array.unsafe_get f.wbuf lane *. f.leak)
-            done
-      | K_asubt ->
-          load_x f ~iteration;
-          for lane = 0 to lanes - 1 do
-            let v =
-              (Array.unsafe_get f.wbuf lane -. Array.unsafe_get f.xbuf lane)
-              /. 2.0
-            in
-            Array.unsafe_set f.wbuf lane
-              (if f.has_leak then v *. f.leak else v)
-          done
-      | K_aadd ->
-          load_x f ~iteration;
-          for lane = 0 to lanes - 1 do
-            let v =
-              (Array.unsafe_get f.wbuf lane +. Array.unsafe_get f.xbuf lane)
-              /. 2.0
-            in
-            Array.unsafe_set f.wbuf lane
-              (if f.has_leak then v *. f.leak else v)
-          done);
-      (* S2 aSD + S3 charge-share accumulation, fused per lane; the sum
-         runs over the membership lanes in ascending order — the same
-         subset and order as [Bank.charge_share] *)
-      Array.unsafe_set f.sbuf 0 0.0;
-      let e = f.asd_tbl in
-      let en1 = Array.length e - 1 in
-      (match f.asd with
-      | S_none ->
-          for lane = 0 to lanes - 1 do
-            if Array.unsafe_get f.acc_on lane then
-              Array.unsafe_set f.sbuf 0
-                (Array.unsafe_get f.sbuf 0 +. Array.unsafe_get f.wbuf lane)
-          done
-      | S_compare ->
-          for lane = 0 to lanes - 1 do
-            if Array.unsafe_get f.acc_on lane then begin
-              let v = Array.unsafe_get f.wbuf lane in
-              let v = if v < -1.0 then -1.0 else if v > 1.0 then 1.0 else v in
-              let pos = (v +. 1.0) /. 2.0 *. float_of_int en1 in
-              let i = int_of_float (Float.floor pos) in
-              let u =
-                if i >= en1 then Array.unsafe_get e en1
-                else
-                  let frac = pos -. float_of_int i in
-                  ((1.0 -. frac) *. Array.unsafe_get e i)
-                  +. (frac *. Array.unsafe_get e (i + 1))
-              in
-              let s = if u >= 0.0 then 1.0 else 0.0 in
-              Array.unsafe_set f.sbuf 0 (Array.unsafe_get f.sbuf 0 +. s)
-            end
-          done
-      | S_absolute ->
-          for lane = 0 to lanes - 1 do
-            if Array.unsafe_get f.acc_on lane then begin
-              let v = Array.unsafe_get f.wbuf lane in
-              let v = if v < -1.0 then -1.0 else if v > 1.0 then 1.0 else v in
-              let pos = (v +. 1.0) /. 2.0 *. float_of_int en1 in
-              let i = int_of_float (Float.floor pos) in
-              let u =
-                if i >= en1 then Array.unsafe_get e en1
-                else
-                  let frac = pos -. float_of_int i in
-                  ((1.0 -. frac) *. Array.unsafe_get e i)
-                  +. (frac *. Array.unsafe_get e (i + 1))
-              in
-              Array.unsafe_set f.sbuf 0
-                (Array.unsafe_get f.sbuf 0 +. Float.abs u)
-            end
-          done
-      | S_square ->
-          for lane = 0 to lanes - 1 do
-            if Array.unsafe_get f.acc_on lane then begin
-              let v = Array.unsafe_get f.wbuf lane in
-              let v = if v < -1.0 then -1.0 else if v > 1.0 then 1.0 else v in
-              let pos = (v +. 1.0) /. 2.0 *. float_of_int en1 in
-              let i = int_of_float (Float.floor pos) in
-              let u =
-                if i >= en1 then Array.unsafe_get e en1
-                else
-                  let frac = pos -. float_of_int i in
-                  ((1.0 -. frac) *. Array.unsafe_get e i)
-                  +. (frac *. Array.unsafe_get e (i + 1))
-              in
-              Array.unsafe_set f.sbuf 0
-                (Array.unsafe_get f.sbuf 0 +. (u *. u))
-            end
-          done
-      | S_sign_mult ->
-          load_x f ~iteration;
-          for lane = 0 to lanes - 1 do
-            if Array.unsafe_get f.acc_on lane then begin
-              let v =
-                Array.unsafe_get f.wbuf lane *. Array.unsafe_get f.xbuf lane
-              in
-              let v = if v < -1.0 then -1.0 else if v > 1.0 then 1.0 else v in
-              let pos = (v +. 1.0) /. 2.0 *. float_of_int en1 in
-              let i = int_of_float (Float.floor pos) in
-              let u =
-                if i >= en1 then Array.unsafe_get e en1
-                else
-                  let frac = pos -. float_of_int i in
-                  ((1.0 -. frac) *. Array.unsafe_get e i)
-                  +. (frac *. Array.unsafe_get e (i + 1))
-              in
-              Array.unsafe_set f.sbuf 0 (Array.unsafe_get f.sbuf 0 +. u)
-            end
-          done
-      | S_unsign_mult ->
-          load_x f ~iteration;
-          for lane = 0 to lanes - 1 do
-            if Array.unsafe_get f.acc_on lane then begin
-              let v =
-                Float.abs (Array.unsafe_get f.wbuf lane)
-                *. Float.abs (Array.unsafe_get f.xbuf lane)
-              in
-              let v = if v < -1.0 then -1.0 else if v > 1.0 then 1.0 else v in
-              let pos = (v +. 1.0) /. 2.0 *. float_of_int en1 in
-              let i = int_of_float (Float.floor pos) in
-              let u =
-                if i >= en1 then Array.unsafe_get e en1
-                else
-                  let frac = pos -. float_of_int i in
-                  ((1.0 -. frac) *. Array.unsafe_get e i)
-                  +. (frac *. Array.unsafe_get e (i + 1))
-              in
-              Array.unsafe_set f.sbuf 0 (Array.unsafe_get f.sbuf 0 +. u)
-            end
-          done);
-      let cs =
-        if f.acc_empty then 0.0 else Array.unsafe_get f.sbuf 0 /. f.divisor
-      in
-      (* ADC: [Adc.convert] inlined ([quantize] then [dequantize]) *)
-      let analog = (f.adc_gain *. cs) +. f.adc_offset in
-      let lsb = A.Adc.lsb in
-      let half = A.Adc.levels / 2 in
-      let code = int_of_float (Float.round (analog /. lsb)) + half in
-      let code =
-        if code < 0 then 0
-        else if code > A.Adc.levels - 1 then A.Adc.levels - 1
-        else code
-      in
-      dst.(at) <- float_of_int (code - half) *. lsb /. f.adc_gain
-
-let step t ~iteration =
-  match t.impl with
-  | Passthrough ->
-      Bank.run_iteration ?lane_mask:t.spec.lane_mask t.bank ~task:t.spec.task
-        ~iteration ~active_lanes:t.spec.active_lanes
-        ~adc_gain:t.spec.adc_gain
-  | Fused f ->
-      sample_into t ~iteration ~dst:f.out1 ~at:0;
-      Bank.Sample f.out1.(0)
-
-(* ------------------------------------------------------------------ *)
-(* Batched sampling                                                     *)
-(* ------------------------------------------------------------------ *)
+  && Faults.equal t.faults (Bank.faults bank)
 
 (* [sample_batch_into] processes a whole batch of decisions in one
-   pass.  BIT-IDENTITY: the samples written are exactly what [batch]
-   back-to-back [sample_into] sweeps (iteration 0..k per decision,
+   pass. BIT-IDENTITY: the samples written are exactly what [batch]
+   back-to-back scalar decisions (iteration 0..k per decision,
    decision-major) would produce, because
 
    - the bank's noise stream is consumed decision-major and contiguously
-     either way: the sequential path draws one 128-lane vector per
-     iteration, so N sequential decisions consume N·iters·128 draws in
-     (decision, iteration, lane) order — exactly the order one
-     [Rng.gaussian_fill_ba] call lays the batched noise plane out in
-     (128-lane vectors are even, so the Box-Muller cache is empty at
-     every decision boundary and fills compose);
-   - the hoisted per-(iteration × lane) tables hold the same float
-     values the scalar path recomputes per decision ([wt] the
-     pre-sampled aREAD value with the stuck/dead override folded in as
-     (wt, st=0) — override_val +. 0.0·g ≡ override_val for every real
-     g — [st] the per-code sigma, [xt] the normalized X), and every
-     arithmetic step below applies the scalar path's operations in the
-     scalar path's order;
-   - transient X-REG upsets draw a data-dependent number of variates,
-     so a kernel with a flip stream takes the decision-major scalar
-     replay below instead of the table path — same draws, same order,
-     still one call.
+     either way: the scalar path draws one 128-lane vector per
+     iteration, so N decisions consume N·iters·128 draws in
+     (decision, iteration, lane) order — exactly the order
+     [Rng.gaussian_fill_ba] lays each tile of decisions out in (128-lane
+     vectors are even, so the Box-Muller cache is empty at every
+     decision boundary and fills compose). With a tile's noise drawn,
+     no sample depends on another, so the loop may run
+     iteration-major inside the tile;
+   - the hoisted per-lane rows hold the same float values the scalar
+     path recomputes per decision ([wrow] the pre-sampled aREAD value
+     with the stuck/dead override folded in as (wrow, srow=0) —
+     override_val +. 0.0·g ≡ override_val for every real g — [srow]
+     the per-code sigma, [xrow] the normalized X), and every arithmetic
+     step below applies the scalar path's operations in the scalar
+     path's order. *)
 
-   The differential QCheck suite (test_batch) holds this function
-   ≡ N× sample_into ≡ N× the scalar Reference path over random tasks,
-   profiles, faults, masks and batch sizes. *)
+(* [Lut.apply_raw] on an aSD transfer curve [e] ([en1] = its last index,
+   [fen1] the same as a float), spelled out — clamp, position, floor,
+   lerp: same operations, same order — and inlined, because an
+   out-of-line float-returning call would box its result on every lane.
+   The clamp is written with comparisons instead of
+   [Float.min]/[Float.max] for the same reason; for every non-NaN input
+   the result is bitwise the same, and the analog chain can produce no
+   NaN. *)
+let[@inline] asd_curve e ~en1 ~fen1 v =
+  let v = if v < -1.0 then -1.0 else if v > 1.0 then 1.0 else v in
+  let pos = (v +. 1.0) /. 2.0 *. fen1 in
+  let i0 = int_of_float (Float.floor pos) in
+  if i0 >= en1 then Array.unsafe_get e en1
+  else
+    let frac = pos -. float_of_int i0 in
+    ((1.0 -. frac) *. Array.unsafe_get e i0)
+    +. (frac *. Array.unsafe_get e (i0 + 1))
 
-(* Max floats in the noise plane tile (128 KiB): big enough to amortize
-   the fill-call overhead, small enough to stay cache-resident. *)
-let tile_floats = 16384
-
-let prepare_tables (f : fused) (b : bstate) ~iters ~uses_x =
-  let lanes = Params.lanes in
-  if b.table_iters < iters then begin
-    b.wt <- Array.make (iters * lanes) 0.0;
-    b.st <- Array.make (iters * lanes) 0.0;
-    b.xt <- Array.make (iters * lanes) 0.0;
-    b.table_iters <- iters
-  end;
-  for i = 0 to iters - 1 do
-    let row =
-      Bitcell_array.row_unsafe f.array
-        ~word_row:((f.w_addr + i) mod Params.word_rows)
-    in
-    let base = i * lanes in
-    for lane = 0 to lanes - 1 do
-      if f.override_any && Array.unsafe_get f.override_on lane then begin
-        (* fold the post-noise stuck/dead override into the tables:
-           v +. 0.0 *. g is bitwise v for every finite g *)
-        Array.unsafe_set b.wt (base + lane)
-          (Array.unsafe_get f.override_val lane);
-        Array.unsafe_set b.st (base + lane) 0.0
-      end
-      else begin
-        let idx = Array.unsafe_get row lane + 128 in
-        Array.unsafe_set b.wt (base + lane) (Array.unsafe_get f.shaped idx);
-        Array.unsafe_set b.st (base + lane) (Array.unsafe_get f.sigma idx)
-      end
-    done;
-    if uses_x then begin
-      let xrow =
-        Xreg.row_unsafe f.xreg ~index:((f.x_base + i) mod f.x_period)
-      in
-      for lane = 0 to lanes - 1 do
-        Array.unsafe_set b.xt (base + lane)
-          (float_of_int (Array.unsafe_get xrow lane) /. 128.0)
-      done
+(* Hoist iteration [i]'s per-lane invariants into the domain's rows. *)
+let prepare_row t s i =
+  let row =
+    Bitcell_array.row_unsafe t.array
+      ~word_row:((t.w_addr + i) mod Params.word_rows)
+  in
+  for lane = 0 to Params.lanes - 1 do
+    if t.override_any && Array.unsafe_get t.override_on lane then begin
+      (* fold the post-noise stuck/dead override into the rows:
+         v +. 0.0 *. g is bitwise v for every finite g *)
+      Array.unsafe_set s.wrow lane (Array.unsafe_get t.override_val lane);
+      Array.unsafe_set s.srow lane 0.0
     end
-  done
+    else begin
+      let idx = Array.unsafe_get row lane + 128 in
+      Array.unsafe_set s.wrow lane (Array.unsafe_get t.shaped idx);
+      Array.unsafe_set s.srow lane (Array.unsafe_get t.sigma idx)
+    end
+  done;
+  if t.uses_x then begin
+    let xr = Xreg.row_unsafe t.xreg ~index:((t.x_base + i) mod t.x_period) in
+    for lane = 0 to Params.lanes - 1 do
+      Array.unsafe_set s.xrow lane
+        (float_of_int (Array.unsafe_get xr lane) /. 128.0)
+    done
+  end
 
-let sample_batch_into t ~batch ~(dst : A.Rng.ba) ~off =
+let sample_batch_into t ~adc_gain ~batch ~(dst : A.Rng.ba) ~off =
   if batch < 1 then invalid_arg "Kernel.sample_batch_into: batch must be >= 1";
-  match t.impl with
-  | Passthrough -> invalid_arg "Kernel.sample_batch_into: kernel is not fused"
-  | Fused f -> (
-      let iters = Task.iterations t.spec.task in
-      if off < 0 || off + (batch * iters) > Bigarray.Array1.dim dst then
-        invalid_arg "Kernel.sample_batch_into: dst slice out of range";
-      match f.flip_rng with
-      | Some _ ->
-          (* transient upsets: data-dependent draw counts — scalar
-             fused replay, decision-major (bit-identical by
-             construction: it IS the sequential path) *)
-          for d = 0 to batch - 1 do
-            for i = 0 to iters - 1 do
-              sample_into t ~iteration:i ~dst:f.out1 ~at:0;
-              dst.{off + (d * iters) + i} <- f.out1.(0)
+  if adc_gain <= 0.0 then invalid_arg "Kernel.sample_batch_into: adc_gain <= 0";
+  let iters = t.iters in
+  if off < 0 || off + (batch * iters) > Bigarray.Array1.dim dst then
+    invalid_arg "Kernel.sample_batch_into: dst slice out of range";
+  let lanes = Params.lanes in
+  let s = Domain.DLS.get scratch_key in
+  let noisy = Option.is_some t.noise_rng in
+  let per_dec = iters * lanes in
+  let tile_d = if not noisy then batch else max 1 (tile_floats / per_dec) in
+  let wrow = s.wrow and srow = s.srow and xrow = s.xrow in
+  let np = s.nplane in
+  let e = t.asd_tbl in
+  let en1 = Array.length e - 1 in
+  let fen1 = float_of_int en1 in
+  let wbuf = s.wbuf and sbuf = s.sbuf in
+  let d = ref 0 in
+  while !d < batch do
+    let td = min tile_d (batch - !d) in
+    (match t.noise_rng with
+    | Some rng -> A.Rng.gaussian_fill_ba rng np ~len:(td * per_dec)
+    | None -> ());
+    for i = 0 to iters - 1 do
+      prepare_row t s i;
+      for dr = 0 to td - 1 do
+        let gb = (dr * per_dec) + (i * lanes) in
+        (* pass 1 — class-1 value per lane (the scalar chain:
+           noise-apply, override [folded into the rows], X-combine,
+           idle leakage) *)
+        (match t.c1 with
+        | K_aread ->
+            for lane = 0 to lanes - 1 do
+              let w =
+                if noisy then
+                  Array.unsafe_get wrow lane
+                  +. (Array.unsafe_get srow lane *. np.{gb + lane})
+                else Array.unsafe_get wrow lane
+              in
+              Array.unsafe_set wbuf lane (if t.has_leak then w *. t.leak else w)
             done
-          done
-      | None ->
-          let lanes = Params.lanes in
-          let b = t.bstate in
-          let uses_x =
-            match (f.c1, f.asd) with
-            | (K_asubt | K_aadd), _ -> true
-            | K_aread, (S_sign_mult | S_unsign_mult) -> true
-            | K_aread, _ -> false
-          in
-          prepare_tables f b ~iters ~uses_x;
-          let noisy = match f.noise_rng with Some _ -> true | None -> false in
-          let per_dec = iters * lanes in
-          let tile_d =
-            if not noisy then batch else max 1 (tile_floats / per_dec)
-          in
-          let plane_len = min batch tile_d * per_dec in
-          if noisy && Bigarray.Array1.dim b.nplane < plane_len then
-            b.nplane <-
-              Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout
-                plane_len;
-          let wt = b.wt and st = b.st and xt = b.xt in
-          let np = b.nplane in
-          let e = f.asd_tbl in
-          let en1 = Array.length e - 1 in
-          let fen1 = float_of_int en1 in
-          let wbuf = f.wbuf and sbuf = f.sbuf in
-          let d = ref 0 in
-          while !d < batch do
-            let td = min tile_d (batch - !d) in
-            (match f.noise_rng with
-            | Some rng -> A.Rng.gaussian_fill_ba rng np ~len:(td * per_dec)
-            | None -> ());
-            for dr = 0 to td - 1 do
-              let dec = !d + dr in
-              for i = 0 to iters - 1 do
-                let tb = i * lanes in
-                let gb = dr * per_dec + tb in
-                (* pass 1 — class-1 value per lane (the scalar chain:
-                   noise-apply, override [folded into the tables],
-                   X-combine, idle leakage) *)
-                (match f.c1 with
-                | K_aread ->
-                    if noisy then
-                      if f.has_leak then
-                        for lane = 0 to lanes - 1 do
-                          Array.unsafe_set wbuf lane
-                            ((Array.unsafe_get wt (tb + lane)
-                             +. Array.unsafe_get st (tb + lane)
-                                *. np.{gb + lane})
-                            *. f.leak)
-                        done
-                      else
-                        for lane = 0 to lanes - 1 do
-                          Array.unsafe_set wbuf lane
-                            (Array.unsafe_get wt (tb + lane)
-                            +. Array.unsafe_get st (tb + lane)
-                               *. np.{gb + lane})
-                        done
-                    else if f.has_leak then
-                      for lane = 0 to lanes - 1 do
-                        Array.unsafe_set wbuf lane
-                          (Array.unsafe_get wt (tb + lane) *. f.leak)
-                      done
-                    else
-                      for lane = 0 to lanes - 1 do
-                        Array.unsafe_set wbuf lane
-                          (Array.unsafe_get wt (tb + lane))
-                      done
-                | K_asubt ->
-                    for lane = 0 to lanes - 1 do
-                      let w =
-                        if noisy then
-                          Array.unsafe_get wt (tb + lane)
-                          +. Array.unsafe_get st (tb + lane) *. np.{gb + lane}
-                        else Array.unsafe_get wt (tb + lane)
-                      in
-                      let v = (w -. Array.unsafe_get xt (tb + lane)) /. 2.0 in
-                      Array.unsafe_set wbuf lane
-                        (if f.has_leak then v *. f.leak else v)
-                    done
-                | K_aadd ->
-                    for lane = 0 to lanes - 1 do
-                      let w =
-                        if noisy then
-                          Array.unsafe_get wt (tb + lane)
-                          +. Array.unsafe_get st (tb + lane) *. np.{gb + lane}
-                        else Array.unsafe_get wt (tb + lane)
-                      in
-                      let v = (w +. Array.unsafe_get xt (tb + lane)) /. 2.0 in
-                      Array.unsafe_set wbuf lane
-                        (if f.has_leak then v *. f.leak else v)
-                    done);
-                (* pass 2 — aSD + charge share, the scalar loops with X
-                   read from the hoisted table *)
-                Array.unsafe_set sbuf 0 0.0;
-                (match f.asd with
-                | S_none ->
-                    for lane = 0 to lanes - 1 do
-                      if Array.unsafe_get f.acc_on lane then
-                        Array.unsafe_set sbuf 0
-                          (Array.unsafe_get sbuf 0
-                          +. Array.unsafe_get wbuf lane)
-                    done
-                | S_compare ->
-                    for lane = 0 to lanes - 1 do
-                      if Array.unsafe_get f.acc_on lane then begin
-                        let v = Array.unsafe_get wbuf lane in
-                        let v =
-                          if v < -1.0 then -1.0
-                          else if v > 1.0 then 1.0
-                          else v
-                        in
-                        let pos = (v +. 1.0) /. 2.0 *. fen1 in
-                        let i0 = int_of_float (Float.floor pos) in
-                        let u =
-                          if i0 >= en1 then Array.unsafe_get e en1
-                          else
-                            let frac = pos -. float_of_int i0 in
-                            ((1.0 -. frac) *. Array.unsafe_get e i0)
-                            +. (frac *. Array.unsafe_get e (i0 + 1))
-                        in
-                        let s = if u >= 0.0 then 1.0 else 0.0 in
-                        Array.unsafe_set sbuf 0 (Array.unsafe_get sbuf 0 +. s)
-                      end
-                    done
-                | S_absolute ->
-                    for lane = 0 to lanes - 1 do
-                      if Array.unsafe_get f.acc_on lane then begin
-                        let v = Array.unsafe_get wbuf lane in
-                        let v =
-                          if v < -1.0 then -1.0
-                          else if v > 1.0 then 1.0
-                          else v
-                        in
-                        let pos = (v +. 1.0) /. 2.0 *. fen1 in
-                        let i0 = int_of_float (Float.floor pos) in
-                        let u =
-                          if i0 >= en1 then Array.unsafe_get e en1
-                          else
-                            let frac = pos -. float_of_int i0 in
-                            ((1.0 -. frac) *. Array.unsafe_get e i0)
-                            +. (frac *. Array.unsafe_get e (i0 + 1))
-                        in
-                        Array.unsafe_set sbuf 0
-                          (Array.unsafe_get sbuf 0 +. Float.abs u)
-                      end
-                    done
-                | S_square ->
-                    for lane = 0 to lanes - 1 do
-                      if Array.unsafe_get f.acc_on lane then begin
-                        let v = Array.unsafe_get wbuf lane in
-                        let v =
-                          if v < -1.0 then -1.0
-                          else if v > 1.0 then 1.0
-                          else v
-                        in
-                        let pos = (v +. 1.0) /. 2.0 *. fen1 in
-                        let i0 = int_of_float (Float.floor pos) in
-                        let u =
-                          if i0 >= en1 then Array.unsafe_get e en1
-                          else
-                            let frac = pos -. float_of_int i0 in
-                            ((1.0 -. frac) *. Array.unsafe_get e i0)
-                            +. (frac *. Array.unsafe_get e (i0 + 1))
-                        in
-                        Array.unsafe_set sbuf 0
-                          (Array.unsafe_get sbuf 0 +. (u *. u))
-                      end
-                    done
-                | S_sign_mult ->
-                    for lane = 0 to lanes - 1 do
-                      if Array.unsafe_get f.acc_on lane then begin
-                        let v =
-                          Array.unsafe_get wbuf lane
-                          *. Array.unsafe_get xt (tb + lane)
-                        in
-                        let v =
-                          if v < -1.0 then -1.0
-                          else if v > 1.0 then 1.0
-                          else v
-                        in
-                        let pos = (v +. 1.0) /. 2.0 *. fen1 in
-                        let i0 = int_of_float (Float.floor pos) in
-                        let u =
-                          if i0 >= en1 then Array.unsafe_get e en1
-                          else
-                            let frac = pos -. float_of_int i0 in
-                            ((1.0 -. frac) *. Array.unsafe_get e i0)
-                            +. (frac *. Array.unsafe_get e (i0 + 1))
-                        in
-                        Array.unsafe_set sbuf 0 (Array.unsafe_get sbuf 0 +. u)
-                      end
-                    done
-                | S_unsign_mult ->
-                    for lane = 0 to lanes - 1 do
-                      if Array.unsafe_get f.acc_on lane then begin
-                        let v =
-                          Float.abs (Array.unsafe_get wbuf lane)
-                          *. Float.abs (Array.unsafe_get xt (tb + lane))
-                        in
-                        let v =
-                          if v < -1.0 then -1.0
-                          else if v > 1.0 then 1.0
-                          else v
-                        in
-                        let pos = (v +. 1.0) /. 2.0 *. fen1 in
-                        let i0 = int_of_float (Float.floor pos) in
-                        let u =
-                          if i0 >= en1 then Array.unsafe_get e en1
-                          else
-                            let frac = pos -. float_of_int i0 in
-                            ((1.0 -. frac) *. Array.unsafe_get e i0)
-                            +. (frac *. Array.unsafe_get e (i0 + 1))
-                        in
-                        Array.unsafe_set sbuf 0 (Array.unsafe_get sbuf 0 +. u)
-                      end
-                    done);
-                let cs =
-                  if f.acc_empty then 0.0
-                  else Array.unsafe_get sbuf 0 /. f.divisor
+        | K_asubt ->
+            for lane = 0 to lanes - 1 do
+              let w =
+                if noisy then
+                  Array.unsafe_get wrow lane
+                  +. (Array.unsafe_get srow lane *. np.{gb + lane})
+                else Array.unsafe_get wrow lane
+              in
+              let v = (w -. Array.unsafe_get xrow lane) /. 2.0 in
+              Array.unsafe_set wbuf lane (if t.has_leak then v *. t.leak else v)
+            done
+        | K_aadd ->
+            for lane = 0 to lanes - 1 do
+              let w =
+                if noisy then
+                  Array.unsafe_get wrow lane
+                  +. (Array.unsafe_get srow lane *. np.{gb + lane})
+                else Array.unsafe_get wrow lane
+              in
+              let v = (w +. Array.unsafe_get xrow lane) /. 2.0 in
+              Array.unsafe_set wbuf lane (if t.has_leak then v *. t.leak else v)
+            done);
+        (* pass 2 — aSD + charge share; the sum runs over the membership
+           lanes in ascending order — the same subset and order as
+           [Bank.charge_share] *)
+        Array.unsafe_set sbuf 0 0.0;
+        (match t.asd with
+        | S_none ->
+            for lane = 0 to lanes - 1 do
+              if Array.unsafe_get t.acc_on lane then
+                Array.unsafe_set sbuf 0
+                  (Array.unsafe_get sbuf 0 +. Array.unsafe_get wbuf lane)
+            done
+        | S_compare ->
+            for lane = 0 to lanes - 1 do
+              if Array.unsafe_get t.acc_on lane then
+                let u = asd_curve e ~en1 ~fen1 (Array.unsafe_get wbuf lane) in
+                Array.unsafe_set sbuf 0
+                  (Array.unsafe_get sbuf 0 +. if u >= 0.0 then 1.0 else 0.0)
+            done
+        | S_absolute ->
+            for lane = 0 to lanes - 1 do
+              if Array.unsafe_get t.acc_on lane then
+                let u = asd_curve e ~en1 ~fen1 (Array.unsafe_get wbuf lane) in
+                Array.unsafe_set sbuf 0 (Array.unsafe_get sbuf 0 +. Float.abs u)
+            done
+        | S_square ->
+            for lane = 0 to lanes - 1 do
+              if Array.unsafe_get t.acc_on lane then
+                let u = asd_curve e ~en1 ~fen1 (Array.unsafe_get wbuf lane) in
+                Array.unsafe_set sbuf 0 (Array.unsafe_get sbuf 0 +. (u *. u))
+            done
+        | S_sign_mult ->
+            for lane = 0 to lanes - 1 do
+              if Array.unsafe_get t.acc_on lane then
+                let v =
+                  Array.unsafe_get wbuf lane *. Array.unsafe_get xrow lane
                 in
-                let analog = (f.adc_gain *. cs) +. f.adc_offset in
-                let lsb = A.Adc.lsb in
-                let half = A.Adc.levels / 2 in
-                let code = int_of_float (Float.round (analog /. lsb)) + half in
-                let code =
-                  if code < 0 then 0
-                  else if code > A.Adc.levels - 1 then A.Adc.levels - 1
-                  else code
+                Array.unsafe_set sbuf 0
+                  (Array.unsafe_get sbuf 0 +. asd_curve e ~en1 ~fen1 v)
+            done
+        | S_unsign_mult ->
+            for lane = 0 to lanes - 1 do
+              if Array.unsafe_get t.acc_on lane then
+                let v =
+                  Float.abs (Array.unsafe_get wbuf lane)
+                  *. Float.abs (Array.unsafe_get xrow lane)
                 in
-                dst.{off + (dec * iters) + i} <-
-                  float_of_int (code - half) *. lsb /. f.adc_gain
-              done
-            done;
-            d := !d + td
-          done)
+                Array.unsafe_set sbuf 0
+                  (Array.unsafe_get sbuf 0 +. asd_curve e ~en1 ~fen1 v)
+            done);
+        let cs =
+          if t.acc_empty then 0.0 else Array.unsafe_get sbuf 0 /. t.divisor
+        in
+        (* ADC: [Adc.convert] inlined ([quantize] then [dequantize]) *)
+        let analog = (adc_gain *. cs) +. t.adc_offset in
+        let lsb = A.Adc.lsb in
+        let half = A.Adc.levels / 2 in
+        let code = int_of_float (Float.round (analog /. lsb)) + half in
+        let code =
+          if code < 0 then 0
+          else if code > A.Adc.levels - 1 then A.Adc.levels - 1
+          else code
+        in
+        dst.{off + ((!d + dr) * iters) + i} <-
+          float_of_int (code - half) *. lsb /. adc_gain
+      done
+    done;
+    d := !d + td
+  done

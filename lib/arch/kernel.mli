@@ -1,4 +1,5 @@
-(** Compiled per-task iteration kernels for the analog datapath.
+(** Compiled per-task kernels for the analog datapath: the one fused
+    sampler.
 
     {!specialize} compiles a (bank, task, launch-shape) triple once,
     hoisting out of the iteration loop everything the scalar path
@@ -6,94 +7,73 @@
     and its noise factor, the transfer-curve selection (pre-sampled per
     8-bit code — exact, since the aREAD input domain is exactly the 256
     codes), the idle-slot leakage exponential, stuck/dead lane
-    overrides, the charge-share membership set, and the ADC constants.
-    {!sample_into} then runs S1 aREAD → Class-1 combine → leakage → S2
-    aSD → S3 charge share → ADC as a single fused pass over
-    preallocated scratch buffers, allocating nothing on the minor heap
-    in the steady state — including the noise path, which draws its
-    whole lane vector through {!Promise_analog.Rng.gaussian_fill}
-    (the transient-upset path still draws per-lane and may allocate).
+    overrides, the charge-share membership set, and the ADC offset.
+    {!sample_batch_into} then runs S1 aREAD → Class-1 combine → leakage
+    → S2 aSD → S3 charge share → ADC for a whole batch of decisions into
+    a structure-of-arrays sample plane; a single decision is batch 1.
+    Its working set (one iteration's hoisted lane rows and the noise
+    tile) is one buffer per domain, so kernels themselves are
+    immutable.
 
     Bit-identity contract: for every task, profile, fault set and lane
-    mask, a fused kernel produces bitwise the same {!Bank.step} as the
-    scalar path, consuming the bank's RNG streams draw-for-draw in the
-    same order. The differential QCheck suite (test_kernels) enforces
-    this; {!Machine.execute}'s [`Reference`] mode exists to run it and
-    to debug any divergence.
-
-    Tasks whose shape is not the fused one (analog Class-1, aVD on,
-    Class-3 ADC) get a [Passthrough] kernel that simply delegates to
-    {!Bank.run_iteration}. *)
+    mask a kernel exists for, the samples are bitwise the {!Bank.Sample}
+    payloads of the scalar path, consuming the bank's noise stream
+    draw-for-draw in the same order. The differential QCheck suites
+    (test_kernels, test_batch) enforce this; {!Machine.execute}'s
+    [`Reference`] mode exists to run them and to debug any divergence. *)
 
 type t
 
-(** [specialize ?lane_mask bank ~task ~active_lanes ~adc_gain] —
-    compile a kernel for running [task] on [bank] with this launch
-    shape. Captures the bank's current faults and RNG stream objects;
-    {!matches} reports whether a cached kernel is still valid. Raises
-    [Invalid_argument] on the same bad arguments as
-    {!Bank.run_iteration} ([active_lanes] outside [1, 128],
-    non-positive [adc_gain]). *)
+(** [specialize ?lane_mask bank ~task ~active_lanes] — compile a kernel
+    for running [task] on [bank] with this launch shape, capturing the
+    bank's current faults; {!matches} reports whether a cached kernel is
+    still valid. [None] when the task is not the fused shape (analog
+    Class-1, aVD on, Class-3 ADC) or the bank has an X-REG transient
+    upset profile, whose data-dependent draws only the scalar path
+    models. Raises [Invalid_argument] when [active_lanes] is outside
+    [1, 128], like {!Bank.run_iteration}. *)
 val specialize :
   ?lane_mask:bool array ->
   Bank.t ->
   task:Promise_isa.Task.t ->
   active_lanes:int ->
-  adc_gain:float ->
-  t
+  t option
 
-(** [is_fused t] — [false] when the kernel is a passthrough to the
-    scalar path (non-fusable task shape). *)
-val is_fused : t -> bool
-
-(** [matches t bank ~task ~active_lanes ~adc_gain ~lane_mask] — whether
-    [t] was specialized for exactly this bank object and launch shape,
-    with the bank's faults (and its transient-upset RNG stream object —
-    {!Bank.set_faults} re-seeds it, invalidating any kernel that
-    captured the previous stream) unchanged since specialization. *)
+(** [matches t bank ~task ~active_lanes ~lane_mask] — whether [t] was
+    specialized for exactly this bank object and launch shape, with the
+    bank's faults unchanged since specialization. The ADC gain is not
+    part of the identity: it is passed with each {!sample_batch_into}. *)
 val matches :
   t ->
   Bank.t ->
   task:Promise_isa.Task.t ->
   active_lanes:int ->
-  adc_gain:float ->
   lane_mask:bool array option ->
   bool
 
-(** [sample_into t ~iteration ~dst ~at] — run one fused iteration and
-    store the digitized per-bank partial (the {!Bank.Sample} payload)
-    into [dst.(at)]. Zero minor-heap allocations in the steady state.
-    Raises [Invalid_argument] if the kernel is not fused. *)
-val sample_into : t -> iteration:int -> dst:float array -> at:int -> unit
+(** [sample_batch_into t ~adc_gain ~batch ~dst ~off] — run [batch] whole
+    decisions through the kernel, storing the sample of decision [d],
+    iteration [i] into [dst.{off + d*iterations + i}].
 
-(** [step t ~iteration] — run one iteration through the kernel,
-    returning the same {!Bank.step} the scalar path would. Fused
-    kernels wrap {!sample_into}; passthrough kernels delegate to
-    {!Bank.run_iteration}. *)
-val step : t -> iteration:int -> Bank.step
-
-(** [sample_batch_into t ~batch ~dst ~off] — run [batch] whole
-    decisions through the fused kernel in one pass, storing the sample
-    of decision [d], iteration [i] into [dst.{off + d*iterations + i}].
-
-    Bit-identity: the samples (and the final RNG stream states) are
-    exactly what [batch] back-to-back per-decision sweeps of
-    {!sample_into} would produce. The batched path draws the noise for
-    a whole tile of decisions through one
+    Bit-identity: the samples (and the final RNG stream state) are
+    exactly what [batch] back-to-back scalar decisions would produce.
+    The noise for a whole tile of decisions is drawn through one
     {!Promise_analog.Rng.gaussian_fill_ba} call — bit-identical because
-    the sequential path consumes the stream in the same
+    the scalar path consumes the stream in the same
     (decision, iteration, lane) order and 128-lane vectors leave the
-    Box-Muller cache empty at every decision boundary — and reads the
-    per-(iteration × lane) invariants (aREAD value with stuck/dead
-    overrides folded in, noise sigma, normalized X) from
-    structure-of-arrays tables hoisted once per call. Kernels with a
-    transient-upset stream draw a data-dependent number of variates per
-    load and therefore take a decision-major scalar replay inside the
-    same call. Zero minor-heap allocations per decision in the steady
-    state (the tables and noise plane are grown once and reused).
+    Box-Muller cache empty at every decision boundary. Inside a tile
+    the loop runs iteration-major: an iteration's per-lane invariants
+    (aREAD value with stuck/dead overrides folded in, noise sigma,
+    normalized X) are hoisted into rows once and serve every decision
+    of the tile. Zero minor-heap allocations: the domain's rows and
+    noise tile are allocated once and reused.
 
-    Raises [Invalid_argument] if the kernel is not fused, [batch < 1],
-    or the [dst] slice [off .. off + batch*iterations - 1] is out of
-    range. *)
+    Raises [Invalid_argument] if [batch < 1], [adc_gain <= 0], or the
+    [dst] slice [off .. off + batch*iterations - 1] is out of range. *)
 val sample_batch_into :
-  t -> batch:int -> dst:Promise_analog.Rng.ba -> off:int -> unit
+  t ->
+  adc_gain:float ->
+  batch:int ->
+  dst:Promise_analog.Rng.ba ->
+  off:int ->
+  unit

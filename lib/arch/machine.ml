@@ -16,14 +16,14 @@ type t = {
   config : config;
   banks : Bank.t array;
   trace : Trace.t;
-  (* one slot per bank: the last kernel specialized for it, revalidated
-     by [Kernel.matches] on every execute (replay workloads re-launch
-     the same task, so specialization amortizes to zero) *)
+  (* one slot per bank: the last kernel specialized for it ([None] when
+     the launch had none), revalidated by [Kernel.matches] on every
+     launch (replay workloads re-launch the same task, so
+     specialization amortizes to zero) *)
   kernel_cache : Kernel.t option array;
-  (* batch execution scratch: the per-bank sample plane (grown once,
-     reused) and a tiny float-array slot set the zero-allocation
-     reduction loops accumulate in (a [float ref] would box per
-     store) *)
+  (* the bank-major sample plane (grown once, reused) and a tiny
+     float-array slot set the zero-allocation serving loop accumulates
+     in (a [float ref] would box per store) *)
   mutable bplane : A.Rng.ba;
   bacc : float array;
 }
@@ -129,21 +129,31 @@ let group_banks t launch =
 
 let quantize_code = Promise_core.Quant.quantize8
 
-let route_emit banks launch (emit : Th_unit.emit) ~emitted ~acc_out ~xreg_out
-    ~wbuf =
+(* One decision's routed emits, newest first. *)
+type routed = {
+  mutable r_emitted : float list;
+  mutable r_acc : float list;
+  mutable r_xreg : float list;
+  mutable r_wbuf : int list;
+}
+
+let routed () = { r_emitted = []; r_acc = []; r_xreg = []; r_wbuf = [] }
+
+let route_emit banks launch (emit : Th_unit.emit) r =
   match emit.Th_unit.des with
-  | Opcode.Des_output_buffer -> emitted := emit.Th_unit.value :: !emitted
-  | Opcode.Des_acc -> acc_out := emit.Th_unit.value :: !acc_out
+  | Opcode.Des_output_buffer ->
+      r.r_emitted <- emit.Th_unit.value :: r.r_emitted
+  | Opcode.Des_acc -> r.r_acc <- emit.Th_unit.value :: r.r_acc
   | Opcode.Des_xreg ->
       let code = quantize_code emit.Th_unit.value in
       Array.iter
         (fun b -> Xreg.stage_element (Bank.xreg b) ~index:launch.dest_xreg code)
         banks;
-      xreg_out := (float_of_int code /. 128.0) :: !xreg_out
+      r.r_xreg <- (float_of_int code /. 128.0) :: r.r_xreg
   | Opcode.Des_write_buffer ->
       let code = quantize_code emit.Th_unit.value in
       Array.iter (fun b -> Bank.stage_write_code b code) banks;
-      wbuf := code :: !wbuf
+      r.r_wbuf <- code :: r.r_wbuf
 
 (* Excess pipeline stalls when some of the group's ADC units are dead:
    the discrete-event scheduler run with the reduced unit count, minus
@@ -197,47 +207,53 @@ module For_tests = struct
         Hashtbl.reset stall_memo;
         stall_memo_hits := 0;
         stall_memo_misses := 0)
+
+  let cached_kernel t ~bank = t.kernel_cache.(bank)
 end
 
-(* A multi-bank task may fan its banks out across a pool only when the
-   emit destination never feeds back into bank state mid-task: X-REG
-   and write-buffer emits are staged into the banks while iterations
-   are still running, so those tasks stay on the sequential path. The
-   same property gates the batched fast path — it is what makes the
-   per-bank sample stream independent of decision order. *)
-let cross_bank_safe launch =
-  match launch.th.Th_unit.des with
-  | Opcode.Des_output_buffer | Opcode.Des_acc -> true
-  | Opcode.Des_xreg | Opcode.Des_write_buffer -> false
-
-(* One compiled kernel per bank of the group, revalidated against the
-   per-bank cache (same bank + task + launch shape + faults → reuse, so
-   replay workloads pay specialization once). *)
-let cached_kernels ?lane_mask t launch banks =
+(* A launch reads its own staged writes only when it routes emits into
+   an X-REG row the task itself reads. X addressing wraps at X_PRD + 1,
+   so a task reads rows 0..X_PRD at most. Only such a launch needs the
+   scalar loop, which interleaves sampling and staging iteration by
+   iteration; every other launch — write-buffer staging included, which
+   only a later Class-1 write consumes — may sample all of its
+   iterations before the reduction routes a single emit. *)
+let reads_own_staging launch =
   let task = launch.task in
-  let first = launch.bank_group * Task.banks task in
-  Array.mapi
-    (fun bi b ->
-      let slot = first + bi in
-      match t.kernel_cache.(slot) with
-      | Some k
-        when Kernel.matches k b ~task ~active_lanes:launch.active_lanes
-               ~adc_gain:launch.adc_gain ~lane_mask ->
-          k
-      | Some _ | None ->
-          let k =
-            Kernel.specialize ?lane_mask b ~task
-              ~active_lanes:launch.active_lanes ~adc_gain:launch.adc_gain
-          in
-          t.kernel_cache.(slot) <- Some k;
-          k)
-    banks
+  Opcode.equal_destination launch.th.Th_unit.des Opcode.Des_xreg
+  && (Opcode.class1_reads_x task.Task.class1
+     || Opcode.asd_reads_x task.Task.class2.Opcode.asd)
+  && launch.dest_xreg <= task.Task.op_param.Op_param.x_prd
 
-(* The [machine.execute] failpoint is consulted before any bank state
-   or RNG draw is touched — same contract as the real Fault-coded
-   checks (e.g. all-ADC-dead) — so a caller that retries after an
-   injected fault sees the machine exactly as if the faulted call
-   never happened. *)
+(* The bank slot's cached kernel, revalidated by [Kernel.matches] (same
+   bank + task + launch shape + faults → reuse, so replay workloads pay
+   specialization once). *)
+let kernel_for ?lane_mask t launch ~slot bank =
+  let task = launch.task and active_lanes = launch.active_lanes in
+  match t.kernel_cache.(slot) with
+  | Some k as cached when Kernel.matches k bank ~task ~active_lanes ~lane_mask
+    ->
+      cached
+  | Some _ | None ->
+      let k = Kernel.specialize ?lane_mask bank ~task ~active_lanes in
+      t.kernel_cache.(slot) <- k;
+      k
+
+exception No_kernel
+
+let group_kernels ?lane_mask t launch group =
+  let first = launch.bank_group * Array.length group in
+  match
+    Array.mapi
+      (fun bi b ->
+        match kernel_for ?lane_mask t launch ~slot:(first + bi) b with
+        | Some k -> k
+        | None -> raise_notrace No_kernel)
+      group
+  with
+  | ks -> Some ks
+  | exception No_kernel -> None
+
 let injected_fault launch =
   match Promise_core.Failpoint.check "machine.execute" with
   | Some Promise_core.Failpoint.Fail ->
@@ -250,150 +266,216 @@ let injected_fault launch =
       Ok ()
   | Some Promise_core.Failpoint.Interrupt | None -> Ok ()
 
-let execute ?lane_mask ?(pool = Pool.sequential) ?kernel_mode t launch =
+(* What every entry point checks before it touches bank state or draws
+   from an RNG stream. The [machine.execute] failpoint comes first, so a
+   caller that retries after an injected fault sees the machine exactly
+   as if the faulted call never happened — the same contract as the
+   real Fault-coded checks (e.g. all-ADC-dead). [kernels] is [Some] when
+   every bank of the group has a fused kernel and the launch does not
+   read its own staged writes: its decisions then ride the sample
+   plane. *)
+type setup = {
+  group : Bank.t array;
+  stall_cycles : int;  (* degraded-ADC stalls per decision *)
+  kernels : Kernel.t array option;
+}
+
+let setup ?lane_mask ?kernel_mode t launch =
   let ( let* ) = Result.bind in
   let task = launch.task in
-  let kernel_mode =
-    match kernel_mode with Some m -> m | None -> default_kernel_mode ()
-  in
   let* () = injected_fault launch in
   let* () =
     match Task.validate task with
     | Ok _ -> Ok ()
     | Error d -> Error (Promise_core.Diag.to_error ~layer:"machine" d)
   in
-  let* banks = group_banks t launch in
-  let* avail_adc =
-    let avail =
-      Array.fold_left
-        (fun acc b -> min acc (Faults.adc_units_available (Bank.faults b)))
-        A.Adc.units_per_bank banks
+  let* group = group_banks t launch in
+  let avail =
+    Array.fold_left
+      (fun acc b -> min acc (Faults.adc_units_available (Bank.faults b)))
+      A.Adc.units_per_bank group
+  in
+  if Task.uses_adc task && avail < 1 then
+    E.fail ~layer:"machine" ~code:E.Fault
+      ~context:[ ("group", string_of_int launch.bank_group) ]
+      "all ADC units of the bank group are dead"
+  else
+    let kernels =
+      match Option.value kernel_mode ~default:(default_kernel_mode ()) with
+      | Reference -> None
+      | Fused ->
+          if reads_own_staging launch then None
+          else group_kernels ?lane_mask t launch group
     in
-    if Task.uses_adc task && avail < 1 then
-      E.fail ~layer:"machine" ~code:E.Fault
-        ~context:[ ("group", string_of_int launch.bank_group) ]
-        "all ADC units of the bank group are dead"
-    else Ok avail
-  in
-  let n_banks_used = Array.length banks in
-  let th = Th_unit.create launch.th in
-  let emitted = ref [] and acc_out = ref [] and wbuf = ref [] in
-  let xreg_out = ref [] in
-  let digital = ref [] in
-  let adc_conversions = ref 0 in
-  let iterations = Task.iterations task in
-  let kernels =
-    match kernel_mode with
-    | Reference -> None
-    | Fused -> Some (cached_kernels ?lane_mask t launch banks)
-  in
-  let step_bank bi b ~iteration =
-    match kernels with
-    | Some ks -> Kernel.step ks.(bi) ~iteration
-    | None ->
-        Bank.run_iteration ?lane_mask b ~task ~iteration
-          ~active_lanes:launch.active_lanes ~adc_gain:launch.adc_gain
-  in
-  (* Parallel path: each bank runs all of its iterations on one domain
-     (bank-major), which preserves the bank's private RNG draw order
-     exactly as the sequential iteration-major loop would — banks never
-     read each other's state, so the precomputed steps are bit-identical
-     and the sequential replay below reduces them in canonical order. *)
-  let precomputed =
-    if
-      Pool.is_parallel pool && n_banks_used > 1 && iterations > 0
-      && cross_bank_safe launch
-    then
-      Some
-        (Pool.map_array pool
-           (fun bi ->
-             let b = banks.(bi) in
-             let steps = Array.make iterations Bank.Idle in
-             for iteration = 0 to iterations - 1 do
-               steps.(iteration) <- step_bank bi b ~iteration
-             done;
-             steps)
-           (Array.init n_banks_used (fun i -> i)))
-    else None
-  in
-  (match (precomputed, kernels) with
-  | None, Some ks when Array.for_all Kernel.is_fused ks ->
-      (* fused fast loop: the task shape guarantees every bank yields a
-         Sample every iteration, so the per-iteration scaffolding of the
-         general loop (fresh partials array, step dispatch, sample
-         detection) collapses to kernel calls into one hoisted buffer *)
-      let partials = Array.make n_banks_used 0.0 in
-      for iteration = 0 to iterations - 1 do
-        for bi = 0 to n_banks_used - 1 do
-          Kernel.sample_into ks.(bi) ~iteration ~dst:partials ~at:bi
-        done;
-        adc_conversions := !adc_conversions + n_banks_used;
-        let combined = Crossbank.combine partials in
-        match Th_unit.push th combined with
-        | Some emit ->
-            route_emit banks launch emit ~emitted ~acc_out ~xreg_out ~wbuf
-        | None -> ()
-      done
-  | _ ->
-      for iteration = 0 to iterations - 1 do
-        let partials = Array.make n_banks_used 0.0 in
-        let got_sample = ref false in
-        Array.iteri
-          (fun bi b ->
-            match
-              match precomputed with
-              | Some steps -> steps.(bi).(iteration)
-              | None -> step_bank bi b ~iteration
-            with
-            | Bank.Sample s ->
-                partials.(bi) <- s;
-                got_sample := true;
-                incr adc_conversions
-            | Bank.Digital_vector v ->
-                if bi = 0 then digital := v :: !digital;
-                if Task.uses_adc task then
-                  adc_conversions := !adc_conversions + launch.active_lanes
-            | Bank.Analog_vector _ | Bank.Idle -> ())
-          banks;
-        if !got_sample then
-          let combined = Crossbank.combine partials in
-          match Th_unit.push th combined with
-          | Some emit ->
-              route_emit banks launch emit ~emitted ~acc_out ~xreg_out ~wbuf
-          | None -> ()
-      done);
+    Ok
+      {
+        group;
+        stall_cycles =
+          (if Task.uses_adc task then excess_adc_stalls task ~avail else 0);
+        kernels;
+      }
+
+(* Flush TH, append the decision's trace record and package its
+   result. *)
+let finish_decision t launch s th r ~adc_conversions ~digital =
   (match Th_unit.finish th with
-  | Some emit -> route_emit banks launch emit ~emitted ~acc_out ~xreg_out ~wbuf
+  | Some emit -> route_emit s.group launch emit r
   | None -> ());
-  let stall_cycles =
-    if Task.uses_adc task then excess_adc_stalls task ~avail:avail_adc else 0
-  in
+  let task = launch.task in
+  let iterations = Task.iterations task in
+  let n = Array.length s.group in
   let record =
     {
-      Trace.task = task;
+      Trace.task;
       iterations;
-      banks = n_banks_used;
+      banks = n;
       tp = Timing.task_tp task;
       fill_cycles = Timing.fill_cycles task;
-      cycles = Timing.task_cycles task + stall_cycles;
-      adc_conversions = !adc_conversions / max 1 n_banks_used;
+      cycles = Timing.task_cycles task + s.stall_cycles;
+      adc_conversions;
       crossbank_transfers =
-        Crossbank.transfers_per_iteration ~banks:n_banks_used * iterations;
+        Crossbank.transfers_per_iteration ~banks:n * iterations;
       th_ops = Th_unit.ops_executed th;
-      stall_cycles;
+      stall_cycles = s.stall_cycles;
     }
   in
   Trace.record t.trace record;
-  Ok
-    {
-      emitted = List.rev !emitted;
-      acc_out = List.rev !acc_out;
-      xreg_out = List.rev !xreg_out;
-      write_buffer = List.rev !wbuf;
-      argext = Th_unit.argext th;
-      digital = List.rev !digital;
-      record;
-    }
+  {
+    emitted = List.rev r.r_emitted;
+    acc_out = List.rev r.r_acc;
+    xreg_out = List.rev r.r_xreg;
+    write_buffer = List.rev r.r_wbuf;
+    argext = Th_unit.argext th;
+    digital;
+    record;
+  }
+
+(* The scalar loop, one decision: every bank steps [Bank.run_iteration]
+   iteration by iteration and emits route as they happen. It serves
+   [Reference] mode, task shapes with no fused kernel, X-REG flip
+   profiles and launches that read their own staged writes. *)
+let scalar ?lane_mask t launch s =
+  let task = launch.task in
+  let n = Array.length s.group in
+  let th = Th_unit.create launch.th in
+  let r = routed () in
+  let digital = ref [] and adc_conversions = ref 0 in
+  let partials = Array.make n 0.0 in
+  for iteration = 0 to Task.iterations task - 1 do
+    Array.fill partials 0 n 0.0;
+    let got_sample = ref false in
+    Array.iteri
+      (fun bi b ->
+        match
+          Bank.run_iteration ?lane_mask b ~task ~iteration
+            ~active_lanes:launch.active_lanes ~adc_gain:launch.adc_gain
+        with
+        | Bank.Sample v ->
+            partials.(bi) <- v;
+            got_sample := true;
+            incr adc_conversions
+        | Bank.Digital_vector v ->
+            if bi = 0 then digital := v :: !digital;
+            if Task.uses_adc task then
+              adc_conversions := !adc_conversions + launch.active_lanes
+        | Bank.Analog_vector _ | Bank.Idle -> ())
+      s.group;
+    if !got_sample then
+      match Th_unit.push th (Crossbank.combine partials) with
+      | Some emit -> route_emit s.group launch emit r
+      | None -> ()
+  done;
+  finish_decision t launch s th r
+    ~adc_conversions:(!adc_conversions / max 1 n)
+    ~digital:(List.rev !digital)
+
+(* Fill the bank-major sample plane: bank [bi]'s samples for the whole
+   batch live at [bi*batch*iters + d*iters + i]. Bank-major order keeps
+   each bank's private RNG streams consumed exactly as sequential
+   execution would (banks never read each other's state), and lets a
+   pool fan the banks out with one synchronization per batch. *)
+let fill_plane ~pool t launch kernels ~batch =
+  let n = Array.length kernels in
+  let per = batch * Task.iterations launch.task in
+  if Bigarray.Array1.dim t.bplane < n * per then
+    t.bplane <-
+      Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout (n * per);
+  let plane = t.bplane in
+  let adc_gain = launch.adc_gain in
+  if Pool.is_parallel pool && n > 1 then
+    ignore
+      (Pool.map_array pool
+         (fun bi ->
+           Kernel.sample_batch_into kernels.(bi) ~adc_gain ~batch ~dst:plane
+             ~off:(bi * per))
+         (Array.init n Fun.id))
+  else
+    for bi = 0 to n - 1 do
+      Kernel.sample_batch_into kernels.(bi) ~adc_gain ~batch ~dst:plane
+        ~off:(bi * per)
+    done;
+  plane
+
+(* The plane reduction of decision [d]: the cross-bank rail and TH
+   read its samples back in iteration order and append one trace
+   record, exactly as a single decision would. [partials] holds one
+   slot per bank of the group. *)
+let reduce_decision t launch s plane ~partials ~batch ~d =
+  let n = Array.length s.group in
+  let iters = Task.iterations launch.task in
+  let per = batch * iters in
+  let th = Th_unit.create launch.th in
+  let r = routed () in
+  for i = 0 to iters - 1 do
+    for bi = 0 to n - 1 do
+      partials.(bi) <- plane.{(bi * per) + (d * iters) + i}
+    done;
+    match Th_unit.push th (Crossbank.combine partials) with
+    | Some emit -> route_emit s.group launch emit r
+    | None -> ()
+  done;
+  finish_decision t launch s th r ~adc_conversions:iters ~digital:[]
+
+let invalid_batch batch =
+  E.fail ~layer:"machine" ~code:E.Invalid_operand
+    ~context:[ ("batch", string_of_int batch) ]
+    "batch must be >= 1"
+
+(* A single decision is batch 1 of the sample plane whenever every bank
+   of the group has a kernel; anything else runs the scalar loop. *)
+let execute ?lane_mask ?(pool = Pool.sequential) ?kernel_mode t launch =
+  match setup ?lane_mask ?kernel_mode t launch with
+  | Error e -> Error e
+  | Ok ({ kernels = Some ks; _ } as s) ->
+      let plane = fill_plane ~pool t launch ks ~batch:1 in
+      let partials = Array.make (Array.length ks) 0.0 in
+      Ok (reduce_decision t launch s plane ~partials ~batch:1 ~d:0)
+  | Ok s -> Ok (scalar ?lane_mask t launch s)
+
+let execute_batch ?lane_mask ?(pool = Pool.sequential) ?kernel_mode t launch
+    ~batch =
+  if batch < 1 then invalid_batch batch
+  else
+    match setup ?lane_mask ?kernel_mode t launch with
+    | Error e -> Error e
+    | Ok ({ kernels = Some ks; _ } as s) ->
+        (* one set-up serves the whole batch *)
+        let plane = fill_plane ~pool t launch ks ~batch in
+        let partials = Array.make (Array.length ks) 0.0 in
+        Ok
+          (Array.init batch (fun d ->
+               reduce_decision t launch s plane ~partials ~batch ~d))
+    | Ok s ->
+        (* the scalar loop: every later decision sets up again, so each
+           passes the failpoint exactly as a single [execute] does *)
+        let rec go acc d =
+          if d = batch then Ok (Array.of_list (List.rev acc))
+          else
+            match execute ?lane_mask ~pool ?kernel_mode t launch with
+            | Ok r -> go (r :: acc) (d + 1)
+            | Error e -> Error e
+        in
+        go [ scalar ?lane_mask t launch s ] 1
 
 let execute_exn ?lane_mask ?pool ?kernel_mode t launch =
   E.to_invalid_arg (execute ?lane_mask ?pool ?kernel_mode t launch)
@@ -429,162 +511,6 @@ let default_launch (task : Task.t) =
 let run_program ?pool ?kernel_mode t (program : Program.t) =
   run ?pool ?kernel_mode t (List.map default_launch program.Program.tasks)
 
-(* ------------------------------------------------------------------ *)
-(* Batched execution                                                    *)
-(* ------------------------------------------------------------------ *)
-
-let batch_plane t ~need =
-  if Bigarray.Array1.dim t.bplane < need then
-    t.bplane <- Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout need;
-  t.bplane
-
-let invalid_batch batch =
-  E.fail ~layer:"machine" ~code:E.Invalid_operand
-    ~context:[ ("batch", string_of_int batch) ]
-    "batch must be >= 1"
-
-(* Shared entry validation + fast-path eligibility for the batched
-   APIs. [Ok (banks, avail_adc, Some kernels)] means the decision-major
-   fast path applies: fused kernels on every bank of the group, an emit
-   destination with no mid-task bank-state feedback, and at least one
-   iteration. *)
-let batch_setup ?lane_mask ?kernel_mode t launch =
-  let ( let* ) = Result.bind in
-  let task = launch.task in
-  let kernel_mode =
-    match kernel_mode with Some m -> m | None -> default_kernel_mode ()
-  in
-  let* () =
-    match Task.validate task with
-    | Ok _ -> Ok ()
-    | Error d -> Error (Promise_core.Diag.to_error ~layer:"machine" d)
-  in
-  let* banks = group_banks t launch in
-  let* avail_adc =
-    let avail =
-      Array.fold_left
-        (fun acc b -> min acc (Faults.adc_units_available (Bank.faults b)))
-        A.Adc.units_per_bank banks
-    in
-    if Task.uses_adc task && avail < 1 then
-      E.fail ~layer:"machine" ~code:E.Fault
-        ~context:[ ("group", string_of_int launch.bank_group) ]
-        "all ADC units of the bank group are dead"
-    else Ok avail
-  in
-  let kernels =
-    match kernel_mode with
-    | Reference -> None
-    | Fused ->
-        if cross_bank_safe launch && Task.iterations task > 0 then
-          let ks = cached_kernels ?lane_mask t launch banks in
-          if Array.for_all Kernel.is_fused ks then Some ks else None
-        else None
-  in
-  Ok (banks, avail_adc, kernels)
-
-(* Fill the bank-major sample plane: bank [bi]'s samples for the whole
-   batch live at [bi*batch*iters + d*iters + i]. Bank-major order keeps
-   each bank's private RNG streams consumed exactly as sequential
-   execution would (banks never read each other's state), and lets a
-   pool fan the banks out with one synchronization per batch instead of
-   one per task. *)
-let fill_batch_plane ~pool ~kernels ~(plane : A.Rng.ba) ~batch ~iters =
-  let n = Array.length kernels in
-  let per = batch * iters in
-  if Pool.is_parallel pool && n > 1 then
-    ignore
-      (Pool.map_array pool
-         (fun bi ->
-           Kernel.sample_batch_into kernels.(bi) ~batch ~dst:plane
-             ~off:(bi * per))
-         (Array.init n (fun i -> i)))
-  else
-    for bi = 0 to n - 1 do
-      Kernel.sample_batch_into kernels.(bi) ~batch ~dst:plane ~off:(bi * per)
-    done
-
-let execute_batch ?lane_mask ?(pool = Pool.sequential) ?kernel_mode t launch
-    ~batch =
-  if batch < 1 then invalid_batch batch
-  else
-    let sequential () =
-      let rec go acc d =
-        if d = batch then Ok (Array.of_list (List.rev acc))
-        else
-          match execute ?lane_mask ~pool ?kernel_mode t launch with
-          | Ok r -> go (r :: acc) (d + 1)
-          | Error e -> Error e
-      in
-      go [] 0
-    in
-    match batch_setup ?lane_mask ?kernel_mode t launch with
-    | Error e -> Error e
-    | Ok (_, _, None) -> sequential ()
-    | Ok (banks, avail_adc, Some kernels) ->
-        let task = launch.task in
-        let iters = Task.iterations task in
-        let n = Array.length banks in
-        let per = batch * iters in
-        let plane = batch_plane t ~need:(n * per) in
-        fill_batch_plane ~pool ~kernels ~plane ~batch ~iters;
-        let stall_cycles =
-          if Task.uses_adc task then excess_adc_stalls task ~avail:avail_adc
-          else 0
-        in
-        (* per-decision reduction: exactly the sequential fused fast
-           loop of [execute], reading samples from the plane — same
-           Crossbank combine, same TH, same per-decision trace record *)
-        let partials = Array.make n 0.0 in
-        let results =
-          Array.init batch (fun d ->
-              let th = Th_unit.create launch.th in
-              let emitted = ref [] and acc_out = ref [] and wbuf = ref [] in
-              let xreg_out = ref [] in
-              for i = 0 to iters - 1 do
-                for bi = 0 to n - 1 do
-                  partials.(bi) <- plane.{(bi * per) + (d * iters) + i}
-                done;
-                let combined = Crossbank.combine partials in
-                match Th_unit.push th combined with
-                | Some emit ->
-                    route_emit banks launch emit ~emitted ~acc_out ~xreg_out
-                      ~wbuf
-                | None -> ()
-              done;
-              (match Th_unit.finish th with
-              | Some emit ->
-                  route_emit banks launch emit ~emitted ~acc_out ~xreg_out
-                    ~wbuf
-              | None -> ());
-              let record =
-                {
-                  Trace.task;
-                  iterations = iters;
-                  banks = n;
-                  tp = Timing.task_tp task;
-                  fill_cycles = Timing.fill_cycles task;
-                  cycles = Timing.task_cycles task + stall_cycles;
-                  adc_conversions = iters;
-                  crossbank_transfers =
-                    Crossbank.transfers_per_iteration ~banks:n * iters;
-                  th_ops = Th_unit.ops_executed th;
-                  stall_cycles;
-                }
-              in
-              Trace.record t.trace record;
-              {
-                emitted = List.rev !emitted;
-                acc_out = List.rev !acc_out;
-                xreg_out = List.rev !xreg_out;
-                write_buffer = List.rev !wbuf;
-                argext = Th_unit.argext th;
-                digital = [];
-                record;
-              })
-        in
-        Ok results
-
 (* Emissions per decision on the batched serving path: every op except
    max/min emits once per TH group (the final partial group included,
    flushed by [Th_unit.finish]); max/min emit their extremum exactly
@@ -600,19 +526,10 @@ let execute_batch_into ?lane_mask ?(pool = Pool.sequential) ?kernel_mode t
     launch ~batch ~(out : A.Rng.ba) =
   if batch < 1 then invalid_batch batch
   else
-    match
-      match injected_fault launch with
-      | Error e -> Error e
-      | Ok () -> batch_setup ?lane_mask ?kernel_mode t launch
-    with
-    | Error e -> Error e
-    | Ok (_, _, None) ->
-        E.fail ~layer:"machine" ~code:E.Unsupported
-          ~context:
-            [ ("des", "xreg/write_buffer feedback, reference mode, or \
-                       non-fused task shape") ]
-          "execute_batch_into requires the batched fused fast path"
-    | Ok (banks, avail_adc, Some kernels) ->
+    match (setup ?lane_mask ?kernel_mode t launch, launch.th.Th_unit.des) with
+    | Error e, _ -> Error e
+    | ( Ok ({ kernels = Some kernels; _ } as s),
+        (Opcode.Des_output_buffer | Opcode.Des_acc) ) ->
         let task = launch.task in
         let iters = Task.iterations task in
         let thc = launch.th in
@@ -626,14 +543,9 @@ let execute_batch_into ?lane_mask ?(pool = Pool.sequential) ?kernel_mode t
               ]
             "output buffer too small for batch"
         else begin
-          let n = Array.length banks in
+          let n = Array.length kernels in
           let per = batch * iters in
-          let plane = batch_plane t ~need:(n * per) in
-          fill_batch_plane ~pool ~kernels ~plane ~batch ~iters;
-          let stalls =
-            if Task.uses_adc task then excess_adc_stalls task ~avail:avail_adc
-            else 0
-          in
+          let plane = fill_plane ~pool t launch kernels ~batch in
           (* TH inlined for the zero-allocation loop: [Th_unit.push]'s
              state lives in a mixed record whose float stores box, and
              its emits are [Some {record}] — both allocate per group.
@@ -731,18 +643,27 @@ let execute_batch_into ?lane_mask ?(pool = Pool.sequential) ?kernel_mode t
               cycles =
                 Timing.task_cycles task
                 + ((batch - 1) * iters * tp)
-                + (batch * stalls);
+                + (batch * s.stall_cycles);
               adc_conversions = batch * iters;
               crossbank_transfers =
                 Crossbank.transfers_per_iteration ~banks:n * iters * batch;
               th_ops =
                 batch * ((iters + acc_num) / (acc_num + 1));
-              stall_cycles = batch * stalls;
+              stall_cycles = batch * s.stall_cycles;
             }
           in
           Trace.record t.trace record;
           Ok epd
         end
+    | Ok _, _ ->
+        E.fail ~layer:"machine" ~code:E.Unsupported
+          ~context:
+            [
+              ( "des",
+                "xreg/write_buffer destination, reference mode, X-REG flip \
+                 profile, or non-fused task shape" );
+            ]
+          "execute_batch_into requires the sample plane"
 
 let run_program_batch ?pool ?kernel_mode t (program : Program.t) ~batch =
   if batch < 1 then invalid_batch batch

@@ -22,14 +22,18 @@ type t
 (** How {!execute} runs the per-bank iteration chain.
 
     [Fused] (the default) compiles one {!Kernel} per bank of the group
-    — a single fused pass with the swing/noise/LUT/leakage/fault
-    constants hoisted out of the loop and pre-sampled per 8-bit code,
-    running into preallocated scratch (no steady-state allocations) —
-    and caches it on the machine, revalidating per execute.
-    [Reference] is the original scalar path ({!Bank.run_iteration}).
-    The two are bit-identical on every task, profile, fault set and
-    lane mask (the differential QCheck suite enforces it); [Reference]
-    exists as the oracle for that suite and for debugging. *)
+    — the swing/noise/LUT/leakage/fault constants hoisted out of the
+    loop and pre-sampled per 8-bit code — caches it on the machine,
+    revalidating per launch, and samples every decision through the
+    sample plane ({!Kernel.sample_batch_into}); a single decision is
+    batch 1. Launches no kernel can express — task shapes outside the
+    fused pattern, banks with an X-REG transient upset profile, and
+    launches that route emits into an X-REG row the task itself reads
+    — run the scalar loop over {!Bank.run_iteration}, which is all
+    [Reference] runs. The two are bit-identical on every task, profile,
+    fault set, destination and lane mask (the differential QCheck
+    suites enforce it); [Reference] exists as the oracle for those
+    suites, as the serving tier's digital twin, and for debugging. *)
 type kernel_mode = Fused | Reference
 
 (** The session default: [Reference] when the [PROMISE_KERNEL_MODE]
@@ -74,14 +78,16 @@ type result = {
     (lane sparing, {!Layout.lane_mask_of_map}) restricts charge sharing
     to the masked physical lanes. [pool] (default
     {!Promise_core.Pool.sequential}) fans the banks of a multi-bank
-    group out across domains, bank-major; because every bank draws from
-    its own split RNG stream and X-REG/write-buffer destinations stay
-    on the sequential path, results are bit-identical at any job count.
-    [kernel_mode] (default {!default_kernel_mode}) selects the fused
-    compiled-kernel datapath or the scalar reference path — also
-    bit-identical by contract. [Error] (typed, layer ["machine"]) when
-    the task fails validation, the bank group exceeds the machine, or
-    every ADC unit of the group is dead. *)
+    group out across domains while they fill the sample plane,
+    bank-major; because every bank draws from its own split RNG stream,
+    results are bit-identical at any job count. [kernel_mode] (default
+    {!default_kernel_mode}) selects the fused datapath or the scalar
+    reference path — also bit-identical by contract. [execute] is
+    {!execute_batch} at batch 1. [Error] (typed, layer ["machine"]) when
+    the [machine.execute] failpoint fires, the task fails validation,
+    the bank group exceeds the machine, or every ADC unit of the group
+    is dead — all checked before any bank state or RNG stream is
+    touched. *)
 val execute :
   ?lane_mask:bool array ->
   ?pool:Promise_core.Pool.t ->
@@ -129,7 +135,7 @@ val run_program :
 
 (** {2 Batched execution}
 
-    The batch engine runs N decisions of one launch in a single pass:
+    The sample plane runs N decisions of one launch in a single pass:
     each bank of the group samples its whole batch through
     {!Kernel.sample_batch_into} into a bank-major structure-of-arrays
     plane (noise for the whole batch drawn in one
@@ -150,15 +156,14 @@ val default_batch : unit -> int
 
 (** [execute_batch ?lane_mask ?pool ?kernel_mode t launch ~batch] — run
     [batch] decisions of [launch], returning one {!result} per decision
-    (index = decision order). Decisions whose launch shape supports it
-    (fused kernels on every bank, output-buffer/ACC destination,
-    [iterations > 0]) take the batched fast path; anything else —
-    including [`Reference`] mode, which is the differential oracle —
-    falls back to [batch] sequential {!execute} calls, so the call is
-    total over every launch {!execute} accepts. [pool] fans the banks
-    of the group out bank-major with one synchronization per batch.
-    [Error] with [Invalid_operand] when [batch < 1], otherwise exactly
-    {!execute}'s errors. *)
+    (index = decision order). When every bank of the group has a fused
+    kernel (see {!kernel_mode}), the whole batch rides the sample plane
+    after one set-up, which consults the [machine.execute] failpoint
+    once; otherwise each decision runs the scalar loop after its own
+    set-up, exactly as [batch] {!execute} calls would. [pool] fans the
+    banks of the group out bank-major with one synchronization per
+    batch. [Error] with [Invalid_operand] when [batch < 1], otherwise
+    exactly {!execute}'s errors. *)
 val execute_batch :
   ?lane_mask:bool array ->
   ?pool:Promise_core.Pool.t ->
@@ -186,7 +191,9 @@ val emissions_per_decision : Promise_isa.Task.t -> th:Th_unit.config -> int
     same-shape decisions, so cycles = task_cycles + (batch − 1) ×
     iterations × TP, plus per-decision degraded-ADC stalls
     ({!Scheduler.run_batch} validates the closed form). Requires the
-    batched fast path ([Unsupported] otherwise) and
+    sample plane and an output-buffer or ACC destination — it writes
+    values, not X-REG or write-buffer state — ([Unsupported]
+    otherwise, before any state is touched) and
     [Bigarray.Array1.dim out >= batch * epd]. *)
 val execute_batch_into :
   ?lane_mask:bool array ->
@@ -222,6 +229,11 @@ module For_tests : sig
   val stall_memo_stats : unit -> int * int
 
   val reset_stall_memo : unit -> unit
+
+  (** [cached_kernel t ~bank] — the kernel slot of machine bank [bank]:
+      the last kernel specialized for it, [None] when its last launch
+      had none. *)
+  val cached_kernel : t -> bank:int -> Kernel.t option
 end
 
 (** {2 Data staging} *)

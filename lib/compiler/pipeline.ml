@@ -47,14 +47,6 @@ module Cache = struct
   let codegen_tbl : (string, Promise_isa.Program.t * int ref) Hashtbl.t =
     Hashtbl.create 64
 
-  (* Batched dispatch plans are launch-shape-dependent artifacts: the
-     key is digest (graph, batch), so a plan compiled for
-     single-decision execution can never be served to a batched launch
-     (and vice versa) — the runtime additionally rejects a mismatched
-     plan with a typed error if one is forced past the cache. *)
-  let plan_tbl : (string, Runtime.batch_plan * int ref) Hashtbl.t =
-    Hashtbl.create 64
-
   let digest v = Digest.to_hex (Digest.string (Marshal.to_string v []))
 
   let set_enabled b = Mutex.protect lock (fun () -> enabled := b)
@@ -74,7 +66,6 @@ module Cache = struct
         Hashtbl.reset frontend_tbl;
         Hashtbl.reset optimize_tbl;
         Hashtbl.reset codegen_tbl;
-        Hashtbl.reset plan_tbl;
         hits := 0;
         misses := 0;
         evictions := 0)
@@ -88,8 +79,7 @@ module Cache = struct
           entries =
             Hashtbl.length frontend_tbl
             + Hashtbl.length optimize_tbl
-            + Hashtbl.length codegen_tbl
-            + Hashtbl.length plan_tbl;
+            + Hashtbl.length codegen_tbl;
         })
 
   (* Must be called with [lock] held. *)
@@ -223,21 +213,6 @@ let run ?machine ?recovery ?pool ?kernel_mode kernel bindings =
   let* graph = compile kernel in
   Runtime.run ?machine ?recovery ?pool ?kernel_mode graph bindings
 
-(* The plan is keyed on (graph, batch): the same graph at two batch
-   widths is two distinct cache entries, so a single-decision plan can
-   never be replayed for a batched launch. *)
-let plan_for graph ~batch =
-  if batch < 1 then
-    E.fail ~layer:"compiler" ~code:E.Invalid_operand
-      ~context:[ ("batch", string_of_int batch) ]
-      "batch must be >= 1"
-  else
-    Cache.memo Cache.plan_tbl
-      (Cache.digest (graph, batch))
-      (fun () -> Ok (Runtime.plan_batch graph ~batch))
-
 let run_batch ?machine ?recovery ?pool ?kernel_mode kernel bindings ~batch =
   let* graph = compile kernel in
-  let* plan = plan_for graph ~batch in
-  Runtime.run_batch ~plan ?machine ?recovery ?pool ?kernel_mode graph bindings
-    ~batch
+  Runtime.run_batch ?machine ?recovery ?pool ?kernel_mode graph bindings ~batch

@@ -80,19 +80,8 @@ val run :
   Runtime.bindings ->
   (Runtime.run_result, Promise_core.Error.t) result
 
-(** [plan_for graph ~batch] — the memoized {!Runtime.plan_batch}. The
-    cache key is the digest of [(graph, batch)] — the launch shape is
-    part of the key, so a plan compiled for batch [1] is a cache miss
-    (never a stale hit) at batch [8] and vice versa. Typed
-    [Invalid_operand] when [batch < 1]. *)
-val plan_for :
-  Promise_ir.Graph.t ->
-  batch:int ->
-  (Runtime.batch_plan, Promise_core.Error.t) result
-
 (** [run_batch ?machine ?recovery ?pool ?kernel_mode kernel bindings
-    ~batch] — compile, fetch (or compute) the batch-shape-keyed
-    dispatch plan, and execute [batch] decisions
+    ~batch] — compile and execute [batch] decisions
     ({!Runtime.run_batch}). Bit-identical to [batch] sequential {!run}
     calls on the same machine. *)
 val run_batch :

@@ -347,8 +347,22 @@ let allowed_groups ~excluded ~(plan : Layout.plan) ~groups =
   in
   List.filter ok (List.init max_group (fun g -> g))
 
+(* Streaming X (one X vector per W row) re-loads X-REG for every row:
+   one chunk per row. *)
+let streaming (at : At.t) x_opt =
+  match x_opt with
+  | Some x ->
+      at.At.loop_iterations > 1
+      && Array.length x = at.At.vector_len * at.At.loop_iterations
+  | None -> false
+
+(* [run_task ~batch] runs [batch] decisions of one graph node, chunk by
+   chunk: each chunk loads its operands once and its decisions ride
+   [Machine.execute_batch] (or, canary-checked, [Machine.execute] per
+   decision and retry). Element [d] of the result is decision [d]'s
+   output. At batch 1 this is the node's single run. *)
 let run_task ?pool ?kernel_mode machine ~(recovery : recovery option)
-    ~counters (at : At.t) ~terminal ~w ~x_opt ~original_n =
+    ~counters (at : At.t) ~terminal ~w ~x_opt ~original_n ~batch =
   let* () =
     match x_opt with
     | Some x
@@ -361,13 +375,7 @@ let run_task ?pool ?kernel_mode machine ~(recovery : recovery option)
           (at.At.vector_len * at.At.loop_iterations)
     | _ -> Ok ()
   in
-  let streaming =
-    match x_opt with
-    | Some x ->
-        at.At.loop_iterations > 1
-        && Array.length x = at.At.vector_len * at.At.loop_iterations
-    | None -> false
-  in
+  let streaming = streaming at x_opt in
   let w_codes, x_codes, rescale = quantize_operands at w x_opt in
   let groups = Machine.n_banks machine in
   (* Lane sparing: plan around the faulty columns and scatter slices
@@ -401,7 +409,7 @@ let run_task ?pool ?kernel_mode machine ~(recovery : recovery option)
   let excluded =
     match recovery with Some r -> r.excluded_banks | None -> []
   in
-  let values = ref [] and decision = ref None in
+  let values = Array.make batch [] and decisions = Array.make batch None in
   let run_chunks plan ~adc_gain ~rows_of_chunk ~w_rows_of_chunk ~x_of_chunk
       ~n_chunks =
     let* template =
@@ -458,11 +466,12 @@ let run_task ?pool ?kernel_mode machine ~(recovery : recovery option)
             des = task.Task.op_param.Op_param.des;
           }
         in
-        let* outcome =
+        let* outcomes =
           match mode with
           | `Digital ->
-              counters.c_fallbacks <- counters.c_fallbacks + 1;
-              Ok (`Fallback (ideal_chunk at ~plan ~th ~w_rows ~x_row:x_chunk))
+              counters.c_fallbacks <- counters.c_fallbacks + batch;
+              let fallback = ideal_chunk at ~plan ~th ~w_rows ~x_row:x_chunk in
+              Ok (Array.make batch (`Fallback fallback))
           | `Analog allowed ->
               let group = List.nth allowed (chunk mod List.length allowed) in
               Machine.load_weights ?lane_map machine ~group ~base:0 ~plan
@@ -491,10 +500,11 @@ let run_task ?pool ?kernel_mode machine ~(recovery : recovery option)
                      Opcode.Des_output_buffer
               in
               if not checked then
-                let* result =
-                  Machine.execute ?lane_mask ?pool ?kernel_mode machine launch
+                let* results =
+                  Machine.execute_batch ?lane_mask ?pool ?kernel_mode machine
+                    launch ~batch
                 in
-                Ok (`Accepted result)
+                Ok (Array.map (fun r -> `Accepted r) results)
               else
                 let r = Option.get recovery in
                 let reference, ref_argext =
@@ -531,23 +541,30 @@ let run_task ?pool ?kernel_mode machine ~(recovery : recovery option)
                         (r.max_retries + 1)
                   end
                 in
-                attempt 0
+                let rec decide acc d =
+                  if d = batch then Ok (Array.of_list (List.rev acc))
+                  else
+                    let* o = attempt 0 in
+                    decide (o :: acc) (d + 1)
+                in
+                decide [] 0
         in
-        (match outcome with
-        | `Accepted result ->
-            values := !values @ result.Machine.emitted @ result.Machine.xreg_out;
-            (match result.Machine.argext with
+        Array.iteri
+          (fun d outcome ->
+            let chunk_values, argext =
+              match outcome with
+              | `Accepted result ->
+                  ( result.Machine.emitted @ result.Machine.xreg_out,
+                    result.Machine.argext )
+              | `Fallback (reference, ref_argext) -> (reference, ref_argext)
+            in
+            values.(d) <- values.(d) @ chunk_values;
+            match argext with
             | Some (gidx, v) ->
-                decision :=
-                  better_decision class4 (row_offset + gidx, v) !decision
+                decisions.(d) <-
+                  better_decision class4 (row_offset + gidx, v) decisions.(d)
             | None -> ())
-        | `Fallback (reference, ref_argext) ->
-            values := !values @ reference;
-            (match ref_argext with
-            | Some (gidx, v) ->
-                decision :=
-                  better_decision class4 (row_offset + gidx, v) !decision
-            | None -> ()));
+          outcomes;
         go (chunk + 1) (row_offset + rows_c)
     in
     go 0 0
@@ -585,27 +602,39 @@ let run_task ?pool ?kernel_mode machine ~(recovery : recovery option)
         ~x_of_chunk:(fun _ -> x_codes)
         ~n_chunks:plan.Layout.tasks
   in
-  let values = Array.of_list !values in
   (* Decision tasks surface their extremum; mean tasks reduce on host. *)
-  match at.At.digital_op with
-  | At.Do_mean ->
-      let total = Array.fold_left ( +. ) 0.0 values in
-      Ok { values = [| total /. float_of_int original_n |]; decision = None }
-  | At.Do_min | At.Do_max -> Ok { values; decision = !decision }
-  | At.Do_none | At.Do_sigmoid | At.Do_relu | At.Do_threshold ->
-      Ok { values; decision = None }
+  Ok
+    (Array.mapi
+       (fun d values ->
+         let values = Array.of_list values in
+         match at.At.digital_op with
+         | At.Do_mean ->
+             let total = Array.fold_left ( +. ) 0.0 values in
+             {
+               values = [| total /. float_of_int original_n |];
+               decision = None;
+             }
+         | At.Do_min | At.Do_max -> { values; decision = decisions.(d) }
+         | At.Do_none | At.Do_sigmoid | At.Do_relu | At.Do_threshold ->
+             { values; decision = None })
+       values)
+
+let default_machine g =
+  Machine.create
+    {
+      Machine.banks = required_banks g;
+      profile = Bank.Silicon;
+      noise_seed = Some 42;
+    }
+
+let original_n b (at : At.t) =
+  match Hashtbl.find_opt b.flat_lengths at.At.w with
+  | Some n -> n
+  | None -> at.At.vector_len * at.At.loop_iterations
 
 let run ?machine ?recovery ?pool ?kernel_mode g b =
   let machine =
-    match machine with
-    | Some m -> m
-    | None ->
-        Machine.create
-          {
-            Machine.banks = required_banks g;
-            profile = Bank.Silicon;
-            noise_seed = Some 42;
-          }
+    match machine with Some m -> m | None -> default_machine g
   in
   (* Consulted before the first task dispatches, so the machine is
      untouched when the injected fault surfaces — retrying the whole
@@ -631,17 +660,12 @@ let run ?machine ?recovery ?pool ?kernel_mode g b =
         let at = Graph.task g id in
         let* w = resolve_w g b id at in
         let* x_opt = resolve_x g b outputs id at in
-        let original_n =
-          match Hashtbl.find_opt b.flat_lengths at.At.w with
-          | Some n -> n
-          | None -> at.At.vector_len * at.At.loop_iterations
-        in
         let terminal = Graph.successors g id = [] in
         let* out =
           run_task ?pool ?kernel_mode machine ~recovery ~counters at ~terminal
-            ~w ~x_opt ~original_n
+            ~w ~x_opt ~original_n:(original_n b at) ~batch:1
         in
-        Hashtbl.replace outputs id out;
+        Hashtbl.replace outputs id out.(0);
         Ok (id :: ids))
       (Ok []) order
   in
@@ -664,233 +688,62 @@ let run ?machine ?recovery ?pool ?kernel_mode g b =
       stats;
     }
 
-(* ------------------------------------------------------------------ *)
-(* Batched execution                                                    *)
-(* ------------------------------------------------------------------ *)
+(* Chunk-major batching — each chunk's operands loaded once, all
+   decisions on [Machine.execute_batch] — is bit-identical to replaying
+   [run] decision by decision when every chunk owns its bank group:
+   each group's RNG streams then see exactly their own decisions in
+   order, and operand loads are idempotent. Streaming X re-loads X-REG
+   per row (one chunk per row), and more chunks than groups would
+   interleave two chunks on one group's streams. *)
+let chunk_major_exact machine (at : At.t) ~x_opt =
+  (not (streaming at x_opt))
+  &&
+  match
+    Layout.plan ~vector_len:at.At.vector_len ~rows:at.At.loop_iterations ()
+  with
+  | Ok plan ->
+      plan.Layout.tasks
+      <= List.length
+           (allowed_groups ~excluded:[] ~plan ~groups:(Machine.n_banks machine))
+  | Error _ -> false
 
-type batch_plan = { batch : int; single_node : bool }
-
-let plan_batch g ~batch =
-  if batch < 1 then invalid_arg "Runtime.plan_batch: batch must be >= 1";
-  {
-    batch;
-    single_node = (match Graph.tasks g with [ _ ] -> true | _ -> false);
-  }
-
-(* The batched single-node fast path: every chunk loads its operands
-   once and runs all [batch] decisions through
-   [Machine.execute_batch]. [Ok None] — before any machine mutation —
-   when the configuration can't take it:
-
-   - streaming X re-loads X-REG per row (chunk count = row count, far
-     beyond the group count);
-   - a non-output-buffer destination feeds bank state forward;
-   - more chunks than bank groups would interleave two chunks on one
-     group's RNG streams, so chunk-major batching would consume them in
-     a different order than decision-major sequential execution.
-
-   When the chunks map to distinct groups, chunk-major is bit-identical
-   to decision-major: each group's streams see exactly their own
-   decisions in order, and operand loads are idempotent. *)
-let run_task_batch ?pool ?kernel_mode machine (at : At.t) ~terminal ~w ~x_opt
-    ~original_n ~batch =
-  let* () =
-    match x_opt with
-    | Some x
-      when Array.length x <> at.At.vector_len
-           && Array.length x <> at.At.vector_len * at.At.loop_iterations ->
-        fail ~code:E.Invalid_operand
-          ~context:[ ("task", at.At.name) ]
-          "X has %d elements, expected %d (broadcast) or %d (streaming)"
-          (Array.length x) at.At.vector_len
-          (at.At.vector_len * at.At.loop_iterations)
-    | _ -> Ok ()
-  in
-  let streaming =
-    match x_opt with
-    | Some x ->
-        at.At.loop_iterations > 1
-        && Array.length x = at.At.vector_len * at.At.loop_iterations
-    | None -> false
-  in
-  if streaming then Ok None
-  else
-    let w_codes, x_codes, rescale = quantize_operands at w x_opt in
-    let groups = Machine.n_banks machine in
-    let* plan =
-      Result.map_error
-        (E.of_string ~layer:"runtime")
-        (Layout.plan ~vector_len:at.At.vector_len ~rows:at.At.loop_iterations
-           ())
-    in
-    let adc_gain =
-      estimate_adc_gain at plan ~w_codes ~x_for_row:(fun _ -> x_codes)
-    in
-    let* template =
-      Lower.lower_chunk ~terminal at ~plan ~chunk:0 ~w_base:0 ~xreg_base:0
-    in
-    let n_chunks = plan.Layout.tasks in
-    let allowed = allowed_groups ~excluded:[] ~plan ~groups in
-    if
-      (not
-         (Opcode.equal_destination template.Task.op_param.Op_param.des
-            Opcode.Des_output_buffer))
-      || n_chunks > List.length allowed
-    then Ok None
-    else begin
-      let class4 = template.Task.class4 in
-      let gain =
-        float_of_int plan.Layout.lanes_per_bank
-        *. Bank.analog_scale template *. rescale
-      in
-      let values_d = Array.make batch [] in
-      let decision_d = Array.make batch None in
-      let rec go chunk row_offset =
-        if chunk >= n_chunks then Ok ()
-        else
-          let rows_c = Layout.chunk_rows plan chunk in
-          let* task =
-            if rows_c = plan.Layout.rows_per_task then Ok template
-            else
-              Lower.lower_chunk ~terminal at
-                ~plan:
-                  {
-                    plan with
-                    Layout.rows = rows_c;
-                    rows_per_task = rows_c;
-                    tasks = 1;
-                  }
-                ~chunk:0 ~w_base:0 ~xreg_base:0
-          in
-          let w_rows =
-            Array.sub w_codes (chunk * plan.Layout.rows_per_task) rows_c
-          in
-          let group = List.nth allowed (chunk mod List.length allowed) in
-          Machine.load_weights machine ~group ~base:0 ~plan w_rows;
-          (match x_codes with
-          | Some xc -> Machine.load_x machine ~group ~xreg_base:0 ~plan xc
-          | None -> ());
-          let th =
-            {
-              Th_unit.op = class4;
-              acc_num = task.Task.op_param.Op_param.acc_num;
-              threshold = at.At.threshold;
-              gain;
-              des = task.Task.op_param.Op_param.des;
-            }
-          in
-          let launch =
-            {
-              Machine.task;
-              bank_group = group;
-              active_lanes = plan.Layout.lanes_per_bank;
-              adc_gain;
-              th;
-              dest_xreg = dest_xreg_index;
-            }
-          in
-          let* results =
-            Machine.execute_batch ?pool ?kernel_mode machine launch ~batch
-          in
-          Array.iteri
-            (fun d (r : Machine.result) ->
-              values_d.(d) <-
-                values_d.(d) @ r.Machine.emitted @ r.Machine.xreg_out;
-              match r.Machine.argext with
-              | Some (gidx, v) ->
-                  decision_d.(d) <-
-                    better_decision class4 (row_offset + gidx, v) decision_d.(d)
-              | None -> ())
-            results;
-          go (chunk + 1) (row_offset + rows_c)
-      in
-      let* () = go 0 0 in
-      let outputs =
-        Array.init batch (fun d ->
-            let values = Array.of_list values_d.(d) in
-            match at.At.digital_op with
-            | At.Do_mean ->
-                let total = Array.fold_left ( +. ) 0.0 values in
-                {
-                  values = [| total /. float_of_int original_n |];
-                  decision = None;
-                }
-            | At.Do_min | At.Do_max -> { values; decision = decision_d.(d) }
-            | At.Do_none | At.Do_sigmoid | At.Do_relu | At.Do_threshold ->
-                { values; decision = None })
-      in
-      Ok (Some outputs)
-    end
-
-let run_batch ?plan ?machine ?recovery ?pool ?kernel_mode g b ~batch =
+let run_batch ?machine ?recovery ?pool ?kernel_mode g b ~batch =
   if batch < 1 then
     E.fail ~layer:"runtime" ~code:E.Invalid_operand
       ~context:[ ("batch", string_of_int batch) ]
       "batch must be >= 1"
   else
-    let bplan = match plan with Some p -> p | None -> plan_batch g ~batch in
-    if bplan.batch <> batch then
-      E.fail ~layer:"runtime" ~code:E.Invalid_operand
-        ~context:
-          [
-            ("plan_batch", string_of_int bplan.batch);
-            ("batch", string_of_int batch);
-          ]
-        "batch plan was computed for a different batch shape"
-    else
-      let machine =
-        match machine with
-        | Some m -> m
-        | None ->
-            Machine.create
-              {
-                Machine.banks = required_banks g;
-                profile = Bank.Silicon;
-                noise_seed = Some 42;
-              }
-      in
-      let replay () =
-        let rec go acc d =
-          if d = batch then Ok (Array.of_list (List.rev acc))
-          else
-            match run ~machine ?recovery ?pool ?kernel_mode g b with
-            | Ok r -> go (r :: acc) (d + 1)
-            | Error e -> Error e
-        in
-        go [] 0
-      in
-      let fast =
-        if (not bplan.single_node) || recovery <> None || batch = 1 then None
+    let machine =
+      match machine with Some m -> m | None -> default_machine g
+    in
+    let replay () =
+      let rec go acc d =
+        if d = batch then Ok (Array.of_list (List.rev acc))
         else
-          match Graph.tasks g with
-          | [ (id, at) ] ->
-              let attempt =
-                let* w = resolve_w g b id at in
-                let* x_opt = resolve_x g b (Hashtbl.create 1) id at in
-                let original_n =
-                  match Hashtbl.find_opt b.flat_lengths at.At.w with
-                  | Some n -> n
-                  | None -> at.At.vector_len * at.At.loop_iterations
-                in
-                let terminal = Graph.successors g id = [] in
-                let* outs =
-                  run_task_batch ?pool ?kernel_mode machine at ~terminal ~w
-                    ~x_opt ~original_n ~batch
-                in
-                Ok (Option.map (fun o -> (id, o)) outs)
-              in
-              Some attempt
-          | _ -> None
+          let* r = run ~machine ?recovery ?pool ?kernel_mode g b in
+          go (r :: acc) (d + 1)
       in
-      match fast with
-      | Some (Ok (Some (id, outs))) ->
+      go [] 0
+    in
+    match (recovery, Graph.tasks g) with
+    | None, [ (id, at) ] when batch > 1 ->
+        let* w = resolve_w g b id at in
+        let* x_opt = resolve_x g b (Hashtbl.create 1) id at in
+        if not (chunk_major_exact machine at ~x_opt) then replay ()
+        else
+          let counters =
+            { c_retries = 0; c_fallbacks = 0; c_canary_failures = 0 }
+          in
+          let* outs =
+            run_task ?pool ?kernel_mode machine ~recovery ~counters at
+              ~terminal:true ~w ~x_opt ~original_n:(original_n b at) ~batch
+          in
           Ok
             (Array.map
                (fun o ->
                  { outputs = [ (id, o) ]; machine; stats = no_recovery_stats })
                outs)
-      | Some (Ok None) | None -> replay ()
-      | Some (Error e) -> Error e
+    | _ -> replay ()
 
 let output_of r id =
   match List.assoc_opt id r.outputs with

@@ -113,34 +113,21 @@ val run :
 
 (** {2 Batched execution} *)
 
-(** A launch-shape plan for batched execution: which dispatch strategy
-    {!run_batch} takes for a (graph, batch) pair. Plans are cheap to
-    compute but cacheable ({!Promise_compiler.Pipeline.Cache} keys them
-    on the graph digest AND the batch shape — a plan for one batch
-    width is rejected at another, never silently reused). *)
-type batch_plan = private { batch : int; single_node : bool }
-
-(** [plan_batch g ~batch] — analyze [g] for batched dispatch. Raises
-    [Invalid_argument] when [batch < 1]. *)
-val plan_batch : Promise_ir.Graph.t -> batch:int -> batch_plan
-
-(** [run_batch ?plan ?machine ?recovery ?pool ?kernel_mode g b ~batch]
-    — run [batch] independent decisions of the graph on one machine,
+(** [run_batch ?machine ?recovery ?pool ?kernel_mode g b ~batch] — run
+    [batch] independent decisions of the graph on one machine,
     returning decision [d]'s {!run_result} at index [d].
 
     Bit-identity contract: the results are exactly those of [batch]
-    successive {!run} calls on the same machine. Single-node graphs
-    whose chunks map to distinct bank groups with output-buffer
-    destinations (and no [recovery]) load operands once per chunk and
-    ride {!Promise_arch.Machine.execute_batch}; everything else —
-    multi-node DAGs, streaming X, canary-checked recovery — replays
-    {!run} sequentially, which is the same thing by definition.
-
-    [plan] (default [plan_batch g ~batch]) supplies the cached dispatch
-    analysis; a plan computed for a different batch shape is a typed
-    [Invalid_operand] error. [Invalid_operand] too when [batch < 1]. *)
+    successive {!run} calls on the same machine. A single-node graph
+    without [recovery] whose chunks each own a bank group (no streaming
+    X) runs chunk by chunk: operands load once per chunk and the
+    decisions ride {!Promise_arch.Machine.execute_batch}, which is
+    bit-identical because each group's RNG streams see exactly their
+    own decisions in order. Everything else — multi-node DAGs,
+    streaming X, more chunks than groups, canary-checked recovery —
+    replays {!run}, which is the same thing by definition.
+    [Invalid_operand] when [batch < 1]. *)
 val run_batch :
-  ?plan:batch_plan ->
   ?machine:Promise_arch.Machine.t ->
   ?recovery:recovery ->
   ?pool:Promise_core.Pool.t ->

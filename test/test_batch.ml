@@ -3,10 +3,11 @@
    single-decision runs — against both the fused path and the scalar
    reference oracle — across task shapes, fault profiles, swing/launch
    configurations and batch sizes (including N = 1, pool width, and
-   ragged chained batches). Plus: the zero-allocation serving path's Gc
-   property, the pipelined-timing closed form (Scheduler.run_batch),
-   launch-shape-keyed batch plans in Pipeline.Cache, and typed
-   validation of --batch / PROMISE_BATCH. *)
+   ragged chained batches), every destination included. Plus: the
+   [machine.execute] failpoint on the plane, the zero-allocation
+   serving path's Gc property, the pipelined-timing closed form
+   (Scheduler.run_batch), and typed validation of --batch /
+   PROMISE_BATCH. *)
 
 module P = Promise
 module Arch = P.Arch
@@ -21,8 +22,8 @@ module Program = P.Isa.Program
 module Dsl = P.Ir.Dsl
 module Rt = P.Compiler.Runtime
 module Pipeline = P.Compiler.Pipeline
-module Cache = Pipeline.Cache
 module Pool = P.Pool
+module Fp = P.Failpoint
 module E = P.Error
 
 let check = Alcotest.check
@@ -41,13 +42,15 @@ type case = {
   banks_log : int;
   mb : int;
   rpt : int;
-  shape : int;  (** includes the non-fusable passthrough shape *)
+  shape : int;  (** includes a shape with no fused kernel *)
   fault : int;
   masked : bool;
   active_lanes : int;
   gain_log : int;
   swing : int;
   x_prd : int;
+  des : int;  (** 0 output buffer, 1 acc, 2 X-REG, 3 write buffer *)
+  dest_xreg : int;
   batch : int;
 }
 
@@ -68,15 +71,20 @@ let gen_case st =
     gain_log = int_bound 2 st;
     swing = int_bound 7 st;
     x_prd = int_bound 3 st;
+    des = int_bound 3 st;
+    (* rows 0..3 are the ones X addressing can read: weight them *)
+    dest_xreg = frequency [ (3, int_bound 3); (1, int_range 4 7) ] st;
     batch = oneofl [ 1; 2; 3; 4; 8; 16; 33 ] st;
   }
 
 let print_case c =
   Printf.sprintf
     "{seed=%d; noisy=%b; profile=%d; banks=%d; mb=%d; rpt=%d; shape=%d; \
-     fault=%d; masked=%b; lanes=%d; gain=%d; swing=%d; x_prd=%d; batch=%d}"
+     fault=%d; masked=%b; lanes=%d; gain=%d; swing=%d; x_prd=%d; des=%d; \
+     dest_xreg=%d; batch=%d}"
     c.seed c.noisy c.profile (1 lsl c.banks_log) c.mb c.rpt c.shape c.fault
-    c.masked c.active_lanes (1 lsl c.gain_log) c.swing c.x_prd c.batch
+    c.masked c.active_lanes (1 lsl c.gain_log) c.swing c.x_prd c.des
+    c.dest_xreg c.batch
 
 let task_of c =
   let op_param =
@@ -87,6 +95,12 @@ let task_of c =
       x_addr1 = 1;
       x_addr2 = 2;
       x_prd = c.x_prd;
+      des =
+        (match c.des with
+        | 0 -> Op.Des_output_buffer
+        | 1 -> Op.Des_acc
+        | 2 -> Op.Des_xreg
+        | _ -> Op.Des_write_buffer);
     }
   in
   let mk ~class1 ~asd ~avd ~class3 ~class4 =
@@ -113,8 +127,8 @@ let task_of c =
       mk ~class1:Op.C1_asubt ~asd:Op.Asd_none ~avd:true ~class3:Op.C3_adc
         ~class4:Op.C4_accumulate
   | _ ->
-      (* aVD off: not fusable — the batch engine must fall back to
-         sequential replay and still be bit-identical *)
+      (* aVD off: no fused kernel — every decision runs the scalar
+         loop and must still be bit-identical *)
       mk ~class1:Op.C1_aread ~asd:Op.Asd_none ~avd:false ~class3:Op.C3_none
         ~class4:Op.C4_accumulate
 
@@ -172,6 +186,7 @@ let launch_of c task =
     (Machine.default_launch task) with
     Machine.active_lanes = c.active_lanes;
     adc_gain = float_of_int (1 lsl c.gain_log);
+    dest_xreg = c.dest_xreg;
   }
 
 let lane_mask_of c =
@@ -243,6 +258,8 @@ let test_ragged_chained () =
           gain_log = 1;
           swing = 7;
           x_prd = 2;
+          des = 0;
+          dest_xreg = 7;
           batch = 8;
         }
       in
@@ -288,6 +305,8 @@ let test_batched_pooled () =
       gain_log = 0;
       swing = 7;
       x_prd = 1;
+      des = 0;
+      dest_xreg = 7;
       batch = 4;
     }
   in
@@ -304,6 +323,9 @@ let test_batched_pooled () =
 (* The zero-allocation serving path                                     *)
 (* ------------------------------------------------------------------ *)
 
+(* [execute_batch_into] serves the sample plane only, so these tests
+   pin the fused datapath instead of inheriting PROMISE_KERNEL_MODE. *)
+
 let serving_case shape =
   {
     seed = 501 + shape;
@@ -319,6 +341,8 @@ let serving_case shape =
     gain_log = 0;
     swing = 7;
     x_prd = 1;
+    des = 0;
+    dest_xreg = 7;
     batch = 8;
   }
 
@@ -339,7 +363,8 @@ let test_into_bitwise () =
       let out = ba_create (c.batch * epd) in
       let n =
         fok
-          (Machine.execute_batch_into (machine_of c) launch ~batch:c.batch
+          (Machine.execute_batch_into ~kernel_mode:Machine.Fused (machine_of c)
+             launch ~batch:c.batch
              ~out)
       in
       check int (Printf.sprintf "shape %d: returned epd" shape) epd n;
@@ -377,9 +402,15 @@ let test_into_zero_alloc () =
   let epd = Machine.emissions_per_decision task ~th:launch.Machine.th in
   let out = ba_create (batch * epd) in
   (* warmup compiles the kernels and grows the noise plane / tables *)
-  ignore (fok (Machine.execute_batch_into m launch ~batch ~out));
+  ignore
+    (fok
+       (Machine.execute_batch_into ~kernel_mode:Machine.Fused m launch ~batch
+          ~out));
   let minor0 = Gc.minor_words () in
-  ignore (fok (Machine.execute_batch_into m launch ~batch ~out));
+  ignore
+    (fok
+       (Machine.execute_batch_into ~kernel_mode:Machine.Fused m launch ~batch
+          ~out));
   let delta = Gc.minor_words () -. minor0 in
   let per_task = delta /. float_of_int batch in
   (* the per-decision loop is allocation-free; the per-call fixed cost
@@ -399,7 +430,10 @@ let test_batch_trace_timing () =
   let batch = 16 in
   let epd = Machine.emissions_per_decision task ~th:launch.Machine.th in
   let out = ba_create (batch * epd) in
-  ignore (fok (Machine.execute_batch_into m launch ~batch ~out));
+  ignore
+    (fok
+       (Machine.execute_batch_into ~kernel_mode:Machine.Fused m launch ~batch
+          ~out));
   match (Machine.trace m).Arch.Trace.records with
   | record :: _ ->
       let iters = Task.iterations task in
@@ -410,6 +444,33 @@ let test_batch_trace_timing () =
       check int "iterations cover the whole batch" (batch * iters)
         record.Arch.Trace.iterations
   | [] -> Alcotest.fail "no trace record"
+
+(* ------------------------------------------------------------------ *)
+(* The machine.execute failpoint on the plane                           *)
+(* ------------------------------------------------------------------ *)
+
+(* [execute_batch] consults [machine.execute] before it touches any
+   state, exactly like [execute]: with [fail_once] armed, a plane
+   launch returns a typed [Fault] and appends nothing, and the retry
+   equals a fresh machine's batch. *)
+let test_batch_failpoint () =
+  let c = serving_case 0 in
+  let launch = launch_of c (task_of c) in
+  let kernel_mode = Machine.Fused in
+  let want =
+    fok (Machine.execute_batch ~kernel_mode (machine_of c) launch ~batch:4)
+  in
+  let m = machine_of c in
+  fok (Fp.configure ~seed:1 [ ("machine.execute", Fp.Fail_once) ]);
+  Fun.protect ~finally:Fp.reset (fun () ->
+      (match Machine.execute_batch ~kernel_mode m launch ~batch:4 with
+      | Error e -> check bool "typed Fault" true (e.E.code = E.Fault)
+      | Ok _ -> Alcotest.fail "the armed failpoint did not fire");
+      check int "the faulted call traced nothing" 0
+        (List.length (Machine.trace m).Arch.Trace.records);
+      let got = fok (Machine.execute_batch ~kernel_mode m launch ~batch:4) in
+      check bool "retry == a fresh machine's batch" true
+        (same_results got want))
 
 (* ------------------------------------------------------------------ *)
 (* Discrete-event validation of the closed form                         *)
@@ -502,11 +563,8 @@ let outputs_of r =
 
 let test_runtime_batch () =
   let g = fok (P.compile bt_kernel) in
-  let plan = fok (Pipeline.plan_for g ~batch:3) in
-  check bool "single-node graph plans the fast path" true
-    plan.Rt.single_node;
   let batched =
-    fok (Rt.run_batch ~plan ~machine:(bt_machine g) g (bt_bindings ()) ~batch:3)
+    fok (Rt.run_batch ~machine:(bt_machine g) g (bt_bindings ()) ~batch:3)
   in
   let m = bt_machine g in
   let sequential =
@@ -521,8 +579,7 @@ let test_runtime_batch () =
         (outputs_of r = outputs_of sequential.(d)))
     batched;
   (* a chained two-layer DAG (layer 1's output is layer 2's X) is
-     genuinely multi-node — argmin/argmax fuse into their producer, so
-     they do NOT leave the single-node fast path *)
+     genuinely multi-node, so its decisions replay [run] *)
   let g2 =
     fok
       (P.compile
@@ -540,8 +597,6 @@ let test_runtime_batch () =
               Dsl.for_store ~iterations:4 ~out:"y" (Dsl.dot "W1" "h");
             ]))
   in
-  check bool "multi-node graph does not claim the fast path" false
-    (fok (Pipeline.plan_for g2 ~batch:3)).Rt.single_node;
   let b2_bindings () =
     let rng = Rng.create 8102 in
     let w0 =
@@ -573,37 +628,6 @@ let test_runtime_batch () =
     b2
 
 (* ------------------------------------------------------------------ *)
-(* Launch-shape-keyed batch plans in the compilation cache              *)
-(* ------------------------------------------------------------------ *)
-
-let test_plan_cache_keying () =
-  let g = fok (P.compile bt_kernel) in
-  Cache.clear ();
-  let s0 = Cache.stats () in
-  let p1 = fok (Pipeline.plan_for g ~batch:1) in
-  let s1 = Cache.stats () in
-  check int "batch 1 plan misses" (s0.Cache.misses + 1) s1.Cache.misses;
-  let p8 = fok (Pipeline.plan_for g ~batch:8) in
-  let s2 = Cache.stats () in
-  check int "batch 8 is a different key: misses again" (s1.Cache.misses + 1)
-    s2.Cache.misses;
-  check int "two plan entries" (s0.Cache.entries + 2) s2.Cache.entries;
-  let p8' = fok (Pipeline.plan_for g ~batch:8) in
-  let s3 = Cache.stats () in
-  check int "batch 8 replay hits" (s2.Cache.hits + 1) s3.Cache.hits;
-  check int "a hit adds no entry" s2.Cache.entries s3.Cache.entries;
-  check bool "cached plan is the stored one" true (p8 = p8');
-  check int "plans carry their batch" 1 p1.Rt.batch;
-  check int "plans carry their batch (8)" 8 p8.Rt.batch;
-  (* a stale single-decision plan forced past the cache is rejected
-     with a typed error, never silently reused for a batched launch *)
-  match
-    Rt.run_batch ~plan:p1 ~machine:(bt_machine g) g (bt_bindings ()) ~batch:8
-  with
-  | Error e -> check bool "typed Invalid_operand" true (e.E.code = E.Invalid_operand)
-  | Ok _ -> Alcotest.fail "stale batch plan was accepted"
-
-(* ------------------------------------------------------------------ *)
 (* Typed validation of --batch / PROMISE_BATCH                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -627,7 +651,7 @@ let test_batch_validation () =
   | Error e -> check bool "runtime rejects batch -2" true (e.E.code = E.Invalid_operand)
   | Ok _ -> Alcotest.fail "runtime accepted batch -2");
   (* pipeline layer *)
-  (match Pipeline.plan_for g ~batch:0 with
+  (match Pipeline.run_batch bt_kernel (bt_bindings ()) ~batch:0 with
   | Error e -> check bool "pipeline rejects batch 0" true (e.E.code = E.Invalid_operand)
   | Ok _ -> Alcotest.fail "pipeline accepted batch 0");
   (* environment *)
@@ -672,6 +696,11 @@ let () =
           Alcotest.test_case "batch trace carries pipelined timing" `Quick
             test_batch_trace_timing;
         ] );
+      ( "failpoint",
+        [
+          Alcotest.test_case "execute_batch faults before touching state"
+            `Quick test_batch_failpoint;
+        ] );
       ( "timing",
         [
           Alcotest.test_case "discrete-event batch matches closed form"
@@ -683,11 +712,6 @@ let () =
             test_run_program_batch;
           Alcotest.test_case "Runtime.run_batch == N Runtime.run" `Quick
             test_runtime_batch;
-        ] );
-      ( "plan cache",
-        [
-          Alcotest.test_case "plans are keyed on (graph, batch)" `Quick
-            test_plan_cache_keying;
         ] );
       ( "validation",
         [

@@ -1,9 +1,11 @@
-(* Differential tests for the compiled iteration kernels: the fused
-   datapath must be bit-identical to the scalar reference path on every
-   task shape, profile, fault set, lane mask and launch shape (QCheck),
-   the fused steady state must not allocate on the minor heap, the
-   8-bit quantizer must be the one shared function everywhere, and the
-   degraded-ADC stall memo must actually memoize. *)
+(* Differential tests for the compiled kernels: the fused datapath must
+   be bit-identical to the scalar reference path on every task shape,
+   profile, fault set, destination, lane mask and launch shape
+   (QCheck), launches that differ only in ADC gain must share one
+   kernel, the batch-1 sample plane must not allocate on the minor heap
+   in the steady state, the 8-bit quantizer must be the one shared
+   function everywhere, and the degraded-ADC stall memo must actually
+   memoize. *)
 
 module P = Promise
 module Arch = P.Arch
@@ -39,6 +41,8 @@ type case = {
   gain_log : int;  (** ADC gain [2^gain_log] *)
   swing : int;
   x_prd : int;
+  des : int;  (** 0 output buffer, 1 acc, 2 X-REG, 3 write buffer *)
+  dest_xreg : int;
 }
 
 let gen_case st =
@@ -58,14 +62,19 @@ let gen_case st =
     gain_log = int_bound 2 st;
     swing = int_bound 7 st;
     x_prd = int_bound 3 st;
+    des = int_bound 3 st;
+    (* rows 0..3 are the ones X addressing can read: weight them *)
+    dest_xreg = frequency [ (3, int_bound 3); (1, int_range 4 7) ] st;
   }
 
 let print_case c =
   Printf.sprintf
     "{seed=%d; noisy=%b; profile=%d; banks=%d; mb=%d; rpt=%d; shape=%d; \
-     fault=%d; masked=%b; lanes=%d; gain=%d; swing=%d; x_prd=%d}"
+     fault=%d; masked=%b; lanes=%d; gain=%d; swing=%d; x_prd=%d; des=%d; \
+     dest_xreg=%d}"
     c.seed c.noisy c.profile (1 lsl c.banks_log) c.mb c.rpt c.shape c.fault
-    c.masked c.active_lanes (1 lsl c.gain_log) c.swing c.x_prd
+    c.masked c.active_lanes (1 lsl c.gain_log) c.swing c.x_prd c.des
+    c.dest_xreg
 
 let task_of c =
   let op_param =
@@ -76,6 +85,12 @@ let task_of c =
       x_addr1 = 1;
       x_addr2 = 2;
       x_prd = c.x_prd;
+      des =
+        (match c.des with
+        | 0 -> Op.Des_output_buffer
+        | 1 -> Op.Des_acc
+        | 2 -> Op.Des_xreg
+        | _ -> Op.Des_write_buffer);
     }
   in
   let mk ~class1 ~asd ~avd ~class3 ~class4 =
@@ -102,7 +117,7 @@ let task_of c =
       mk ~class1:Op.C1_asubt ~asd:Op.Asd_none ~avd:true ~class3:Op.C3_adc
         ~class4:Op.C4_accumulate
   | _ ->
-      (* aVD off: not the fusable shape — exercises the passthrough *)
+      (* aVD off: not the fused shape — no kernel, the scalar loop *)
       mk ~class1:Op.C1_aread ~asd:Op.Asd_none ~avd:false ~class3:Op.C3_none
         ~class4:Op.C4_accumulate
 
@@ -160,6 +175,7 @@ let launch_of c task =
     (Machine.default_launch task) with
     Machine.active_lanes = c.active_lanes;
     adc_gain = float_of_int (1 lsl c.gain_log);
+    dest_xreg = c.dest_xreg;
   }
 
 let lane_mask_of c =
@@ -200,27 +216,30 @@ let qcheck_fused_eq_reference =
 (* Kernel-cache invalidation                                           *)
 (* ------------------------------------------------------------------ *)
 
+let base_case =
+  {
+    seed = 5;
+    noisy = true;
+    profile = 1;
+    banks_log = 1;
+    mb = 1;
+    rpt = 15;
+    shape = 0;
+    fault = 0;
+    masked = false;
+    active_lanes = 128;
+    gain_log = 0;
+    swing = 7;
+    x_prd = 1;
+    des = 0;
+    dest_xreg = 7;
+  }
+
 (* [Bank.set_faults] between two executes must recompile the kernel:
    run the same schedule on a reference machine and a fused machine,
    changing faults mid-stream, and require identical outputs. *)
 let test_cache_invalidation () =
-  let c =
-    {
-      seed = 5;
-      noisy = true;
-      profile = 1;
-      banks_log = 1;
-      mb = 1;
-      rpt = 15;
-      shape = 0;
-      fault = 0;
-      masked = false;
-      active_lanes = 128;
-      gain_log = 0;
-      swing = 7;
-      x_prd = 1;
-    }
-  in
+  let c = base_case in
   let task = task_of c in
   let launch = launch_of c task in
   let newly_stuck = fok (Faults.with_stuck_lane Faults.none ~lane:11 ~code:(-7)) in
@@ -239,6 +258,70 @@ let test_cache_invalidation () =
   check bool "before fault change" true (same_result ra fa);
   check bool "after fault change" true (same_result rb fb);
   check bool "after fault re-set" true (same_result rc fc)
+
+(* A launch that stages X-REG emits into a row its own task reads sees
+   its earlier emits in later iterations; the fused datapath must then
+   match the scalar path, which interleaves sampling and staging. A
+   128-iteration sign-mult task with X_PRD = 3 reads rows 0..3 and
+   emits every iteration, so rows 0..3 are hazards and 4..7 are not. *)
+let test_xreg_self_feed () =
+  for dest_xreg = 0 to Arch.Params.xreg_depth - 1 do
+    let c =
+      {
+        base_case with
+        banks_log = 0;
+        mb = 0;
+        rpt = 127;
+        x_prd = 3;
+        des = 2;
+        dest_xreg;
+      }
+    in
+    let r1, r2 = run_twice c Machine.Reference in
+    let f1, f2 = run_twice c Machine.Fused in
+    match (r1, f1, r2, f2) with
+    | Ok r1, Ok f1, Ok r2, Ok f2 ->
+        check bool
+          (Printf.sprintf "dest_xreg %d: fused == reference" dest_xreg)
+          true
+          (same_result r1 f1 && same_result r2 f2)
+    | _ -> Alcotest.failf "dest_xreg %d: launch failed" dest_xreg
+  done
+
+(* The ADC gain only enters the ADC step, so it is no part of a
+   kernel's identity: launches that differ only in gain reuse the
+   bank's kernel, and each is bitwise what the scalar path computes. *)
+let test_gain_reuses_kernel () =
+  let c = base_case in
+  let task = task_of c in
+  let gains = [ 1.0; 4.0; 2.0 ] in
+  let run mode =
+    let m = machine_of c in
+    List.map
+      (fun adc_gain ->
+        let r =
+          Machine.execute_exn ~kernel_mode:mode m
+            { (launch_of c task) with Machine.adc_gain }
+        in
+        (r, Machine.For_tests.cached_kernel m ~bank:0))
+      gains
+  in
+  let refs = run Machine.Reference in
+  let fused = run Machine.Fused in
+  List.iteri
+    (fun i ((r, _), (f, _)) ->
+      check bool
+        (Printf.sprintf "gain %g: fused == reference" (List.nth gains i))
+        true (same_result r f))
+    (List.combine refs fused);
+  match List.map snd fused with
+  | Some k :: rest ->
+      List.iter
+        (fun k' ->
+          check bool "one kernel serves every gain" true
+            (match k' with Some k' -> k' == k | None -> false))
+        rest
+  | _ -> Alcotest.fail "the fused launch cached no kernel"
 
 (* ------------------------------------------------------------------ *)
 (* Zero-allocation steady state                                        *)
@@ -264,23 +347,32 @@ let test_zero_alloc () =
       ~class2:{ Op.asd = Op.Asd_sign_mult; avd = true }
       ~class3:Op.C3_adc ~class4:Op.C4_accumulate ()
   in
-  let k = Kernel.specialize bank ~task ~active_lanes:128 ~adc_gain:1.0 in
-  check bool "kernel is fused" true (Kernel.is_fused k);
-  let dst = Array.make 1 0.0 in
-  for i = 0 to 255 do
-    Kernel.sample_into k ~iteration:i ~dst ~at:0
+  let k =
+    match Kernel.specialize bank ~task ~active_lanes:128 with
+    | Some k -> k
+    | None -> Alcotest.fail "the fused shape got no kernel"
+  in
+  let dst =
+    Bigarray.Array1.create Bigarray.Float64 Bigarray.C_layout
+      (Task.iterations task)
+  in
+  (* warmup grows this domain's tables and noise tile *)
+  for _ = 1 to 2 do
+    Kernel.sample_batch_into k ~adc_gain:1.0 ~batch:1 ~dst ~off:0
   done;
-  let iters = 10_000 in
+  let decisions = 100 in
   let minor0 = Gc.minor_words () in
-  for i = 0 to iters - 1 do
-    Kernel.sample_into k ~iteration:i ~dst ~at:0
+  for _ = 1 to decisions do
+    Kernel.sample_batch_into k ~adc_gain:1.0 ~batch:1 ~dst ~off:0
   done;
   let delta = Gc.minor_words () -. minor0 in
-  (* noise enabled: the whole lane vector draws through [gaussian_fill];
-     a tiny slack tolerates instrumentation, not per-iteration boxing *)
+  (* noise enabled: each decision draws its whole 128 × 128 plane
+     through [gaussian_fill_ba]; a tiny slack tolerates
+     instrumentation, not per-iteration boxing *)
   if delta > 100.0 then
-    Alcotest.failf "fused steady state allocated %.0f minor words in %d iters"
-      delta iters
+    Alcotest.failf
+      "batch-1 steady state allocated %.0f minor words in %d decisions" delta
+      decisions
 
 (* ------------------------------------------------------------------ *)
 (* One shared 8-bit quantizer                                          *)
@@ -348,6 +440,10 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_fused_eq_reference;
           Alcotest.test_case "set_faults invalidates the kernel cache" `Quick
             test_cache_invalidation;
+          Alcotest.test_case "launches differing only in gain share a kernel"
+            `Quick test_gain_reuses_kernel;
+          Alcotest.test_case "X-REG emits into a row the task reads" `Quick
+            test_xreg_self_feed;
         ] );
       ( "allocation",
         [ Alcotest.test_case "fused steady state is zero-alloc" `Quick
