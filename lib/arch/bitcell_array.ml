@@ -1,7 +1,10 @@
-type t = { words : int array array (* word_rows x lanes, 8-bit codes *) }
+type t = {
+  words : int array array; (* word_rows x lanes, 8-bit codes *)
+  mutable epoch : int; (* writes so far *)
+}
 
 let create () =
-  { words = Array.make_matrix Params.word_rows Params.lanes 0 }
+  { words = Array.make_matrix Params.word_rows Params.lanes 0; epoch = 0 }
 
 let check_addr word_row =
   if word_row < 0 || word_row >= Params.word_rows then
@@ -20,7 +23,10 @@ let write t ~word_row values =
   Array.iter check_code values;
   let row = t.words.(word_row) in
   Array.fill row 0 Params.lanes 0;
-  Array.blit values 0 row 0 (Array.length values)
+  Array.blit values 0 row 0 (Array.length values);
+  t.epoch <- t.epoch + 1
+
+let epoch t = t.epoch
 
 let read t ~word_row =
   check_addr word_row;

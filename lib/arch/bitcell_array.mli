@@ -15,9 +15,16 @@ type t
 val create : unit -> t
 
 (** [write t ~word_row values] — digital write of up to {!Params.lanes}
-    codes into [word_row]; missing lanes are zeroed.
-    Raises [Invalid_argument] on bad address or out-of-range codes. *)
+    codes into [word_row]; missing lanes are zeroed, and {!epoch} moves.
+    Raises [Invalid_argument] on bad address or out-of-range codes (the
+    array and its epoch are then unchanged). *)
 val write : t -> word_row:int -> int array -> unit
+
+(** [epoch t] — the number of {!write}s [t] has taken. {!write} is the
+    only way to change stored codes, so an unchanged epoch proves the
+    array still holds exactly what it held when the epoch was read. The
+    runtime's sessions keep weights resident on that proof. *)
+val epoch : t -> int
 
 (** [read t ~word_row] — digital read of the 128 stored codes. *)
 val read : t -> word_row:int -> int array

@@ -3,6 +3,7 @@ module Graph = Promise_ir.Graph
 module Machine = Promise_arch.Machine
 module Layout = Promise_arch.Layout
 module Bank = Promise_arch.Bank
+module Bitcell_array = Promise_arch.Bitcell_array
 module Params = Promise_arch.Params
 module Th_unit = Promise_arch.Th_unit
 module Selftest = Promise_arch.Selftest
@@ -93,15 +94,6 @@ type recovery_stats = {
   excluded_banks : int list;
 }
 
-let no_recovery_stats =
-  {
-    retries = 0;
-    fallbacks = 0;
-    canary_failures = 0;
-    spared_lanes = [];
-    excluded_banks = [];
-  }
-
 type counters = {
   mutable c_retries : int;
   mutable c_fallbacks : int;
@@ -129,47 +121,38 @@ let required_banks ?max_lanes g =
       | Error _ -> acc)
     1 (Graph.tasks g)
 
-(* Joint or independent quantization scales; returns (w_codes, x_codes
-   option, rescale) where true value = rescale x (digital value computed
-   from the quantized data). *)
-let quantize_operands (at : At.t) w x_opt =
-  let headroom = 0.99 in
-  let scale_of max_abs = if max_abs <= 0.0 then 1.0 else max_abs /. headroom in
-  let quantize_mat_scaled k m =
-    Array.map (Array.map (fun v -> Fx.quantize (v /. k))) m
+(* The scale that quantizes magnitudes up to [max_abs] with 1 % headroom. *)
+let scale_of max_abs = if max_abs <= 0.0 then 1.0 else max_abs /. 0.99
+
+let quantize_vec k v = Array.map (fun e -> Fx.quantize (e /. k)) v
+
+(* One query's scales [(kw, kx, rescale)]: W's and X's quantization
+   scales, and [rescale] such that true value = rescale × (digital value
+   computed from the quantized data). Distance kernels share one joint
+   scale, so an X larger than every W entry moves W's scale too; multiply
+   kernels scale each side on its own. *)
+let scales (at : At.t) ~w_max ~x_max =
+  let by_reduction k =
+    match at.At.red_op with
+    | At.Ro_sum | At.Ro_sum_abs -> k
+    | At.Ro_sum_square -> k *. k
+    | At.Ro_sum_compare -> 1.0
   in
-  let quantize_vec_scaled k v = Array.map (fun e -> Fx.quantize (e /. k)) v in
   match at.At.vec_op with
   | At.Vo_mul_signed | At.Vo_mul_unsigned ->
-      let x = Option.get x_opt in
-      let kw = scale_of (Promise_ml.Linalg.mat_max_abs w) in
-      let kx = scale_of (Promise_ml.Linalg.max_abs x) in
-      (quantize_mat_scaled kw w, Some (quantize_vec_scaled kx x), kw *. kx)
+      let kw = scale_of w_max and kx = scale_of x_max in
+      (kw, kx, kw *. kx)
   | At.Vo_add | At.Vo_sub ->
-      let x = Option.get x_opt in
-      let k =
-        scale_of
-          (Float.max
-             (Promise_ml.Linalg.mat_max_abs w)
-             (Promise_ml.Linalg.max_abs x))
-      in
-      let rescale =
-        match at.At.red_op with
-        | At.Ro_sum | At.Ro_sum_abs -> k
-        | At.Ro_sum_square -> k *. k
-        | At.Ro_sum_compare -> 1.0
-      in
-      (quantize_mat_scaled k w, Some (quantize_vec_scaled k x), rescale)
+      let k = scale_of (Float.max w_max x_max) in
+      (k, k, by_reduction k)
   | At.Vo_none ->
-      let kw = scale_of (Promise_ml.Linalg.mat_max_abs w) in
-      let rescale =
-        match at.At.red_op with
-        | At.Ro_sum | At.Ro_sum_abs -> kw
-        | At.Ro_sum_square -> kw *. kw
-        | At.Ro_sum_compare -> 1.0
-      in
-      (quantize_mat_scaled kw w, None, rescale)
+      let kw = scale_of w_max in
+      (kw, kw, by_reduction kw)
 
+(* W is static: it comes from the session's bindings, never from an
+   edge, and each of its first [loop_iterations] rows is exactly
+   [vector_len] wide (the layout would otherwise zero-pad a short row
+   and drop a long row's tail without a word). *)
 let resolve_w g b id (at : At.t) =
   let from_edge =
     List.exists
@@ -186,13 +169,22 @@ let resolve_w g b id (at : At.t) =
         fail ~code:E.Invalid_operand
           ~context:[ ("task", at.At.name) ]
           "unbound W matrix %S" at.At.w
-    | Some m ->
-        if Array.length m < at.At.loop_iterations then
-          fail ~code:E.Invalid_operand
-            ~context:[ ("task", at.At.name) ]
-            "W matrix %S has %d rows, task needs %d" at.At.w (Array.length m)
-            at.At.loop_iterations
-        else Ok (Array.sub m 0 at.At.loop_iterations)
+    | Some m when Array.length m < at.At.loop_iterations ->
+        fail ~code:E.Invalid_operand
+          ~context:[ ("task", at.At.name) ]
+          "W matrix %S has %d rows, task needs %d" at.At.w (Array.length m)
+          at.At.loop_iterations
+    | Some m -> (
+        let w = Array.sub m 0 at.At.loop_iterations in
+        match
+          Array.find_index (fun row -> Array.length row <> at.At.vector_len) w
+        with
+        | Some r ->
+            fail ~code:E.Invalid_operand
+              ~context:[ ("task", at.At.name); ("row", string_of_int r) ]
+              "W matrix %S row %d has %d elements, expected %d" at.At.w r
+              (Array.length w.(r)) at.At.vector_len
+        | None -> Ok w)
 
 let resolve_x g b outputs id (at : At.t) =
   if not (At.uses_x at) then Ok None
@@ -218,17 +210,21 @@ let resolve_x g b outputs id (at : At.t) =
               ~context:[ ("task", at.At.name) ]
               "unbound X vector %S" at.At.x)
 
-(* ADC range matching: a digital preview of every per-bank charge-share
-   mean picks the largest power-of-two pre-ADC gain that keeps the
-   aggregate within ~0.7 of full scale (headroom for analog noise).
-   Mirrors Bank's gain staging exactly, minus noise and LUT shaping. *)
-let ideal_partial_mean (at : At.t) ~w_slice ~x_slice ~lanes =
+(* The ideal charge-share mean of bank [bank], segment [segment] of one
+   row: the zero-padded slices {!Layout.slice_of_vector} would cut from W
+   row [w] and from X (the [x_len] codes of [x] from [x_off]), read in
+   place. Inlined so that its float result is never boxed. *)
+let[@inline] ideal_partial_mean (at : At.t) (plan : Layout.plan) ~w ~x ~x_off
+    ~x_len ~bank ~segment =
+  let lanes = plan.Layout.lanes_per_bank in
+  let base = ((bank * plan.Layout.segments) + segment) * lanes in
   let acc = ref 0.0 in
   for lane = 0 to lanes - 1 do
-    let w = float_of_int w_slice.(lane) /. 128.0 in
+    let e = base + lane in
+    let w = float_of_int (if e < Array.length w then w.(e) else 0) /. 128.0 in
     let x =
-      match x_slice with
-      | Some xs -> float_of_int xs.(lane) /. 128.0
+      match x with
+      | Some xs -> float_of_int (if e < x_len then xs.(x_off + e) else 0) /. 128.0
       | None -> 0.0
     in
     let s1 =
@@ -251,32 +247,38 @@ let ideal_partial_mean (at : At.t) ~w_slice ~x_slice ~lanes =
   done;
   !acc /. float_of_int lanes
 
-let estimate_adc_gain (at : At.t) (plan : Layout.plan) ~w_codes ~x_for_row =
-  let lanes = plan.Layout.lanes_per_bank in
+(* ADC range matching: a digital preview of every per-bank charge-share
+   mean picks the largest power-of-two pre-ADC gain that keeps the
+   aggregate within ~0.7 of full scale (headroom for analog noise).
+   Mirrors Bank's gain staging exactly, minus noise and LUT shaping.
+   Every row of [w_codes] reads all of [x], or with [streaming] its own
+   [vector_len]-long window of it. Allocation-free. *)
+let estimate_adc_gain (at : At.t) (plan : Layout.plan) ~w_codes ~x ~streaming
+    =
+  let vector_len = at.At.vector_len in
+  let x_len =
+    match x with Some xs when not streaming -> Array.length xs | _ -> vector_len
+  in
   let max_abs = ref 0.0 in
-  Array.iteri
-    (fun r w_row ->
-      let x_row = x_for_row r in
-      for bank = 0 to plan.Layout.banks - 1 do
-        for segment = 0 to plan.Layout.segments - 1 do
-          let w_slice = Layout.slice_of_vector plan w_row ~bank ~segment in
-          let x_slice =
-            Option.map
-              (fun x -> Layout.slice_of_vector plan x ~bank ~segment)
-              x_row
-          in
-          let m = ideal_partial_mean at ~w_slice ~x_slice ~lanes in
-          max_abs := Float.max !max_abs (Float.abs m)
-        done
-      done)
-    w_codes;
-  let target = 0.7 in
+  for r = 0 to Array.length w_codes - 1 do
+    let x_off = if streaming then r * vector_len else 0 in
+    for bank = 0 to plan.Layout.banks - 1 do
+      for segment = 0 to plan.Layout.segments - 1 do
+        let m =
+          ideal_partial_mean at plan ~w:w_codes.(r) ~x ~x_off ~x_len ~bank
+            ~segment
+        in
+        max_abs := Float.max !max_abs (Float.abs m)
+      done
+    done
+  done;
+  let max_abs = !max_abs and target = 0.7 in
   let rec grow g =
     if g >= 64.0 then 64.0
-    else if 2.0 *. g *. !max_abs <= target then grow (2.0 *. g)
+    else if 2.0 *. g *. max_abs <= target then grow (2.0 *. g)
     else g
   in
-  if !max_abs <= 0.0 then 64.0 else grow 1.0
+  if max_abs <= 0.0 then 64.0 else grow 1.0
 
 let better_decision class4 (a : int * float) (b : (int * float) option) =
   match b with
@@ -305,20 +307,17 @@ let ideal_chunk (at : At.t) ~plan ~th ~w_rows ~x_row =
     | Opcode.Des_acc | Opcode.Des_xreg | Opcode.Des_write_buffer ->
         emitted := emit.Th_unit.value :: !emitted
   in
+  let x_len = match x_row with Some x -> Array.length x | None -> 0 in
   let rows = Array.length w_rows in
   for i = 0 to (rows * plan.Layout.segments) - 1 do
     let r = i / plan.Layout.segments in
     let segment = i mod plan.Layout.segments in
     let combined = ref 0.0 in
     for bank = 0 to plan.Layout.banks - 1 do
-      let w_slice = Layout.slice_of_vector plan w_rows.(r) ~bank ~segment in
-      let x_slice =
-        Option.map (fun x -> Layout.slice_of_vector plan x ~bank ~segment) x_row
-      in
       combined :=
         !combined
-        +. ideal_partial_mean at ~w_slice ~x_slice
-             ~lanes:plan.Layout.lanes_per_bank
+        +. ideal_partial_mean at plan ~w:w_rows.(r) ~x:x_row ~x_off:0 ~x_len
+             ~bank ~segment
     done;
     match Th_unit.push th_sim !combined with
     | Some e -> collect e
@@ -356,15 +355,232 @@ let streaming (at : At.t) x_opt =
       && Array.length x = at.At.vector_len * at.At.loop_iterations
   | None -> false
 
-(* [run_task ~batch] runs [batch] decisions of one graph node, chunk by
-   chunk: each chunk loads its operands once and its decisions ride
+(* ------------------------------------------------------------------ *)
+(* Sessions: W resident, X per query                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* A node's placement for one shape of X — broadcast (one vector for
+   every row) or streaming (one vector per row) — built on its first
+   query of that shape: the layout plan, the lowered Tasks of a full and
+   of the last row chunk, the lane mask, and where the chunks run. *)
+type placement = {
+  plan : Layout.plan;
+  full : Task.t;
+  last : Task.t;
+  lane_mask : bool array option;
+  mode : [ `Digital | `Analog of int array ];
+}
+
+type node = {
+  id : int;
+  at : At.t;
+  terminal : bool;
+  w : float array array;  (* [loop_iterations] rows of [vector_len] *)
+  w_max : float;
+  original_n : int;
+  (* the quantized W at the last scale, keyed by the scale's bit pattern *)
+  mutable codes : (int64 * int array array) option;
+  mutable broadcast : placement option;
+  mutable stream : placement option;
+}
+
+(* What one staging wrote into a bank group: row chunk [chunk] of node
+   [node]'s W, quantized at the scale with bit pattern [scale] and placed
+   for a [streaming] or broadcast X. A session's lane map is fixed for
+   its life, so the token leaves it out. *)
+type token = { node : int; streaming : bool; chunk : int; scale : int64 }
+
+let same_token a b =
+  a.node = b.node && Bool.equal a.streaming b.streaming && a.chunk = b.chunk
+  && Int64.equal a.scale b.scale
+
+type session = {
+  machine : Machine.t;
+  graph : Graph.t;
+  nodes : node list;  (* topological order *)
+  recovery : recovery option;
+  pool : Promise_core.Pool.t option;
+  kernel_mode : Machine.kernel_mode option;
+  lane_map : int array option;
+  no_healthy_lanes : bool;
+  (* per machine bank: the token of its last staging by this session and
+     the bank's write epoch right after it *)
+  resident : (token * int) option array;
+}
+
+let original_n b (at : At.t) =
+  match Hashtbl.find_opt b.flat_lengths at.At.w with
+  | Some n -> n
+  | None -> at.At.vector_len * at.At.loop_iterations
+
+let session ?recovery ?pool ?kernel_mode machine g static =
+  let* nodes =
+    List.fold_left
+      (fun acc id ->
+        let* nodes = acc in
+        let at = Graph.task g id in
+        let* w = resolve_w g static id at in
+        Ok
+          ({
+             id;
+             at;
+             terminal = Graph.successors g id = [];
+             w;
+             w_max = Promise_ml.Linalg.mat_max_abs w;
+             original_n = original_n static at;
+             codes = None;
+             broadcast = None;
+             stream = None;
+           }
+          :: nodes))
+      (Ok []) (Graph.topological_order g)
+  in
+  (* Lane sparing: plan around the faulty columns and scatter slices
+     onto the healthy physical lanes. When every lane is faulty the
+     spare map is empty and no analog plan exists. *)
+  let spared =
+    List.sort_uniq compare
+      (List.filter
+         (fun l -> l >= 0 && l < Params.lanes)
+         (match recovery with
+         | Some (r : recovery) -> r.spared_lanes
+         | None -> []))
+  in
+  let lane_map, no_healthy_lanes =
+    if spared = [] then (None, false)
+    else
+      let map = Layout.spare_map ~faulty:spared in
+      if Array.length map = 0 then (None, true) else (Some map, false)
+  in
+  Ok
+    {
+      machine;
+      graph = g;
+      nodes = List.rev nodes;
+      recovery;
+      pool;
+      kernel_mode;
+      lane_map;
+      no_healthy_lanes;
+      resident = Array.make (Machine.n_banks machine) None;
+    }
+
+let placement s node ~streaming =
+  match if streaming then node.stream else node.broadcast with
+  | Some p -> Ok p
+  | None ->
+      let at = node.at in
+      let fallback_enabled =
+        match s.recovery with Some r -> r.digital_fallback | None -> false
+      in
+      (* With every lane spared and digital fallback enabled, the whole
+         task degrades to the host-side digital reference. *)
+      let* () =
+        if s.no_healthy_lanes && not fallback_enabled then
+          fail ~code:E.Capacity
+            ~context:[ ("task", at.At.name) ]
+            "every lane is spared and digital fallback is disabled"
+        else Ok ()
+      in
+      let* plan =
+        Result.map_error (E.of_string ~layer:"runtime")
+          (Layout.plan
+             ?max_lanes:(Option.map Array.length s.lane_map)
+             ~vector_len:at.At.vector_len
+             ~rows:(if streaming then 1 else at.At.loop_iterations)
+             ())
+      in
+      let lower (plan : Layout.plan) =
+        Lower.lower_chunk ~terminal:node.terminal at ~plan ~chunk:0 ~w_base:0
+          ~xreg_base:0
+      in
+      let* full = lower plan in
+      let last_rows = Layout.chunk_rows plan (plan.Layout.tasks - 1) in
+      let* last =
+        if last_rows = plan.Layout.rows_per_task then Ok full
+        else
+          lower
+            {
+              plan with
+              Layout.rows = last_rows;
+              rows_per_task = last_rows;
+              tasks = 1;
+            }
+      in
+      (* [`Digital]: no analog resource can serve this task (every bank
+         group excluded, or every lane spared) — with fallback enabled,
+         every chunk is served by the host-side digital reference. *)
+      let excluded =
+        match s.recovery with Some r -> r.excluded_banks | None -> []
+      in
+      let* mode =
+        match
+          allowed_groups ~excluded ~plan ~groups:(Machine.n_banks s.machine)
+        with
+        | [] when fallback_enabled -> Ok `Digital
+        | [] ->
+            fail ~code:E.Capacity
+              ~context:[ ("task", at.At.name) ]
+              "every bank group overlaps an excluded bank"
+        | _ when s.no_healthy_lanes -> Ok `Digital
+        | l -> Ok (`Analog (Array.of_list l))
+      in
+      let lane_mask =
+        Option.map
+          (fun map ->
+            Layout.lane_mask_of_map map ~used:plan.Layout.lanes_per_bank)
+          s.lane_map
+      in
+      let p = { plan; full; last; lane_mask; mode } in
+      if streaming then node.stream <- Some p else node.broadcast <- Some p;
+      Ok p
+
+(* W quantized at [scale]: the cached codes when the scale is the one
+   they were quantized at. *)
+let w_codes node ~scale =
+  let bits = Int64.bits_of_float scale in
+  match node.codes with
+  | Some (b, codes) when Int64.equal b bits -> codes
+  | Some _ | None ->
+      let codes = Array.map (quantize_vec scale) node.w in
+      node.codes <- Some (bits, codes);
+      codes
+
+(* Stage a chunk's W rows into bank group [group] unless every bank of
+   the group still holds them: this session's last staging there wrote
+   [token], and no write of anyone's has moved the bank's epoch since.
+   Staging draws no noise and writing the same codes again changes
+   nothing, so skipping it is exact. *)
+let stage s ~token ~group ~(plan : Layout.plan) w_rows =
+  let first = group * plan.Layout.banks in
+  let last = first + plan.Layout.banks - 1 in
+  let epoch b = Bitcell_array.epoch (Bank.array (Machine.bank s.machine b)) in
+  let rec held b =
+    b > last
+    || b < Array.length s.resident
+       && (match s.resident.(b) with
+          | Some (t, e) -> same_token t token && e = epoch b
+          | None -> false)
+       && held (b + 1)
+  in
+  if not (held first) then begin
+    Machine.load_weights ?lane_map:s.lane_map s.machine ~group ~base:0 ~plan
+      w_rows;
+    for b = first to last do
+      s.resident.(b) <- Some (token, epoch b)
+    done
+  end
+
+(* [run_node s node ~counters ~x ~batch] runs [batch] decisions of one
+   graph node, chunk by chunk: each chunk stages its W rows (unless its
+   banks still hold them), loads X once, and its decisions ride
    [Machine.execute_batch] (or, canary-checked, [Machine.execute] per
    decision and retry). Element [d] of the result is decision [d]'s
    output. At batch 1 this is the node's single run. *)
-let run_task ?pool ?kernel_mode machine ~(recovery : recovery option)
-    ~counters (at : At.t) ~terminal ~w ~x_opt ~original_n ~batch =
+let run_node s node ~counters ~x ~batch =
+  let at = node.at in
   let* () =
-    match x_opt with
+    match x with
     | Some x
       when Array.length x <> at.At.vector_len
            && Array.length x <> at.At.vector_len * at.At.loop_iterations ->
@@ -375,249 +591,273 @@ let run_task ?pool ?kernel_mode machine ~(recovery : recovery option)
           (at.At.vector_len * at.At.loop_iterations)
     | _ -> Ok ()
   in
-  let streaming = streaming at x_opt in
-  let w_codes, x_codes, rescale = quantize_operands at w x_opt in
-  let groups = Machine.n_banks machine in
-  (* Lane sparing: plan around the faulty columns and scatter slices
-     onto the healthy physical lanes. *)
-  let spared =
-    List.sort_uniq compare
-      (List.filter
-         (fun l -> l >= 0 && l < Params.lanes)
-         (match recovery with Some r -> r.spared_lanes | None -> []))
+  let streaming = streaming at x in
+  let x_max =
+    match x with Some x -> Promise_ml.Linalg.max_abs x | None -> 0.0
   in
-  let fallback_enabled =
-    match recovery with Some r -> r.digital_fallback | None -> false
+  let kw, kx, rescale = scales at ~w_max:node.w_max ~x_max in
+  let w_codes = w_codes node ~scale:kw in
+  let x_codes = Option.map (quantize_vec kx) x in
+  let* p = placement s node ~streaming in
+  let plan = p.plan in
+  let adc_gain = estimate_adc_gain at plan ~w_codes ~x:x_codes ~streaming in
+  let class4 = p.full.Task.class4 in
+  let gain =
+    float_of_int plan.Layout.lanes_per_bank
+    *. Bank.analog_scale p.full *. rescale
   in
-  (* When every lane is faulty the spare map is empty and no analog
-     plan exists; with digital fallback enabled the whole task degrades
-     to the host-side digital reference instead of failing. *)
-  let lane_map, no_healthy_lanes =
-    if spared = [] then (None, false)
-    else
-      let map = Layout.spare_map ~faulty:spared in
-      if Array.length map = 0 then (None, true) else (Some map, false)
-  in
-  let* () =
-    if no_healthy_lanes && not fallback_enabled then
-      fail ~code:E.Capacity
-        ~context:[ ("task", at.At.name) ]
-        "every lane is spared and digital fallback is disabled"
-    else Ok ()
-  in
-  let max_lanes = Option.map Array.length lane_map in
-  let excluded =
-    match recovery with Some r -> r.excluded_banks | None -> []
-  in
+  let scale = Int64.bits_of_float kw in
+  let n_chunks = if streaming then at.At.loop_iterations else plan.Layout.tasks in
+  (* per decision, each chunk's values, newest first *)
   let values = Array.make batch [] and decisions = Array.make batch None in
-  let run_chunks plan ~adc_gain ~rows_of_chunk ~w_rows_of_chunk ~x_of_chunk
-      ~n_chunks =
-    let* template =
-      Lower.lower_chunk ~terminal at ~plan ~chunk:0 ~w_base:0 ~xreg_base:0
-    in
-    let class4 = template.Task.class4 in
-    let gain =
-      float_of_int plan.Layout.lanes_per_bank
-      *. Bank.analog_scale template *. rescale
-    in
-    let lane_mask =
-      Option.map
-        (fun map -> Layout.lane_mask_of_map map ~used:plan.Layout.lanes_per_bank)
-        lane_map
-    in
-    (* [`Digital]: no analog resource can serve this task (every bank
-       group excluded, or every lane spared) — with fallback enabled,
-       every chunk is served by the host-side digital reference. *)
-    let* mode =
-      match allowed_groups ~excluded ~plan ~groups with
-      | [] when fallback_enabled -> Ok `Digital
-      | [] ->
-          fail ~code:E.Capacity
-            ~context:[ ("task", at.At.name) ]
-            "every bank group overlaps an excluded bank"
-      | _ when no_healthy_lanes -> Ok `Digital
-      | l -> Ok (`Analog l)
-    in
-    let rec go chunk row_offset =
-      if chunk >= n_chunks then Ok ()
-      else
-        let rows_c = rows_of_chunk chunk in
-        let* task =
-          if rows_c = plan.Layout.rows_per_task then Ok template
-          else
-            Lower.lower_chunk ~terminal at
-              ~plan:
-                {
-                  plan with
-                  Layout.rows = rows_c;
-                  rows_per_task = rows_c;
-                  tasks = 1;
-                }
-              ~chunk:0 ~w_base:0 ~xreg_base:0
-        in
-        let w_rows = w_rows_of_chunk chunk rows_c in
-        let x_chunk = x_of_chunk chunk in
-        let th =
-          {
-            Th_unit.op = class4;
-            acc_num = task.Task.op_param.Op_param.acc_num;
-            threshold = at.At.threshold;
-            gain;
-            des = task.Task.op_param.Op_param.des;
-          }
-        in
-        let* outcomes =
-          match mode with
-          | `Digital ->
-              counters.c_fallbacks <- counters.c_fallbacks + batch;
-              let fallback = ideal_chunk at ~plan ~th ~w_rows ~x_row:x_chunk in
-              Ok (Array.make batch (`Fallback fallback))
-          | `Analog allowed ->
-              let group = List.nth allowed (chunk mod List.length allowed) in
-              Machine.load_weights ?lane_map machine ~group ~base:0 ~plan
-                w_rows;
-              (match x_chunk with
-              | Some xc ->
-                  Machine.load_x ?lane_map machine ~group ~xreg_base:0 ~plan xc
-              | None -> ());
-              let launch =
-                {
-                  Machine.task;
-                  bank_group = group;
-                  active_lanes = plan.Layout.lanes_per_bank;
-                  adc_gain;
-                  th;
-                  dest_xreg = dest_xreg_index;
-                }
-              in
-              (* The canary-checked retry/fallback path applies to chunks
-                 whose emissions go to the output buffer: re-executing
-                 them is side-effect-free (X-REG/write-buffer staging is
-                 not). *)
-              let checked =
-                recovery <> None
-                && Opcode.equal_destination task.Task.op_param.Op_param.des
-                     Opcode.Des_output_buffer
-              in
-              if not checked then
-                let* results =
-                  Machine.execute_batch ?lane_mask ?pool ?kernel_mode machine
-                    launch ~batch
-                in
-                Ok (Array.map (fun r -> `Accepted r) results)
-              else
-                let r = Option.get recovery in
-                let reference, ref_argext =
-                  ideal_chunk at ~plan ~th ~w_rows ~x_row:x_chunk
-                in
-                let rec attempt tries =
-                  let* result =
-                    Machine.execute ?lane_mask ?pool ?kernel_mode machine
-                      launch
-                  in
-                  if
-                    canary_ok ~tolerance:r.canary_tolerance
-                      result.Machine.emitted reference
-                  then Ok (`Accepted result)
-                  else begin
-                    counters.c_canary_failures <-
-                      counters.c_canary_failures + 1;
-                    if tries < r.max_retries then begin
-                      counters.c_retries <- counters.c_retries + 1;
-                      attempt (tries + 1)
-                    end
-                    else if r.digital_fallback then begin
-                      counters.c_fallbacks <- counters.c_fallbacks + 1;
-                      Ok (`Fallback (reference, ref_argext))
-                    end
-                    else
-                      fail ~code:E.Retry_exhausted
-                        ~context:
-                          [
-                            ("task", at.At.name);
-                            ("chunk", string_of_int chunk);
-                          ]
-                        "analog result failed its canary bound %d times"
-                        (r.max_retries + 1)
-                  end
-                in
-                let rec decide acc d =
-                  if d = batch then Ok (Array.of_list (List.rev acc))
-                  else
-                    let* o = attempt 0 in
-                    decide (o :: acc) (d + 1)
-                in
-                decide [] 0
-        in
-        Array.iteri
-          (fun d outcome ->
-            let chunk_values, argext =
-              match outcome with
-              | `Accepted result ->
-                  ( result.Machine.emitted @ result.Machine.xreg_out,
-                    result.Machine.argext )
-              | `Fallback (reference, ref_argext) -> (reference, ref_argext)
-            in
-            values.(d) <- values.(d) @ chunk_values;
-            match argext with
-            | Some (gidx, v) ->
-                decisions.(d) <-
-                  better_decision class4 (row_offset + gidx, v) decisions.(d)
-            | None -> ())
-          outcomes;
-        go (chunk + 1) (row_offset + rows_c)
-    in
-    go 0 0
-  in
-  let typed_plan p = Result.map_error (E.of_string ~layer:"runtime") p in
-  let* () =
-    if streaming then
-      let x = Option.get x_codes in
-      let* plan =
-        typed_plan
-          (Layout.plan ?max_lanes ~vector_len:at.At.vector_len ~rows:1 ())
-      in
-      let x_row r = Array.sub x (r * at.At.vector_len) at.At.vector_len in
-      let adc_gain =
-        estimate_adc_gain at plan ~w_codes ~x_for_row:(fun r -> Some (x_row r))
-      in
-      run_chunks plan ~adc_gain
-        ~rows_of_chunk:(fun _ -> 1)
-        ~w_rows_of_chunk:(fun chunk _ -> [| w_codes.(chunk) |])
-        ~x_of_chunk:(fun chunk -> Some (x_row chunk))
-        ~n_chunks:at.At.loop_iterations
+  let rec go chunk row_offset =
+    if chunk >= n_chunks then Ok ()
     else
-      let* plan =
-        typed_plan
-          (Layout.plan ?max_lanes ~vector_len:at.At.vector_len
-             ~rows:at.At.loop_iterations ())
+      let rows_c = if streaming then 1 else Layout.chunk_rows plan chunk in
+      let task = if rows_c = plan.Layout.rows_per_task then p.full else p.last in
+      let w_rows =
+        if streaming then [| w_codes.(chunk) |]
+        else Array.sub w_codes (chunk * plan.Layout.rows_per_task) rows_c
       in
-      let adc_gain =
-        estimate_adc_gain at plan ~w_codes ~x_for_row:(fun _ -> x_codes)
+      let x_chunk =
+        if streaming then
+          Option.map
+            (fun xc ->
+              Array.sub xc (chunk * at.At.vector_len) at.At.vector_len)
+            x_codes
+        else x_codes
       in
-      run_chunks plan ~adc_gain
-        ~rows_of_chunk:(fun chunk -> Layout.chunk_rows plan chunk)
-        ~w_rows_of_chunk:(fun chunk rows_c ->
-          Array.sub w_codes (chunk * plan.Layout.rows_per_task) rows_c)
-        ~x_of_chunk:(fun _ -> x_codes)
-        ~n_chunks:plan.Layout.tasks
+      let th =
+        {
+          Th_unit.op = class4;
+          acc_num = task.Task.op_param.Op_param.acc_num;
+          threshold = at.At.threshold;
+          gain;
+          des = task.Task.op_param.Op_param.des;
+        }
+      in
+      let* outcomes =
+        match p.mode with
+        | `Digital ->
+            counters.c_fallbacks <- counters.c_fallbacks + batch;
+            let fallback = ideal_chunk at ~plan ~th ~w_rows ~x_row:x_chunk in
+            Ok (Array.make batch (`Fallback fallback))
+        | `Analog allowed ->
+            let group = allowed.(chunk mod Array.length allowed) in
+            stage s
+              ~token:{ node = node.id; streaming; chunk; scale }
+              ~group ~plan w_rows;
+            (match x_chunk with
+            | Some xc ->
+                Machine.load_x ?lane_map:s.lane_map s.machine ~group
+                  ~xreg_base:0 ~plan xc
+            | None -> ());
+            let launch =
+              {
+                Machine.task;
+                bank_group = group;
+                active_lanes = plan.Layout.lanes_per_bank;
+                adc_gain;
+                th;
+                dest_xreg = dest_xreg_index;
+              }
+            in
+            let lane_mask = p.lane_mask
+            and pool = s.pool
+            and kernel_mode = s.kernel_mode in
+            (* The canary-checked retry/fallback path applies to chunks
+               whose emissions go to the output buffer: re-executing
+               them is side-effect-free (X-REG/write-buffer staging is
+               not). *)
+            let checked =
+              s.recovery <> None
+              && Opcode.equal_destination task.Task.op_param.Op_param.des
+                   Opcode.Des_output_buffer
+            in
+            if not checked then
+              let* results =
+                Machine.execute_batch ?lane_mask ?pool ?kernel_mode s.machine
+                  launch ~batch
+              in
+              Ok (Array.map (fun r -> `Accepted r) results)
+            else
+              let r = Option.get s.recovery in
+              let reference, ref_argext =
+                ideal_chunk at ~plan ~th ~w_rows ~x_row:x_chunk
+              in
+              let rec attempt tries =
+                let* result =
+                  Machine.execute ?lane_mask ?pool ?kernel_mode s.machine
+                    launch
+                in
+                if
+                  canary_ok ~tolerance:r.canary_tolerance
+                    result.Machine.emitted reference
+                then Ok (`Accepted result)
+                else begin
+                  counters.c_canary_failures <- counters.c_canary_failures + 1;
+                  if tries < r.max_retries then begin
+                    counters.c_retries <- counters.c_retries + 1;
+                    attempt (tries + 1)
+                  end
+                  else if r.digital_fallback then begin
+                    counters.c_fallbacks <- counters.c_fallbacks + 1;
+                    Ok (`Fallback (reference, ref_argext))
+                  end
+                  else
+                    fail ~code:E.Retry_exhausted
+                      ~context:
+                        [ ("task", at.At.name); ("chunk", string_of_int chunk) ]
+                      "analog result failed its canary bound %d times"
+                      (r.max_retries + 1)
+                end
+              in
+              let rec decide acc d =
+                if d = batch then Ok (Array.of_list (List.rev acc))
+                else
+                  let* o = attempt 0 in
+                  decide (o :: acc) (d + 1)
+              in
+              decide [] 0
+      in
+      Array.iteri
+        (fun d outcome ->
+          let argext =
+            match outcome with
+            | `Accepted result ->
+                values.(d) <-
+                  result.Machine.xreg_out :: result.Machine.emitted :: values.(d);
+                result.Machine.argext
+            | `Fallback (reference, ref_argext) ->
+                values.(d) <- reference :: values.(d);
+                ref_argext
+          in
+          match argext with
+          | Some (gidx, v) ->
+              decisions.(d) <-
+                better_decision class4 (row_offset + gidx, v) decisions.(d)
+          | None -> ())
+        outcomes;
+      go (chunk + 1) (row_offset + rows_c)
   in
+  let* () = go 0 0 in
   (* Decision tasks surface their extremum; mean tasks reduce on host. *)
   Ok
     (Array.mapi
-       (fun d values ->
-         let values = Array.of_list values in
+       (fun d chunks ->
+         let values = Array.of_list (List.concat (List.rev chunks)) in
          match at.At.digital_op with
          | At.Do_mean ->
              let total = Array.fold_left ( +. ) 0.0 values in
              {
-               values = [| total /. float_of_int original_n |];
+               values = [| total /. float_of_int node.original_n |];
                decision = None;
              }
          | At.Do_min | At.Do_max -> { values; decision = decisions.(d) }
          | At.Do_none | At.Do_sigmoid | At.Do_relu | At.Do_threshold ->
              { values; decision = None })
        values)
+
+let stats_of s counters =
+  {
+    retries = counters.c_retries;
+    fallbacks = counters.c_fallbacks;
+    canary_failures = counters.c_canary_failures;
+    spared_lanes =
+      (match s.recovery with Some r -> r.spared_lanes | None -> []);
+    excluded_banks =
+      (match s.recovery with Some r -> r.excluded_banks | None -> []);
+  }
+
+let new_counters () = { c_retries = 0; c_fallbacks = 0; c_canary_failures = 0 }
+
+(* One decision of the whole graph, node by node in topological order. *)
+let decide s b =
+  let counters = new_counters () in
+  let outputs = Hashtbl.create 8 in
+  let* () =
+    List.fold_left
+      (fun acc node ->
+        let* () = acc in
+        let* x = resolve_x s.graph b outputs node.id node.at in
+        let* out = run_node s node ~counters ~x ~batch:1 in
+        Hashtbl.replace outputs node.id out.(0);
+        Ok ())
+      (Ok ()) s.nodes
+  in
+  Ok
+    {
+      outputs = List.map (fun n -> (n.id, Hashtbl.find outputs n.id)) s.nodes;
+      machine = s.machine;
+      stats = stats_of s counters;
+    }
+
+(* Consulted once per decision before the query's first launch, so the
+   machine is untouched when the injected fault surfaces — retrying the
+   whole query is stream-safe. *)
+let injected_fault () =
+  match Promise_core.Failpoint.check "runtime.run" with
+  | Some Promise_core.Failpoint.Fail ->
+      E.fail ~layer:"runtime" ~code:E.Fault
+        ~context:[ ("injected", "true") ]
+        "injected runtime fault"
+  | Some (Promise_core.Failpoint.Delay ns) ->
+      Promise_core.Clock.sleep_ms (Int64.to_float ns /. 1e6);
+      Ok ()
+  | Some Promise_core.Failpoint.Interrupt | None -> Ok ()
+
+let query s b ~batch =
+  let rec repeat n f =
+    if n = 0 then Ok ()
+    else
+      let* () = f () in
+      repeat (n - 1) f
+  in
+  let decision_major () =
+    let rec go acc d =
+      if d = batch then Ok (Array.of_list (List.rev acc))
+      else
+        let* r = decide s b in
+        go (r :: acc) (d + 1)
+    in
+    go [] 0
+  in
+  if batch < 1 then
+    E.fail ~layer:"runtime" ~code:E.Invalid_operand
+      ~context:[ ("batch", string_of_int batch) ]
+      "batch must be >= 1"
+  else
+    let* () = repeat batch injected_fault in
+    match s.nodes with
+    | [ node ] when batch > 1 && s.recovery = None -> (
+        let* x = resolve_x s.graph b (Hashtbl.create 1) node.id node.at in
+        let streaming = streaming node.at x in
+        let* p = placement s node ~streaming in
+        (* Chunk-major batching — each chunk's operands loaded once, all
+           decisions on [Machine.execute_batch] — is bit-identical to
+           deciding one decision at a time when every chunk owns its
+           bank group: each group's RNG streams then see exactly their
+           own decisions in order, and operand loads are idempotent.
+           Streaming X re-loads X-REG per row (one chunk per row), and
+           more chunks than groups would interleave two chunks on one
+           group's streams. *)
+        match p.mode with
+        | `Analog groups
+          when (not streaming) && p.plan.Layout.tasks <= Array.length groups
+          ->
+            let counters = new_counters () in
+            let* outs = run_node s node ~counters ~x ~batch in
+            Ok
+              (Array.map
+                 (fun o ->
+                   {
+                     outputs = [ (node.id, o) ];
+                     machine = s.machine;
+                     stats = stats_of s counters;
+                   })
+                 outs)
+        | `Analog _ | `Digital -> decision_major ())
+    | _ -> decision_major ()
 
 let default_machine g =
   Machine.create
@@ -627,123 +867,16 @@ let default_machine g =
       noise_seed = Some 42;
     }
 
-let original_n b (at : At.t) =
-  match Hashtbl.find_opt b.flat_lengths at.At.w with
-  | Some n -> n
-  | None -> at.At.vector_len * at.At.loop_iterations
-
-let run ?machine ?recovery ?pool ?kernel_mode g b =
+let run_batch ?machine ?recovery ?pool ?kernel_mode g b ~batch =
   let machine =
     match machine with Some m -> m | None -> default_machine g
   in
-  (* Consulted before the first task dispatches, so the machine is
-     untouched when the injected fault surfaces — retrying the whole
-     program is stream-safe. *)
-  let* () =
-    match Promise_core.Failpoint.check "runtime.run" with
-    | Some Promise_core.Failpoint.Fail ->
-        E.fail ~layer:"runtime" ~code:E.Fault
-          ~context:[ ("injected", "true") ]
-          "injected runtime fault"
-    | Some (Promise_core.Failpoint.Delay ns) ->
-        Promise_core.Clock.sleep_ms (Int64.to_float ns /. 1e6);
-        Ok ()
-    | Some Promise_core.Failpoint.Interrupt | None -> Ok ()
-  in
-  let counters = { c_retries = 0; c_fallbacks = 0; c_canary_failures = 0 } in
-  let order = Graph.topological_order g in
-  let outputs = Hashtbl.create 8 in
-  let* ids =
-    List.fold_left
-      (fun acc id ->
-        let* ids = acc in
-        let at = Graph.task g id in
-        let* w = resolve_w g b id at in
-        let* x_opt = resolve_x g b outputs id at in
-        let terminal = Graph.successors g id = [] in
-        let* out =
-          run_task ?pool ?kernel_mode machine ~recovery ~counters at ~terminal
-            ~w ~x_opt ~original_n:(original_n b at) ~batch:1
-        in
-        Hashtbl.replace outputs id out.(0);
-        Ok (id :: ids))
-      (Ok []) order
-  in
-  let ordered = List.rev ids in
-  let stats =
-    {
-      retries = counters.c_retries;
-      fallbacks = counters.c_fallbacks;
-      canary_failures = counters.c_canary_failures;
-      spared_lanes =
-        (match recovery with Some r -> r.spared_lanes | None -> []);
-      excluded_banks =
-        (match recovery with Some r -> r.excluded_banks | None -> []);
-    }
-  in
-  Ok
-    {
-      outputs = List.map (fun id -> (id, Hashtbl.find outputs id)) ordered;
-      machine;
-      stats;
-    }
+  let* s = session ?recovery ?pool ?kernel_mode machine g b in
+  query s b ~batch
 
-(* Chunk-major batching — each chunk's operands loaded once, all
-   decisions on [Machine.execute_batch] — is bit-identical to replaying
-   [run] decision by decision when every chunk owns its bank group:
-   each group's RNG streams then see exactly their own decisions in
-   order, and operand loads are idempotent. Streaming X re-loads X-REG
-   per row (one chunk per row), and more chunks than groups would
-   interleave two chunks on one group's streams. *)
-let chunk_major_exact machine (at : At.t) ~x_opt =
-  (not (streaming at x_opt))
-  &&
-  match
-    Layout.plan ~vector_len:at.At.vector_len ~rows:at.At.loop_iterations ()
-  with
-  | Ok plan ->
-      plan.Layout.tasks
-      <= List.length
-           (allowed_groups ~excluded:[] ~plan ~groups:(Machine.n_banks machine))
-  | Error _ -> false
-
-let run_batch ?machine ?recovery ?pool ?kernel_mode g b ~batch =
-  if batch < 1 then
-    E.fail ~layer:"runtime" ~code:E.Invalid_operand
-      ~context:[ ("batch", string_of_int batch) ]
-      "batch must be >= 1"
-  else
-    let machine =
-      match machine with Some m -> m | None -> default_machine g
-    in
-    let replay () =
-      let rec go acc d =
-        if d = batch then Ok (Array.of_list (List.rev acc))
-        else
-          let* r = run ~machine ?recovery ?pool ?kernel_mode g b in
-          go (r :: acc) (d + 1)
-      in
-      go [] 0
-    in
-    match (recovery, Graph.tasks g) with
-    | None, [ (id, at) ] when batch > 1 ->
-        let* w = resolve_w g b id at in
-        let* x_opt = resolve_x g b (Hashtbl.create 1) id at in
-        if not (chunk_major_exact machine at ~x_opt) then replay ()
-        else
-          let counters =
-            { c_retries = 0; c_fallbacks = 0; c_canary_failures = 0 }
-          in
-          let* outs =
-            run_task ?pool ?kernel_mode machine ~recovery ~counters at
-              ~terminal:true ~w ~x_opt ~original_n:(original_n b at) ~batch
-          in
-          Ok
-            (Array.map
-               (fun o ->
-                 { outputs = [ (id, o) ]; machine; stats = no_recovery_stats })
-               outs)
-    | _ -> replay ()
+let run ?machine ?recovery ?pool ?kernel_mode g b =
+  let* rs = run_batch ?machine ?recovery ?pool ?kernel_mode g b ~batch:1 in
+  Ok rs.(0)
 
 let output_of r id =
   match List.assoc_opt id r.outputs with

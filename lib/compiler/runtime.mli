@@ -9,6 +9,9 @@
     - plans the data layout ({!Promise_arch.Layout}), stages weights and
       the X vector into the machine, and launches one Task per row
       chunk (RPT_NUM ≤ 128);
+    - keeps weights resident: a {!session} stages each node's W once
+      and then streams only X, query after query, as PROMISE keeps W in
+      the bit-cell arrays (paper §3, §4.3);
     - streams element-wise two-array reductions (the Linear-Regression
       [mean_product]) one row per launch, reloading X-REG each time —
       the paper's §6.2 re-access penalty;
@@ -73,8 +76,6 @@ type recovery_stats = {
   excluded_banks : int list;
 }
 
-val no_recovery_stats : recovery_stats
-
 type run_result = {
   outputs : (int * task_output) list;  (** by IR node id, topo order *)
   machine : Promise_arch.Machine.t;
@@ -86,7 +87,73 @@ type run_result = {
     [max_lanes] mirrors the lane-sparing layout cap. *)
 val required_banks : ?max_lanes:int -> Promise_ir.Graph.t -> int
 
-(** [run ?machine ?recovery ?pool g b] — execute the graph. When
+(** {2 Sessions: W resident, X per query}
+
+    A graph's W operands are static: they come from bindings, never
+    from another node. Its X operands change with every query. A
+    session splits the two. It resolves each node's W once, and on each
+    query it quantizes X, previews the ADC gain, loads X and executes.
+
+    Each node keeps its W quantized at the last scale used. Multiply
+    kernels scale W on its own, so that scale never moves. Distance
+    kernels ([Vo_add]/[Vo_sub]) share one scale between W and X: a
+    query whose [max |x|] exceeds [max |W|] moves it, and W is quantized
+    again.
+
+    W is staged into a bank group only when a bank of the group no
+    longer holds the exact codes. The session records what its last
+    staging wrote into each bank and the bank's write epoch right after
+    ({!Promise_arch.Bitcell_array.epoch}). Any later write moves the
+    epoch: a BIST run, a direct write, a write-buffer flush, another
+    session, or another node of this graph staging into a shared bank
+    (so the layers of a DNN that share bank 0 restage on every query).
+    Staging draws no noise and rewriting the same codes changes nothing,
+    so a session's results are bit-identical to a fresh {!run} per
+    query on the same machine.
+
+    A session belongs to one caller on one domain: it mutates its
+    caches and the machine without locks. *)
+
+type session
+
+(** [session ?recovery ?pool ?kernel_mode machine g static] — a session
+    running [g] on [machine] with the W matrices bound in [static].
+    Typed [Invalid_operand] errors for an unbound W, too few W rows, or
+    a W row not exactly [vector_len] wide (context [task] and [row]);
+    [Unsupported] for a W produced by another node. Touches no machine
+    state: staging happens on the first query. *)
+val session :
+  ?recovery:recovery ->
+  ?pool:Promise_core.Pool.t ->
+  ?kernel_mode:Promise_arch.Machine.kernel_mode ->
+  Promise_arch.Machine.t ->
+  Promise_ir.Graph.t ->
+  bindings ->
+  (session, Promise_core.Error.t) result
+
+(** [query s b ~batch] — [batch] decisions of the graph for the X
+    vectors bound in [b] (W bindings in [b] are ignored), decision [d]'s
+    result at index [d]. Bit-identical to [batch] successive {!run}
+    calls on the session's machine with the session's W and [b]'s X.
+
+    A single-node graph without recovery whose chunks each own a bank
+    group (no streaming X) runs chunk by chunk: operands load once per
+    chunk and the decisions ride {!Promise_arch.Machine.execute_batch},
+    which is bit-identical because each group's RNG streams see exactly
+    their own decisions in order. Everything else runs one decision at
+    a time. The [runtime.run] failpoint is consulted once per decision,
+    before the first launch touches the machine. [Invalid_operand] when
+    [batch < 1]. *)
+val query :
+  session ->
+  bindings ->
+  batch:int ->
+  (run_result array, Promise_core.Error.t) result
+
+(** {2 One-shot runs} *)
+
+(** [run ?machine ?recovery ?pool g b] — execute the graph: a fresh
+    {!session} over [b] and one {!query} of it. When
     [machine] is omitted, a default [Silicon]-profile machine with
     {!required_banks} banks (seeded 42) is created. Without [recovery]
     the runtime behaves exactly as before (no canary, full lane/bank
@@ -111,22 +178,11 @@ val run :
   bindings ->
   (run_result, Promise_core.Error.t) result
 
-(** {2 Batched execution} *)
-
 (** [run_batch ?machine ?recovery ?pool ?kernel_mode g b ~batch] — run
-    [batch] independent decisions of the graph on one machine,
-    returning decision [d]'s {!run_result} at index [d].
-
-    Bit-identity contract: the results are exactly those of [batch]
-    successive {!run} calls on the same machine. A single-node graph
-    without [recovery] whose chunks each own a bank group (no streaming
-    X) runs chunk by chunk: operands load once per chunk and the
-    decisions ride {!Promise_arch.Machine.execute_batch}, which is
-    bit-identical because each group's RNG streams see exactly their
-    own decisions in order. Everything else — multi-node DAGs,
-    streaming X, more chunks than groups, canary-checked recovery —
-    replays {!run}, which is the same thing by definition.
-    [Invalid_operand] when [batch < 1]. *)
+    [batch] independent decisions of the graph on one machine: a fresh
+    {!session} over [b] and one {!query} of it at [batch]. The results
+    are exactly those of [batch] successive {!run} calls on the same
+    machine. [Invalid_operand] when [batch < 1]. *)
 val run_batch :
   ?machine:Promise_arch.Machine.t ->
   ?recovery:recovery ->
@@ -144,12 +200,16 @@ val final_output : run_result -> (task_output, Promise_core.Error.t) result
 
 (** Internals exposed for tests. *)
 module For_tests : sig
-  (** [estimate_adc_gain at plan ~w_codes ~x_for_row] — the power-of-two
-      ADC range-matching gain the runtime would program (see DESIGN.md). *)
+  (** [estimate_adc_gain at plan ~w_codes ~x ~streaming] — the
+      power-of-two ADC range-matching gain the runtime would program
+      (see DESIGN.md). Every W row reads all of [x], or with
+      [~streaming:true] its own [vector_len]-long window of it.
+      Allocates nothing beyond a constant. *)
   val estimate_adc_gain :
     Promise_ir.Abstract_task.t ->
     Promise_arch.Layout.plan ->
     w_codes:int array array ->
-    x_for_row:(int -> int array option) ->
+    x:int array option ->
+    streaming:bool ->
     float
 end

@@ -72,19 +72,32 @@ let apply_swings g swings =
 let silicon_machine ?(profile = Bank.Silicon) ~banks ~seed () =
   Machine.create { Machine.banks; profile; noise_seed = Some seed }
 
-(* [batch] decisions of the same query on one machine. Bit-identical to
-   [batch] sequential [Runtime.run] calls (the runtime's contract), so
-   [batch = 1] is exactly the historical single-decision evaluation. *)
-let run_batch_exn ?recovery ?pool ?kernel_mode machine g b ~batch =
-  match Runtime.run_batch ~machine ?recovery ?pool ?kernel_mode g b ~batch with
-  | Ok rs -> rs
+let run_exn = function
+  | Ok v -> v
   | Error e -> invalid_arg ("benchmark batch run failed: " ^ err_string e)
 
-(* Generic classification evaluation: one machine for the whole test
-   set, one graph run per query. [prepare] runs on the freshly-created
-   machine (fault injection hook); [recovery] is forwarded to the
-   runtime; [banks] overrides the default machine size (lane sparing
-   may need spare banks). *)
+(* One runtime session per evaluation: the machine keeps the static W
+   resident and each test vector streams only its X. The returned
+   [query ~bind_query ~batch] runs [batch] decisions of one test vector,
+   bit-identical to [batch] sequential [Runtime.run] calls on bindings
+   holding both (so [batch = 1] is exactly the historical
+   single-decision evaluation); the session dies with the evaluation. *)
+let session_exn ?recovery ?pool ?kernel_mode machine g ~bind_static =
+  let static = Runtime.bindings () in
+  bind_static static;
+  let s =
+    run_exn (Runtime.session ?recovery ?pool ?kernel_mode machine g static)
+  in
+  fun ~bind_query ~batch ->
+    let b = Runtime.bindings () in
+    bind_query b;
+    run_exn (Runtime.query s b ~batch)
+
+(* Generic classification evaluation: one machine and one runtime
+   session for the whole test set, one query per test vector.
+   [prepare] runs on the freshly-created machine (fault injection
+   hook); [recovery] is forwarded to the runtime; [banks] overrides the
+   default machine size (lane sparing may need spare banks). *)
 let make_classifier_eval ~graph ~bind_static ~bind_query ~queries ~labels
     ~decide ~reference_accuracy =
  fun ?(seed = 42) ?(profile = Bank.Silicon) ?prepare ?recovery ?banks ?pool
@@ -95,15 +108,13 @@ let make_classifier_eval ~graph ~bind_static ~bind_query ~queries ~labels
   in
   let machine = silicon_machine ~profile ~banks ~seed () in
   (match prepare with Some f -> f machine | None -> ());
+  let query = session_exn ?recovery ?pool ?kernel_mode machine g ~bind_static in
   (* [batch] noise realizations per query, accuracy over Q × batch
      decisions; batch 1 is bit-identical to the historical path. *)
   let correct = ref 0 in
   Array.iteri
     (fun i q ->
-      let b = Runtime.bindings () in
-      bind_static b;
-      bind_query b q;
-      let rs = run_batch_exn ?recovery ?pool ?kernel_mode machine g b ~batch in
+      let rs = query ~bind_query:(fun b -> bind_query b q) ~batch in
       Array.iter (fun r -> if decide r = labels.(i) then incr correct) rs)
     queries;
   let promise_accuracy =
@@ -530,16 +541,19 @@ let pca =
         in
         let machine = silicon_machine ~profile ~banks ~seed () in
         (match prepare with Some f -> f machine | None -> ());
+        let query =
+          session_exn ?recovery ?pool ?kernel_mode machine g
+            ~bind_static:(fun b ->
+              Runtime.bind_matrix b "W" model.Ml.Pca.components)
+        in
         let total_err = ref 0.0 in
         Array.iter
           (fun x ->
             let centered = Ml.Linalg.sub x model.Ml.Pca.mean in
             let reference = Ml.Pca.project model x in
-            let b = Runtime.bindings () in
-            Runtime.bind_matrix b "W" model.Ml.Pca.components;
-            Runtime.bind_vector b "x" centered;
             let rs =
-              run_batch_exn ?recovery ?pool ?kernel_mode machine g b ~batch
+              query ~bind_query:(fun b -> Runtime.bind_vector b "x" centered)
+                ~batch
             in
             let scale = Float.max 1e-6 (Ml.Linalg.max_abs reference) in
             Array.iter
@@ -636,7 +650,10 @@ let linreg =
         (match prepare with Some f -> f machine | None -> ());
         let b = Runtime.bindings () in
         bind b;
-        let rs = run_batch_exn ?recovery ?pool ?kernel_mode machine g b ~batch in
+        let rs =
+          run_exn
+            (Runtime.run_batch ~machine ?recovery ?pool ?kernel_mode g b ~batch)
+        in
         let rel a b = Float.abs (a -. b) /. Float.max 0.05 (Float.abs b) in
         (* mean fidelity over the batch's fits; batch 1 is the
            historical single-fit evaluation. *)

@@ -396,6 +396,44 @@ let test_bank_adc_gain_reduces_quantization () =
   let err_hi = Float.abs (sample 64.0 -. truth) in
   check bool "gain reduces quantization error" true (err_hi < err_lo)
 
+(* Every write moves the epoch by exactly one — direct writes, a
+   Class-1 write launch and Machine staging alike — while reads and
+   rejected writes leave it. The runtime keeps weights resident on
+   this. *)
+let test_bitcell_epoch () =
+  let a = Bitcell_array.create () in
+  check int "fresh array" 0 (Bitcell_array.epoch a);
+  Bitcell_array.write a ~word_row:0 [| 1; 2 |];
+  Bitcell_array.write a ~word_row:0 [| 1; 2 |];
+  check int "a rewrite of the same codes still counts" 2
+    (Bitcell_array.epoch a);
+  (match Bitcell_array.write a ~word_row:0 [| 200 |] with
+  | exception Invalid_argument _ -> ()
+  | () -> fail "code 200 must be rejected");
+  ignore (Bitcell_array.read a ~word_row:0);
+  ignore (Bitcell_array.read_lane a ~word_row:0 ~lane:1);
+  check int "reads and rejected writes leave it" 2 (Bitcell_array.epoch a);
+  let b = ideal_bank () in
+  Bank.set_write_data b [| 7 |];
+  let write_task =
+    Task.make ~class1:Opcode.C1_write
+      ~class2:{ Opcode.asd = Opcode.Asd_none; avd = false }
+      ~class3:Opcode.C3_none ~class4:Opcode.C4_accumulate ()
+  in
+  ignore
+    (Bank.run_iteration b ~task:write_task ~iteration:0 ~active_lanes:1
+       ~adc_gain:1.0);
+  check int "a Class-1 write launch" 1 (Bitcell_array.epoch (Bank.array b));
+  let m = Machine.create (Machine.ideal_config ~banks:2) in
+  let plan = Layout.plan_exn ~vector_len:200 ~rows:3 () in
+  Machine.load_weights m ~group:0 ~base:0 ~plan
+    (Array.make 3 (Array.make 200 5));
+  for bank = 0 to 1 do
+    check int "staging writes rows x segments per bank"
+      (3 * plan.Layout.segments)
+      (Bitcell_array.epoch (Bank.array (Machine.bank m bank)))
+  done
+
 (* ------------------------------------------------------------------ *)
 (* Layout                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -847,6 +885,7 @@ let suite =
     ("bitcell msb/lsb sub-ranging", `Quick, test_bitcell_msb_lsb_view);
     ("bitcell ideal aread", `Quick, test_bitcell_aread_ideal);
     ("bitcell quantize", `Quick, test_bitcell_quantize);
+    ("bitcell write epoch", `Quick, test_bitcell_epoch);
     ("xreg load/get", `Quick, test_xreg_load_get);
     ("xreg staging", `Quick, test_xreg_staging);
     ("xreg staging wraps", `Quick, test_xreg_staging_wraps);

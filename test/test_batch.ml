@@ -4,10 +4,11 @@
    reference oracle — across task shapes, fault profiles, swing/launch
    configurations and batch sizes (including N = 1, pool width, and
    ragged chained batches), every destination included. Plus: the
-   [machine.execute] failpoint on the plane, the zero-allocation
-   serving path's Gc property, the pipelined-timing closed form
-   (Scheduler.run_batch), and typed validation of --batch /
-   PROMISE_BATCH. *)
+   [machine.execute] failpoint on the plane and the [runtime.run]
+   failpoint on batched runs, the zero-allocation serving path's Gc
+   property, the pipelined-timing closed form (Scheduler.run_batch),
+   runtime sessions (queries on resident W == fresh runs), and typed
+   validation of --batch / PROMISE_BATCH. *)
 
 module P = Promise
 module Arch = P.Arch
@@ -20,6 +21,8 @@ module Op = P.Isa.Opcode
 module Op_param = P.Isa.Op_param
 module Program = P.Isa.Program
 module Dsl = P.Ir.Dsl
+module Graph = P.Ir.Graph
+module At = P.Ir.Abstract_task
 module Rt = P.Compiler.Runtime
 module Pipeline = P.Compiler.Pipeline
 module Pool = P.Pool
@@ -548,6 +551,23 @@ let bt_bindings () =
   Rt.bind_vector b "x" x;
   b
 
+(* Two chained layers on one bank: layer 2 stages W1 into bank 0 over
+   layer 1's rows. *)
+let bt2_kernel =
+  Dsl.kernel ~name:"bt2"
+    ~decls:
+      [
+        Dsl.matrix "W0" ~rows:8 ~cols:64;
+        Dsl.vector "x" ~len:64;
+        Dsl.out_vector "h" ~len:8;
+        Dsl.matrix "W1" ~rows:4 ~cols:8;
+        Dsl.out_vector "y" ~len:4;
+      ]
+    [
+      Dsl.for_store ~iterations:8 ~out:"h" (Dsl.dot "W0" "x");
+      Dsl.for_store ~iterations:4 ~out:"y" (Dsl.dot "W1" "h");
+    ]
+
 let bt_machine g =
   Machine.create
     {
@@ -579,24 +599,8 @@ let test_runtime_batch () =
         (outputs_of r = outputs_of sequential.(d)))
     batched;
   (* a chained two-layer DAG (layer 1's output is layer 2's X) is
-     genuinely multi-node, so its decisions replay [run] *)
-  let g2 =
-    fok
-      (P.compile
-         (Dsl.kernel ~name:"bt2"
-            ~decls:
-              [
-                Dsl.matrix "W0" ~rows:8 ~cols:64;
-                Dsl.vector "x" ~len:64;
-                Dsl.out_vector "h" ~len:8;
-                Dsl.matrix "W1" ~rows:4 ~cols:8;
-                Dsl.out_vector "y" ~len:4;
-              ]
-            [
-              Dsl.for_store ~iterations:8 ~out:"h" (Dsl.dot "W0" "x");
-              Dsl.for_store ~iterations:4 ~out:"y" (Dsl.dot "W1" "h");
-            ]))
-  in
+     genuinely multi-node, so its decisions run one at a time *)
+  let g2 = fok (P.compile bt2_kernel) in
   let b2_bindings () =
     let rng = Rng.create 8102 in
     let w0 =
@@ -626,6 +630,228 @@ let test_runtime_batch () =
         true
         (outputs_of r = outputs_of s2.(d)))
     b2
+
+(* [runtime.run] is consulted once per decision before the first launch
+   touches the machine — on the chunk-major path too: a single-node
+   graph at batch 4 returns the injected fault with nothing traced or
+   staged, and the retry equals a fresh machine's batch. *)
+let test_runtime_batch_failpoint () =
+  let g = fok (P.compile bt_kernel) in
+  let want =
+    fok (Rt.run_batch ~machine:(bt_machine g) g (bt_bindings ()) ~batch:4)
+  in
+  let m = bt_machine g in
+  fok (Fp.configure ~seed:1 [ ("runtime.run", Fp.Fail_once) ]);
+  Fun.protect ~finally:Fp.reset (fun () ->
+      (match Rt.run_batch ~machine:m g (bt_bindings ()) ~batch:4 with
+      | Error e -> check bool "typed Fault" true (e.E.code = E.Fault)
+      | Ok _ -> Alcotest.fail "the armed failpoint did not fire");
+      check int "the faulted call traced nothing" 0
+        (List.length (Machine.trace m).Arch.Trace.records);
+      check int "the faulted call staged nothing" 0
+        (Arch.Bitcell_array.epoch (Arch.Bank.array (Machine.bank m 0)));
+      let got = fok (Rt.run_batch ~machine:m g (bt_bindings ()) ~batch:4) in
+      check bool "retry == a fresh machine's batch" true
+        (Array.for_all2 (fun a b -> outputs_of a = outputs_of b) got want))
+
+(* ------------------------------------------------------------------ *)
+(* Sessions: W resident across queries                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* The session shapes: a dot product (W scaled on its own); an L1
+   argmin (W and X share one scale, so a large X requantizes W); 260
+   rows in three chunks on one bank (each chunk stages over the last);
+   and the chained bt2 DAG. *)
+let session_kernels =
+  [|
+    bt_kernel;
+    Dsl.kernel ~name:"sl1"
+      ~decls:
+        [
+          Dsl.matrix "W" ~rows:6 ~cols:48;
+          Dsl.vector "x" ~len:48;
+          Dsl.out_vector "out" ~len:6;
+        ]
+      [
+        Dsl.for_store ~iterations:6 ~out:"out" (Dsl.l1_distance "W" "x");
+        Dsl.argmin "out";
+      ];
+    Dsl.kernel ~name:"schunks"
+      ~decls:
+        [
+          Dsl.matrix "W" ~rows:260 ~cols:8;
+          Dsl.vector "x" ~len:8;
+          Dsl.out_vector "out" ~len:260;
+        ]
+      [ Dsl.for_store ~iterations:260 ~out:"out" (Dsl.dot "W" "x") ];
+    bt2_kernel;
+  |]
+
+type session_op =
+  | Query of { big : bool; batch : int; seed : int }
+      (** [big]: [max |x|] exceeds [max |W|] *)
+  | Bist
+  | Set_faults of int
+  | Write of { row : int; code : int }  (** a direct write into bank 0 *)
+
+let print_session_op = function
+  | Query { big; batch; seed } ->
+      Printf.sprintf "Query{big=%b;batch=%d;seed=%d}" big batch seed
+  | Bist -> "Bist"
+  | Set_faults k -> Printf.sprintf "Set_faults %d" k
+  | Write { row; code } -> Printf.sprintf "Write{row=%d;code=%d}" row code
+
+let gen_session_case =
+  let open QCheck.Gen in
+  let op =
+    frequency
+      [
+        ( 5,
+          map3
+            (fun big batch seed -> Query { big; batch; seed })
+            bool (int_range 1 3) (int_bound 10_000) );
+        (1, return Bist);
+        (1, map (fun k -> Set_faults k) (int_bound 3));
+        ( 1,
+          map2
+            (fun row code -> Write { row; code })
+            (int_bound 9) (int_range (-128) 127) );
+      ]
+  in
+  triple
+    (int_bound (Array.length session_kernels - 1))
+    (int_bound 10_000)
+    (list_size (int_range 2 8) op)
+
+let print_session_case (k, seed, ops) =
+  Printf.sprintf "kernel %d seed=%d ops=[%s]" k seed
+    (String.concat "; " (List.map print_session_op ops))
+
+(* Every W has [max |W|] = 0.5, so bt2's two layers quantize at one
+   scale and only the node tells their staged rows apart. An ordinary X
+   stays below 0.5; a big one reaches 0.95. *)
+let session_w g seed =
+  let rng = Rng.create seed in
+  let b = Rt.bindings () in
+  List.iter
+    (fun (_, (at : At.t)) ->
+      let w =
+        Array.init at.At.loop_iterations (fun _ ->
+            Array.init at.At.vector_len (fun _ ->
+                Rng.uniform rng ~lo:(-0.5) ~hi:0.5))
+      in
+      w.(0).(0) <- 0.5;
+      Rt.bind_matrix b at.At.w w)
+    (Graph.tasks g);
+  b
+
+let session_x g ~big seed =
+  let at = Graph.task g (List.hd (Graph.topological_order g)) in
+  let rng = Rng.create seed in
+  let bound = if big then 0.95 else 0.4 in
+  let x =
+    Array.init at.At.vector_len (fun _ -> Rng.uniform rng ~lo:(-.bound) ~hi:bound)
+  in
+  if big then x.(seed mod at.At.vector_len) <- 0.95;
+  x
+
+let perturb m = function
+  | Query _ -> ()
+  | Bist -> ignore (fok (Arch.Selftest.run ~trials:4 m))
+  | Set_faults k ->
+      let f =
+        match k with
+        | 0 -> Faults.none
+        | 1 -> fok (Faults.with_stuck_lane Faults.none ~lane:3 ~code:64)
+        | 2 -> Faults.with_adc_offset Faults.none 0.05
+        | _ -> fok (Faults.with_xreg_flips Faults.none ~seed:7 ~rate:0.05)
+      in
+      Arch.Bank.set_faults (Machine.bank m 0) f
+  | Write { row; code } ->
+      Arch.Bitcell_array.write
+        (Arch.Bank.array (Machine.bank m 0))
+        ~word_row:row (Array.make 128 code)
+
+let bits_of r =
+  List.map
+    (fun (id, (o : Rt.task_output)) ->
+      ( id,
+        Array.map Int64.bits_of_float o.Rt.values,
+        Option.map (fun (i, v) -> (i, Int64.bits_of_float v)) o.Rt.decision ))
+    r.Rt.outputs
+
+(* N queries through one session == the same N queries each through
+   [Runtime.run] on a twin machine, with BIST runs, fault changes,
+   direct writes over W's rows and X beyond [max |W|] interleaved. A
+   session that kept a stale W resident would diverge here. *)
+let qcheck_session_eq_runs =
+  QCheck.Test.make ~name:"session queries == a fresh Runtime.run per query"
+    ~count:40
+    (QCheck.make ~print:print_session_case gen_session_case)
+    (fun (k, seed, ops) ->
+      let g = fok (P.compile session_kernels.(k)) in
+      let m = bt_machine g and twin = bt_machine g in
+      let s = fok (Rt.session m g (session_w g seed)) in
+      List.for_all
+        (fun op ->
+          perturb m op;
+          perturb twin op;
+          match op with
+          | Query { big; batch; seed = xs } ->
+              let x = session_x g ~big xs in
+              let q = Rt.bindings () in
+              Rt.bind_vector q "x" x;
+              let got = fok (Rt.query s q ~batch) in
+              let full = session_w g seed in
+              Rt.bind_vector full "x" x;
+              let want =
+                Array.init batch (fun _ -> fok (Rt.run ~machine:twin g full))
+              in
+              Array.for_all2 (fun a b -> bits_of a = bits_of b) got want
+          | Bist | Set_faults _ | Write _ -> true)
+        ops)
+
+(* Within one query, a node restages over a shared bank even when both
+   nodes quantize at one scale: a bt2 session equals its two layers run
+   one after the other as single-node graphs on a twin machine, query
+   after query. (The property above compares against [Runtime.run],
+   which runs a session too, so it cannot see a mix-up between the
+   nodes of one query.) *)
+let test_session_chained_layers () =
+  let layer name ~w ~x ~out ~rows ~cols =
+    fok
+      (P.compile
+         (Dsl.kernel ~name
+            ~decls:
+              [
+                Dsl.matrix w ~rows ~cols;
+                Dsl.vector x ~len:cols;
+                Dsl.out_vector out ~len:rows;
+              ]
+            [ Dsl.for_store ~iterations:rows ~out (Dsl.dot w x) ]))
+  in
+  let g = fok (P.compile bt2_kernel) in
+  let g0 = layer "bt2a" ~w:"W0" ~x:"x" ~out:"h" ~rows:8 ~cols:64
+  and g1 = layer "bt2b" ~w:"W1" ~x:"h" ~out:"y" ~rows:4 ~cols:8 in
+  let m = bt_machine g and twin = bt_machine g in
+  let s = fok (Rt.session m g (session_w g 5)) in
+  let values (o : Rt.task_output) = Array.map Int64.bits_of_float o.Rt.values in
+  for q = 1 to 3 do
+    let x = session_x g ~big:false q in
+    let b = Rt.bindings () in
+    Rt.bind_vector b "x" x;
+    let got = List.map (fun (_, o) -> values o) (fok (Rt.query s b ~batch:1)).(0).Rt.outputs in
+    let b0 = session_w g 5 in
+    Rt.bind_vector b0 "x" x;
+    let h = fok (Rt.final_output (fok (Rt.run ~machine:twin g0 b0))) in
+    let b1 = session_w g 5 in
+    Rt.bind_vector b1 "h" h.Rt.values;
+    let y = fok (Rt.final_output (fok (Rt.run ~machine:twin g1 b1))) in
+    check bool
+      (Printf.sprintf "query %d == the layers run one by one" q)
+      true
+      (got = [ values h; values y ])
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Typed validation of --batch / PROMISE_BATCH                          *)
@@ -700,6 +926,8 @@ let () =
         [
           Alcotest.test_case "execute_batch faults before touching state"
             `Quick test_batch_failpoint;
+          Alcotest.test_case "run_batch consults runtime.run per decision"
+            `Quick test_runtime_batch_failpoint;
         ] );
       ( "timing",
         [
@@ -712,6 +940,9 @@ let () =
             test_run_program_batch;
           Alcotest.test_case "Runtime.run_batch == N Runtime.run" `Quick
             test_runtime_batch;
+          QCheck_alcotest.to_alcotest qcheck_session_eq_runs;
+          Alcotest.test_case "session restages chained layers" `Quick
+            test_session_chained_layers;
         ] );
       ( "validation",
         [

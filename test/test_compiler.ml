@@ -495,6 +495,42 @@ let test_runtime_unbound_arrays_error () =
   | Error _ -> ()
   | Ok _ -> fail "unbound arrays must be an error"
 
+(* A W row of the wrong width is a typed error naming the task and the
+   row, as a wrong-length X is: the layout never silently zero-pads a
+   short row or drops a long row's tail. *)
+let test_runtime_w_row_width () =
+  let k =
+    Dsl.kernel ~name:"dot"
+      ~decls:
+        [
+          Dsl.matrix "W" ~rows:4 ~cols:64;
+          Dsl.vector "x" ~len:64;
+          Dsl.out_vector "out" ~len:4;
+        ]
+      [ Dsl.for_store ~iterations:4 ~out:"out" (Dsl.dot "W" "x") ]
+  in
+  let g = ok_or_fail (Pipeline.compile k) in
+  let bindings width =
+    let b = Runtime.bindings () in
+    Runtime.bind_matrix b "W"
+      (Array.init 4 (fun r -> Array.make (if r = 2 then width else 64) 0.25));
+    Runtime.bind_vector b "x" (Array.make 64 0.5);
+    b
+  in
+  List.iter
+    (fun width ->
+      match Runtime.run ~machine:(ideal_machine 1) g (bindings width) with
+      | Ok _ -> Alcotest.failf "a W row of width %d was accepted" width
+      | Error e ->
+          check bool "Invalid_operand" true
+            (e.Promise.Error.code = Promise.Error.Invalid_operand);
+          check (Alcotest.option Alcotest.string) "row in context" (Some "2")
+            (List.assoc_opt "row" e.Promise.Error.context);
+          check bool "task in context" true
+            (List.mem_assoc "task" e.Promise.Error.context))
+    [ 48; 80; 1 ];
+  ignore (ok_or_fail (Runtime.run ~machine:(ideal_machine 1) g (bindings 64)))
+
 let test_runtime_adc_gain_estimation () =
   (* small-magnitude data picks a large power-of-two gain *)
   let a = at ~vector_len:4 ~loop_iterations:1 () in
@@ -502,11 +538,35 @@ let test_runtime_adc_gain_estimation () =
   let g =
     Runtime.For_tests.estimate_adc_gain a plan
       ~w_codes:[| [| 2; -2; 2; -2 |] |]
-      ~x_for_row:(fun _ -> Some [| 3; 3; 3; 3 |])
+      ~x:(Some [| 3; 3; 3; 3 |]) ~streaming:false
   in
   check bool "gain is a large power of two" true (g >= 32.0);
   check (close 1e-9) "power of two" 0.0
     (Float.rem (Float.log (Float.max g 1.0) /. Float.log 2.0) 1.0)
+
+(* The gain preview runs on every query, so it must not allocate: a
+   128-row, two-bank task stays under 100 minor words per call. *)
+let test_runtime_adc_gain_allocation () =
+  let vector_len = 256 and rows = 128 in
+  let a = at ~vector_len ~loop_iterations:rows () in
+  let plan = Arch.Layout.plan_exn ~vector_len ~rows () in
+  let w_codes =
+    Array.init rows (fun r -> Array.init vector_len (fun e -> ((r * e) mod 255) - 127))
+  in
+  let x = Some (Array.init vector_len (fun e -> (e mod 200) - 100)) in
+  let call () =
+    Runtime.For_tests.estimate_adc_gain a plan ~w_codes ~x ~streaming:false
+  in
+  ignore (call ());
+  let calls = 20 in
+  let before = Gc.minor_words () in
+  for _ = 1 to calls do
+    ignore (Sys.opaque_identity (call ()))
+  done;
+  let words = (Gc.minor_words () -. before) /. float_of_int calls in
+  check bool
+    (Printf.sprintf "%.1f minor words per call < 100" words)
+    true (words < 100.0)
 
 let test_runtime_compare_kernel () =
   (* the Hamming-style compare path: count of non-negative differences *)
@@ -859,7 +919,9 @@ let suite =
     ("runtime whole-array statistics", `Quick, test_runtime_mean_statistics);
     ("runtime DNN chain", `Quick, test_runtime_dnn_chain);
     ("runtime unbound arrays", `Quick, test_runtime_unbound_arrays_error);
+    ("runtime W row width", `Quick, test_runtime_w_row_width);
     ("runtime ADC gain estimation", `Quick, test_runtime_adc_gain_estimation);
+    ("runtime ADC gain allocation", `Quick, test_runtime_adc_gain_allocation);
     ("runtime compare kernel", `Quick, test_runtime_compare_kernel);
     ("Eq. (3) empirical noise", `Slow, test_eq3_empirical_aggregate_noise);
     ("pipeline compile to binary", `Quick, test_pipeline_compile_to_binary);
