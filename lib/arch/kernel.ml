@@ -70,17 +70,22 @@ type t = {
    at most 128 iterations of 128 lanes, so one decision always fits. *)
 let tile_floats = 16384
 
+(* X addressing wraps at X_PRD + 1 <= 4 ([Op_param.x_addr_at]), so a
+   task reads X-REG rows 0..3 at most. *)
+let max_x_period = 4
+
 (* The sampler's working set, one per domain: one iteration's per-lane
-   invariants — [wrow] the aREAD value, [srow] its noise sigma, [xrow]
-   the normalized X operand, all the same for every decision of a batch
-   — the noise tile one [Rng.gaussian_fill_ba] call fills, and the lane
-   vector and charge-share slot of the per-sample loop. Kernels hold no
-   scratch, so a machine's kernel slots stay small, and pool domains
-   sampling different banks never share a buffer. *)
+   W invariants — [wrow] the aREAD value, [srow] its noise sigma — the
+   normalized X-REG rows the task reads ([xrows], row [r] at
+   [r * lanes]), all the same for every decision of a batch, the noise
+   tile one [Rng.gaussian_fill_ba] call fills, and the lane vector and
+   charge-share slot of the per-sample loop. Kernels hold no scratch, so
+   a machine's kernel slots stay small, and pool domains sampling
+   different banks never share a buffer. *)
 type scratch = {
   wrow : float array;
   srow : float array;
-  xrow : float array;
+  xrows : float array;
   nplane : A.Rng.ba;
   wbuf : float array;
   sbuf : float array;  (* [0] = charge-share accumulator *)
@@ -92,7 +97,7 @@ let scratch_key =
       {
         wrow = lanes ();
         srow = lanes ();
-        xrow = lanes ();
+        xrows = Array.make (max_x_period * Params.lanes) 0.0;
         nplane =
           Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout tile_floats;
         wbuf = lanes ();
@@ -281,9 +286,15 @@ let matches t bank ~task ~active_lanes ~lane_mask =
      path recomputes per decision ([wrow] the pre-sampled aREAD value
      with the stuck/dead override folded in as (wrow, srow=0) —
      override_val +. 0.0·g ≡ override_val for every real g — [srow]
-     the per-code sigma, [xrow] the normalized X), and every arithmetic
+     the per-code sigma, [xrows] the normalized X), and every arithmetic
      step below applies the scalar path's operations in the scalar
-     path's order. *)
+     path's order;
+   - the X-REG rows cannot change during a call, so converting them once
+     per call reads what the scalar path reads every iteration: a launch
+     that stages emits into a row its own task reads never reaches a
+     kernel ([Machine.reads_own_staging] sends it to the scalar loop),
+     and every other launch stages only in the reduction, after the
+     whole plane is sampled. *)
 
 (* [Lut.apply_raw] on an aSD transfer curve [e] ([en1] = its last index,
    [fen1] the same as a float), spelled out — clamp, position, floor,
@@ -292,18 +303,19 @@ let matches t bank ~task ~active_lanes ~lane_mask =
    The clamp is written with comparisons instead of
    [Float.min]/[Float.max] for the same reason; for every non-NaN input
    the result is bitwise the same, and the analog chain can produce no
-   NaN. *)
+   NaN. The clamp puts [pos] in [0, en1], where truncation is floor, so
+   [int_of_float] stands in for the libm [Float.floor] call. *)
 let[@inline] asd_curve e ~en1 ~fen1 v =
   let v = if v < -1.0 then -1.0 else if v > 1.0 then 1.0 else v in
   let pos = (v +. 1.0) /. 2.0 *. fen1 in
-  let i0 = int_of_float (Float.floor pos) in
+  let i0 = int_of_float pos in
   if i0 >= en1 then Array.unsafe_get e en1
   else
     let frac = pos -. float_of_int i0 in
     ((1.0 -. frac) *. Array.unsafe_get e i0)
     +. (frac *. Array.unsafe_get e (i0 + 1))
 
-(* Hoist iteration [i]'s per-lane invariants into the domain's rows. *)
+(* Hoist iteration [i]'s per-lane W invariants into the domain's rows. *)
 let prepare_row t s i =
   let row =
     Bitcell_array.row_unsafe t.array
@@ -321,14 +333,20 @@ let prepare_row t s i =
       Array.unsafe_set s.wrow lane (Array.unsafe_get t.shaped idx);
       Array.unsafe_set s.srow lane (Array.unsafe_get t.sigma idx)
     end
-  done;
-  if t.uses_x then begin
-    let xr = Xreg.row_unsafe t.xreg ~index:((t.x_base + i) mod t.x_period) in
-    for lane = 0 to Params.lanes - 1 do
-      Array.unsafe_set s.xrow lane
-        (float_of_int (Array.unsafe_get xr lane) /. 128.0)
+  done
+
+(* Normalize the X-REG rows 0..X_PRD the task reads into the domain's
+   [xrows], once per call. *)
+let prepare_x t s =
+  if t.uses_x then
+    for r = 0 to t.x_period - 1 do
+      let xr = Xreg.row_unsafe t.xreg ~index:r in
+      for lane = 0 to Params.lanes - 1 do
+        Array.unsafe_set s.xrows
+          ((r * Params.lanes) + lane)
+          (float_of_int (Array.unsafe_get xr lane) /. 128.0)
+      done
     done
-  end
 
 let sample_batch_into t ~adc_gain ~batch ~(dst : A.Rng.ba) ~off =
   if batch < 1 then invalid_arg "Kernel.sample_batch_into: batch must be >= 1";
@@ -341,12 +359,13 @@ let sample_batch_into t ~adc_gain ~batch ~(dst : A.Rng.ba) ~off =
   let noisy = Option.is_some t.noise_rng in
   let per_dec = iters * lanes in
   let tile_d = if not noisy then batch else max 1 (tile_floats / per_dec) in
-  let wrow = s.wrow and srow = s.srow and xrow = s.xrow in
+  let wrow = s.wrow and srow = s.srow and xrows = s.xrows in
   let np = s.nplane in
   let e = t.asd_tbl in
   let en1 = Array.length e - 1 in
   let fen1 = float_of_int en1 in
   let wbuf = s.wbuf and sbuf = s.sbuf in
+  prepare_x t s;
   let d = ref 0 in
   while !d < batch do
     let td = min tile_d (batch - !d) in
@@ -355,6 +374,7 @@ let sample_batch_into t ~adc_gain ~batch ~(dst : A.Rng.ba) ~off =
     | None -> ());
     for i = 0 to iters - 1 do
       prepare_row t s i;
+      let xo = ((t.x_base + i) mod t.x_period) * lanes in
       for dr = 0 to td - 1 do
         let gb = (dr * per_dec) + (i * lanes) in
         (* pass 1 — class-1 value per lane (the scalar chain:
@@ -379,7 +399,7 @@ let sample_batch_into t ~adc_gain ~batch ~(dst : A.Rng.ba) ~off =
                   +. (Array.unsafe_get srow lane *. np.{gb + lane})
                 else Array.unsafe_get wrow lane
               in
-              let v = (w -. Array.unsafe_get xrow lane) /. 2.0 in
+              let v = (w -. Array.unsafe_get xrows (xo + lane)) /. 2.0 in
               Array.unsafe_set wbuf lane (if t.has_leak then v *. t.leak else v)
             done
         | K_aadd ->
@@ -390,7 +410,7 @@ let sample_batch_into t ~adc_gain ~batch ~(dst : A.Rng.ba) ~off =
                   +. (Array.unsafe_get srow lane *. np.{gb + lane})
                 else Array.unsafe_get wrow lane
               in
-              let v = (w +. Array.unsafe_get xrow lane) /. 2.0 in
+              let v = (w +. Array.unsafe_get xrows (xo + lane)) /. 2.0 in
               Array.unsafe_set wbuf lane (if t.has_leak then v *. t.leak else v)
             done);
         (* pass 2 — aSD + charge share; the sum runs over the membership
@@ -427,7 +447,7 @@ let sample_batch_into t ~adc_gain ~batch ~(dst : A.Rng.ba) ~off =
             for lane = 0 to lanes - 1 do
               if Array.unsafe_get t.acc_on lane then
                 let v =
-                  Array.unsafe_get wbuf lane *. Array.unsafe_get xrow lane
+                  Array.unsafe_get wbuf lane *. Array.unsafe_get xrows (xo + lane)
                 in
                 Array.unsafe_set sbuf 0
                   (Array.unsafe_get sbuf 0 +. asd_curve e ~en1 ~fen1 v)
@@ -437,7 +457,7 @@ let sample_batch_into t ~adc_gain ~batch ~(dst : A.Rng.ba) ~off =
               if Array.unsafe_get t.acc_on lane then
                 let v =
                   Float.abs (Array.unsafe_get wbuf lane)
-                  *. Float.abs (Array.unsafe_get xrow lane)
+                  *. Float.abs (Array.unsafe_get xrows (xo + lane))
                 in
                 Array.unsafe_set sbuf 0
                   (Array.unsafe_get sbuf 0 +. asd_curve e ~en1 ~fen1 v)

@@ -11,9 +11,9 @@
     {!sample_batch_into} then runs S1 aREAD → Class-1 combine → leakage
     → S2 aSD → S3 charge share → ADC for a whole batch of decisions into
     a structure-of-arrays sample plane; a single decision is batch 1.
-    Its working set (one iteration's hoisted lane rows and the noise
-    tile) is one buffer per domain, so kernels themselves are
-    immutable.
+    Its working set (one iteration's hoisted W lane rows, the task's
+    normalized X-REG rows and the noise tile) is one buffer per domain,
+    so kernels themselves are immutable.
 
     Bit-identity contract: for every task, profile, fault set and lane
     mask a kernel exists for, the samples are bitwise the {!Bank.Sample}
@@ -62,11 +62,16 @@ val matches :
     the scalar path consumes the stream in the same
     (decision, iteration, lane) order and 128-lane vectors leave the
     Box-Muller cache empty at every decision boundary. Inside a tile
-    the loop runs iteration-major: an iteration's per-lane invariants
-    (aREAD value with stuck/dead overrides folded in, noise sigma,
-    normalized X) are hoisted into rows once and serve every decision
-    of the tile. Zero minor-heap allocations: the domain's rows and
-    noise tile are allocated once and reused.
+    the loop runs iteration-major: an iteration's per-lane W invariants
+    (aREAD value with stuck/dead overrides folded in, noise sigma) are
+    hoisted into rows once and serve every decision of the tile. The
+    X-REG rows 0..X_PRD the task reads are normalized once per call:
+    nothing writes them while it runs, since a launch that stages into
+    a row its own task reads never reaches a kernel
+    ({!Machine.execute} sends it to the scalar loop) and every other
+    launch stages only after the whole plane is sampled. Zero minor-heap
+    allocations: the domain's rows and noise tile are allocated once
+    and reused.
 
     Raises [Invalid_argument] if [batch < 1], [adc_gain <= 0], or the
     [dst] slice [off .. off + batch*iterations - 1] is out of range. *)

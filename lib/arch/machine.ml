@@ -698,7 +698,7 @@ let scatter ?lane_map slice =
       Array.iteri (fun l c -> phys.(map.(l)) <- c) slice;
       phys
 
-let load_weights ?lane_map t ~group ~base ~plan w =
+let load_weights ?lane_map ?bank t ~group ~base ~plan w =
   let n = plan.Layout.banks in
   let first = group * n in
   if first + n > n_banks t then
@@ -706,9 +706,15 @@ let load_weights ?lane_map t ~group ~base ~plan w =
   let rows = Array.length w in
   if base + (rows * plan.Layout.segments) > Params.word_rows then
     invalid_arg "Machine.load_weights: rows overflow the bank";
+  let lo, hi =
+    match bank with
+    | None -> (0, n - 1)
+    | Some b when b >= 0 && b < n -> (b, b)
+    | Some _ -> invalid_arg "Machine.load_weights: bank outside the group"
+  in
   Array.iteri
     (fun r row ->
-      for bank_i = 0 to n - 1 do
+      for bank_i = lo to hi do
         for segment = 0 to plan.Layout.segments - 1 do
           let slice =
             scatter ?lane_map

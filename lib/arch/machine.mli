@@ -238,13 +238,16 @@ end
 
 (** {2 Data staging} *)
 
-(** [load_weights ?lane_map t ~group ~base ~plan w] — place row-chunk
-    matrix [w] (rows × vector_len 8-bit codes) into the banks of
-    [group] starting at word row [base], per [plan]'s slicing.
-    [lane_map] ({!Layout.spare_map}) scatters logical lane [l] of each
-    slice to physical lane [lane_map.(l)] (lane sparing). *)
+(** [load_weights ?lane_map ?bank t ~group ~base ~plan w] — place
+    row-chunk matrix [w] (rows × vector_len 8-bit codes) into the banks
+    of [group] starting at word row [base], per [plan]'s slicing; with
+    [bank], into the group's [bank]-th bank alone (its slices only, the
+    other banks untouched). [lane_map] ({!Layout.spare_map}) scatters
+    logical lane [l] of each slice to physical lane [lane_map.(l)] (lane
+    sparing). *)
 val load_weights :
   ?lane_map:int array ->
+  ?bank:int ->
   t ->
   group:int ->
   base:int ->

@@ -210,41 +210,112 @@ let resolve_x g b outputs id (at : At.t) =
               ~context:[ ("task", at.At.name) ]
               "unbound X vector %S" at.At.x)
 
+(* Every 8-bit code's bit-cell value [code / 128], at [code + 128]: a
+   load in place of a conversion and a division per lane. *)
+let code_values =
+  Array.init 256 (fun i -> Promise_core.Quant.dequantize8 (i - 128))
+
+(* Lane [e] of a zero-padded slice: the value of code [a.(off + e)], or
+   0 from [len] on. *)
+let[@inline] lane_value a ~off ~len e =
+  if e < len then code_values.(a.(off + e) + 128) else 0.0
+
+let[@inline] compare_one s = if s >= 0.0 then 1.0 else 0.0
+
 (* The ideal charge-share mean of bank [bank], segment [segment] of one
    row: the zero-padded slices {!Layout.slice_of_vector} would cut from W
-   row [w] and from X (the [x_len] codes of [x] from [x_off]), read in
-   place. Inlined so that its float result is never boxed. *)
-let[@inline] ideal_partial_mean (at : At.t) (plan : Layout.plan) ~w ~x ~x_off
+   row [w] and from X (the [x_len] codes of [xs] from [x_off]; no X is
+   [x_len = 0]), read in place, with noise, LUT shaping and ADC
+   quantization removed. One lane loop per (vec_op, red_op) pair, the
+   operator match outside it; a multiply's reduction reads its product
+   as is. [*. 0.5] is the exact [/. 2.0]. Inlined so that its float
+   result is never boxed. *)
+let[@inline] partial_mean (at : At.t) (plan : Layout.plan) ~w ~xs ~x_off
     ~x_len ~bank ~segment =
   let lanes = plan.Layout.lanes_per_bank in
-  let base = ((bank * plan.Layout.segments) + segment) * lanes in
+  let e0 = ((bank * plan.Layout.segments) + segment) * lanes in
+  let e1 = e0 + lanes - 1 and w_len = Array.length w in
   let acc = ref 0.0 in
-  for lane = 0 to lanes - 1 do
-    let e = base + lane in
-    let w = float_of_int (if e < Array.length w then w.(e) else 0) /. 128.0 in
-    let x =
-      match x with
-      | Some xs -> float_of_int (if e < x_len then xs.(x_off + e) else 0) /. 128.0
-      | None -> 0.0
-    in
-    let s1 =
-      match at.At.vec_op with
-      | At.Vo_add -> (w +. x) /. 2.0
-      | At.Vo_sub -> (w -. x) /. 2.0
-      | At.Vo_mul_signed -> w *. x
-      | At.Vo_mul_unsigned -> Float.abs w *. Float.abs x
-      | At.Vo_none -> w
-    in
-    let v =
-      match (at.At.vec_op, at.At.red_op) with
-      | (At.Vo_mul_signed | At.Vo_mul_unsigned), _ -> s1
-      | _, At.Ro_sum -> s1
-      | _, At.Ro_sum_abs -> Float.abs s1
-      | _, At.Ro_sum_square -> s1 *. s1
-      | _, At.Ro_sum_compare -> if s1 >= 0.0 then 1.0 else 0.0
-    in
-    acc := !acc +. v
-  done;
+  (match (at.At.vec_op, at.At.red_op) with
+  | At.Vo_mul_signed, _ ->
+      for e = e0 to e1 do
+        let w = lane_value w ~off:0 ~len:w_len e
+        and x = lane_value xs ~off:x_off ~len:x_len e in
+        acc := !acc +. (w *. x)
+      done
+  | At.Vo_mul_unsigned, _ ->
+      for e = e0 to e1 do
+        let w = lane_value w ~off:0 ~len:w_len e
+        and x = lane_value xs ~off:x_off ~len:x_len e in
+        acc := !acc +. (Float.abs w *. Float.abs x)
+      done
+  | At.Vo_add, At.Ro_sum ->
+      for e = e0 to e1 do
+        let w = lane_value w ~off:0 ~len:w_len e
+        and x = lane_value xs ~off:x_off ~len:x_len e in
+        acc := !acc +. ((w +. x) *. 0.5)
+      done
+  | At.Vo_add, At.Ro_sum_abs ->
+      for e = e0 to e1 do
+        let w = lane_value w ~off:0 ~len:w_len e
+        and x = lane_value xs ~off:x_off ~len:x_len e in
+        acc := !acc +. Float.abs ((w +. x) *. 0.5)
+      done
+  | At.Vo_add, At.Ro_sum_square ->
+      for e = e0 to e1 do
+        let w = lane_value w ~off:0 ~len:w_len e
+        and x = lane_value xs ~off:x_off ~len:x_len e in
+        let s = (w +. x) *. 0.5 in
+        acc := !acc +. (s *. s)
+      done
+  | At.Vo_add, At.Ro_sum_compare ->
+      for e = e0 to e1 do
+        let w = lane_value w ~off:0 ~len:w_len e
+        and x = lane_value xs ~off:x_off ~len:x_len e in
+        acc := !acc +. compare_one ((w +. x) *. 0.5)
+      done
+  | At.Vo_sub, At.Ro_sum ->
+      for e = e0 to e1 do
+        let w = lane_value w ~off:0 ~len:w_len e
+        and x = lane_value xs ~off:x_off ~len:x_len e in
+        acc := !acc +. ((w -. x) *. 0.5)
+      done
+  | At.Vo_sub, At.Ro_sum_abs ->
+      for e = e0 to e1 do
+        let w = lane_value w ~off:0 ~len:w_len e
+        and x = lane_value xs ~off:x_off ~len:x_len e in
+        acc := !acc +. Float.abs ((w -. x) *. 0.5)
+      done
+  | At.Vo_sub, At.Ro_sum_square ->
+      for e = e0 to e1 do
+        let w = lane_value w ~off:0 ~len:w_len e
+        and x = lane_value xs ~off:x_off ~len:x_len e in
+        let s = (w -. x) *. 0.5 in
+        acc := !acc +. (s *. s)
+      done
+  | At.Vo_sub, At.Ro_sum_compare ->
+      for e = e0 to e1 do
+        let w = lane_value w ~off:0 ~len:w_len e
+        and x = lane_value xs ~off:x_off ~len:x_len e in
+        acc := !acc +. compare_one ((w -. x) *. 0.5)
+      done
+  | At.Vo_none, At.Ro_sum ->
+      for e = e0 to e1 do
+        acc := !acc +. lane_value w ~off:0 ~len:w_len e
+      done
+  | At.Vo_none, At.Ro_sum_abs ->
+      for e = e0 to e1 do
+        acc := !acc +. Float.abs (lane_value w ~off:0 ~len:w_len e)
+      done
+  | At.Vo_none, At.Ro_sum_square ->
+      for e = e0 to e1 do
+        let w = lane_value w ~off:0 ~len:w_len e in
+        acc := !acc +. (w *. w)
+      done
+  | At.Vo_none, At.Ro_sum_compare ->
+      for e = e0 to e1 do
+        acc := !acc +. compare_one (lane_value w ~off:0 ~len:w_len e)
+      done);
   !acc /. float_of_int lanes
 
 (* ADC range matching: a digital preview of every per-bank charge-share
@@ -252,27 +323,32 @@ let[@inline] ideal_partial_mean (at : At.t) (plan : Layout.plan) ~w ~x ~x_off
    aggregate within ~0.7 of full scale (headroom for analog noise).
    Mirrors Bank's gain staging exactly, minus noise and LUT shaping.
    Every row of [w_codes] reads all of [x], or with [streaming] its own
-   [vector_len]-long window of it. Allocation-free. *)
+   [vector_len]-long window of it. The scan stops at the first row that
+   lifts [2 max_abs] past the target: [grow 1.0] is then 1.0, and later
+   rows can only raise [max_abs]. Allocation-free. *)
 let estimate_adc_gain (at : At.t) (plan : Layout.plan) ~w_codes ~x ~streaming
     =
-  let vector_len = at.At.vector_len in
-  let x_len =
-    match x with Some xs when not streaming -> Array.length xs | _ -> vector_len
+  let vector_len = at.At.vector_len and target = 0.7 in
+  let xs, x_len =
+    match x with
+    | Some xs -> (xs, if streaming then vector_len else Array.length xs)
+    | None -> ([||], 0)
   in
-  let max_abs = ref 0.0 in
-  for r = 0 to Array.length w_codes - 1 do
-    let x_off = if streaming then r * vector_len else 0 in
+  let max_abs = ref 0.0 and r = ref 0 in
+  while !r < Array.length w_codes && 2.0 *. !max_abs <= target do
+    let x_off = if streaming then !r * vector_len else 0 in
     for bank = 0 to plan.Layout.banks - 1 do
       for segment = 0 to plan.Layout.segments - 1 do
         let m =
-          ideal_partial_mean at plan ~w:w_codes.(r) ~x ~x_off ~x_len ~bank
+          partial_mean at plan ~w:w_codes.(!r) ~xs ~x_off ~x_len ~bank
             ~segment
         in
         max_abs := Float.max !max_abs (Float.abs m)
       done
-    done
+    done;
+    incr r
   done;
-  let max_abs = !max_abs and target = 0.7 in
+  let max_abs = !max_abs in
   let rec grow g =
     if g >= 64.0 then 64.0
     else if 2.0 *. g *. max_abs <= target then grow (2.0 *. g)
@@ -307,7 +383,9 @@ let ideal_chunk (at : At.t) ~plan ~th ~w_rows ~x_row =
     | Opcode.Des_acc | Opcode.Des_xreg | Opcode.Des_write_buffer ->
         emitted := emit.Th_unit.value :: !emitted
   in
-  let x_len = match x_row with Some x -> Array.length x | None -> 0 in
+  let xs, x_len =
+    match x_row with Some xs -> (xs, Array.length xs) | None -> ([||], 0)
+  in
   let rows = Array.length w_rows in
   for i = 0 to (rows * plan.Layout.segments) - 1 do
     let r = i / plan.Layout.segments in
@@ -316,8 +394,8 @@ let ideal_chunk (at : At.t) ~plan ~th ~w_rows ~x_row =
     for bank = 0 to plan.Layout.banks - 1 do
       combined :=
         !combined
-        +. ideal_partial_mean at plan ~w:w_rows.(r) ~x:x_row ~x_off:0 ~x_len
-             ~bank ~segment
+        +. partial_mean at plan ~w:w_rows.(r) ~xs ~x_off:0 ~x_len ~bank
+             ~segment
     done;
     match Th_unit.push th_sim !combined with
     | Some e -> collect e
@@ -546,34 +624,34 @@ let w_codes node ~scale =
       node.codes <- Some (bits, codes);
       codes
 
-(* Stage a chunk's W rows into bank group [group] unless every bank of
-   the group still holds them: this session's last staging there wrote
+(* Stage a chunk's W rows into each bank of group [group] that does not
+   still hold its slices: this session's last staging there wrote
    [token], and no write of anyone's has moved the bank's epoch since.
-   Staging draws no noise and writing the same codes again changes
-   nothing, so skipping it is exact. *)
+   Each bank's slices are independent of the others', staging draws no
+   noise, and writing the same codes again changes nothing, so skipping
+   a held bank is exact. *)
 let stage s ~token ~group ~(plan : Layout.plan) w_rows =
   let first = group * plan.Layout.banks in
-  let last = first + plan.Layout.banks - 1 in
   let epoch b = Bitcell_array.epoch (Bank.array (Machine.bank s.machine b)) in
-  let rec held b =
-    b > last
-    || b < Array.length s.resident
-       && (match s.resident.(b) with
-          | Some (t, e) -> same_token t token && e = epoch b
-          | None -> false)
-       && held (b + 1)
-  in
-  if not (held first) then begin
-    Machine.load_weights ?lane_map:s.lane_map s.machine ~group ~base:0 ~plan
-      w_rows;
-    for b = first to last do
+  for bank = 0 to plan.Layout.banks - 1 do
+    let b = first + bank in
+    let held =
+      b < Array.length s.resident
+      &&
+      match s.resident.(b) with
+      | Some (t, e) -> same_token t token && e = epoch b
+      | None -> false
+    in
+    if not held then begin
+      Machine.load_weights ?lane_map:s.lane_map ~bank s.machine ~group ~base:0
+        ~plan w_rows;
       s.resident.(b) <- Some (token, epoch b)
-    done
-  end
+    end
+  done
 
 (* [run_node s node ~counters ~x ~batch] runs [batch] decisions of one
-   graph node, chunk by chunk: each chunk stages its W rows (unless its
-   banks still hold them), loads X once, and its decisions ride
+   graph node, chunk by chunk: each chunk stages its W rows into the
+   banks that no longer hold them, loads X once, and its decisions ride
    [Machine.execute_batch] (or, canary-checked, [Machine.execute] per
    decision and retry). Element [d] of the result is decision [d]'s
    output. At batch 1 this is the node's single run. *)

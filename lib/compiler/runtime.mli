@@ -93,6 +93,10 @@ val required_banks : ?max_lanes:int -> Promise_ir.Graph.t -> int
     from another node. Its X operands change with every query. A
     session splits the two. It resolves each node's W once, and on each
     query it quantizes X, previews the ADC gain, loads X and executes.
+    The preview is a digital pass over the quantized W and X that stops
+    at the first row settling the gain at 1 (most queries of the
+    distance benchmarks), so it reads the whole of W only when the
+    gain is larger.
 
     Each node keeps its W quantized at the last scale used. Multiply
     kernels scale W on its own, so that scale never moves. Distance
@@ -100,16 +104,17 @@ val required_banks : ?max_lanes:int -> Promise_ir.Graph.t -> int
     query whose [max |x|] exceeds [max |W|] moves it, and W is quantized
     again.
 
-    W is staged into a bank group only when a bank of the group no
-    longer holds the exact codes. The session records what its last
+    W is staged into each bank of a group only when that bank no
+    longer holds its exact codes. The session records what its last
     staging wrote into each bank and the bank's write epoch right after
     ({!Promise_arch.Bitcell_array.epoch}). Any later write moves the
     epoch: a BIST run, a direct write, a write-buffer flush, another
     session, or another node of this graph staging into a shared bank
-    (so the layers of a DNN that share bank 0 restage on every query).
-    Staging draws no noise and rewriting the same codes changes nothing,
-    so a session's results are bit-identical to a fresh {!run} per
-    query on the same machine.
+    (so the layers of a DNN that share bank 0 restage bank 0 on every
+    query, and only bank 0). Each bank's slices are independent,
+    staging draws no noise and rewriting the same codes changes
+    nothing, so a session's results are bit-identical to a fresh
+    {!run} per query on the same machine.
 
     A session belongs to one caller on one domain: it mutates its
     caches and the machine without locks. *)
@@ -203,8 +208,10 @@ module For_tests : sig
   (** [estimate_adc_gain at plan ~w_codes ~x ~streaming] — the
       power-of-two ADC range-matching gain the runtime would program
       (see DESIGN.md). Every W row reads all of [x], or with
-      [~streaming:true] its own [vector_len]-long window of it.
-      Allocates nothing beyond a constant. *)
+      [~streaming:true] its own [vector_len]-long window of it. Stops
+      reading rows once the gain is settled at 1. Allocates nothing
+      beyond a constant. Codes are 8-bit: reading one outside
+      [-128, 127] raises [Invalid_argument]. *)
   val estimate_adc_gain :
     Promise_ir.Abstract_task.t ->
     Promise_arch.Layout.plan ->

@@ -568,6 +568,23 @@ let bt2_kernel =
       Dsl.for_store ~iterations:4 ~out:"y" (Dsl.dot "W1" "h");
     ]
 
+(* [bt2] with a first layer four banks wide: layer 2 stages W1 over
+   bank 0 alone. *)
+let wide2_kernel =
+  Dsl.kernel ~name:"wide2"
+    ~decls:
+      [
+        Dsl.matrix "W0" ~rows:8 ~cols:512;
+        Dsl.vector "x" ~len:512;
+        Dsl.out_vector "h" ~len:8;
+        Dsl.matrix "W1" ~rows:4 ~cols:8;
+        Dsl.out_vector "y" ~len:4;
+      ]
+    [
+      Dsl.for_store ~iterations:8 ~out:"h" (Dsl.dot "W0" "x");
+      Dsl.for_store ~iterations:4 ~out:"y" (Dsl.dot "W1" "h");
+    ]
+
 let bt_machine g =
   Machine.create
     {
@@ -661,7 +678,8 @@ let test_runtime_batch_failpoint () =
 (* The session shapes: a dot product (W scaled on its own); an L1
    argmin (W and X share one scale, so a large X requantizes W); 260
    rows in three chunks on one bank (each chunk stages over the last);
-   and the chained bt2 DAG. *)
+   the chained bt2 DAG; and wide2, whose layer 2 restages one bank of
+   layer 1's four. *)
 let session_kernels =
   [|
     bt_kernel;
@@ -685,6 +703,7 @@ let session_kernels =
         ]
       [ Dsl.for_store ~iterations:260 ~out:"out" (Dsl.dot "W" "x") ];
     bt2_kernel;
+    wide2_kernel;
   |]
 
 type session_op =
@@ -853,6 +872,37 @@ let test_session_chained_layers () =
       (got = [ values h; values y ])
   done
 
+(* Staging is per bank: wide2's layer 1 spans banks 0..3 and layer 2
+   writes bank 0 alone, so after the first query every query restages
+   bank 0 twice and leaves the write epochs of banks 1..3 where they
+   are. *)
+let test_session_restages_per_bank () =
+  let g = fok (P.compile wide2_kernel) in
+  let m = bt_machine g in
+  check int "layer 1 spans four banks" 4 (Machine.n_banks m);
+  let s = fok (Rt.session m g (session_w g 5)) in
+  let epochs () =
+    Array.init (Machine.n_banks m) (fun b ->
+        Arch.Bitcell_array.epoch (Arch.Bank.array (Machine.bank m b)))
+  in
+  let query q =
+    let b = Rt.bindings () in
+    Rt.bind_vector b "x" (session_x g ~big:false q);
+    ignore (fok (Rt.query s b ~batch:1));
+    epochs ()
+  in
+  let first = query 1 in
+  let last = ref first in
+  for q = 2 to 4 do
+    let e = query q in
+    check bool (Printf.sprintf "query %d restaged bank 0" q) true
+      (e.(0) > !last.(0));
+    for b = 1 to 3 do
+      check int (Printf.sprintf "query %d: bank %d epoch" q b) first.(b) e.(b)
+    done;
+    last := e
+  done
+
 (* ------------------------------------------------------------------ *)
 (* Typed validation of --batch / PROMISE_BATCH                          *)
 (* ------------------------------------------------------------------ *)
@@ -943,6 +993,8 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_session_eq_runs;
           Alcotest.test_case "session restages chained layers" `Quick
             test_session_chained_layers;
+          Alcotest.test_case "session restages per bank" `Quick
+            test_session_restages_per_bank;
         ] );
       ( "validation",
         [

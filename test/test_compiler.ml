@@ -544,29 +544,196 @@ let test_runtime_adc_gain_estimation () =
   check (close 1e-9) "power of two" 0.0
     (Float.rem (Float.log (Float.max g 1.0) /. Float.log 2.0) 1.0)
 
-(* The gain preview runs on every query, so it must not allocate: a
-   128-row, two-bank task stays under 100 minor words per call. *)
+(* The gain preview runs on every query, so it must not allocate: each
+   call stays under 100 minor words. The last three cases' codes are
+   small enough to pick a gain above 1, so all 128 of their rows are
+   scanned. *)
 let test_runtime_adc_gain_allocation () =
   let vector_len = 256 and rows = 128 in
-  let a = at ~vector_len ~loop_iterations:rows () in
-  let plan = Arch.Layout.plan_exn ~vector_len ~rows () in
-  let w_codes =
-    Array.init rows (fun r -> Array.init vector_len (fun e -> ((r * e) mod 255) - 127))
+  let case ?(vec_op = Abstract_task.Vo_mul_signed)
+      ?(red_op = Abstract_task.Ro_sum) name ~full_scan ~w ~x ~streaming =
+    let a = at ~vec_op ~red_op ~vector_len ~loop_iterations:rows () in
+    let plan =
+      Arch.Layout.plan_exn ~vector_len ~rows:(if streaming then 1 else rows) ()
+    in
+    let w_codes = Array.init rows (fun r -> Array.init vector_len (w r)) in
+    let call () =
+      Runtime.For_tests.estimate_adc_gain a plan ~w_codes ~x ~streaming
+    in
+    if full_scan && call () <= 1.0 then
+      Alcotest.failf "%s: gain %g stops the scan early" name (call ());
+    let calls = 20 in
+    let before = Gc.minor_words () in
+    for _ = 1 to calls do
+      ignore (Sys.opaque_identity (call ()))
+    done;
+    let words = (Gc.minor_words () -. before) /. float_of_int calls in
+    check bool
+      (Printf.sprintf "%s: %.1f minor words per call < 100" name words)
+      true (words < 100.0)
   in
-  let x = Some (Array.init vector_len (fun e -> (e mod 200) - 100)) in
-  let call () =
-    Runtime.For_tests.estimate_adc_gain a plan ~w_codes ~x ~streaming:false
-  in
-  ignore (call ());
-  let calls = 20 in
-  let before = Gc.minor_words () in
-  for _ = 1 to calls do
-    ignore (Sys.opaque_identity (call ()))
+  case "wide codes" ~full_scan:false
+    ~w:(fun r e -> ((r * e) mod 255) - 127)
+    ~x:(Some (Array.init vector_len (fun e -> (e mod 200) - 100)))
+    ~streaming:false;
+  case "dot product" ~full_scan:true
+    ~w:(fun r e -> ((r + e) mod 7) - 3)
+    ~x:(Some (Array.init vector_len (fun e -> (e mod 5) - 2)))
+    ~streaming:false;
+  case "streaming" ~full_scan:true
+    ~w:(fun r e -> ((r * e) mod 9) - 4)
+    ~x:(Some (Array.init (rows * vector_len) (fun e -> (e mod 11) - 5)))
+    ~streaming:true;
+  case "L1 distance" ~vec_op:Abstract_task.Vo_sub
+    ~red_op:Abstract_task.Ro_sum_abs ~full_scan:true
+    ~w:(fun r e -> ((r + (3 * e)) mod 5) - 2)
+    ~x:(Some (Array.init vector_len (fun e -> (e mod 3) - 1)))
+    ~streaming:false
+
+(* The gain preview's oracle: one generic per-lane formula that matches
+   the operators on every lane, over every row. The runtime's preview
+   specializes the loop per operator pair and stops at the first row
+   that settles the gain at 1; it must pick the same gain. *)
+let oracle_partial_mean (at : Abstract_task.t) (plan : Arch.Layout.plan) ~w
+    ~x ~x_off ~x_len ~bank ~segment =
+  let lanes = plan.Arch.Layout.lanes_per_bank in
+  let base = ((bank * plan.Arch.Layout.segments) + segment) * lanes in
+  let acc = ref 0.0 in
+  for lane = 0 to lanes - 1 do
+    let e = base + lane in
+    let w = float_of_int (if e < Array.length w then w.(e) else 0) /. 128.0 in
+    let x =
+      match x with
+      | Some xs -> float_of_int (if e < x_len then xs.(x_off + e) else 0) /. 128.0
+      | None -> 0.0
+    in
+    let s1 =
+      match at.Abstract_task.vec_op with
+      | Abstract_task.Vo_add -> (w +. x) /. 2.0
+      | Abstract_task.Vo_sub -> (w -. x) /. 2.0
+      | Abstract_task.Vo_mul_signed -> w *. x
+      | Abstract_task.Vo_mul_unsigned -> Float.abs w *. Float.abs x
+      | Abstract_task.Vo_none -> w
+    in
+    let v =
+      match (at.Abstract_task.vec_op, at.Abstract_task.red_op) with
+      | (Abstract_task.Vo_mul_signed | Abstract_task.Vo_mul_unsigned), _ -> s1
+      | _, Abstract_task.Ro_sum -> s1
+      | _, Abstract_task.Ro_sum_abs -> Float.abs s1
+      | _, Abstract_task.Ro_sum_square -> s1 *. s1
+      | _, Abstract_task.Ro_sum_compare -> if s1 >= 0.0 then 1.0 else 0.0
+    in
+    acc := !acc +. v
   done;
-  let words = (Gc.minor_words () -. before) /. float_of_int calls in
-  check bool
-    (Printf.sprintf "%.1f minor words per call < 100" words)
-    true (words < 100.0)
+  !acc /. float_of_int lanes
+
+let oracle_gain (at : Abstract_task.t) (plan : Arch.Layout.plan) ~w_codes ~x
+    ~streaming =
+  let vector_len = at.Abstract_task.vector_len in
+  let x_len =
+    match x with Some xs when not streaming -> Array.length xs | _ -> vector_len
+  in
+  let max_abs = ref 0.0 in
+  for r = 0 to Array.length w_codes - 1 do
+    let x_off = if streaming then r * vector_len else 0 in
+    for bank = 0 to plan.Arch.Layout.banks - 1 do
+      for segment = 0 to plan.Arch.Layout.segments - 1 do
+        let m =
+          oracle_partial_mean at plan ~w:w_codes.(r) ~x ~x_off ~x_len ~bank
+            ~segment
+        in
+        max_abs := Float.max !max_abs (Float.abs m)
+      done
+    done
+  done;
+  let max_abs = !max_abs and target = 0.7 in
+  let rec grow g =
+    if g >= 64.0 then 64.0
+    else if 2.0 *. g *. max_abs <= target then grow (2.0 *. g)
+    else g
+  in
+  if max_abs <= 0.0 then 64.0 else grow 1.0
+
+let vec_ops =
+  Abstract_task.[| Vo_none; Vo_add; Vo_sub; Vo_mul_signed; Vo_mul_unsigned |]
+
+let red_ops =
+  Abstract_task.[| Ro_sum; Ro_sum_abs; Ro_sum_square; Ro_sum_compare |]
+
+type preview_case = {
+  pair : int;  (** [vec_ops.(pair / 4)], [red_ops.(pair mod 4)] *)
+  x_shape : int;  (** 0 broadcast, 1 streaming, 2 absent *)
+  vector_len : int;
+  rows : int;
+  magnitude : int;
+  spread : int;
+      (** codes lie in [-magnitude, magnitude] (0), [0, magnitude] (1) or
+          [magnitude / 2, magnitude] (2) *)
+  seed : int;
+}
+
+let print_preview_case c =
+  Printf.sprintf
+    "{pair=%d (%s, %s); x=%s; vector_len=%d; rows=%d; magnitude=%d; \
+     spread=%d; seed=%d}"
+    c.pair
+    (Format.asprintf "%a" Abstract_task.pp_vec_op vec_ops.(c.pair / 4))
+    (Format.asprintf "%a" Abstract_task.pp_red_op red_ops.(c.pair mod 4))
+    (match c.x_shape with 0 -> "broadcast" | 1 -> "streaming" | _ -> "absent")
+    c.vector_len c.rows c.magnitude c.spread c.seed
+
+let gen_preview_case st =
+  let open QCheck.Gen in
+  {
+    pair = int_bound 19 st;
+    x_shape = int_bound 2 st;
+    (* a length off a multiple of the bank count pads the last bank *)
+    vector_len =
+      frequency [ (3, int_range 1 300); (1, int_range 300 1100) ] st;
+    rows = int_range 1 130 st;
+    magnitude = frequency [ (1, oneofl [ 1; 2; 3; 8; 32 ]); (1, return 127) ] st;
+    spread = int_bound 2 st;
+    seed = int_bound 100_000 st;
+  }
+
+(* Same gain as the oracle, over all 20 operator pairs, broadcast,
+   streaming and absent X, padded banks, 1..130 rows, and code
+   magnitudes from ones that settle gain 1 on the first rows (the early
+   exit) to ones that need gains 2..64 (the full scan). *)
+let qcheck_gain_preview_matches_oracle =
+  QCheck.Test.make ~name:"gain preview == the generic per-lane oracle"
+    ~count:500
+    (QCheck.make ~print:print_preview_case gen_preview_case)
+    (fun c ->
+      let rng = Promise.Analog.Rng.create c.seed in
+      let lo =
+        match c.spread with
+        | 0 -> -c.magnitude
+        | 1 -> 0
+        | _ -> c.magnitude / 2
+      in
+      let code () = lo + Promise.Analog.Rng.int rng (c.magnitude - lo + 1) in
+      let streaming = c.x_shape = 1 in
+      let a =
+        at ~vec_op:vec_ops.(c.pair / 4) ~red_op:red_ops.(c.pair mod 4)
+          ~vector_len:c.vector_len ~loop_iterations:c.rows ()
+      in
+      let plan =
+        Arch.Layout.plan_exn ~vector_len:c.vector_len
+          ~rows:(if streaming then 1 else c.rows)
+          ()
+      in
+      let w_codes =
+        Array.init c.rows (fun _ -> Array.init c.vector_len (fun _ -> code ()))
+      in
+      let x =
+        match c.x_shape with
+        | 0 -> Some (Array.init c.vector_len (fun _ -> code ()))
+        | 1 -> Some (Array.init (c.rows * c.vector_len) (fun _ -> code ()))
+        | _ -> None
+      in
+      Runtime.For_tests.estimate_adc_gain a plan ~w_codes ~x ~streaming
+      = oracle_gain a plan ~w_codes ~x ~streaming)
 
 let test_runtime_compare_kernel () =
   (* the Hamming-style compare path: count of non-negative differences *)
@@ -934,6 +1101,7 @@ let suite =
       test_runtime_chained_unnormalized_producer);
     ("runtime segmented vector (X_PRD)", `Quick, test_runtime_segmented_vector);
     QCheck_alcotest.to_alcotest qcheck_random_kernels_match_reference;
+    QCheck_alcotest.to_alcotest qcheck_gain_preview_matches_oracle;
   ]
 
 let () = Alcotest.run "promise-compiler" [ ("compiler", suite) ]

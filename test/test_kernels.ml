@@ -41,6 +41,8 @@ type case = {
   gain_log : int;  (** ADC gain [2^gain_log] *)
   swing : int;
   x_prd : int;
+  x_addr1 : int;  (** X base of aSUBT/aADD and the other aSD ops *)
+  x_addr2 : int;  (** X base of the aSD multiplies *)
   des : int;  (** 0 output buffer, 1 acc, 2 X-REG, 3 write buffer *)
   dest_xreg : int;
 }
@@ -62,6 +64,8 @@ let gen_case st =
     gain_log = int_bound 2 st;
     swing = int_bound 7 st;
     x_prd = int_bound 3 st;
+    x_addr1 = int_bound 7 st;
+    x_addr2 = int_bound 7 st;
     des = int_bound 3 st;
     (* rows 0..3 are the ones X addressing can read: weight them *)
     dest_xreg = frequency [ (3, int_bound 3); (1, int_range 4 7) ] st;
@@ -70,11 +74,11 @@ let gen_case st =
 let print_case c =
   Printf.sprintf
     "{seed=%d; noisy=%b; profile=%d; banks=%d; mb=%d; rpt=%d; shape=%d; \
-     fault=%d; masked=%b; lanes=%d; gain=%d; swing=%d; x_prd=%d; des=%d; \
-     dest_xreg=%d}"
+     fault=%d; masked=%b; lanes=%d; gain=%d; swing=%d; x_prd=%d; \
+     x_addr1=%d; x_addr2=%d; des=%d; dest_xreg=%d}"
     c.seed c.noisy c.profile (1 lsl c.banks_log) c.mb c.rpt c.shape c.fault
-    c.masked c.active_lanes (1 lsl c.gain_log) c.swing c.x_prd c.des
-    c.dest_xreg
+    c.masked c.active_lanes (1 lsl c.gain_log) c.swing c.x_prd c.x_addr1
+    c.x_addr2 c.des c.dest_xreg
 
 let task_of c =
   let op_param =
@@ -82,8 +86,8 @@ let task_of c =
       Op_param.default with
       swing = c.swing;
       w_addr = c.seed mod 64;
-      x_addr1 = 1;
-      x_addr2 = 2;
+      x_addr1 = c.x_addr1;
+      x_addr2 = c.x_addr2;
       x_prd = c.x_prd;
       des =
         (match c.des with
@@ -231,6 +235,8 @@ let base_case =
     gain_log = 0;
     swing = 7;
     x_prd = 1;
+    x_addr1 = 1;
+    x_addr2 = 2;
     des = 0;
     dest_xreg = 7;
   }
