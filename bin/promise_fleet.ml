@@ -37,8 +37,8 @@ let chaos_conv =
           (match c with P.Fleet.Kill_one -> "kill-one" | P.Fleet.No_chaos -> "none")
     )
 
-(* BENCH_fleet.json: the multi-process sibling of BENCH_parallel.json —
-   aggregate wall time plus the per-shard detail the summary carries. *)
+(* BENCH_fleet.json: aggregate wall time plus the per-shard detail the
+   summary carries. *)
 let write_bench path ~workload ~quick (s : P.Fleet.summary) =
   let oc = open_out path in
   Printf.fprintf oc

@@ -164,7 +164,7 @@ let write_bench path ~model ~requests ~queue ~batch_max ~flush_us ~load
     \  \"identical_output\": %b,\n\
     \  \"speedup\": %.2f,\n\
     \  \"note\": \"noiseless serving models by default; noisy Monte-Carlo \
-     batches amortize less (see BENCH_batch.json)\",\n"
+     batches (--noise) amortize less\",\n"
     model requests queue batch_max flush_us load noiseless identical speedup;
   report_json oc "batched" batched;
   Printf.fprintf oc ",\n";

@@ -24,11 +24,17 @@
 
 type t
 
+(** [fusable task] — whether [task] is the fused shape: analog Class-1,
+    aVD on, Class-3 ADC. Exactly these tasks digitize one sample per
+    iteration, on the scalar path as on a kernel; every other task
+    never drives TH. *)
+val fusable : Promise_isa.Task.t -> bool
+
 (** [specialize ?lane_mask bank ~task ~active_lanes] — compile a kernel
     for running [task] on [bank] with this launch shape, capturing the
     bank's current faults; {!matches} reports whether a cached kernel is
-    still valid. [None] when the task is not the fused shape (analog
-    Class-1, aVD on, Class-3 ADC) or the bank has an X-REG transient
+    still valid. [None] when the task is not {!fusable} or the bank has
+    an X-REG transient
     upset profile, whose data-dependent draws only the scalar path
     models. Raises [Invalid_argument] when [active_lanes] is outside
     [1, 128], like {!Bank.run_iteration}. *)

@@ -441,16 +441,28 @@ let invalid_batch batch =
     ~context:[ ("batch", string_of_int batch) ]
     "batch must be >= 1"
 
-(* A single decision is batch 1 of the sample plane whenever every bank
-   of the group has a kernel; anything else runs the scalar loop. *)
-let execute ?lane_mask ?(pool = Pool.sequential) ?kernel_mode t launch =
-  match setup ?lane_mask ?kernel_mode t launch with
-  | Error e -> Error e
-  | Ok ({ kernels = Some ks; _ } as s) ->
-      let plane = fill_plane ~pool t launch ks ~batch:1 in
+(* [execute_batch] after its set-up [s]. With kernels, one set-up
+   serves the whole batch on the sample plane; otherwise each decision
+   runs the scalar loop, every later one after its own set-up, so each
+   passes the failpoint exactly as a single [execute] does. *)
+let batch_of_setup ?lane_mask ~pool ?kernel_mode t launch s ~batch =
+  match s.kernels with
+  | Some ks ->
+      let plane = fill_plane ~pool t launch ks ~batch in
       let partials = Array.make (Array.length ks) 0.0 in
-      Ok (reduce_decision t launch s plane ~partials ~batch:1 ~d:0)
-  | Ok s -> Ok (scalar ?lane_mask t launch s)
+      Ok
+        (Array.init batch (fun d ->
+             reduce_decision t launch s plane ~partials ~batch ~d))
+  | None ->
+      let rec go acc d s =
+        let acc = scalar ?lane_mask t launch s :: acc in
+        if d = batch then Ok (Array.of_list (List.rev acc))
+        else
+          match setup ?lane_mask ?kernel_mode t launch with
+          | Ok s -> go acc (d + 1) s
+          | Error e -> Error e
+      in
+      go [] 1 s
 
 let execute_batch ?lane_mask ?(pool = Pool.sequential) ?kernel_mode t launch
     ~batch =
@@ -458,24 +470,13 @@ let execute_batch ?lane_mask ?(pool = Pool.sequential) ?kernel_mode t launch
   else
     match setup ?lane_mask ?kernel_mode t launch with
     | Error e -> Error e
-    | Ok ({ kernels = Some ks; _ } as s) ->
-        (* one set-up serves the whole batch *)
-        let plane = fill_plane ~pool t launch ks ~batch in
-        let partials = Array.make (Array.length ks) 0.0 in
-        Ok
-          (Array.init batch (fun d ->
-               reduce_decision t launch s plane ~partials ~batch ~d))
-    | Ok s ->
-        (* the scalar loop: every later decision sets up again, so each
-           passes the failpoint exactly as a single [execute] does *)
-        let rec go acc d =
-          if d = batch then Ok (Array.of_list (List.rev acc))
-          else
-            match execute ?lane_mask ~pool ?kernel_mode t launch with
-            | Ok r -> go (r :: acc) (d + 1)
-            | Error e -> Error e
-        in
-        go [ scalar ?lane_mask t launch s ] 1
+    | Ok s -> batch_of_setup ?lane_mask ~pool ?kernel_mode t launch s ~batch
+
+(* A single decision is batch 1. *)
+let execute ?lane_mask ?pool ?kernel_mode t launch =
+  Result.map
+    (fun rs -> rs.(0))
+    (execute_batch ?lane_mask ?pool ?kernel_mode t launch ~batch:1)
 
 let execute_exn ?lane_mask ?pool ?kernel_mode t launch =
   E.to_invalid_arg (execute ?lane_mask ?pool ?kernel_mode t launch)
@@ -511,20 +512,34 @@ let default_launch (task : Task.t) =
 let run_program ?pool ?kernel_mode t (program : Program.t) =
   run ?pool ?kernel_mode t (List.map default_launch program.Program.tasks)
 
-(* Emissions per decision on the batched serving path: every op except
-   max/min emits once per TH group (the final partial group included,
-   flushed by [Th_unit.finish]); max/min emit their extremum exactly
-   once at finish. *)
+(* The length of one decision's emission stream, [emitted @ acc_out]:
+   only a fused-shape task samples, and so drives TH, at all; every op
+   except max/min then emits once per TH group (the final partial group
+   included, flushed by [Th_unit.finish]), max/min their extremum once
+   at finish. X-REG and write-buffer emits stage state instead. *)
 let emissions_per_decision (task : Task.t) ~(th : Th_unit.config) =
-  let iters = Task.iterations task in
-  let groups = (iters + th.Th_unit.acc_num) / (th.Th_unit.acc_num + 1) in
-  match th.Th_unit.op with
-  | Opcode.C4_max | Opcode.C4_min -> 1
-  | _ -> groups
+  match th.Th_unit.des with
+  | Opcode.Des_xreg | Opcode.Des_write_buffer -> 0
+  | Opcode.Des_output_buffer | Opcode.Des_acc -> (
+      let acc_num = th.Th_unit.acc_num in
+      if not (Kernel.fusable task) then 0
+      else
+        match th.Th_unit.op with
+        | Opcode.C4_max | Opcode.C4_min -> 1
+        | _ -> (Task.iterations task + acc_num) / (acc_num + 1))
 
 let execute_batch_into ?lane_mask ?(pool = Pool.sequential) ?kernel_mode t
     launch ~batch ~(out : A.Rng.ba) =
+  let epd = emissions_per_decision launch.task ~th:launch.th in
   if batch < 1 then invalid_batch batch
+  else if Bigarray.Array1.dim out < batch * epd then
+    E.fail ~layer:"machine" ~code:E.Invalid_operand
+      ~context:
+        [
+          ("out", string_of_int (Bigarray.Array1.dim out));
+          ("needed", string_of_int (batch * epd));
+        ]
+      "output buffer too small for batch"
   else
     match (setup ?lane_mask ?kernel_mode t launch, launch.th.Th_unit.des) with
     | Error e, _ -> Error e
@@ -533,137 +548,134 @@ let execute_batch_into ?lane_mask ?(pool = Pool.sequential) ?kernel_mode t
         let task = launch.task in
         let iters = Task.iterations task in
         let thc = launch.th in
-        let epd = emissions_per_decision task ~th:thc in
-        if Bigarray.Array1.dim out < batch * epd then
-          E.fail ~layer:"machine" ~code:E.Invalid_operand
-            ~context:
-              [
-                ("out", string_of_int (Bigarray.Array1.dim out));
-                ("needed", string_of_int (batch * epd));
-              ]
-            "output buffer too small for batch"
-        else begin
-          let n = Array.length kernels in
-          let per = batch * iters in
-          let plane = fill_plane ~pool t launch kernels ~batch in
-          (* TH inlined for the zero-allocation loop: [Th_unit.push]'s
-             state lives in a mixed record whose float stores box, and
-             its emits are [Some {record}] — both allocate per group.
-             The arithmetic below is [Th_unit]'s own, operation for
-             operation, and the differential suite (test_batch) holds
-             this path bitwise equal to [execute] + [Th_unit] over
-             random tasks; any TH change must keep it green. Scratch:
-             [bacc.(0)] the cross-bank combine, [bacc.(1)] the TH group
-             accumulator, [bacc.(2)] the running extremum, [bacc.(3)]
-             the group value handed to [apply_group] — passed through
-             the float array rather than as an argument because a float
-             argument to a local closure is boxed on every call (one
-             box per TH group defeats the zero-allocation property). *)
-          let op = thc.Th_unit.op in
-          let acc_num = thc.Th_unit.acc_num in
-          let gain = thc.Th_unit.gain in
-          let threshold = thc.Th_unit.threshold in
-          let acc_n1f = float_of_int (acc_num + 1) in
-          let bacc = t.bacc in
-          let gcount = ref 0 in
-          let emit_at = ref 0 in
-          let ext_set = ref false in
-          let apply_group () =
-            let value = bacc.(3) in
-            match op with
-            | Opcode.C4_accumulate ->
-                out.{!emit_at} <- value;
-                incr emit_at
-            | Opcode.C4_mean ->
-                out.{!emit_at} <- value /. acc_n1f;
-                incr emit_at
-            | Opcode.C4_threshold ->
-                out.{!emit_at} <- (if value > threshold then 1.0 else 0.0);
-                incr emit_at
-            | Opcode.C4_sigmoid ->
-                out.{!emit_at} <- Th_unit.pwl_sigmoid value;
-                incr emit_at
-            | Opcode.C4_relu ->
-                out.{!emit_at} <- Th_unit.relu value;
-                incr emit_at
-            | Opcode.C4_max ->
-                if (not !ext_set) || value > bacc.(2) then begin
-                  bacc.(2) <- value;
-                  ext_set := true
-                end
-            | Opcode.C4_min ->
-                if (not !ext_set) || value < bacc.(2) then begin
-                  bacc.(2) <- value;
-                  ext_set := true
-                end
-          in
-          for d = 0 to batch - 1 do
-            bacc.(1) <- 0.0;
-            gcount := 0;
-            ext_set := false;
-            for i = 0 to iters - 1 do
-              bacc.(0) <- 0.0;
-              for bi = 0 to n - 1 do
-                bacc.(0) <- bacc.(0) +. plane.{(bi * per) + (d * iters) + i}
-              done;
-              bacc.(1) <- bacc.(1) +. (gain *. bacc.(0));
-              incr gcount;
-              if !gcount = acc_num + 1 then begin
-                bacc.(3) <- bacc.(1);
-                bacc.(1) <- 0.0;
-                gcount := 0;
-                apply_group ()
+        let n = Array.length kernels in
+        let per = batch * iters in
+        let plane = fill_plane ~pool t launch kernels ~batch in
+        (* TH inlined for the zero-allocation loop: [Th_unit.push]'s
+           state lives in a mixed record whose float stores box, and
+           its emits are [Some {record}] — both allocate per group.
+           The arithmetic below is [Th_unit]'s own, operation for
+           operation, and the differential suite (test_batch) holds
+           this path bitwise equal to [execute] + [Th_unit] over
+           random tasks; any TH change must keep it green. Scratch:
+           [bacc.(0)] the cross-bank combine, [bacc.(1)] the TH group
+           accumulator, [bacc.(2)] the running extremum, [bacc.(3)]
+           the group value handed to [apply_group] — passed through
+           the float array rather than as an argument because a float
+           argument to a local closure is boxed on every call (one
+           box per TH group defeats the zero-allocation property). *)
+        let op = thc.Th_unit.op in
+        let acc_num = thc.Th_unit.acc_num in
+        let gain = thc.Th_unit.gain in
+        let threshold = thc.Th_unit.threshold in
+        let acc_n1f = float_of_int (acc_num + 1) in
+        let bacc = t.bacc in
+        let gcount = ref 0 in
+        let emit_at = ref 0 in
+        let ext_set = ref false in
+        let apply_group () =
+          let value = bacc.(3) in
+          match op with
+          | Opcode.C4_accumulate ->
+              out.{!emit_at} <- value;
+              incr emit_at
+          | Opcode.C4_mean ->
+              out.{!emit_at} <- value /. acc_n1f;
+              incr emit_at
+          | Opcode.C4_threshold ->
+              out.{!emit_at} <- (if value > threshold then 1.0 else 0.0);
+              incr emit_at
+          | Opcode.C4_sigmoid ->
+              out.{!emit_at} <- Th_unit.pwl_sigmoid value;
+              incr emit_at
+          | Opcode.C4_relu ->
+              out.{!emit_at} <- Th_unit.relu value;
+              incr emit_at
+          | Opcode.C4_max ->
+              if (not !ext_set) || value > bacc.(2) then begin
+                bacc.(2) <- value;
+                ext_set := true
               end
+          | Opcode.C4_min ->
+              if (not !ext_set) || value < bacc.(2) then begin
+                bacc.(2) <- value;
+                ext_set := true
+              end
+        in
+        for d = 0 to batch - 1 do
+          bacc.(1) <- 0.0;
+          gcount := 0;
+          ext_set := false;
+          for i = 0 to iters - 1 do
+            bacc.(0) <- 0.0;
+            for bi = 0 to n - 1 do
+              bacc.(0) <- bacc.(0) +. plane.{(bi * per) + (d * iters) + i}
             done;
-            if !gcount > 0 then begin
+            bacc.(1) <- bacc.(1) +. (gain *. bacc.(0));
+            incr gcount;
+            if !gcount = acc_num + 1 then begin
               bacc.(3) <- bacc.(1);
               bacc.(1) <- 0.0;
               gcount := 0;
               apply_group ()
-            end;
-            (match op with
-            | Opcode.C4_max | Opcode.C4_min ->
-                out.{!emit_at} <- bacc.(2);
-                incr emit_at
-            | _ -> ())
+            end
           done;
-          (* one trace record for the whole batch, with the pipelined
-             timing model: the pipeline never drains between decisions
-             of the same task shape, so each decision after the first
-             adds [iterations × TP] cycles (TP = max stage delay), plus
-             its own degraded-ADC stalls *)
-          let tp = Timing.task_tp task in
-          let record =
-            {
-              Trace.task;
-              iterations = batch * iters;
-              banks = n;
-              tp;
-              fill_cycles = Timing.fill_cycles task;
-              cycles =
-                Timing.task_cycles task
-                + ((batch - 1) * iters * tp)
-                + (batch * s.stall_cycles);
-              adc_conversions = batch * iters;
-              crossbank_transfers =
-                Crossbank.transfers_per_iteration ~banks:n * iters * batch;
-              th_ops =
-                batch * ((iters + acc_num) / (acc_num + 1));
-              stall_cycles = batch * s.stall_cycles;
-            }
-          in
-          Trace.record t.trace record;
-          Ok epd
-        end
-    | Ok _, _ ->
-        E.fail ~layer:"machine" ~code:E.Unsupported
-          ~context:
-            [
-              ( "des",
-                "xreg/write_buffer destination, reference mode, X-REG flip \
-                 profile, or non-fused task shape" );
-            ]
-          "execute_batch_into requires the sample plane"
+          if !gcount > 0 then begin
+            bacc.(3) <- bacc.(1);
+            bacc.(1) <- 0.0;
+            gcount := 0;
+            apply_group ()
+          end;
+          (match op with
+          | Opcode.C4_max | Opcode.C4_min ->
+              out.{!emit_at} <- bacc.(2);
+              incr emit_at
+          | _ -> ())
+        done;
+        (* one trace record for the whole batch, with the pipelined
+           timing model: the pipeline never drains between decisions
+           of the same task shape, so each decision after the first
+           adds [iterations × TP] cycles (TP = max stage delay), plus
+           its own degraded-ADC stalls *)
+        let tp = Timing.task_tp task in
+        let record =
+          {
+            Trace.task;
+            iterations = batch * iters;
+            banks = n;
+            tp;
+            fill_cycles = Timing.fill_cycles task;
+            cycles =
+              Timing.task_cycles task
+              + ((batch - 1) * iters * tp)
+              + (batch * s.stall_cycles);
+            adc_conversions = batch * iters;
+            crossbank_transfers =
+              Crossbank.transfers_per_iteration ~banks:n * iters * batch;
+            th_ops =
+              batch * ((iters + acc_num) / (acc_num + 1));
+            stall_cycles = batch * s.stall_cycles;
+          }
+        in
+        Trace.record t.trace record;
+        Ok epd
+    | Ok s, _ -> (
+        (* everything the in-buffer loop cannot serve — no kernel, or
+           emits that stage X-REG or write-buffer state — runs
+           [execute_batch]'s own path; each decision's emission stream
+           is then copied out *)
+        match
+          batch_of_setup ?lane_mask ~pool ?kernel_mode t launch s ~batch
+        with
+        | Error e -> Error e
+        | Ok rs ->
+            Array.iteri
+              (fun d r ->
+                List.iteri
+                  (fun g v -> out.{(d * epd) + g} <- v)
+                  (r.emitted @ r.acc_out))
+              rs;
+            Ok epd)
 
 let run_program_batch ?pool ?kernel_mode t (program : Program.t) ~batch =
   if batch < 1 then invalid_batch batch

@@ -173,28 +173,36 @@ val execute_batch :
   batch:int ->
   (result array, Promise_core.Error.t) Stdlib.result
 
-(** [emissions_per_decision task ~th] — how many values one decision
-    emits on the batched serving path: one per TH group (final partial
-    group included), or exactly one for max/min. *)
+(** [emissions_per_decision task ~th] — the length of one decision's
+    emission stream, [emitted @ acc_out]: one value per TH group (final
+    partial group included), or exactly one for max/min, when the task
+    is {!Kernel.fusable} and [th] routes to the output buffer or the
+    accumulator; 0 otherwise (X-REG and write-buffer emits stage state,
+    and other task shapes never drive TH). *)
 val emissions_per_decision : Promise_isa.Task.t -> th:Th_unit.config -> int
 
 (** [execute_batch_into ?lane_mask ?pool ?kernel_mode t launch ~batch
-    ~out] — the zero-allocation serving variant: emitted values land in
-    [out.{d * epd + g}] (decision [d], emission [g], with [epd] the
-    returned {!emissions_per_decision}), and the steady-state
-    per-decision work allocates nothing on the minor heap (the Gc
-    property in test_batch asserts 0 minor words per task; the
-    [C4_sigmoid]/[C4_relu] ops box one float per TH group). Emitted
-    values are bitwise those {!execute}'s [emitted]/[acc_out] would
-    carry. Appends ONE trace record for the whole batch with the
-    pipelined timing model: the analog pipeline never drains between
-    same-shape decisions, so cycles = task_cycles + (batch − 1) ×
-    iterations × TP, plus per-decision degraded-ADC stalls
-    ({!Scheduler.run_batch} validates the closed form). Requires the
-    sample plane and an output-buffer or ACC destination — it writes
-    values, not X-REG or write-buffer state — ([Unsupported]
-    otherwise, before any state is touched) and
-    [Bigarray.Array1.dim out >= batch * epd]. *)
+    ~out] — {!execute_batch} with the results written as values: the
+    emission stream of decision [d] lands in [out.{d * epd + g}], with
+    [epd] the returned {!emissions_per_decision}, bitwise what
+    {!execute_batch}'s [emitted @ acc_out] would carry. Every launch is
+    served. When the launch rides the sample plane and routes to the
+    output buffer or the accumulator, an in-buffer loop reduces the
+    plane with no per-decision allocation (the Gc property in
+    test_batch asserts under 1 minor word per task; [C4_sigmoid] and
+    [C4_relu] box one float per TH group) and appends ONE trace record
+    for the whole batch with the pipelined timing model: the analog
+    pipeline never drains between same-shape decisions, so cycles =
+    task_cycles + (batch − 1) × iterations × TP, plus per-decision
+    degraded-ADC stalls ({!Scheduler.run_batch} validates the closed
+    form). Every other launch — [Reference] mode, no kernel, an X-REG
+    flip profile, an X-REG or write-buffer destination — runs
+    {!execute_batch}'s own path after the one set-up, with its
+    per-decision trace records and state changes. [Error] with
+    [Invalid_operand] when [batch < 1] or
+    [Bigarray.Array1.dim out < batch * epd], both before any bank, RNG
+    stream or trace is touched; otherwise exactly {!execute_batch}'s
+    errors. *)
 val execute_batch_into :
   ?lane_mask:bool array ->
   ?pool:Promise_core.Pool.t ->

@@ -104,13 +104,3 @@ let finish t =
 
 let ops_executed t = t.ops
 let argext t = t.extremum
-
-(* Restore the initial state of [create t.config] in place. The batch
-   execution engine replays one TH per decision; resetting instead of
-   re-creating keeps the per-decision loop allocation-free. *)
-let reset t =
-  t.group_acc <- 0.0;
-  t.group_count <- 0;
-  t.groups_emitted <- 0;
-  t.extremum <- None;
-  t.ops <- 0

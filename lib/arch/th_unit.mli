@@ -43,12 +43,6 @@ val ops_executed : t -> int
     extremum — the "decision" output of e.g. template matching. *)
 val argext : t -> (int * float) option
 
-(** [reset t] — restore the state a fresh [create config] would have,
-    in place. The batch execution engine drives one TH per decision of
-    a batch through the same [t], so the steady-state decision loop
-    allocates nothing. *)
-val reset : t -> unit
-
 (** [pwl_sigmoid x] — the PLAN piece-wise-linear sigmoid approximation
     (max error < 0.019 vs the exact logistic). *)
 val pwl_sigmoid : float -> float

@@ -19,31 +19,22 @@ let ( let* ) = Result.bind
 (* Models                                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* How a flushed batch reaches the machine.  Probed on first dispatch:
-   single-task programs try the zero-allocation serving path
-   ([execute_batch_into]), which rejects unsupported launch shapes
-   BEFORE touching any machine or RNG state, so falling back to
-   [run_program_batch] is free and the choice sticks for the model's
-   lifetime. *)
-type plan =
-  | Unprobed
-  | Into of { launch : Machine.launch; epd : int; out : Rng.ba }
-  | Prog
-
 type model = {
   m_name : string;
   m_machine : Machine.t;
   m_program : Promise_isa.Program.t;
-  mutable m_plan : plan;
+  m_launch : Machine.launch option;
+      (** a single-task program's launch, fixed at build *)
+  mutable m_out : Rng.ba;  (** its batch's emission streams, grown on demand *)
   m_refill : Machine.t -> unit;
       (** restore the deterministic data image (BIST is destructive) *)
   m_rebuild : unit -> Machine.t;
       (** build a bit-for-bit twin — the digital fallback substrate *)
 }
 
-(* The deterministic data image of bench/main.ml: every bank row and
-   X-REG slot filled from one seeded stream, so two models built from
-   the same seeds replay bit-identical decision streams. *)
+(* The deterministic data image: every bank row and X-REG slot filled
+   from one seeded stream, so two models built from the same seeds
+   replay bit-identical decision streams. *)
 let fill_machine ~seed machine =
   let lanes = Promise_arch.Params.lanes in
   let rng = Rng.create seed in
@@ -60,6 +51,8 @@ let fill_machine ~seed machine =
     done
   done
 
+let ba_create n = Bigarray.Array1.create Bigarray.Float64 Bigarray.C_layout n
+
 let model_of_benchmark ?name ?banks ?(noise_seed = None) ?(fill_seed = 7)
     (b : Benchmarks.t) =
   let banks =
@@ -73,11 +66,16 @@ let model_of_benchmark ?name ?banks ?(noise_seed = None) ?(fill_seed = 7)
     fill_machine ~seed:fill_seed machine;
     machine
   in
+  let program = b.Benchmarks.per_decision_program in
   {
     m_name = Option.value name ~default:b.Benchmarks.name;
     m_machine = build ();
-    m_program = b.Benchmarks.per_decision_program;
-    m_plan = Unprobed;
+    m_program = program;
+    m_launch =
+      (match program.Promise_isa.Program.tasks with
+      | [ task ] -> Some (Machine.default_launch task)
+      | _ -> None);
+    m_out = ba_create 0;
     m_refill = fill_machine ~seed:fill_seed;
     m_rebuild = build;
   }
@@ -406,65 +404,59 @@ let submit t ~rid ~model =
 (* Dispatch                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* The decision's emission stream, the reply payload shared by every
-   dispatch path: output-buffer then accumulator emissions per task, in
-   task order.  [execute_batch_into] writes exactly this stream, so the
-   three paths are bitwise comparable. *)
+(* The decision's emission stream, the reply payload: output-buffer
+   then accumulator emissions per task, in task order — what
+   [execute_batch_into] writes for a single-task program. *)
 let values_of_results rs =
   Array.of_list
     (List.concat_map
        (fun r -> r.Machine.emitted @ r.Machine.acc_out)
        rs)
 
-let dispatch_single t m =
-  let* rs = Machine.run_program ?pool:t.pool m.m_machine m.m_program in
-  Ok (values_of_results rs)
-
-let dispatch_program_batch t m ~batch =
-  let* arr =
-    Machine.run_program_batch ?pool:t.pool m.m_machine m.m_program ~batch
+(* Dispatch [batch] decisions of [m] on [machine]: the primary, or the
+   fallback twin under [Reference] kernels. A single-task program goes
+   through [execute_batch_into], whose in-buffer loop allocates nothing
+   per decision on the fused plane ([run_program_batch] in its place
+   raised the daemon's peak RSS by a tenth). The trace is an audit
+   artifact of batch/CLI runs: a daemon serving forever must not retain
+   one record per dispatch. *)
+let dispatch ?kernel_mode t m machine ~batch =
+  let r =
+    match (t.mode, m.m_launch) with
+    | Batched, Some launch ->
+        let need =
+          batch
+          * Machine.emissions_per_decision launch.Machine.task
+              ~th:launch.Machine.th
+        in
+        if Bigarray.Array1.dim m.m_out < need then m.m_out <- ba_create need;
+        let out = m.m_out in
+        let* epd =
+          Machine.execute_batch_into ?pool:t.pool ?kernel_mode machine launch
+            ~batch ~out
+        in
+        Ok
+          (Array.init batch (fun d ->
+               Array.init epd (fun g -> out.{(d * epd) + g})))
+    | Batched, None ->
+        let* arr =
+          Machine.run_program_batch ?pool:t.pool ?kernel_mode machine
+            m.m_program ~batch
+        in
+        Ok (Array.map values_of_results arr)
+    | Single, _ ->
+        let rec go acc k =
+          if k = 0 then Ok (Array.of_list (List.rev acc))
+          else
+            let* rs =
+              Machine.run_program ?pool:t.pool ?kernel_mode machine m.m_program
+            in
+            go (values_of_results rs :: acc) (k - 1)
+        in
+        go [] batch
   in
-  Ok (Array.map values_of_results arr)
-
-let slice_into ~out ~epd ~batch =
-  Array.init batch (fun d -> Array.init epd (fun g -> out.{(d * epd) + g}))
-
-let dispatch_batched t m ~batch =
-  match m.m_plan with
-  | Prog -> dispatch_program_batch t m ~batch
-  | Into { epd = _; out; launch } -> (
-      match
-        Machine.execute_batch_into ?pool:t.pool m.m_machine launch ~batch ~out
-      with
-      | Ok epd' -> Ok (slice_into ~out ~epd:epd' ~batch)
-      | Error e -> Error e)
-  | Unprobed -> (
-      match m.m_program.Promise_isa.Program.tasks with
-      | [ task ] -> (
-          let launch = Machine.default_launch task in
-          let epd =
-            Machine.emissions_per_decision task ~th:launch.Machine.th
-          in
-          let out =
-            Bigarray.Array1.create Bigarray.Float64 Bigarray.C_layout
-              (max 1 (t.batch_max * epd))
-          in
-          match
-            Machine.execute_batch_into ?pool:t.pool m.m_machine launch ~batch
-              ~out
-          with
-          | Ok epd' ->
-              m.m_plan <- Into { launch; epd; out };
-              Ok (slice_into ~out ~epd:epd' ~batch)
-          | Error { E.code = E.Unsupported; _ } ->
-              (* rejected before any state was touched: the program path
-                 serves this batch and every later one *)
-              m.m_plan <- Prog;
-              dispatch_program_batch t m ~batch
-          | Error e -> Error e)
-      | _ ->
-          m.m_plan <- Prog;
-          dispatch_program_batch t m ~batch)
+  Machine.reset_trace machine;
+  r
 
 let timeout_error ~rid ~waited_ms =
   E.make ~layer:"serve" ~code:E.Timeout
@@ -492,49 +484,10 @@ let injected_serve_fault site =
       None
   | Some Failpoint.Interrupt | None -> None
 
-(* Dispatch the whole batch on an explicit machine — the fallback-twin
-   and reprobe paths. [Reference] kernels make the fallback genuinely
-   digital; the values are still bitwise those of the fused analog path
-   (the PR-7 fused ≡ reference contract), so survivors keep the
-   bit-identity guarantee. *)
-let dispatch_on t m machine ~kernel_mode ~batch =
-  let r =
-    match t.mode with
-    | Batched ->
-        let* arr =
-          Machine.run_program_batch ?pool:t.pool ~kernel_mode machine
-            m.m_program ~batch
-        in
-        Ok (Array.map values_of_results arr)
-    | Single ->
-        let rec go acc k =
-          if k = 0 then Ok (Array.of_list (List.rev acc))
-          else
-            let* rs =
-              Machine.run_program ?pool:t.pool ~kernel_mode machine
-                m.m_program
-            in
-            go (values_of_results rs :: acc) (k - 1)
-        in
-        go [] batch
-  in
-  Machine.reset_trace machine;
-  r
-
 let dispatch_primary t m ~batch =
   match injected_serve_fault "serve.dispatch" with
   | Some e -> Error e
-  | None -> (
-      match t.mode with
-      | Batched -> dispatch_batched t m ~batch
-      | Single ->
-          let rec go acc k =
-            if k = 0 then Ok (Array.of_list (List.rev acc))
-            else
-              let* v = dispatch_single t m in
-              go (v :: acc) (k - 1)
-          in
-          go [] batch)
+  | None -> dispatch t m m.m_machine ~batch
 
 let breaker_incident t m ~state fields =
   Incident.record t.incidents Incident.Breaker
@@ -599,10 +552,12 @@ let fallback_machine m h =
    reprobes the primary every [reprobe_interval] flushes. Requests only
    fail if the digital rung fails too. *)
 let dispatch_with_heal t m h ~batch ~flush_fault =
+  (* [Reference] kernels make the fallback genuinely digital; its values
+     are still bitwise those of the fused analog path (the fused ≡
+     reference contract), so survivors keep the bit-identity guarantee *)
   let twin () =
     let* vs =
-      dispatch_on t m (fallback_machine m h) ~kernel_mode:Machine.Reference
-        ~batch
+      dispatch t m (fallback_machine m h) ~kernel_mode:Machine.Reference ~batch
     in
     t.fallback_batches <- t.fallback_batches + 1;
     Ok vs
@@ -727,9 +682,6 @@ let flush t p =
             Supervisor.supervise t.sup ~label (fun ~attempt:_ ->
                 dispatch_with_heal t m h ~batch:n ~flush_fault)
           in
-          (* the trace is an audit artifact of batch/CLI runs; a daemon
-             serving forever must not retain one record per dispatch *)
-          Machine.reset_trace m.m_machine;
           (match dispatched with
           | Ok _ ->
               if probing then breaker_incident t m ~state:"closed" [];
@@ -1425,10 +1377,11 @@ let chaos_run ?(seed = 0) ?(requests = 240) ~incident_path ~checkpoint_path
     ];
   Incident.close incidents;
   Failpoint.reset ();
-  (match !fail_conf with Some e -> Error e | None -> Ok ())
-  |> Result.map @@ fun () ->
+  let* () = match !fail_conf with Some e -> Error e | None -> Ok () in
   (* fault-free twin pass: same rids on a fresh engine with no
-     failpoints, no storm — the bit-identity baseline for survivors *)
+     failpoints, no storm — the bit-identity baseline for survivors. It
+     fails closed: a twin engine that cannot be built is an error, and a
+     survivor the twin has no value for counts as a mismatch. *)
   let clean_values : float array option array = Array.make requests None in
   let clean_respond (out : outcome) =
     match out.o_result with
@@ -1436,46 +1389,31 @@ let chaos_run ?(seed = 0) ?(requests = 240) ~incident_path ~checkpoint_path
         clean_values.(out.o_rid) <- Some rep.values
     | _ -> ()
   in
-  let clean =
-    let cm = model () in
-    let cname = model_name cm in
-    match
-      create ~clock:(fun () -> 0L) ~mode:Batched ~queue:64 ~batch_max:8
-        ~flush_us:2000 ~respond:clean_respond [ cm ]
-    with
-    | Error _ -> false
-    | Ok ceng ->
-        let rec go rid =
-          if rid >= requests then true
-          else begin
-            (match submit ceng ~rid ~model:cname with
-            | Ok () -> ()
-            | Error _ -> ());
-            pump ceng;
-            if rid mod 32 = 31 then flush_all ceng;
-            go (rid + 1)
-          end
-        in
-        let ok = go 0 in
-        flush_all ceng;
-        ok
+  let cm = model () in
+  let* ceng =
+    create ~clock:(fun () -> 0L) ~mode:Batched ~queue:64 ~batch_max:8
+      ~flush_us:2000 ~respond:clean_respond [ cm ]
   in
-  ignore clean;
+  for rid = 0 to requests - 1 do
+    ignore (submit ceng ~rid ~model:(model_name cm));
+    pump ceng;
+    if rid mod 32 = 31 then flush_all ceng
+  done;
+  flush_all ceng;
   let survivors = ref 0 and mismatches = ref 0 in
   Array.iteri
     (fun rid v ->
       match (v, clean_values.(rid)) with
-      | Some got, Some want ->
+      | None, _ -> ()
+      | Some got, Some want
+        when Array.length got = Array.length want
+             && Array.for_all2
+                  (fun a b -> Int64.bits_of_float a = Int64.bits_of_float b)
+                  got want ->
+          incr survivors
+      | Some _, _ ->
           incr survivors;
-          if
-            not
-              (Array.length got = Array.length want
-              && Array.for_all2
-                   (fun a b -> Int64.bits_of_float a = Int64.bits_of_float b)
-                   got want)
-          then incr mismatches
-      | Some _, None -> incr survivors
-      | None, _ -> ())
+          incr mismatches)
     values;
   let lost = ref 0 and multi = ref 0 in
   Array.iteri
@@ -1527,26 +1465,27 @@ let chaos_run ?(seed = 0) ?(requests = 240) ~incident_path ~checkpoint_path
         !ckpt_saves
     ^ "\n"
   in
-  {
-    c_requests = requests;
-    c_admitted = !admitted;
-    c_served = s.served;
-    c_timeouts = !timeouts;
-    c_failed = !failed;
-    c_shed = !shed_out;
-    c_rejected = !rejected;
-    c_lost = max 0 !lost;
-    c_multi = !multi;
-    c_healed = s.healed;
-    c_fallback_batches = s.fallback_batches;
-    c_breaker_opens = breaker_opens;
-    c_survivors_checked = !survivors;
-    c_survivor_mismatches = !mismatches;
-    c_ipc_faults = !ipc_faults;
-    c_checkpoint_failures = !ckpt_fails;
-    c_sink_degraded = count_kind "sink-degraded";
-    c_events = events;
-  }
+  Ok
+    {
+      c_requests = requests;
+      c_admitted = !admitted;
+      c_served = s.served;
+      c_timeouts = !timeouts;
+      c_failed = !failed;
+      c_shed = !shed_out;
+      c_rejected = !rejected;
+      c_lost = max 0 !lost;
+      c_multi = !multi;
+      c_healed = s.healed;
+      c_fallback_batches = s.fallback_batches;
+      c_breaker_opens = breaker_opens;
+      c_survivors_checked = !survivors;
+      c_survivor_mismatches = !mismatches;
+      c_ipc_faults = !ipc_faults;
+      c_checkpoint_failures = !ckpt_fails;
+      c_sink_degraded = count_kind "sink-degraded";
+      c_events = events;
+    }
 
 let load_run ?(seed = 0) ?(jobs = 1) ?(incidents = Incident.null) ?deadline_ms
     ~mode ~queue ~batch_max ~flush_us ~requests ~load ~model () =

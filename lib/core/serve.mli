@@ -14,13 +14,16 @@
       per-model pending set and flush as one multi-decision batch when
       the set reaches [batch_max] {e or} its oldest request has waited
       [flush_us] microseconds, whichever comes first.
-    - {e Dispatch}: a flushed batch rides the PR-7 batch engine —
-      single-task programs take the zero-allocation
-      {!Promise_arch.Machine.execute_batch_into} serving path (probed
-      once per model, falling back to
-      {!Promise_arch.Machine.run_program_batch} if the launch shape is
-      unsupported); execution runs under {!Promise_core.Supervisor} so a
-      failure becomes typed per-request errors, never a dead daemon.
+    - {e Dispatch}: one dispatch serves the primary and its digital
+      fallback twin. A flushed batch rides the batch engine: a
+      single-task program goes through
+      {!Promise_arch.Machine.execute_batch_into} with its launch fixed
+      when the model is built (the zero-allocation in-buffer loop
+      whenever the launch rides the fused sample plane), any other
+      program through {!Promise_arch.Machine.run_program_batch}; in
+      {!Single} mode each decision runs the program once. Execution
+      runs under {!Promise_core.Supervisor} so a failure becomes typed
+      per-request errors, never a dead daemon.
       [pool] fans multi-bank groups out across domains bank-major
       (per-bank affinity), exactly as {!Promise_arch.Machine.execute}.
     - {e Responder}: every request gets exactly one {!outcome} through
@@ -285,7 +288,8 @@ type chaos_report = {
   c_fallback_batches : int;
   c_breaker_opens : int;
   c_survivors_checked : int;
-      (** served requests compared bitwise against a fault-free twin *)
+      (** served requests compared bitwise against a fault-free twin —
+          every served request *)
   c_survivor_mismatches : int;  (** must be 0 *)
   c_ipc_faults : int;  (** typed truncation errors on the response echo *)
   c_checkpoint_failures : int;  (** injected fsync failures, all typed *)
@@ -319,8 +323,10 @@ val chaos_run :
     Invariants checked and reported: exactly one outcome per admitted
     request ([c_lost] = [c_multi] = 0), no crash (any error is typed),
     and every served value bitwise equal to a fault-free twin run
-    ([c_survivor_mismatches] = 0). The failpoint registry is reset on
-    exit. *)
+    ([c_survivor_mismatches] = 0). The twin comparison fails closed: a
+    twin engine that cannot be built is an [Error], and a survivor the
+    twin has no value for counts as a mismatch. The failpoint registry
+    is reset on exit. *)
 
 (** {2 The self-test load generator} *)
 

@@ -229,15 +229,48 @@ let same_results a b =
   Array.length a = Array.length b
   && Array.for_all2 (fun x y -> same_result x y) a b
 
+let ba_create n = Bigarray.Array1.create Bigarray.Float64 Bigarray.C_layout n
+
+(* [execute_batch_into] on a fresh twin machine: the [out] buffer read
+   back as one emission stream per decision. *)
+let run_into c mode =
+  let task = task_of c in
+  let launch = launch_of c task in
+  let epd = Machine.emissions_per_decision task ~th:launch.Machine.th in
+  let out = ba_create (c.batch * epd) in
+  match
+    Machine.execute_batch_into ?lane_mask:(lane_mask_of c) ~kernel_mode:mode
+      (machine_of c) launch ~batch:c.batch ~out
+  with
+  | Ok n when n = epd ->
+      Ok
+        (Array.init c.batch (fun d ->
+             List.init n (fun g -> Int64.bits_of_float out.{(d * n) + g})))
+  | Ok n -> Error (Printf.sprintf "returned %d emissions, sized for %d" n epd)
+  | Error e -> Error (E.to_string e)
+
+let stream_of (r : Machine.result) =
+  List.map Int64.bits_of_float (r.emitted @ r.acc_out)
+
+(* Batched decisions equal fused and reference sequential singles, and
+   [execute_batch_into] writes exactly [execute_batch]'s emission stream
+   in both kernel modes — every destination, the no-kernel shape and
+   X-REG flip profiles included. *)
 let qcheck_batched_eq_singles =
   QCheck.Test.make ~name:"execute_batch == N sequential executes" ~count:40
     (QCheck.make ~print:print_case gen_case) (fun c ->
       let ref_singles = run_singles c Machine.Reference in
       let fus_singles = run_singles c Machine.Fused in
       let batched = run_batched c Machine.Fused in
-      match (ref_singles, fus_singles, batched) with
-      | Ok rs, Ok fs, Ok bs -> same_results rs fs && same_results fs bs
-      | Error e1, Error e2, Error e3 -> e1 = e2 && e2 = e3
+      let into_ref = run_into c Machine.Reference in
+      let into_fus = run_into c Machine.Fused in
+      match (ref_singles, fus_singles, batched, into_ref, into_fus) with
+      | Ok rs, Ok fs, Ok bs, Ok ir, Ok iff ->
+          let streams = Array.map stream_of bs in
+          same_results rs fs && same_results fs bs && ir = streams
+          && iff = streams
+      | Error e1, Error e2, Error e3, Error e4, Error e5 ->
+          e1 = e2 && e2 = e3 && e3 = e4 && e4 = e5
       | _ -> false)
 
 (* RNG stream continuity: chunked ragged batches (5 then 3) on ONE
@@ -326,8 +359,9 @@ let test_batched_pooled () =
 (* The zero-allocation serving path                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* [execute_batch_into] serves the sample plane only, so these tests
-   pin the fused datapath instead of inheriting PROMISE_KERNEL_MODE. *)
+(* The zero-allocation and pipelined-trace tests exercise the in-buffer
+   plane loop, which only the fused datapath runs, so they pin it
+   instead of inheriting PROMISE_KERNEL_MODE. *)
 
 let serving_case shape =
   {
@@ -348,8 +382,6 @@ let serving_case shape =
     dest_xreg = 7;
     batch = 8;
   }
-
-let ba_create n = Bigarray.Array1.create Bigarray.Float64 Bigarray.C_layout n
 
 (* out.{d*epd + g} is bitwise the emission stream of the d-th
    sequential execute (emitted for accumulate/threshold, the extremum
@@ -423,6 +455,38 @@ let test_into_zero_alloc () =
       "batched serving allocated %.2f minor words/task (%.0f words for %d \
        decisions)"
       per_task delta batch
+
+(* An [out] one slot short is a typed [Invalid_operand] in both kernel
+   modes, checked before the call touches anything: nothing is traced,
+   and the next batch equals a fresh twin machine's. *)
+let test_into_short_out () =
+  let c = serving_case 0 in
+  let task = task_of c in
+  let launch = launch_of c task in
+  let epd = Machine.emissions_per_decision task ~th:launch.Machine.th in
+  List.iter
+    (fun (name, kernel_mode) ->
+      let into m out =
+        Machine.execute_batch_into ~kernel_mode m launch ~batch:c.batch ~out
+      in
+      let m = machine_of c in
+      (match into m (ba_create ((c.batch * epd) - 1)) with
+      | Error e ->
+          check bool (name ^ ": typed Invalid_operand") true
+            (e.E.code = E.Invalid_operand)
+      | Ok _ -> Alcotest.failf "%s: a short out was accepted" name);
+      check int (name ^ ": the rejected call traced nothing") 0
+        (List.length (Machine.trace m).Arch.Trace.records);
+      let got = ba_create (c.batch * epd) in
+      let want = ba_create (c.batch * epd) in
+      ignore (fok (into m got));
+      ignore (fok (into (machine_of c) want));
+      for i = 0 to (c.batch * epd) - 1 do
+        if Int64.bits_of_float got.{i} <> Int64.bits_of_float want.{i} then
+          Alcotest.failf "%s: emission %d: %h <> %h after the rejection" name i
+            got.{i} want.{i}
+      done)
+    [ ("fused", Machine.Fused); ("reference", Machine.Reference) ]
 
 (* The batch trace record carries the pipelined timing closed form. *)
 let test_batch_trace_timing () =
@@ -971,6 +1035,8 @@ let () =
             test_into_zero_alloc;
           Alcotest.test_case "batch trace carries pipelined timing" `Quick
             test_batch_trace_timing;
+          Alcotest.test_case "a short out is rejected before any state \
+                              changes" `Quick test_into_short_out;
         ] );
       ( "failpoint",
         [

@@ -369,6 +369,8 @@ let test_chaos_soak_invariants_and_determinism () =
   check int "survivors bit-identical to the fault-free twin" 0
     a.Serve.c_survivor_mismatches;
   check bool "a real population survived" true (a.Serve.c_survivors_checked > 0);
+  check int "every served request was checked against the twin"
+    a.Serve.c_served a.Serve.c_survivors_checked;
   check bool "every admitted request resolved" true
     (a.Serve.c_served + a.Serve.c_timeouts + a.Serve.c_failed + a.Serve.c_shed
      >= a.Serve.c_admitted);

@@ -302,12 +302,14 @@ let test_watchdog_timeout () =
 
 (* Batched ≡ Single through the full service path, on NOISY twin
    machines: the k-th served decision must consume the machine's RNG
-   streams exactly as the k-th sequential single execution. *)
-let test_batched_equals_single_bitwise () =
+   streams exactly as the k-th sequential single execution. Matched
+   filter is a single-task program (the execute_batch_into dispatch),
+   LinReg a four-task one (the run_program_batch dispatch). *)
+let batched_equals_single model =
   let n = 10 in
   let run mode =
     let clock () = 0L in
-    let m = noisy_model () in
+    let m = model () in
     let name = Serve.model_name m in
     let eng, outs = engine ~clock ~mode ~batch_max:4 ~queue:16 m in
     for rid = 0 to n - 1 do
@@ -335,6 +337,15 @@ let test_batched_equals_single_bitwise () =
             (Int64.equal b vs.(i)))
         vb)
     batched single
+
+let test_batched_equals_single_bitwise () =
+  List.iter batched_equals_single
+    [
+      noisy_model;
+      (fun () ->
+        Serve.model_of_benchmark ~noise_seed:(Some 42)
+          (P.Benchmarks.linreg ()));
+    ]
 
 let test_create_validation () =
   let respond _ = () in
