@@ -141,13 +141,31 @@ let lint_benchmark ?pm ?adc_units (b : B.t) =
     ~target:("benchmark:" ^ b.B.name)
     (isa @ ovf @ stats @ task_passes ?adc_units tasks)
 
+(* --deny values are comma-separated code prefixes. Each must be a
+   non-empty uppercase prefix like P-TIM: a lowercase one matches no
+   code, and the empty one matches (so promotes) every warning. *)
+let parse_deny deny =
+  let prefixes = List.concat_map (String.split_on_char ',') deny in
+  let valid prefix =
+    prefix <> ""
+    && String.for_all
+         (function 'A' .. 'Z' | '0' .. '9' | '-' -> true | _ -> false)
+         prefix
+  in
+  match List.find_opt (fun p -> not (valid p)) prefixes with
+  | None -> Ok prefixes
+  | Some prefix ->
+      P.Error.fail ~layer:"cli" ~code:P.Error.Invalid_operand
+        ~context:[ ("flag", "--deny"); ("prefix", prefix) ]
+        "deny prefixes are uppercase code prefixes like P-TIM"
+
 let run files benchmarks pm format baseline write_baseline max_warnings deny
     adc_units =
-  match P.check_env () with
+  match Result.bind (P.check_env ()) (fun () -> parse_deny deny) with
   | Error e ->
       prerr_endline (P.Error.to_string e);
       2
-  | Ok () -> (
+  | Ok deny -> (
       if files = [] && not benchmarks then begin
         prerr_endline
           "promise-lint: nothing to lint (give FILES or --benchmarks)";
@@ -155,21 +173,15 @@ let run files benchmarks pm format baseline write_baseline max_warnings deny
       end
       else
         try
-          (* env-var defaults behind the flags (flags win) *)
+          (* read the baseline first: a bad path fails before the lint
+             work, as a startup check would, not after it *)
           let baseline =
-            match baseline with
-            | Some _ -> baseline
-            | None -> (
-                match Sys.getenv_opt "PROMISE_LINT_BASELINE" with
-                | Some "" | None -> None
-                | p -> p)
-          in
-          let deny =
-            deny
-            @ (match Sys.getenv_opt "PROMISE_LINT_DENY" with
-              | Some spec when String.trim spec <> "" ->
-                  String.split_on_char ',' (String.trim spec)
-              | _ -> [])
+            match (write_baseline, baseline) with
+            | None, Some path -> (
+                match Lint.parse_baseline (read_file path) with
+                | Error msg -> raise (Io_failure (path ^ ": " ^ msg))
+                | Ok fps -> Some fps)
+            | _ -> None
           in
           let reports =
             List.map (lint_file ?adc_units) files
@@ -190,10 +202,7 @@ let run files benchmarks pm format baseline write_baseline max_warnings deny
               let reports, suppressed =
                 match baseline with
                 | None -> (reports, 0)
-                | Some path -> (
-                    match Lint.parse_baseline (read_file path) with
-                    | Error msg -> raise (Io_failure (path ^ ": " ^ msg))
-                    | Ok fps -> Lint.apply_baseline ~baseline:fps reports)
+                | Some fps -> Lint.apply_baseline ~baseline:fps reports
               in
               (match format with
               | "json" -> print_string (Lint.render_json reports ^ "\n")
@@ -271,8 +280,7 @@ let baseline_arg =
     & info [ "baseline" ] ~docv:"FILE"
         ~doc:
           "Suppress every diagnostic whose fingerprint is recorded in \
-           $(docv) (see $(b,--write-baseline)). Defaults to \
-           $(b,PROMISE_LINT_BASELINE) when set.")
+           $(docv) (see $(b,--write-baseline)).")
 
 let write_baseline_arg =
   Arg.(
@@ -300,8 +308,9 @@ let deny_arg =
     & info [ "deny" ] ~docv:"CODE-PREFIX"
         ~doc:
           "Promote warnings whose code starts with $(docv) (e.g. \
-           $(b,P-TIM)) to errors; repeatable. Merged with \
-           $(b,PROMISE_LINT_DENY) (comma-separated).")
+           $(b,P-TIM)) to errors; comma-separated and repeatable. A prefix \
+           that is empty or not made of A-Z, 0-9 and - is a usage error \
+           (exit 2).")
 
 let adc_units_arg =
   Arg.(

@@ -28,10 +28,9 @@
    Usage: promise_serve (--listen P | --probe P | --selftest-load | --chaos)
             [--models A,B] [--model M] [--requests N] [--max-requests N]
             [--queue N] [--batch-max N] [--flush-us U] [--deadline-ms T]
-            [--jobs J] [--mode batched|single] [--load closed:N|open:R]
-            [--seed S] [--noise SEED] [--cache-capacity N]
-            [--failpoints SITE:POLICY,..] [--breaker-threshold N]
-            [--dwell-budget-us U] [--events FILE]
+            [--jobs J] [--load closed:N] [--seed S] [--noise SEED]
+            [--cache-capacity N] [--failpoints SITE:POLICY,..]
+            [--breaker-threshold N] [--dwell-budget-us U] [--events FILE]
             [--connect-timeout-ms T] [--incidents FILE] [--bench FILE] *)
 
 module P = Promise
@@ -77,18 +76,6 @@ let models_of_names ~noise_seed names =
     (Ok []) names
   |> Result.map List.rev
 
-let mode_conv =
-  Arg.conv
-    ( (fun s ->
-        match s with
-        | "batched" -> Ok P.Serve.Batched
-        | "single" -> Ok P.Serve.Single
-        | _ -> Error (`Msg "--mode accepts: batched, single")),
-      fun ppf m ->
-        Format.pp_print_string ppf
-          (match m with P.Serve.Batched -> "batched" | P.Serve.Single -> "single")
-    )
-
 let load_conv =
   Arg.conv
     ( (fun s ->
@@ -99,15 +86,8 @@ let load_conv =
             with
             | Ok v -> Ok (P.Serve.Closed_loop v)
             | Error e -> Error (`Msg (P.Error.to_string e)))
-        | [ "open"; r ] -> (
-            match float_of_string_opt r with
-            | Some v when v > 0.0 -> Ok (P.Serve.Open_loop v)
-            | _ -> Error (`Msg "--load open:RATE needs a positive rate"))
-        | _ -> Error (`Msg "--load accepts: closed:CONCURRENCY or open:RATE")),
-      fun ppf l ->
-        match l with
-        | P.Serve.Closed_loop n -> Format.fprintf ppf "closed:%d" n
-        | P.Serve.Open_loop r -> Format.fprintf ppf "open:%g" r )
+        | _ -> Error (`Msg "--load accepts: closed:CONCURRENCY")),
+      fun ppf (P.Serve.Closed_loop n) -> Format.fprintf ppf "closed:%d" n )
 
 (* ------------------------------------------------------------------ *)
 (* BENCH_serve.json                                                     *)
@@ -188,7 +168,7 @@ let with_incidents path f =
           r)
 
 let run_daemon ~listen ~models ~noise ~max_requests ~queue ~batch_max
-    ~flush_us ~deadline_ms ~jobs ~mode ~breaker_threshold ~dwell_budget_us
+    ~flush_us ~deadline_ms ~jobs ~breaker_threshold ~dwell_budget_us
     ~incidents_path =
   with_incidents incidents_path (fun incidents ->
       match models_of_names ~noise_seed:noise models with
@@ -198,7 +178,7 @@ let run_daemon ~listen ~models ~noise ~max_requests ~queue ~batch_max
           Format.eprintf "serve: listening on %s (models: %s)@." listen
             (String.concat ", " (List.map P.Serve.model_name ms));
           let go pool =
-            P.Serve.daemon ~max_requests ~incidents ?pool ?deadline_ms ~mode
+            P.Serve.daemon ~max_requests ~incidents ?pool ?deadline_ms
               ?breaker_threshold ?dwell_budget_us ~queue ~batch_max ~flush_us
               ~listen ~stop ms
           in
@@ -230,7 +210,7 @@ let run_probe ~path ~model ~requests ~connect_timeout_ms =
       else `Ok ()
 
 let run_selftest ~model ~noise ~requests ~repeats ~queue ~batch_max ~flush_us
-    ~deadline_ms ~jobs ~load ~seed ~incidents_path ~bench_path =
+    ~deadline_ms ~jobs ~load ~incidents_path ~bench_path =
   with_incidents incidents_path (fun incidents ->
       match benchmark_of_name model with
       | Error msg -> `Error (false, msg)
@@ -239,7 +219,7 @@ let run_selftest ~model ~noise ~requests ~repeats ~queue ~batch_max ~flush_us
             P.Serve.model_of_benchmark ~name:model ~noise_seed:noise b
           in
           let run_once mode =
-            P.Serve.load_run ~seed ~jobs ~incidents ?deadline_ms ~mode ~queue
+            P.Serve.load_run ~jobs ~incidents ?deadline_ms ~mode ~queue
               ~batch_max ~flush_us ~requests ~load ~model:thunk ()
           in
           (* best-of-N per mode: throughput is compared at each mode's
@@ -423,7 +403,7 @@ let run_chaos ~model ~noise ~requests ~seed ~incidents_path ~events_path
             | None -> Ok ()
             | Some p -> (
                 let run_load () =
-                  P.Serve.load_run ~seed ~mode:P.Serve.Batched ~queue:256
+                  P.Serve.load_run ~mode:P.Serve.Batched ~queue:256
                     ~batch_max:64 ~flush_us:2000 ~requests:256
                     ~load:(P.Serve.Closed_loop 32) ~model:thunk ()
                 in
@@ -462,45 +442,50 @@ let run_chaos ~model ~noise ~requests ~seed ~incidents_path ~events_path
                 `Ok ()
               end))
 
+(* --chaos installs its own failpoint schedule, which would silently
+   replace a --failpoints spec: the combination is refused outright. *)
+let arm_failpoints ~chaos ~seed failpoints =
+  match failpoints with
+  | None -> Ok ()
+  | Some _ when chaos ->
+      P.Error.fail ~layer:"cli" ~code:P.Error.Invalid_operand
+        ~context:[ ("flag", "--failpoints") ]
+        "--chaos arms its own failpoint schedule and cannot take --failpoints"
+  | Some spec -> P.Failpoint.configure_spec ~seed spec
+
 let run listen probe selftest chaos models model noise max_requests requests
-    repeats queue batch_max flush_us deadline_ms jobs mode load seed
+    repeats queue batch_max flush_us deadline_ms jobs load seed
     breaker_threshold dwell_budget_us failpoints cache_capacity
     connect_timeout_ms incidents_path events_path bench_path =
-  match P.check_env () with
+  match
+    Result.bind (P.check_env ()) (fun () ->
+        arm_failpoints ~chaos ~seed failpoints)
+  with
   | Error e -> `Error (false, P.Error.to_string e)
   | Ok () -> (
-      let armed =
-        match failpoints with
-        | Some spec -> P.Failpoint.configure_spec ~seed spec
-        | None -> P.Failpoint.from_env ~seed ()
-      in
-      match armed with
-      | Error e -> `Error (false, P.Error.to_string e)
-      | Ok () -> (
-          Option.iter
-            (fun n -> P.Compiler.Pipeline.Cache.set_capacity (Some n))
-            cache_capacity;
-          match (listen, probe, selftest, chaos) with
-          | Some listen, None, false, false ->
-              run_daemon ~listen ~models ~noise ~max_requests ~queue
-                ~batch_max ~flush_us ~deadline_ms ~jobs ~mode
-                ~breaker_threshold ~dwell_budget_us ~incidents_path
-          | None, Some path, false, false ->
-              let requests = if requests = 0 then 8 else requests in
-              run_probe ~path ~model ~requests ~connect_timeout_ms
-          | None, None, true, false ->
-              let requests = if requests = 0 then 512 else requests in
-              run_selftest ~model ~noise ~requests ~repeats ~queue ~batch_max
-                ~flush_us ~deadline_ms ~jobs ~load ~seed ~incidents_path
-                ~bench_path
-          | None, None, false, true ->
-              run_chaos ~model ~noise ~requests ~seed ~incidents_path
-                ~events_path ~bench_path
-          | _ ->
-              `Error
-                ( false,
-                  "pick exactly one of --listen PATH, --probe PATH, \
-                   --selftest-load, --chaos" )))
+      Option.iter
+        (fun n -> P.Compiler.Pipeline.Cache.set_capacity (Some n))
+        cache_capacity;
+      match (listen, probe, selftest, chaos) with
+      | Some listen, None, false, false ->
+          run_daemon ~listen ~models ~noise ~max_requests ~queue ~batch_max
+            ~flush_us ~deadline_ms ~jobs ~breaker_threshold ~dwell_budget_us
+            ~incidents_path
+      | None, Some path, false, false ->
+          let requests = if requests = 0 then 8 else requests in
+          run_probe ~path ~model ~requests ~connect_timeout_ms
+      | None, None, true, false ->
+          let requests = if requests = 0 then 512 else requests in
+          run_selftest ~model ~noise ~requests ~repeats ~queue ~batch_max
+            ~flush_us ~deadline_ms ~jobs ~load ~incidents_path ~bench_path
+      | None, None, false, true ->
+          run_chaos ~model ~noise ~requests ~seed ~incidents_path
+            ~events_path ~bench_path
+      | _ ->
+          `Error
+            ( false,
+              "pick exactly one of --listen PATH, --probe PATH, \
+               --selftest-load, --chaos" ))
 
 (* ------------------------------------------------------------------ *)
 (* Arguments                                                            *)
@@ -591,33 +576,31 @@ let queue_arg =
     value
     & opt
         (Cli.validated_int ~what:"--queue" ~min:1 ~max:1_048_576)
-        (P.Serve.default_queue ())
+        256
     & info [ "queue" ] ~docv:"N"
         ~doc:
           "Admission-queue capacity; a full queue rejects with a typed \
-           Capacity error (default $(b,PROMISE_SERVE_QUEUE) or 256).")
+           Capacity error.")
 
 let batch_max_arg =
   Arg.(
     value
     & opt
         (Cli.validated_int ~what:"--batch-max" ~min:1 ~max:4096)
-        (P.Serve.default_batch_max ())
+        64
     & info [ "batch-max" ] ~docv:"N"
-        ~doc:
-          "Flush a model's pending set at $(docv) coalesced decisions \
-           (default $(b,PROMISE_SERVE_BATCH) or 64).")
+        ~doc:"Flush a model's pending set at $(docv) coalesced decisions.")
 
 let flush_us_arg =
   Arg.(
     value
     & opt
         (Cli.validated_int ~what:"--flush-us" ~min:1 ~max:10_000_000)
-        (P.Serve.default_flush_us ())
+        2000
     & info [ "flush-us" ] ~docv:"U"
         ~doc:
           "Flush a pending set once its oldest request has waited $(docv) \
-           microseconds (default $(b,PROMISE_SERVE_FLUSH_US) or 2000).")
+           microseconds.")
 
 let deadline_arg =
   Arg.(
@@ -637,15 +620,6 @@ let jobs_arg =
           "Domain pool fanning multi-bank groups out bank-major \
            (bit-identical at any job count).")
 
-let mode_arg =
-  Arg.(
-    value
-    & opt mode_conv P.Serve.Batched
-    & info [ "mode" ] ~docv:"MODE"
-        ~doc:
-          "Daemon dispatch mode: $(b,batched) (coalesced) or $(b,single) \
-           (one decision per dispatch; the comparison baseline).")
-
 let load_arg =
   Arg.(
     value
@@ -653,15 +627,14 @@ let load_arg =
     & info [ "load" ] ~docv:"SPEC"
         ~doc:
           "Selftest arrival process: $(b,closed:N) keeps N requests \
-           outstanding; $(b,open:R) draws seeded Poisson arrivals at R \
-           requests/sec (overload exercises admission rejection).")
+           outstanding.")
 
 let seed_arg =
   Arg.(
     value
     & opt (Cli.validated_int ~what:"--seed" ~min:0 ~max:max_int) 0
     & info [ "seed" ] ~docv:"S"
-        ~doc:"Seed of the open-loop inter-arrival stream.")
+        ~doc:"Seed of the chaos soak and of the --failpoints draws.")
 
 let cache_capacity_arg =
   Arg.(
@@ -699,8 +672,8 @@ let failpoints_arg =
         ~doc:
           "Arm the fault-injection registry: comma-separated \
            $(i,site:policy) pairs, policies $(b,off), $(b,fail_once), \
-           $(b,fail_prob=P), $(b,delay_ns=N), $(b,eintr). Overrides \
-           $(b,PROMISE_FAILPOINTS). Draws are seeded by --seed.")
+           $(b,fail_prob=P), $(b,delay_ns=N), $(b,eintr). Draws are seeded \
+           by --seed. Refused with --chaos, which arms its own schedule.")
 
 let breaker_threshold_arg =
   Arg.(
@@ -711,8 +684,7 @@ let breaker_threshold_arg =
     & info [ "breaker-threshold" ] ~docv:"N"
         ~doc:
           "Daemon: open a model's circuit breaker after $(docv) consecutive \
-           batch failures (default $(b,PROMISE_SERVE_BREAKER_THRESHOLD) or \
-           8).")
+           batch failures (default 8).")
 
 let dwell_budget_arg =
   Arg.(
@@ -723,8 +695,8 @@ let dwell_budget_arg =
     & info [ "dwell-budget-us" ] ~docv:"U"
         ~doc:
           "Daemon: shed new submissions with a typed Overloaded error while \
-           the queue head has waited more than $(docv) microseconds \
-           (default $(b,PROMISE_SERVE_DWELL_BUDGET_US), off when unset).")
+           the queue head has waited more than $(docv) microseconds (off \
+           by default).")
 
 let events_arg =
   Arg.(
@@ -772,7 +744,7 @@ let () =
              $ model_arg $ noise_arg $ max_requests_arg $ requests_arg
              $ repeats_arg $ queue_arg $ batch_max_arg $ flush_us_arg
              $ deadline_arg
-             $ jobs_arg $ mode_arg $ load_arg $ seed_arg
+             $ jobs_arg $ load_arg $ seed_arg
              $ breaker_threshold_arg $ dwell_budget_arg $ failpoints_arg
              $ cache_capacity_arg
              $ connect_timeout_arg $ incidents_arg $ events_arg $ bench_arg))))

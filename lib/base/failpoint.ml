@@ -235,9 +235,3 @@ let configure_spec ?seed spec =
   match parse_spec spec with
   | Error _ as e -> e
   | Ok assignments -> configure ?seed assignments
-
-let from_env ?seed () =
-  match Sys.getenv_opt "PROMISE_FAILPOINTS" with
-  | None -> Ok ()
-  | Some s when String.trim s = "" -> Ok ()
-  | Some s -> configure_spec ?seed s

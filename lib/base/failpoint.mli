@@ -18,15 +18,14 @@
     catalog lives in {!sites}; configuring an unknown site is a typed
     error (a typo must not silently arm nothing).
 
-    Configuration comes from three equivalent places: direct
-    {!configure} calls (tests), the [PROMISE_FAILPOINTS] environment
-    variable ({!from_env}), and the [--failpoints] CLI flag — both of
-    the latter use the {!parse_spec} grammar
+    Configuration comes from direct {!configure} calls (tests, the
+    chaos soak) or from [promise-serve --failpoints], which uses the
+    {!parse_spec} grammar
 
     {v site:policy[,site:policy...]
        policy := off | fail_once | eintr | fail_prob=P | delay_ns=N v}
 
-    e.g. [PROMISE_FAILPOINTS=ipc.read:eintr,serve.dispatch:fail_prob=0.05]. *)
+    e.g. [--failpoints ipc.read:eintr,serve.dispatch:fail_prob=0.05]. *)
 
 (** What an armed site does when its check fires. *)
 type policy =
@@ -66,10 +65,6 @@ val parse_spec : string -> ((string * policy) list, Error.t) result
 
 val configure_spec : ?seed:int -> string -> (unit, Error.t) result
 (** [parse_spec] then [configure]. *)
-
-val from_env : ?seed:int -> unit -> (unit, Error.t) result
-(** Arm from [PROMISE_FAILPOINTS] (a no-op [Ok ()] when unset or
-    blank). CLIs call this once at startup, after [check_env]. *)
 
 val check : string -> fire option
 (** [check site] — consult the site. [None] (proceed normally) unless

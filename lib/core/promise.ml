@@ -149,11 +149,14 @@ let energy_report = Promise_energy.Model.program_energy
     [batch] decisions (bit-identical to [batch] sequential {!run}s). *)
 let run_batch = Promise_compiler.Pipeline.run_batch
 
-(** [check_env ()] — validate every [PROMISE_*] environment variable a
-    run consults, with typed errors instead of silent fallbacks: a
+(** [check_env ()] — validate the three [PROMISE_*] environment
+    variables library code reads ([PROMISE_JOBS] in [Pool],
+    [PROMISE_KERNEL_MODE] and [PROMISE_BATCH] in [Arch.Machine]), with
+    typed errors instead of the silent fallbacks those readers take: a
     typo'd [PROMISE_JOBS=fuor] fails loudly at CLI startup rather than
-    quietly running at the default width. The kernel-mode value list
-    mirrors [Arch.Machine.kernel_mode_of_env]; the batch range mirrors
+    quietly running at the default width. Every other setting is a CLI
+    flag. The kernel-mode value list mirrors
+    [Arch.Machine.default_kernel_mode]; the batch range mirrors
     [Arch.Machine.default_batch]. *)
 let check_env () =
   Promise_core.Validate.all
@@ -165,65 +168,6 @@ let check_env () =
            ~values:[ "fused"; "reference"; "ref"; "scalar" ]);
       Result.map ignore
         (Promise_core.Validate.env_int ~name:"PROMISE_BATCH" ~min:1 ~max:4096);
-      Result.map ignore
-        (Promise_core.Validate.env_int ~name:"PROMISE_SERVE_QUEUE" ~min:1
-           ~max:1_048_576);
-      Result.map ignore
-        (Promise_core.Validate.env_int ~name:"PROMISE_SERVE_BATCH" ~min:1
-           ~max:4096);
-      Result.map ignore
-        (Promise_core.Validate.env_int ~name:"PROMISE_SERVE_FLUSH_US" ~min:1
-           ~max:10_000_000);
-      Result.map ignore
-        (Promise_core.Validate.env_int
-           ~name:"PROMISE_SERVE_BREAKER_THRESHOLD" ~min:1 ~max:10_000);
-      Result.map ignore
-        (Promise_core.Validate.env_int ~name:"PROMISE_SERVE_DWELL_BUDGET_US"
-           ~min:1 ~max:10_000_000);
-      (* PROMISE_LINT_BASELINE: when set, the default --baseline for
-         promise-lint — must name a readable file. *)
-      (match Sys.getenv_opt "PROMISE_LINT_BASELINE" with
-      | None | Some "" -> Ok ()
-      | Some path ->
-          if Sys.file_exists path && not (Sys.is_directory path) then Ok ()
-          else
-            Promise_core.Error.fail ~layer:"cli"
-              ~code:Promise_core.Error.Invalid_operand
-              ~context:[ ("flag", "PROMISE_LINT_BASELINE"); ("path", path) ]
-              "baseline file does not exist");
-      (* PROMISE_LINT_DENY: comma-separated diagnostic-code prefixes
-         promoted from warning to error (e.g. "P-OVF,P-TIM"). *)
-      (match Sys.getenv_opt "PROMISE_LINT_DENY" with
-      | None | Some "" -> Ok ()
-      | Some spec ->
-          Promise_core.Validate.all
-            (List.map
-               (fun prefix ->
-                 let ok =
-                   prefix <> ""
-                   && String.for_all
-                        (function
-                          | 'A' .. 'Z' | '0' .. '9' | '-' -> true | _ -> false)
-                        prefix
-                 in
-                 if ok then Ok ()
-                 else
-                   Promise_core.Error.fail ~layer:"cli"
-                     ~code:Promise_core.Error.Invalid_operand
-                     ~context:
-                       [ ("flag", "PROMISE_LINT_DENY"); ("prefix", prefix) ]
-                     "deny prefixes are uppercase code prefixes like P-TIM")
-               (String.split_on_char ',' (String.trim spec))));
-      (match Sys.getenv_opt "PROMISE_FAILPOINTS" with
-      | None -> Ok ()
-      | Some s ->
-          Result.map ignore (Promise_core.Failpoint.parse_spec s)
-          |> Result.map_error (fun (e : Promise_core.Error.t) ->
-                 {
-                   e with
-                   Promise_core.Error.context =
-                     ("flag", "PROMISE_FAILPOINTS") :: e.Promise_core.Error.context;
-                 }));
     ]
 
 (** [version]. *)

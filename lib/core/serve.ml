@@ -6,7 +6,6 @@ module Pool = Promise_core.Pool
 module Queue_bounded = Promise_core.Queue_bounded
 module Histogram = Promise_core.Histogram
 module Ipc = Promise_core.Ipc
-module Validate = Promise_core.Validate
 module Machine = Promise_arch.Machine
 module Selftest = Promise_arch.Selftest
 module Runtime = Promise_compiler.Runtime
@@ -172,46 +171,10 @@ type stats = {
 
 let max_flush_us = 10_000_000
 
-(* Environment defaults for the self-healing knobs (the serving-layer
-   knobs proper are parsed further down, next to their section). Like
-   [Machine.default_batch]: the lazy parses fall back silently;
-   [Promise.check_env] validates the same variables loudly at CLI
-   startup. *)
-let env_breaker_threshold =
-  lazy
-    (match
-       Validate.env_int ~name:"PROMISE_SERVE_BREAKER_THRESHOLD" ~min:1
-         ~max:10_000
-     with
-    | Ok (Some n) -> n
-    | Ok None | Error _ -> 8)
-
-let env_dwell_budget_us =
-  lazy
-    (match
-       Validate.env_int ~name:"PROMISE_SERVE_DWELL_BUDGET_US" ~min:1
-         ~max:max_flush_us
-     with
-    | Ok (Some n) -> Some n
-    | Ok None | Error _ -> None)
-
-let default_breaker_threshold () = Lazy.force env_breaker_threshold
-let default_dwell_budget_us () = Lazy.force env_dwell_budget_us
-
 let create ?(clock = Clock.monotonic_ns) ?(incidents = Incident.null) ?pool
-    ?deadline_ms ?(mode = Batched) ?(self_heal = true) ?breaker_threshold
+    ?deadline_ms ?(mode = Batched) ?(self_heal = true) ?(breaker_threshold = 8)
     ?(breaker_cooldown_ms = 100.0) ?dwell_budget_us ~queue ~batch_max
     ~flush_us ~respond models =
-  let breaker_threshold =
-    match breaker_threshold with
-    | Some n -> n
-    | None -> default_breaker_threshold ()
-  in
-  let dwell_budget_us =
-    match dwell_budget_us with
-    | Some _ as d -> d
-    | None -> default_dwell_budget_us ()
-  in
   let* () =
     if breaker_threshold < 1 || breaker_threshold > 10_000 then
       E.fail ~layer:"serve" ~code:E.Invalid_operand
@@ -805,33 +768,6 @@ let next_deadline_ns t =
     t.pending None
 
 (* ------------------------------------------------------------------ *)
-(* Environment defaults                                                 *)
-(* ------------------------------------------------------------------ *)
-
-(* Like [Machine.default_batch]: the lazy parses fall back silently;
-   [Promise.check_env] validates the same variables loudly at CLI
-   startup. *)
-let env_default ~name ~min ~max ~default =
-  lazy
-    (match Validate.env_int ~name ~min ~max with
-    | Ok (Some n) -> n
-    | Ok None | Error _ -> default)
-
-let env_queue =
-  env_default ~name:"PROMISE_SERVE_QUEUE" ~min:1 ~max:1_048_576 ~default:256
-
-let env_batch_max =
-  env_default ~name:"PROMISE_SERVE_BATCH" ~min:1 ~max:4096 ~default:64
-
-let env_flush_us =
-  env_default ~name:"PROMISE_SERVE_FLUSH_US" ~min:1 ~max:max_flush_us
-    ~default:2000
-
-let default_queue () = Lazy.force env_queue
-let default_batch_max () = Lazy.force env_batch_max
-let default_flush_us () = Lazy.force env_flush_us
-
-(* ------------------------------------------------------------------ *)
 (* Socket daemon                                                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -851,10 +787,9 @@ let write_frame fd (resp : wire_response) =
   | Ok () -> true
   | Error _ | (exception Unix.Unix_error _) -> false
 
-let daemon ?(max_requests = 0) ?clock ?(incidents = Incident.null) ?pool
-    ?deadline_ms ?mode ?breaker_threshold ?dwell_budget_us ~queue ~batch_max
-    ~flush_us ~listen ~stop models =
-  let now = match clock with Some c -> c | None -> Clock.monotonic_ns in
+let daemon ?(max_requests = 0) ?(incidents = Incident.null) ?pool ?deadline_ms
+    ?breaker_threshold ?dwell_budget_us ~queue ~batch_max ~flush_us ~listen
+    ~stop models =
   (* rid (daemon-global) → where the response goes *)
   let rid_tbl : (int, Unix.file_descr * int) Hashtbl.t = Hashtbl.create 64 in
   let next_rid = ref 0 in
@@ -885,8 +820,8 @@ let daemon ?(max_requests = 0) ?clock ?(incidents = Incident.null) ?pool
         ignore (write_frame fd resp)
   in
   let* eng =
-    create ?clock ~incidents ?pool ?deadline_ms ?mode ?breaker_threshold
-      ?dwell_budget_us ~queue ~batch_max ~flush_us ~respond models
+    create ~incidents ?pool ?deadline_ms ?breaker_threshold ?dwell_budget_us
+      ~queue ~batch_max ~flush_us ~respond models
   in
   (try Unix.unlink listen with Unix.Unix_error _ -> ());
   let srv = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -943,7 +878,9 @@ let daemon ?(max_requests = 0) ?clock ?(incidents = Incident.null) ?pool
     let timeout =
       match next_deadline_ns eng with
       | Some ns ->
-          let dt = Int64.to_float (Int64.sub ns (now ())) /. 1e9 in
+          let dt =
+            Int64.to_float (Int64.sub ns (Clock.monotonic_ns ())) /. 1e9
+          in
           Float.max 0.0 (Float.min dt 0.05)
       | None -> 0.05
     in
@@ -1088,7 +1025,7 @@ let probe ?(connect_timeout_ms = 10_000.0) ?(requests = 8) ~path ~model () =
 (* Self-test load generator                                             *)
 (* ------------------------------------------------------------------ *)
 
-type load = Closed_loop of int | Open_loop of float
+type load = Closed_loop of int
 
 type load_report = {
   l_mode : mode;
@@ -1487,8 +1424,8 @@ let chaos_run ?(seed = 0) ?(requests = 240) ~incident_path ~checkpoint_path
       c_events = events;
     }
 
-let load_run ?(seed = 0) ?(jobs = 1) ?(incidents = Incident.null) ?deadline_ms
-    ~mode ~queue ~batch_max ~flush_us ~requests ~load ~model () =
+let load_run ?(jobs = 1) ?(incidents = Incident.null) ?deadline_ms ~mode
+    ~queue ~batch_max ~flush_us ~requests ~load ~model () =
   let m = model () in
   let name = model_name m in
   let outputs : float array option array = Array.make requests None in
@@ -1512,48 +1449,18 @@ let load_run ?(seed = 0) ?(jobs = 1) ?(incidents = Incident.null) ?deadline_ms
         | Error _ -> incr finished (* rejected: no outcome will arrive *));
         incr issued
       in
-      (match load with
-      | Closed_loop conc ->
-          let conc = max 1 conc in
-          while !finished < requests do
-            while !issued < requests && !issued - !finished < conc do
-              offer ()
-            done;
-            pump eng;
-            (* the window is full (or the stream is over): nothing more
-               can arrive before a response, so drain eagerly — a closed
-               system never waits out the flush deadline *)
-            flush_all eng
-          done
-      | Open_loop rate ->
-          let rate = Float.max 1.0 rate in
-          let rng = Rng.create seed in
-          let interval () =
-            let u = Float.max 1e-12 (Rng.uniform rng ~lo:0.0 ~hi:1.0) in
-            Int64.of_float (-.Float.log u /. rate *. 1e9)
-          in
-          let next = ref (Int64.add t0 (interval ())) in
-          while !finished < requests do
-            let now = Clock.monotonic_ns () in
-            while !issued < requests && !next <= now do
-              offer ();
-              next := Int64.add !next (interval ())
-            done;
-            pump eng;
-            if !issued >= requests then flush_all eng else flush_due eng;
-            if !finished < requests && !issued < requests then begin
-              let target =
-                match next_deadline_ns eng with
-                | Some d when d < !next -> d
-                | _ -> !next
-              in
-              let wait_ms =
-                Int64.to_float (Int64.sub target (Clock.monotonic_ns ()))
-                /. 1e6
-              in
-              if wait_ms > 0.05 then Clock.sleep_ms (Float.min wait_ms 1.0)
-            end
-          done);
+      let (Closed_loop conc) = load in
+      let conc = max 1 conc in
+      while !finished < requests do
+        while !issued < requests && !issued - !finished < conc do
+          offer ()
+        done;
+        pump eng;
+        (* the window is full (or the stream is over): nothing more can
+           arrive before a response, so drain eagerly — a closed system
+           never waits out the flush deadline *)
+        flush_all eng
+      done;
       let seconds =
         Int64.to_float (Int64.sub (Clock.monotonic_ns ()) t0) /. 1e9
       in

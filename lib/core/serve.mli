@@ -126,14 +126,14 @@ val create :
     retry on the analog primary, then a digital fallback twin
     (reference kernels on a bit-for-bit rebuilt machine) — so requests
     only fail if the digital rung fails too. A per-model circuit
-    breaker trips after [breaker_threshold] (default
-    {!default_breaker_threshold}) consecutive batch failures: flushes
-    then answer typed [Overloaded] (+ retry-after hint) for
-    [breaker_cooldown_ms] (default 100) without touching the machine,
-    after which one half-open probe batch decides close vs re-open.
-    [dwell_budget_us] (default {!default_dwell_budget_us}) arms
-    dwell-based overload shedding at {!submit}. Every breaker/BIST/
-    degradation transition is recorded in the incident log. *)
+    breaker trips after [breaker_threshold] (1..10000, default 8)
+    consecutive batch failures: flushes then answer typed [Overloaded]
+    (+ retry-after hint) for [breaker_cooldown_ms] (default 100)
+    without touching the machine, after which one half-open probe
+    batch decides close vs re-open. [dwell_budget_us] (1..10^7) arms
+    dwell-based overload shedding at {!submit}; without it nothing is
+    shed. Every breaker/BIST/degradation transition is recorded in the
+    incident log. *)
 
 val submit : t -> rid:int -> model:string -> (unit, Promise_core.Error.t) result
 (** Offer one request. [Error] with [Capacity] when the queue is full
@@ -179,29 +179,6 @@ type stats = {
 
 val stats : t -> stats
 
-(** {2 Environment defaults}
-
-    [PROMISE_SERVE_QUEUE], [PROMISE_SERVE_BATCH] and
-    [PROMISE_SERVE_FLUSH_US] feed the CLI defaults below; each falls
-    back silently here and is validated loudly by [Promise.check_env]
-    at CLI startup, like [PROMISE_BATCH]. *)
-
-val default_queue : unit -> int  (** [PROMISE_SERVE_QUEUE], default 256 *)
-
-val default_batch_max : unit -> int
-(** [PROMISE_SERVE_BATCH], default 64 (range 1..4096, like
-    [PROMISE_BATCH]) *)
-
-val default_flush_us : unit -> int
-(** [PROMISE_SERVE_FLUSH_US], default 2000 (2 ms) *)
-
-val default_breaker_threshold : unit -> int
-(** [PROMISE_SERVE_BREAKER_THRESHOLD], default 8 (range 1..10000) *)
-
-val default_dwell_budget_us : unit -> int option
-(** [PROMISE_SERVE_DWELL_BUDGET_US]; [None] (shedding disabled) when
-    unset *)
-
 (** {2 The socket daemon} *)
 
 type wire_request = { w_rid : int; w_model : string }
@@ -223,11 +200,9 @@ type daemon_summary = {
 
 val daemon :
   ?max_requests:int ->
-  ?clock:(unit -> int64) ->
   ?incidents:Promise_core.Incident.t ->
   ?pool:Promise_core.Pool.t ->
   ?deadline_ms:float ->
-  ?mode:mode ->
   ?breaker_threshold:int ->
   ?dwell_budget_us:int ->
   queue:int ->
@@ -239,10 +214,11 @@ val daemon :
   (daemon_summary, Promise_core.Error.t) result
 (** Serve forever on Unix socket [listen] (unlinked and re-bound):
     accept connections, read {!wire_request} frames, answer with
-    {!wire_response} frames through the engine. One select loop drives
-    admission, coalescing and dispatch; the select timeout is
-    {!next_deadline_ns}, so flush-by-deadline holds within a poll
-    quantum. Returns after [stop] is requested (SIGINT/SIGTERM) or
+    {!wire_response} frames through a {!Batched} engine on the
+    monotonic clock, whose knobs and defaults are {!create}'s. One
+    select loop drives admission, coalescing and dispatch; the select
+    timeout is {!next_deadline_ns}, so flush-by-deadline holds within a
+    poll quantum. Returns after [stop] is requested (SIGINT/SIGTERM) or
     after [max_requests] responses when positive — the drain flushes
     every pending batch first. A dead client's responses are dropped
     (and logged), never fatal ([SIGPIPE] is ignored for the loop). *)
@@ -335,10 +311,6 @@ type load =
       (** keep that many requests outstanding; each response immediately
           triggers the next submit — the drain is eager, so the server
           batches exactly what the concurrency window holds *)
-  | Open_loop of float
-      (** Poisson-ish arrivals at that rate (requests/sec), inter-arrival
-          times drawn from a seeded stream — overload produces typed
-          admission rejections, which is the point *)
 
 type load_report = {
   l_mode : mode;
@@ -360,7 +332,6 @@ type load_report = {
 }
 
 val load_run :
-  ?seed:int ->
   ?jobs:int ->
   ?incidents:Promise_core.Incident.t ->
   ?deadline_ms:float ->

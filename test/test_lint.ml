@@ -756,40 +756,6 @@ let test_driver_sarif () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Environment validation of the PROMISE_LINT variables               *)
-(* ------------------------------------------------------------------ *)
-
-let with_env name value f =
-  let old = try Some (Sys.getenv name) with Not_found -> None in
-  Unix.putenv name value;
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv name (Option.value old ~default:""))
-    f
-
-let test_env_validation () =
-  (with_env "PROMISE_LINT_BASELINE" "/nonexistent/lint-baseline.json"
-     (fun () ->
-       match P.check_env () with
-       | Error _ -> ()
-       | Ok () -> fail "check_env accepted a missing baseline file"));
-  let tmp = Filename.temp_file "promise-baseline" ".json" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove tmp)
-    (fun () ->
-      with_env "PROMISE_LINT_BASELINE" tmp (fun () ->
-          check bool "an existing baseline file validates" true
-            (P.check_env () = Ok ())));
-  with_env "PROMISE_LINT_DENY" "P-TIM,P-OVF" (fun () ->
-      check bool "a prefix list validates" true (P.check_env () = Ok ()));
-  List.iter
-    (fun bad ->
-      with_env "PROMISE_LINT_DENY" bad (fun () ->
-          match P.check_env () with
-          | Error _ -> ()
-          | Ok () -> Alcotest.failf "check_env accepted PROMISE_LINT_DENY=%s" bad))
-    [ "p-tim"; "P-TIM,,P-OVF"; "P TIM" ]
-
-(* ------------------------------------------------------------------ *)
 (* Clean-lint property and acceptance sweeps                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -1129,8 +1095,6 @@ let () =
           Alcotest.test_case "baseline round trip" `Quick test_driver_baseline;
           Alcotest.test_case "sarif rendering" `Quick test_driver_sarif;
         ] );
-      ( "env",
-        [ Alcotest.test_case "PROMISE_LINT_*" `Quick test_env_validation ] );
       ( "acceptance",
         [
           QCheck_alcotest.to_alcotest qcheck_random_kernels_lint_clean;

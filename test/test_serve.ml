@@ -3,8 +3,7 @@
    clock), per-request watchdog timeouts, the batched ≡ single
    bit-identity contract through the whole service path (noisy twin
    machines), percentile math of the log-linear histogram, the bounded
-   FIFO's accounting, the compilation cache's LRU eviction, and the
-   PROMISE_SERVE_* environment validation. *)
+   FIFO's accounting and the compilation cache's LRU eviction. *)
 
 module P = Promise
 module Serve = P.Serve
@@ -380,46 +379,6 @@ let test_load_run_identity () =
   check bool "batched coalesced" true (b.Serve.l_mean_batch > 1.0);
   check (Alcotest.float 0.0) "single never coalesces" 1.0 s.Serve.l_max_batch
 
-(* ------------------------------------------------------------------ *)
-(* PROMISE_SERVE_* environment validation                               *)
-(* ------------------------------------------------------------------ *)
-
-let test_env_validation () =
-  let with_env name value f =
-    Unix.putenv name value;
-    Fun.protect ~finally:(fun () -> Unix.putenv name "") f
-  in
-  List.iter
-    (fun (name, bad, good) ->
-      with_env name bad (fun () ->
-          match P.check_env () with
-          | Ok () -> Alcotest.failf "%s=%s must be rejected" name bad
-          | Error e ->
-              check bool
-                (name ^ " error names the variable")
-                true
-                (let s = E.to_string e in
-                 let n = String.length name in
-                 let rec has i =
-                   i + n <= String.length s
-                   && (String.sub s i n = name || has (i + 1))
-                 in
-                 has 0));
-      with_env name good (fun () -> fok (P.check_env ())))
-    [
-      ("PROMISE_SERVE_QUEUE", "0", "256");
-      ("PROMISE_SERVE_QUEUE", "1048577", "1");
-      ("PROMISE_SERVE_BATCH", "4097", "64");
-      ("PROMISE_SERVE_BATCH", "abc", "4096");
-      ("PROMISE_SERVE_FLUSH_US", "0", "2000");
-      ("PROMISE_SERVE_FLUSH_US", "10000001", "1");
-      ("PROMISE_SERVE_BREAKER_THRESHOLD", "0", "8");
-      ("PROMISE_SERVE_BREAKER_THRESHOLD", "10001", "1");
-      ("PROMISE_SERVE_DWELL_BUDGET_US", "abc", "3000");
-      ("PROMISE_FAILPOINTS", "bogus", "ipc.read:fail_prob=0.1");
-      ("PROMISE_FAILPOINTS", "ipc.read:fail_prob=2", "serve.flush:off");
-    ]
-
 let () =
   Alcotest.run "serve"
     [
@@ -457,6 +416,4 @@ let () =
           Alcotest.test_case "create validation" `Quick test_create_validation;
           Alcotest.test_case "load_run identity" `Quick test_load_run_identity;
         ] );
-      ( "environment",
-        [ Alcotest.test_case "PROMISE_SERVE_*" `Quick test_env_validation ] );
     ]
