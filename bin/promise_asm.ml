@@ -30,32 +30,25 @@ let die msg =
 
 let target_of = function None -> "<stdin>" | Some path -> path
 
-(* --lint re-runs the source through the line-located whole-program
-   ISA verifier; the report goes to stderr so stdout stays the
+(* --lint runs promise-lint's .pasm lint (or, on disassembled words,
+   the Task list); the report goes to stderr so stdout stays the
    assembled/validated output. *)
-let lint_report ~format report =
-  (match format with
-  | "json" -> prerr_endline (P.Analysis.Lint.render_json [ report ])
-  | _ ->
-      prerr_string (P.Analysis.Lint.render_text report);
-      prerr_endline (P.Analysis.Lint.summary [ report ]));
-  if P.Analysis.Lint.exit_code [ report ] <> 0 then
-    die "lint reported errors (see diagnostics above)"
+let lint_or_die report = Result.iter_error die (Cli.lint_report report)
 
-let lint_source ~lint ~format ~file src =
+let lint_source ~lint ~file src =
   if lint then
-    lint_report ~format (P.Analysis.Lint.lint_pasm ~target:(target_of file) src)
+    lint_or_die (P.Analysis.Lint.lint_pasm ~target:(target_of file) src)
 
-let assemble file lint no_lint fmt =
+let assemble file lint =
   let src = read_input file in
   match P.Isa.Asm.parse_program src with
   | Error msg -> die msg
   | Ok tasks ->
-      lint_source ~lint:(lint && not no_lint) ~format:fmt ~file src;
+      lint_source ~lint ~file src;
       List.iter (fun t -> print_endline (P.Isa.Encode.hex_of_task t)) tasks;
       `Ok ()
 
-let disassemble file lint no_lint fmt =
+let disassemble file lint =
   let lines =
     read_input file |> String.split_on_char '\n'
     |> List.map String.trim
@@ -69,19 +62,19 @@ let disassemble file lint no_lint fmt =
         | Error msg -> die (Printf.sprintf "word %d: %s" (i + 1) msg))
       lines
   in
-  if lint && not no_lint then
-    lint_report ~format:fmt
+  if lint then
+    lint_or_die
       (P.Analysis.Lint.make ~target:(target_of file)
-         (P.Analysis.Isa_check.check_program tasks));
+         (P.Analysis.Lint.task_passes tasks));
   print_string (P.Isa.Asm.print_program tasks);
   `Ok ()
 
-let validate file lint no_lint fmt =
+let validate file lint =
   let src = read_input file in
   match P.Isa.Asm.parse_program src with
   | Error msg -> die msg
   | Ok tasks ->
-      lint_source ~lint:(lint && not no_lint) ~format:fmt ~file src;
+      lint_source ~lint ~file src;
       Printf.printf "%d task(s) valid; program uses up to %d bank(s)\n"
         (List.length tasks)
         (List.fold_left (fun a t -> max a (P.Isa.Task.banks t)) 1 tasks);
@@ -98,35 +91,12 @@ let lint_arg =
     value & flag
     & info [ "lint" ]
         ~doc:
-          "Run the whole-program Task-ISA verifier on the input; the report \
-           goes to stderr.")
-
-let no_lint_arg =
-  Arg.(
-    value & flag
-    & info [ "no-lint" ] ~doc:"Disable linting (overrides $(b,--lint)).")
-
-let lint_format_conv =
-  Arg.conv
-    ( (fun s ->
-        match
-          P.Validate.enum ~what:"--lint-format" ~values:[ "text"; "json" ] s
-        with
-        | Ok v -> Ok v
-        | Error e -> Error (`Msg (P.Error.to_string e))),
-      Format.pp_print_string )
-
-let lint_format_arg =
-  Arg.(
-    value
-    & opt lint_format_conv "text"
-    & info [ "lint-format" ] ~docv:"FMT"
-        ~doc:"Lint report format: $(b,text) or $(b,json).")
+          "Run promise-lint's Task list (the whole-program Task-ISA \
+           verifier, shadowed X-REG stores and analog dwell timing) on the \
+           input; the report goes to stderr.")
 
 let cmd name doc f =
-  Cmd.v (Cmd.info name ~doc)
-    Term.(
-      ret (const f $ file_arg $ lint_arg $ no_lint_arg $ lint_format_arg))
+  Cmd.v (Cmd.info name ~doc) Term.(ret (const f $ file_arg $ lint_arg))
 
 let () =
   let info =

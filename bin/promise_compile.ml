@@ -16,23 +16,7 @@ let die msg =
 
 let die_err e = die (P.Error.to_string e)
 
-(* --lint: overflow interval analysis on the IR graph plus the
-   whole-program ISA verifier on the emitted Tasks.  (SSA validation
-   always runs inside [P.compile]; it fails closed even without
-   --lint.)  The report goes to stderr so stdout stays the program. *)
-let lint_program ~format ~target graph program =
-  let _, ovf = P.Analysis.Interval.analyze graph in
-  let isa = P.Analysis.Isa_check.check_program program.P.Isa.Program.tasks in
-  let report = P.Analysis.Lint.make ~target (ovf @ isa) in
-  (match format with
-  | "json" -> prerr_endline (P.Analysis.Lint.render_json [ report ])
-  | _ ->
-      prerr_string (P.Analysis.Lint.render_text report);
-      prerr_endline (P.Analysis.Lint.summary [ report ]));
-  if P.Analysis.Lint.exit_code [ report ] <> 0 then
-    die "lint reported errors (see diagnostics above)"
-
-let run path binary show_ir swing lint no_lint lint_format =
+let run path binary show_ir swing lint =
   let kernel =
     match P.Ir.Sexp_frontend.parse_file path with
     | Ok k -> k
@@ -54,8 +38,11 @@ let run path binary show_ir swing lint no_lint lint_format =
     | Ok p -> p
     | Error e -> die_err e
   in
-  if lint && not no_lint then
-    lint_program ~format:lint_format ~target:path graph program;
+  (* --lint: promise-lint's kernel lint; the report goes to stderr so
+     stdout stays the program *)
+  if lint then
+    Result.iter_error die
+      (Cli.lint_report (P.Compiler.Pipeline.lint_kernel ~target:path kernel));
   (match binary with
   | Some out ->
       let oc = open_out_bin out in
@@ -96,30 +83,9 @@ let lint_arg =
     value & flag
     & info [ "lint" ]
         ~doc:
-          "Run the promise-lint analyses (interval overflow, Task-ISA \
-           verifier) on the compiled program; the report goes to stderr.")
-
-let no_lint_arg =
-  Arg.(
-    value & flag
-    & info [ "no-lint" ] ~doc:"Disable linting (overrides $(b,--lint)).")
-
-let lint_format_conv =
-  Arg.conv
-    ( (fun s ->
-        match
-          P.Validate.enum ~what:"--lint-format" ~values:[ "text"; "json" ] s
-        with
-        | Ok v -> Ok v
-        | Error e -> Error (`Msg (P.Error.to_string e))),
-      Format.pp_print_string )
-
-let lint_format_arg =
-  Arg.(
-    value
-    & opt lint_format_conv "text"
-    & info [ "lint-format" ] ~docv:"FMT"
-        ~doc:"Lint report format: $(b,text) or $(b,json).")
+          "Run promise-lint's kernel lint (the SSA list, interval overflow \
+           analysis and the Task list) on the kernel; the report goes to \
+           stderr.")
 
 let () =
   let info =
@@ -132,4 +98,4 @@ let () =
           Term.(
             ret
               (const run $ path_arg $ binary_arg $ ir_arg $ swing_arg
-             $ lint_arg $ no_lint_arg $ lint_format_arg))))
+             $ lint_arg))))

@@ -1,10 +1,9 @@
 (* promise-lint: static analysis for PROMISE programs.
 
-   Lints .pasm assembly files (whole-program Task-ISA verification +
-   the Task-level dataflow passes), .sexp DSL kernels (SSA validation,
-   liveness/dead-code, X-REG pressure, interval overflow analysis, and
-   ISA + timing verification of the compiled Tasks) and the compiled
-   Table-2 benchmarks.
+   Lints .pasm assembly files, .sexp DSL kernels and the compiled
+   Table-2 benchmarks with the library's lint for each input kind
+   (Analysis.Lint.lint_pasm, Pipeline.lint_kernel, Benchmarks.lint);
+   Analysis.Lint names the passes each one runs.
 
    Policy layer: --deny PREFIX promotes matching warnings to errors,
    --max-warnings N bounds the warning count, --baseline FILE
@@ -19,12 +18,6 @@
 module P = Promise
 module Diag = P.Diag
 module Lint = P.Analysis.Lint
-module Ssa_check = P.Analysis.Ssa_check
-module Isa_check = P.Analysis.Isa_check
-module Interval = P.Analysis.Interval
-module Liveness = P.Analysis.Liveness
-module Regpressure = P.Analysis.Regpressure
-module Timing_check = P.Analysis.Timing_check
 module B = P.Benchmarks
 
 exception Io_failure of string
@@ -45,78 +38,18 @@ let write_file path data =
       (fun () -> output_string oc data)
   with Sys_error msg -> raise (Io_failure msg)
 
-(* Task-level dataflow passes shared by every path that reaches a
-   compiled Task stream. *)
-let task_passes ?adc_units tasks =
-  Liveness.check_program tasks @ Timing_check.check_program ?adc_units tasks
-
-(* .sexp kernels run the full frontend + backend under the linter:
-   SSA validation, liveness and X-REG pressure on the lowered
-   function, interval analysis on the matched graph, then whole-
-   program ISA verification and the timing pass on the compiled
-   Tasks. A frontend/backend failure is itself a diagnostic. *)
-let lint_kernel ?adc_units ~target src =
-  match P.Ir.Sexp_frontend.parse src with
-  | Error msg ->
-      Lint.make ~target [ Diag.errorf ~code:"P-ASM-001" "parse error: %s" msg ]
-  | Ok kernel -> (
-      match P.Ir.Dsl.lower kernel with
-      | exception Invalid_argument msg ->
-          Lint.make ~target [ Diag.errorf ~code:"P-SSA-005" "%s" msg ]
-      | ssa -> (
-          let ssa_diags =
-            Ssa_check.validate ssa @ Liveness.check ssa
-            @ Regpressure.check_function ssa
-          in
-          if Diag.count_errors ssa_diags > 0 then Lint.make ~target ssa_diags
-          else
-            match P.Ir.Pattern.match_function ssa with
-            | Error msg ->
-                Lint.make ~target
-                  (ssa_diags
-                  @ [
-                      Diag.errorf ~code:"P-OVF-004"
-                        "kernel does not match the Figure-7 pattern: %s" msg;
-                    ])
-            | Ok graph -> (
-                let _, ovf_diags = Interval.analyze graph in
-                match P.Compiler.Lower.program_of_graph graph with
-                | Error e ->
-                    Lint.make ~target
-                      (ssa_diags @ ovf_diags
-                      @ [
-                          Diag.errorf ~code:"P-OVF-004" "lowering failed: %s"
-                            (P.Error.to_string e);
-                        ])
-                | Ok program ->
-                    let tasks = program.P.Isa.Program.tasks in
-                    Lint.make ~target
-                      (ssa_diags @ ovf_diags @ Isa_check.check_program tasks
-                      @ task_passes ?adc_units tasks))))
-
-(* .pasm files: the located ISA verifier plus the Task-level dataflow
-   passes, with Task-index spans relocated onto source lines. *)
-let lint_pasm ?adc_units ~target src =
-  match P.Isa.Asm.parse_program_located src with
-  | Error d -> Lint.make ~target [ d ]
-  | Ok located ->
-      let tasks = List.map snd located in
-      let lines = Array.of_list (List.map fst located) in
-      let relocate d =
-        match Diag.span d with
-        | Diag.Task i when i >= 0 && i < Array.length lines ->
-            Diag.with_span d (Diag.Line lines.(i))
-        | _ -> d
-      in
-      Lint.make ~target
-        (Isa_check.check_program_located located
-        @ List.map relocate (task_passes ?adc_units tasks))
-
+(* .sexp kernels: a parse failure is the report's single diagnostic. *)
 let lint_file ?adc_units path =
   let src = read_file path in
-  if Filename.check_suffix path ".pasm" then lint_pasm ?adc_units ~target:path src
+  if Filename.check_suffix path ".pasm" then
+    Lint.lint_pasm ?adc_units ~target:path src
   else if Filename.check_suffix path ".sexp" then
-    lint_kernel ?adc_units ~target:path src
+    match P.Ir.Sexp_frontend.parse src with
+    | Error msg ->
+        Lint.make ~target:path
+          [ Diag.errorf ~code:"P-ASM-001" "parse error: %s" msg ]
+    | Ok kernel ->
+        P.Compiler.Pipeline.lint_kernel ?adc_units ~target:path kernel
   else
     raise
       (Io_failure
@@ -125,21 +58,6 @@ let lint_file ?adc_units path =
 
 (* The nine Table-2 benchmarks: the Figure-10 suite plus DNN-1. *)
 let benchmark_suite () = B.fig10_suite () @ [ B.dnn B.D1 ]
-
-let lint_benchmark ?pm ?adc_units (b : B.t) =
-  let tasks = b.B.per_decision_program.P.Isa.Program.tasks in
-  let isa = Isa_check.check_program tasks in
-  let _, ovf = Interval.analyze b.B.graph in
-  let stats =
-    match (pm, b.B.stats) with
-    | Some pm, Some s ->
-        Interval.check_stats ~ea:s.P.Compiler.Precision.ea
-          ~ew:s.P.Compiler.Precision.ew ~pm
-    | _ -> []
-  in
-  Lint.make
-    ~target:("benchmark:" ^ b.B.name)
-    (isa @ ovf @ stats @ task_passes ?adc_units tasks)
 
 (* --deny values are comma-separated code prefixes. Each must be a
    non-empty uppercase prefix like P-TIM: a lowercase one matches no
@@ -187,7 +105,7 @@ let run files benchmarks pm format baseline write_baseline max_warnings deny
             List.map (lint_file ?adc_units) files
             @
             if benchmarks then
-              List.map (lint_benchmark ?pm ?adc_units) (benchmark_suite ())
+              List.map (B.lint ?pm ?adc_units) (benchmark_suite ())
             else []
           in
           let reports = Lint.apply_deny ~deny reports in
@@ -237,19 +155,10 @@ let benchmarks_arg =
     & info [ "benchmarks" ]
         ~doc:"Lint the nine compiled Table-2 benchmark programs and graphs.")
 
-let pm_conv =
-  Arg.conv
-    ( (fun s ->
-        match P.Validate.non_negative_float ~what:"--pm" s with
-        | Ok v when v > 0.0 -> Ok v
-        | Ok _ -> Error (`Msg "--pm must be > 0")
-        | Error e -> Error (`Msg (P.Error.to_string e))),
-      Format.pp_print_float )
-
 let pm_arg =
   Arg.(
     value
-    & opt (some pm_conv) None
+    & opt (some (Cli.positive_float ~what:"--pm")) None
     & info [ "pm" ] ~docv:"P"
         ~doc:
           "Also check Sakr precision feasibility (P-OVF-003) of benchmark \

@@ -24,27 +24,10 @@ let benchmarks =
     ("dnn-3", fun () -> B.dnn B.D3);
   ]
 
-(* --lint checks the compiled benchmark before simulating it: the
-   whole-program Task-ISA verifier on the per-decision Task stream and
-   interval overflow analysis on the IR graph.  The report goes to
-   stderr; error diagnostics abort the run. *)
-let lint_benchmark ~format (b : B.t) =
-  let isa =
-    P.Analysis.Isa_check.check_program b.B.per_decision_program.P.Isa.Program.tasks
-  in
-  let _, ovf = P.Analysis.Interval.analyze b.B.graph in
-  let report =
-    P.Analysis.Lint.make ~target:("benchmark:" ^ b.B.name) (isa @ ovf)
-  in
-  (match format with
-  | "json" -> prerr_endline (P.Analysis.Lint.render_json [ report ])
-  | _ ->
-      prerr_string (P.Analysis.Lint.render_text report);
-      prerr_endline (P.Analysis.Lint.summary [ report ]));
-  P.Analysis.Lint.exit_code [ report ] = 0
-
-let run name swing pm optimize jobs kernel_mode batch lint no_lint lint_format
-    =
+(* --lint runs promise-lint's benchmark lint, at this run's --pm,
+   before simulating; the report goes to stderr and error diagnostics
+   abort the run. *)
+let run name swing pm optimize jobs kernel_mode batch lint =
   match (P.check_env (), List.assoc_opt name benchmarks) with
   | Error e, _ -> `Error (false, P.Error.to_string e)
   | Ok (), None ->
@@ -52,9 +35,8 @@ let run name swing pm optimize jobs kernel_mode batch lint no_lint lint_format
         ( false,
           Printf.sprintf "unknown benchmark %S; try one of: %s" name
             (String.concat ", " (List.map fst benchmarks)) )
-  | Ok (), Some build when lint && (not no_lint)
-                           && not (lint_benchmark ~format:lint_format (build ()))
-    ->
+  | Ok (), Some build
+    when lint && Result.is_error (Cli.lint_report (B.lint ~pm (build ()))) ->
       `Error (false, "lint reported errors (see diagnostics above)")
   | Ok (), Some build ->
       P.Pool.with_pool ~jobs @@ fun pool ->
@@ -109,7 +91,8 @@ let swing_arg =
 
 let pm_arg =
   Arg.(
-    value & opt float 0.01
+    value
+    & opt (Cli.positive_float ~what:"--pm") 0.01
     & info [ "pm" ] ~docv:"P" ~doc:"Mismatch-probability budget.")
 
 let optimize_arg =
@@ -157,30 +140,10 @@ let lint_arg =
     value & flag
     & info [ "lint" ]
         ~doc:
-          "Lint the compiled benchmark (Task-ISA verifier + interval \
-           overflow analysis) before running it; the report goes to stderr.")
-
-let no_lint_arg =
-  Arg.(
-    value & flag
-    & info [ "no-lint" ] ~doc:"Disable linting (overrides $(b,--lint)).")
-
-let lint_format_conv =
-  Arg.conv
-    ( (fun s ->
-        match
-          P.Validate.enum ~what:"--lint-format" ~values:[ "text"; "json" ] s
-        with
-        | Ok v -> Ok v
-        | Error e -> Error (`Msg (P.Error.to_string e))),
-      Format.pp_print_string )
-
-let lint_format_arg =
-  Arg.(
-    value
-    & opt lint_format_conv "text"
-    & info [ "lint-format" ] ~docv:"FMT"
-        ~doc:"Lint report format: $(b,text) or $(b,json).")
+          "Run promise-lint's benchmark lint (interval overflow analysis, \
+           Sakr feasibility at $(b,--pm), 0.01 unless given, and the Task \
+           list) on the compiled benchmark before running it; the report \
+           goes to stderr.")
 
 let () =
   let info =
@@ -193,5 +156,4 @@ let () =
           Term.(
             ret
               (const run $ name_arg $ swing_arg $ pm_arg $ optimize_arg
-             $ jobs_arg $ kernel_mode_arg $ batch_arg $ lint_arg $ no_lint_arg
-             $ lint_format_arg))))
+             $ jobs_arg $ kernel_mode_arg $ batch_arg $ lint_arg))))

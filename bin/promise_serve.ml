@@ -29,12 +29,14 @@
             [--models A,B] [--model M] [--requests N] [--max-requests N]
             [--queue N] [--batch-max N] [--flush-us U] [--deadline-ms T]
             [--jobs J] [--load closed:N] [--seed S] [--noise SEED]
-            [--cache-capacity N] [--failpoints SITE:POLICY,..]
+            [--failpoints SITE:POLICY,..]
             [--breaker-threshold N] [--dwell-budget-us U] [--events FILE]
             [--connect-timeout-ms T] [--incidents FILE] [--bench FILE] *)
 
 module P = Promise
 open Cmdliner
+
+let ( let* ) = Result.bind
 
 let () = Printexc.record_backtrace true
 
@@ -224,76 +226,73 @@ let run_selftest ~model ~noise ~requests ~repeats ~queue ~batch_max ~flush_us
           in
           (* best-of-N per mode: throughput is compared at each mode's
              least-noisy repetition, and every repetition must produce
-             the same digest — the identity contract has no variance *)
-          let run mode =
-            let rec go best k =
-              if k = 0 then best
-              else
-                match (run_once mode, best) with
-                | (Error _ as e), _ -> e
-                | Ok r, Ok prev ->
-                    if not (String.equal r.P.Serve.l_digest prev.P.Serve.l_digest)
-                    then
-                      P.Error.fail ~layer:"serve"
-                        "two repetitions of the same load disagree — the \
-                         digest must not depend on timing"
-                    else
-                      go
-                        (Ok
-                           (if r.P.Serve.l_rps > prev.P.Serve.l_rps then r
-                            else prev))
-                        (k - 1)
-                | Ok r, Error _ -> go (Ok r) (k - 1)
-            in
-            match run_once mode with
-            | Error _ as e -> e
-            | Ok first -> go (Ok first) (repeats - 1)
+             the same digest — the identity contract has no variance.
+             The modes alternate (batched, single, batched, ...), so a
+             slow stretch of the host costs both modes repetitions
+             instead of costing one mode all of its own. *)
+          let keep (best : P.Serve.load_report) (r : P.Serve.load_report) =
+            if not (String.equal r.P.Serve.l_digest best.P.Serve.l_digest)
+            then
+              P.Error.fail ~layer:"serve"
+                "two repetitions of the same load disagree — the digest \
+                 must not depend on timing"
+            else Ok (if r.P.Serve.l_rps > best.P.Serve.l_rps then r else best)
+          in
+          let rec alternate k batched single =
+            if k = 0 then Ok (batched, single)
+            else
+              let* batched =
+                Result.bind (run_once P.Serve.Batched) (keep batched)
+              in
+              let* single = Result.bind (run_once P.Serve.Single) (keep single) in
+              alternate (k - 1) batched single
           in
           let load_str =
             Format.asprintf "%a" (Arg.conv_printer load_conv) load
           in
           Printf.printf "serve selftest: model=%s requests=%d load=%s\n" model
             requests load_str;
-          match run P.Serve.Batched with
+          match
+            let* batched = run_once P.Serve.Batched in
+            let* single = run_once P.Serve.Single in
+            alternate (repeats - 1) batched single
+          with
           | Error e -> `Error (false, P.Error.to_string e)
-          | Ok batched -> (
-              match run P.Serve.Single with
-              | Error e -> `Error (false, P.Error.to_string e)
-              | Ok single ->
-                  let print tag (r : P.Serve.load_report) =
-                    Printf.printf
-                      "%s: served=%d rejected=%d timeouts=%d failures=%d\n"
-                      tag r.P.Serve.l_served r.P.Serve.l_rejected
-                      r.P.Serve.l_timeouts r.P.Serve.l_failures;
-                    Format.eprintf
-                      "%s: %.1f req/s, p50 %.3f ms, p95 %.3f ms, p99 %.3f \
-                       ms, mean batch %.2f, max queue depth %d@."
-                      tag r.P.Serve.l_rps r.P.Serve.l_p50_ms
-                      r.P.Serve.l_p95_ms r.P.Serve.l_p99_ms
-                      r.P.Serve.l_mean_batch r.P.Serve.l_max_queue_depth
-                  in
-                  print "batched" batched;
-                  print "single" single;
-                  let identical =
-                    String.equal batched.P.Serve.l_digest
-                      single.P.Serve.l_digest
-                  in
-                  Printf.printf "identical_output=%b\n" identical;
-                  if single.P.Serve.l_rps > 0.0 then
-                    Format.eprintf "coalescing speedup: %.2fx@."
-                      (batched.P.Serve.l_rps /. single.P.Serve.l_rps);
-                  Option.iter
-                    (fun p ->
-                      write_bench p ~model ~requests ~queue ~batch_max
-                        ~flush_us ~load:load_str
-                        ~noiseless:(noise = None) ~identical batched single)
-                    bench_path;
-                  if not identical then
-                    `Error
-                      ( false,
-                        "batched and single response streams differ — the \
-                         bit-identity contract is broken" )
-                  else `Ok ())))
+          | Ok (batched, single) ->
+              let print tag (r : P.Serve.load_report) =
+                Printf.printf
+                  "%s: served=%d rejected=%d timeouts=%d failures=%d\n"
+                  tag r.P.Serve.l_served r.P.Serve.l_rejected
+                  r.P.Serve.l_timeouts r.P.Serve.l_failures;
+                Format.eprintf
+                  "%s: %.1f req/s, p50 %.3f ms, p95 %.3f ms, p99 %.3f \
+                   ms, mean batch %.2f, max queue depth %d@."
+                  tag r.P.Serve.l_rps r.P.Serve.l_p50_ms
+                  r.P.Serve.l_p95_ms r.P.Serve.l_p99_ms
+                  r.P.Serve.l_mean_batch r.P.Serve.l_max_queue_depth
+              in
+              print "batched" batched;
+              print "single" single;
+              let identical =
+                String.equal batched.P.Serve.l_digest
+                  single.P.Serve.l_digest
+              in
+              Printf.printf "identical_output=%b\n" identical;
+              if single.P.Serve.l_rps > 0.0 then
+                Format.eprintf "coalescing speedup: %.2fx@."
+                  (batched.P.Serve.l_rps /. single.P.Serve.l_rps);
+              Option.iter
+                (fun p ->
+                  write_bench p ~model ~requests ~queue ~batch_max
+                    ~flush_us ~load:load_str
+                    ~noiseless:(noise = None) ~identical batched single)
+                bench_path;
+              if not identical then
+                `Error
+                  ( false,
+                    "batched and single response streams differ — the \
+                     bit-identity contract is broken" )
+              else `Ok ()))
 
 (* ------------------------------------------------------------------ *)
 (* Chaos soak                                                           *)
@@ -455,17 +454,14 @@ let arm_failpoints ~chaos ~seed failpoints =
 
 let run listen probe selftest chaos models model noise max_requests requests
     repeats queue batch_max flush_us deadline_ms jobs load seed
-    breaker_threshold dwell_budget_us failpoints cache_capacity
-    connect_timeout_ms incidents_path events_path bench_path =
+    breaker_threshold dwell_budget_us failpoints connect_timeout_ms
+    incidents_path events_path bench_path =
   match
     Result.bind (P.check_env ()) (fun () ->
         arm_failpoints ~chaos ~seed failpoints)
   with
   | Error e -> `Error (false, P.Error.to_string e)
   | Ok () -> (
-      Option.iter
-        (fun n -> P.Compiler.Pipeline.Cache.set_capacity (Some n))
-        cache_capacity;
       match (listen, probe, selftest, chaos) with
       | Some listen, None, false, false ->
           run_daemon ~listen ~models ~noise ~max_requests ~queue ~batch_max
@@ -636,17 +632,6 @@ let seed_arg =
     & info [ "seed" ] ~docv:"S"
         ~doc:"Seed of the chaos soak and of the --failpoints draws.")
 
-let cache_capacity_arg =
-  Arg.(
-    value
-    & opt (some (Cli.validated_int ~what:"--cache-capacity" ~min:1 ~max:max_int))
-        None
-    & info [ "cache-capacity" ] ~docv:"N"
-        ~doc:
-          "Bound each compilation-cache table to $(docv) entries with LRU \
-           eviction (a long-lived daemon should set this; evicted models \
-           recompile on their next request). Default: unbounded.")
-
 let connect_timeout_arg =
   Arg.(
     value
@@ -746,5 +731,4 @@ let () =
              $ deadline_arg
              $ jobs_arg $ load_arg $ seed_arg
              $ breaker_threshold_arg $ dwell_budget_arg $ failpoints_arg
-             $ cache_capacity_arg
              $ connect_timeout_arg $ incidents_arg $ events_arg $ bench_arg))))

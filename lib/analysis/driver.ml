@@ -17,10 +17,38 @@ let dedupe ds =
 
 let make ~target diags = { target; diags = dedupe diags }
 
-let lint_pasm ~target src =
+(* ---- Pass lists ----
+
+   Which passes run on which input is decided here once: promise-lint,
+   every --lint flag and the compiler's fail-closed gates all run these
+   lists. *)
+
+let ssa_passes ssa =
+  Ssa_check.validate ssa @ Liveness.check ssa @ Regpressure.check_function ssa
+
+let dataflow_passes ?adc_units tasks =
+  Liveness.check_program tasks @ Timing_check.check_program ?adc_units tasks
+
+let task_passes ?adc_units tasks =
+  Isa_check.check_program tasks @ dataflow_passes ?adc_units tasks
+
+(* .pasm files: the located ISA verifier plus the dataflow passes,
+   with Task-index spans relocated onto source lines. *)
+let lint_pasm ?adc_units ~target src =
   match Promise_isa.Asm.parse_program_located src with
   | Error d -> make ~target [ d ]
-  | Ok located -> make ~target (Isa_check.check_program_located located)
+  | Ok located ->
+      let lines = Array.of_list (List.map fst located) in
+      let relocate d =
+        match Diag.span d with
+        | Diag.Task i when i >= 0 && i < Array.length lines ->
+            Diag.with_span d (Diag.Line lines.(i))
+        | _ -> d
+      in
+      make ~target
+        (Isa_check.check_program_located located
+        @ List.map relocate
+            (dataflow_passes ?adc_units (List.map snd located)))
 
 let errors r = Diag.count_errors r.diags
 let warnings r = Diag.count_warnings r.diags

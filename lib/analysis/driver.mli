@@ -1,5 +1,6 @@
-(** Lint report assembly and rendering, shared by [promise-lint], the
-    [--lint] flags of the other CLIs, and the test suite.
+(** The lint pass lists, report assembly and rendering, shared by
+    [promise-lint], the [--lint] flags of the other CLIs, the
+    compiler's fail-closed gates and the test suite.
 
     A {!report} is one lint target (a [.pasm] file, a DSL kernel, a
     benchmark) with its sorted, deduplicated diagnostics. On top of
@@ -18,9 +19,36 @@ val dedupe : Promise_core.Diag.t list -> Promise_core.Diag.t list
 val make : target:string -> Promise_core.Diag.t list -> report
 (** Sorts and dedupes the diagnostics. *)
 
-val lint_pasm : target:string -> string -> report
-(** Parse assembly source and run the whole-program ISA verifier; a
-    parse failure becomes the report's single diagnostic. *)
+(** {2 Pass lists}
+
+    Each input kind's passes, named once. promise-lint, every [--lint]
+    flag and the compiler's fail-closed gates run these lists:
+    [Pipeline.compile] gates on {!ssa_passes},
+    [Lower.program_of_graph] on the ISA verifier
+    ([Isa_check.check_program]) and [Pipeline.codegen] on
+    {!dataflow_passes}. *)
+
+val ssa_passes : Promise_ir.Ssa.func -> Promise_core.Diag.t list
+(** The SSA list: SSA validation, dead code ([P-DCE-001]) and X-REG
+    pressure. *)
+
+val dataflow_passes :
+  ?adc_units:int -> Promise_isa.Task.t list -> Promise_core.Diag.t list
+(** Shadowed X-REG stores ([P-DCE-002]) and analog dwell timing
+    ([P-TIM-*]) against a bank with [adc_units] live ADC units
+    (default: all eight). *)
+
+val task_passes :
+  ?adc_units:int -> Promise_isa.Task.t list -> Promise_core.Diag.t list
+(** The Task list: the whole-program Task-ISA verifier
+    ([Isa_check.check_program], [Task i] spans) then
+    {!dataflow_passes}. *)
+
+val lint_pasm : ?adc_units:int -> target:string -> string -> report
+(** The [.pasm] lint: parse assembly source and run the Task list, the
+    ISA verifier with [Line n] spans and the dataflow passes with their
+    Task spans moved onto source lines. A parse failure becomes the
+    report's single diagnostic. *)
 
 val errors : report -> int
 val warnings : report -> int

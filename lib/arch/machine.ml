@@ -757,5 +757,3 @@ let load_x ?lane_map t ~group ~xreg_base ~plan x =
         ~index:(xreg_base + segment) slice
     done
   done
-
-let read_xreg t ~bank:i ~xreg = Xreg.get (Bank.xreg (bank t i)) ~index:xreg

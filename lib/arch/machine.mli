@@ -107,15 +107,6 @@ val execute_exn :
   launch ->
   result
 
-(** [run ?pool ?kernel_mode t launches] — execute in order; stops at
-    the first error. *)
-val run :
-  ?pool:Promise_core.Pool.t ->
-  ?kernel_mode:kernel_mode ->
-  t ->
-  launch list ->
-  (result list, Promise_core.Error.t) Stdlib.result
-
 (** [default_launch task] — a launch with ISA-level defaults for raw
     (assembler-driven) execution: bank group 0, all 128 lanes, unit ADC
     gain, TH pre-gain = 128 × the task's analog scale (so emitted
@@ -275,8 +266,3 @@ val load_x :
   plan:Layout.plan ->
   int array ->
   unit
-
-(** [read_xreg t ~bank ~xreg] — one bank's view of an X-REG vector
-    (Class-4 [Des_xreg] emits broadcast to every bank of the group, so
-    the group's first bank is canonical). *)
-val read_xreg : t -> bank:int -> xreg:int -> int array

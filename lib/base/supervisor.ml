@@ -1,28 +1,19 @@
 type config = {
   timeout_ms : float option;
-  enforce_timeout : bool;
   retry : Retry.policy;
   incidents : Incident.t;
   clock : unit -> int64;
   sleep : float -> unit;
-  watchdog_poll_ms : float;
   live_watchdog : bool;
 }
 
-let config ?timeout_ms ?(enforce_timeout = true)
-    ?(retry = Retry.no_retry ~seed:0) ?(incidents = Incident.null)
-    ?(clock = Clock.monotonic_ns) ?(sleep = Clock.sleep_ms)
-    ?(watchdog_poll_ms = 50.0) ?(live_watchdog = true) () =
-  {
-    timeout_ms;
-    enforce_timeout;
-    retry;
-    incidents;
-    clock;
-    sleep;
-    watchdog_poll_ms;
-    live_watchdog;
-  }
+let config ?timeout_ms ?(retry = Retry.no_retry ~seed:0)
+    ?(incidents = Incident.null) ?(clock = Clock.monotonic_ns)
+    ?(sleep = Clock.sleep_ms) ?(live_watchdog = true) () =
+  { timeout_ms; retry; incidents; clock; sleep; live_watchdog }
+
+(* How often the live watchdog scans the in-flight items. *)
+let watchdog_poll_ms = 50.0
 
 let ms_between ~clock ~since = Int64.to_float (Int64.sub (clock ()) since) /. 1e6
 
@@ -63,18 +54,16 @@ let supervise cfg ~label f =
             ("timeout_ms", Printf.sprintf "%.1f" tmo);
             ("phase", "completed");
           ];
-        if cfg.enforce_timeout then
-          Error
-            (Error.make ~layer:"supervisor" ~code:Error.Timeout
-               ~context:
-                 [
-                   ("item", label);
-                   ("attempt", string_of_int attempt);
-                   ("elapsed_ms", Printf.sprintf "%.1f" elapsed);
-                   ("timeout_ms", Printf.sprintf "%.1f" tmo);
-                 ]
-               "work item exceeded its deadline")
-        else result
+        Error
+          (Error.make ~layer:"supervisor" ~code:Error.Timeout
+             ~context:
+               [
+                 ("item", label);
+                 ("attempt", string_of_int attempt);
+                 ("elapsed_ms", Printf.sprintf "%.1f" elapsed);
+                 ("timeout_ms", Printf.sprintf "%.1f" tmo);
+               ]
+             "work item exceeded its deadline")
     | _ -> result
   in
   let on_retry ~attempt ~delay_ms (e : Error.t) =
@@ -110,7 +99,7 @@ let map_result ?(pool = Pool.sequential) cfg ~label f items =
     let watchdog tmo =
       Domain.spawn (fun () ->
           while not (Atomic.get wd_stop) do
-            Clock.sleep_ms (Float.max 1.0 cfg.watchdog_poll_ms);
+            Clock.sleep_ms watchdog_poll_ms;
             for i = 0 to n - 1 do
               let s = Atomic.get starts.(i) in
               if Int64.compare s 0L <> 0 && not (Atomic.get flagged.(i)) then begin

@@ -10,15 +10,14 @@
 
     Two timeout mechanisms cooperate:
     - a {e live watchdog} domain scans the in-flight items of a
-      {!map_result} every [watchdog_poll_ms] and logs a [Timeout]
-      incident the moment an item is overdue (observability while the
-      item is still wedged — an OCaml domain cannot be preempted, so a
-      truly stuck item can only be reported, not killed, until the
-      process is restarted and resumes from its checkpoint);
+      {!map_result} every 50 ms and logs a [Timeout] incident the
+      moment an item is overdue (observability while the item is still
+      wedged — an OCaml domain cannot be preempted, so a truly stuck
+      item can only be reported, not killed, until the process is
+      restarted and resumes from its checkpoint);
     - a {e post-hoc check} measures each completed attempt against the
-      deadline and, when [enforce_timeout] is set, converts an overdue
-      attempt into a typed [Timeout] failure that enters the retry
-      loop and eventually quarantines.
+      deadline and converts an overdue attempt into a typed [Timeout]
+      failure that enters the retry loop and eventually quarantines.
 
     Determinism: with no [timeout_ms] (the default) supervision never
     alters a result, so the bit-identical guarantees of the parallel
@@ -27,32 +26,28 @@
     the operator asks for with [--timeout-ms]. *)
 
 type config = private {
-  timeout_ms : float option;  (** per-attempt deadline; [None] = off *)
-  enforce_timeout : bool;
-      (** overdue attempts become [Timeout] failures (default [true]
-          when a deadline is set) *)
+  timeout_ms : float option;
+      (** per-attempt deadline; [None] = off. An overdue attempt
+          becomes a [Timeout] failure. *)
   retry : Retry.policy;
   incidents : Incident.t;
   clock : unit -> int64;  (** monotonic ns; injectable for tests *)
   sleep : float -> unit;  (** backoff sleep (ms); injectable *)
-  watchdog_poll_ms : float;
   live_watchdog : bool;  (** spawn the scanning domain in map_result *)
 }
 
 val config :
   ?timeout_ms:float ->
-  ?enforce_timeout:bool ->
   ?retry:Retry.policy ->
   ?incidents:Incident.t ->
   ?clock:(unit -> int64) ->
   ?sleep:(float -> unit) ->
-  ?watchdog_poll_ms:float ->
   ?live_watchdog:bool ->
   unit ->
   config
 (** Defaults: no deadline, no retries ([Retry.no_retry ~seed:0]), null
-    incident sink, real monotonic clock and sleep, 50 ms watchdog
-    poll, live watchdog on (it only runs when a deadline is set). *)
+    incident sink, real monotonic clock and sleep, live watchdog on (it
+    only runs when a deadline is set). *)
 
 val supervise :
   config ->

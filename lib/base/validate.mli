@@ -22,7 +22,7 @@ val non_negative_float : what:string -> string -> (float, Error.t) result
 val enum :
   what:string -> values:string list -> string -> (string, Error.t) result
 (** [enum ~what ~values s] — [s] (trimmed, lowercased) must be one of
-    [values]. Used by the [--lint-format] CLI flags. *)
+    [values]. *)
 
 val env_int :
   name:string -> min:int -> max:int -> (int option, Error.t) result

@@ -1,4 +1,6 @@
 module E = Promise_core.Error
+module Diag = Promise_core.Diag
+module Lint = Promise_analysis.Driver
 
 let ( let* ) = Result.bind
 
@@ -12,54 +14,23 @@ module Cache = struct
      compilation problem" regardless of which sweep asked.  Only [Ok]
      results are stored; errors always recompute.  A single mutex
      guards all tables — compilation results are coarse enough that
-     contention is irrelevant next to simulation cost.
+     contention is irrelevant next to simulation cost. *)
 
-     The cache is optionally bounded: a long-lived serving daemon
-     compiles an open-ended stream of models, so without a bound the
-     tables grow monotonically for the life of the process.  With
-     [set_capacity (Some n)], each table keeps at most [n] entries and
-     evicts its least-recently-used one on insert (every hit refreshes
-     recency); an evicted model simply recompiles on its next use —
-     correctness never depends on residency. *)
-
-  type stats = { hits : int; misses : int; entries : int; evictions : int }
+  type stats = { hits : int; misses : int; entries : int }
 
   let lock = Mutex.create ()
-  let enabled = ref true
   let hits = ref 0
   let misses = ref 0
-  let evictions = ref 0
 
-  let capacity_ref : int option ref = ref None
+  let frontend_tbl : (string, Promise_ir.Graph.t) Hashtbl.t = Hashtbl.create 64
 
-  (* LRU recency: a global monotonic tick; each entry stores the tick
-     of its last hit/insert, and eviction scans for the minimum.  The
-     scan is O(table size), bounded by the capacity itself — trivial
-     next to a compilation. *)
-  let tick = ref 0
-
-  let frontend_tbl : (string, Promise_ir.Graph.t * int ref) Hashtbl.t =
+  let optimize_tbl : (string, Promise_ir.Graph.t * int) Hashtbl.t =
     Hashtbl.create 64
 
-  let optimize_tbl : (string, (Promise_ir.Graph.t * int) * int ref) Hashtbl.t =
-    Hashtbl.create 64
-
-  let codegen_tbl : (string, Promise_isa.Program.t * int ref) Hashtbl.t =
+  let codegen_tbl : (string, Promise_isa.Program.t) Hashtbl.t =
     Hashtbl.create 64
 
   let digest v = Digest.to_hex (Digest.string (Marshal.to_string v []))
-
-  let set_enabled b = Mutex.protect lock (fun () -> enabled := b)
-  let is_enabled () = Mutex.protect lock (fun () -> !enabled)
-
-  let set_capacity c =
-    (match c with
-    | Some n when n < 1 ->
-        invalid_arg "Pipeline.Cache.set_capacity: capacity must be >= 1"
-    | _ -> ());
-    Mutex.protect lock (fun () -> capacity_ref := c)
-
-  let capacity () = Mutex.protect lock (fun () -> !capacity_ref)
 
   let clear () =
     Mutex.protect lock (fun () ->
@@ -67,35 +38,18 @@ module Cache = struct
         Hashtbl.reset optimize_tbl;
         Hashtbl.reset codegen_tbl;
         hits := 0;
-        misses := 0;
-        evictions := 0)
+        misses := 0)
 
   let stats () =
     Mutex.protect lock (fun () ->
         {
           hits = !hits;
           misses = !misses;
-          evictions = !evictions;
           entries =
             Hashtbl.length frontend_tbl
             + Hashtbl.length optimize_tbl
             + Hashtbl.length codegen_tbl;
         })
-
-  (* Must be called with [lock] held. *)
-  let evict_lru tbl =
-    let victim = ref None in
-    Hashtbl.iter
-      (fun key (_, last) ->
-        match !victim with
-        | Some (_, best) when !last >= best -> ()
-        | _ -> victim := Some (key, !last))
-      tbl;
-    match !victim with
-    | Some (key, _) ->
-        Hashtbl.remove tbl key;
-        incr evictions
-    | None -> ()
 
   (* [memo tbl key f] — serve [Ok] from [tbl], else compute.  The
      compute runs outside the lock: two domains racing on the same cold
@@ -103,17 +57,13 @@ module Cache = struct
   let memo tbl key f =
     let cached =
       Mutex.protect lock (fun () ->
-          if not !enabled then None
-          else
-            match Hashtbl.find_opt tbl key with
-            | Some (v, last) ->
-                incr hits;
-                incr tick;
-                last := !tick;
-                Some v
-            | None ->
-                incr misses;
-                None)
+          match Hashtbl.find_opt tbl key with
+          | Some v ->
+              incr hits;
+              Some v
+          | None ->
+              incr misses;
+              None)
     in
     match cached with
     | Some v -> Ok v
@@ -121,16 +71,7 @@ module Cache = struct
         match f () with
         | Ok v as ok ->
             Mutex.protect lock (fun () ->
-                if !enabled && not (Hashtbl.mem tbl key) then begin
-                  (match !capacity_ref with
-                  | Some cap ->
-                      while Hashtbl.length tbl >= cap do
-                        evict_lru tbl
-                      done
-                  | None -> ());
-                  incr tick;
-                  Hashtbl.add tbl key (v, ref !tick)
-                end);
+                if not (Hashtbl.mem tbl key) then Hashtbl.add tbl key v);
             ok
         | Error _ as err -> err)
 end
@@ -145,13 +86,8 @@ let compile_uncached kernel =
      so a pattern-matcher bug surfaces as a diagnostic, not a
      miscompile. *)
   let* () =
-    match
-      Promise_core.Diag.first_error
-        (Promise_analysis.Ssa_check.validate ssa
-        @ Promise_analysis.Liveness.check ssa
-        @ Promise_analysis.Regpressure.check_function ssa)
-    with
-    | Some d -> Error (Promise_core.Diag.to_error ~layer:"frontend" d)
+    match Diag.first_error (Lint.ssa_passes ssa) with
+    | Some d -> Error (Diag.to_error ~layer:"frontend" d)
     | None -> Ok ()
   in
   Result.map_error
@@ -178,15 +114,59 @@ let codegen g =
          a program to hand the machine. *)
       let* () =
         let tasks = program.Promise_isa.Program.tasks in
-        match
-          Promise_core.Diag.first_error
-            (Promise_analysis.Liveness.check_program tasks
-            @ Promise_analysis.Timing_check.check_program tasks)
-        with
-        | Some d -> Error (Promise_core.Diag.to_error ~layer:"compiler" d)
+        match Diag.first_error (Lint.dataflow_passes tasks) with
+        | Some d -> Error (Diag.to_error ~layer:"compiler" d)
         | None -> Ok ()
       in
       Ok program)
+
+(* ------------------------------------------------------------------ *)
+(* Lints                                                                *)
+(* ------------------------------------------------------------------ *)
+
+let program_diags ?pm ?stats ?adc_units graph program =
+  let _, ovf = Promise_analysis.Interval.analyze graph in
+  let feasibility =
+    match (pm, stats) with
+    | Some pm, Some (s : Precision.stats) ->
+        Promise_analysis.Interval.check_stats ~ea:s.Precision.ea
+          ~ew:s.Precision.ew ~pm
+    | _ -> []
+  in
+  ovf @ feasibility
+  @ Lint.task_passes ?adc_units program.Promise_isa.Program.tasks
+
+let lint_program ?pm ?stats ?adc_units ~target graph program =
+  Lint.make ~target (program_diags ?pm ?stats ?adc_units graph program)
+
+(* A frontend or backend failure is itself a diagnostic, so the lint
+   reports on kernels the fail-closed [compile] would reject. *)
+let lint_kernel ?adc_units ~target kernel =
+  Lint.make ~target
+    (match Promise_ir.Dsl.lower kernel with
+    | exception Invalid_argument msg ->
+        [ Diag.errorf ~code:"P-SSA-005" "%s" msg ]
+    | ssa -> (
+        let ssa_diags = Lint.ssa_passes ssa in
+        if Diag.count_errors ssa_diags > 0 then ssa_diags
+        else
+          match Promise_ir.Pattern.match_function ssa with
+          | Error msg ->
+              ssa_diags
+              @ [
+                  Diag.errorf ~code:"P-OVF-004"
+                    "kernel does not match the Figure-7 pattern: %s" msg;
+                ]
+          | Ok graph -> (
+              match Lower.program_of_graph graph with
+              | Ok program -> ssa_diags @ program_diags ?adc_units graph program
+              | Error e ->
+                  ssa_diags
+                  @ snd (Promise_analysis.Interval.analyze graph)
+                  @ [
+                      Diag.errorf ~code:"P-OVF-004" "lowering failed: %s"
+                        (E.to_string e);
+                    ])))
 
 type report = {
   graph : Promise_ir.Graph.t;

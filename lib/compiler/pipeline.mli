@@ -11,28 +11,11 @@
     result instead of re-running lowering and swing optimization.
     Thread-safe; only successful results are cached. *)
 module Cache : sig
-  type stats = { hits : int; misses : int; entries : int; evictions : int }
+  type stats = { hits : int; misses : int; entries : int }
 
   val stats : unit -> stats
   val clear : unit -> unit
-  (** Drop every entry and zero the hit/miss/eviction counters. *)
-
-  val set_enabled : bool -> unit
-  (** Default [true]; [set_enabled false] makes every stage recompute
-      (and stops new insertions) until re-enabled. *)
-
-  val is_enabled : unit -> bool
-
-  val set_capacity : int option -> unit
-  (** Bound each stage table to at most the given number of entries,
-      evicting the least-recently-used entry on insert (a hit counts
-      as use). [None] (the default) is unbounded — the historical
-      sweep behavior. A long-lived daemon should set a bound: evicted
-      models recompile on their next request, so correctness never
-      depends on residency. Raises [Invalid_argument] on [Some n] with
-      [n < 1]. *)
-
-  val capacity : unit -> int option
+  (** Drop every entry and zero the hit/miss counters. *)
 end
 
 (** [compile kernel] — frontend + PROMISE pass: the IR graph with all
@@ -52,6 +35,36 @@ val optimize :
 (** [codegen g] — the binary-encodable ISA program. *)
 val codegen :
   Promise_ir.Graph.t -> (Promise_isa.Program.t, Promise_core.Error.t) result
+
+(** {2 Lints}
+
+    The per-input lints promise-lint runs, built from the pass lists
+    of {!Promise_analysis.Driver}; every [--lint] flag runs the one for
+    its input. *)
+
+(** [lint_program ?pm ?stats ?adc_units ~target graph program] — the
+    graph-plus-program lint: interval overflow analysis on [graph],
+    Sakr feasibility ([P-OVF-003]) of [stats] at mismatch budget [pm]
+    when both are given, and the Task list on [program]. *)
+val lint_program :
+  ?pm:float ->
+  ?stats:Precision.stats ->
+  ?adc_units:int ->
+  target:string ->
+  Promise_ir.Graph.t ->
+  Promise_isa.Program.t ->
+  Promise_analysis.Driver.report
+
+(** [lint_kernel ?adc_units ~target kernel] — the kernel lint: the
+    SSA list on the lowered kernel, then, if it found no error, the
+    graph-plus-program lint (without [pm]) on the kernel's matched
+    graph and lowered program. A lowering, pattern-match or codegen
+    failure is an error diagnostic ([P-SSA-005], [P-OVF-004]). *)
+val lint_kernel :
+  ?adc_units:int ->
+  target:string ->
+  Promise_ir.Dsl.kernel ->
+  Promise_analysis.Driver.report
 
 (** A full compilation report. *)
 type report = {

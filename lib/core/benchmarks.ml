@@ -859,6 +859,11 @@ let promise_energy b ~swings =
   Model.program_energy (program_at_swings b swings)
 
 let promise_cycles b = Model.program_cycles b.per_decision_program
+
+let lint ?pm ?adc_units b =
+  Pipeline.lint_program ?pm ?stats:b.stats ?adc_units
+    ~target:("benchmark:" ^ b.name) b.graph b.per_decision_program
+
 let max_swings b = List.init b.abstract_tasks (fun _ -> 7)
 
 let ( let* ) = Result.bind

@@ -128,6 +128,14 @@ val max_swings : t -> int list
     forwarded to every evaluation. *)
 val optimize : ?pool:Promise_core.Pool.t -> t -> pm:float -> (int list * eval, string) result
 
+(** [lint ?pm ?adc_units b] — the graph-plus-program lint
+    ({!Promise_compiler.Pipeline.lint_program}) of [b]'s graph, Sakr
+    statistics and per-decision program, as target
+    ["benchmark:NAME"]: what [promise-lint --benchmarks] and
+    [promise-run --lint] report. *)
+val lint :
+  ?pm:float -> ?adc_units:int -> t -> Promise_analysis.Driver.report
+
 (** {2 State-of-the-art comparison workloads (§6.2)} *)
 
 (** [knn_soa_program ~metric] — the exact [7] configuration: 8-bit

@@ -136,7 +136,6 @@ type t = {
   models : (string, model) Hashtbl.t;
   inbox : (int * string * int64) Queue_bounded.t;
   pending : (string, pending) Hashtbl.t;
-  self_heal : bool;
   breaker_threshold : int;
   breaker_cooldown_ns : int64;
   dwell_budget_ns : int64 option;
@@ -172,7 +171,7 @@ type stats = {
 let max_flush_us = 10_000_000
 
 let create ?(clock = Clock.monotonic_ns) ?(incidents = Incident.null) ?pool
-    ?deadline_ms ?(mode = Batched) ?(self_heal = true) ?(breaker_threshold = 8)
+    ?deadline_ms ?(mode = Batched) ?(breaker_threshold = 8)
     ?(breaker_cooldown_ms = 100.0) ?dwell_budget_us ~queue ~batch_max
     ~flush_us ~respond models =
   let* () =
@@ -241,7 +240,6 @@ let create ?(clock = Clock.monotonic_ns) ?(incidents = Incident.null) ?pool
       models = tbl;
       inbox;
       pending = Hashtbl.create 16;
-      self_heal;
       breaker_threshold;
       breaker_cooldown_ns = Int64.of_float (breaker_cooldown_ms *. 1e6);
       dwell_budget_ns =
@@ -525,52 +523,49 @@ let dispatch_with_heal t m h ~batch ~flush_fault =
     t.fallback_batches <- t.fallback_batches + 1;
     Ok vs
   in
-  if not t.self_heal then
-    match flush_fault with Some e -> Error e | None -> dispatch_primary t m ~batch
-  else
-    match h.h_digital with
-    | Some k when k + 1 < reprobe_interval ->
-        h.h_digital <- Some (k + 1);
-        twin ()
-    | Some _ -> (
-        (* reprobe: try to climb back to analog *)
-        match dispatch_primary t m ~batch with
-        | Ok vs ->
-            h.h_digital <- None;
-            Incident.record t.incidents Incident.Degradation
-              [ ("model", m.m_name); ("state", "analog-restored") ];
-            Ok vs
-        | Error _ ->
-            h.h_digital <- Some 0;
-            twin ())
-    | None -> (
-        let first =
-          match flush_fault with
-          | Some e -> Error e
-          | None -> dispatch_primary t m ~batch
-        in
-        match first with
-        | Ok vs -> Ok vs
-        | Error ({ E.code = E.Fault; _ } as e) -> (
-            Incident.record t.incidents Incident.Degradation
-              [
-                ("model", m.m_name);
-                ("state", "fault");
-                ("error", E.to_string e);
-              ];
-            bist_and_quarantine t m;
-            match dispatch_primary t m ~batch with
-            | Ok vs ->
-                t.healed <- t.healed + 1;
-                Incident.record t.incidents Incident.Degradation
-                  [ ("model", m.m_name); ("state", "healed") ];
-                Ok vs
-            | Error _ ->
-                Incident.record t.incidents Incident.Degradation
-                  [ ("model", m.m_name); ("state", "digital-fallback") ];
-                h.h_digital <- Some 0;
-                twin ())
-        | Error e -> Error e)
+  match h.h_digital with
+  | Some k when k + 1 < reprobe_interval ->
+      h.h_digital <- Some (k + 1);
+      twin ()
+  | Some _ -> (
+      (* reprobe: try to climb back to analog *)
+      match dispatch_primary t m ~batch with
+      | Ok vs ->
+          h.h_digital <- None;
+          Incident.record t.incidents Incident.Degradation
+            [ ("model", m.m_name); ("state", "analog-restored") ];
+          Ok vs
+      | Error _ ->
+          h.h_digital <- Some 0;
+          twin ())
+  | None -> (
+      let first =
+        match flush_fault with
+        | Some e -> Error e
+        | None -> dispatch_primary t m ~batch
+      in
+      match first with
+      | Ok vs -> Ok vs
+      | Error ({ E.code = E.Fault; _ } as e) -> (
+          Incident.record t.incidents Incident.Degradation
+            [
+              ("model", m.m_name);
+              ("state", "fault");
+              ("error", E.to_string e);
+            ];
+          bist_and_quarantine t m;
+          match dispatch_primary t m ~batch with
+          | Ok vs ->
+              t.healed <- t.healed + 1;
+              Incident.record t.incidents Incident.Degradation
+                [ ("model", m.m_name); ("state", "healed") ];
+              Ok vs
+          | Error _ ->
+              Incident.record t.incidents Incident.Degradation
+                [ ("model", m.m_name); ("state", "digital-fallback") ];
+              h.h_digital <- Some 0;
+              twin ())
+      | Error e -> Error e)
 
 (* Flush one pending set: answer watchdog-overdue requests with typed
    [Timeout]; when the model's breaker is open, answer the rest with

@@ -98,7 +98,6 @@ val create :
   ?pool:Promise_core.Pool.t ->
   ?deadline_ms:float ->
   ?mode:mode ->
-  ?self_heal:bool ->
   ?breaker_threshold:int ->
   ?breaker_cooldown_ms:float ->
   ?dwell_budget_us:int ->
@@ -119,9 +118,8 @@ val create :
     {!Batched}. Typed [Invalid_operand] on out-of-range knobs or
     duplicate model names.
 
-    Self-healing (on by default, [self_heal:false] restores the PR-8
-    fail-the-batch behavior): a hardware [Fault] during a flush walks
-    the degradation ladder — destructive BIST + quarantine via
+    Self-healing: a hardware [Fault] during a flush walks the
+    degradation ladder — destructive BIST + quarantine via
     {!Promise_compiler.Runtime.recovery_of_report}, data-image refill,
     retry on the analog primary, then a digital fallback twin
     (reference kernels on a bit-for-bit rebuilt machine) — so requests

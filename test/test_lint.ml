@@ -759,26 +759,9 @@ let test_driver_sarif () =
 (* Clean-lint property and acceptance sweeps                           *)
 (* ------------------------------------------------------------------ *)
 
-(* mirror of promise-lint's kernel path, returning the diagnostics *)
+(* promise-lint's kernel lint, returning the diagnostics *)
 let lint_kernel_diags k =
-  let ssa = Dsl.lower k in
-  let ssa_d =
-    Ssa_check.validate ssa @ Liveness.check ssa
-    @ Regpressure.check_function ssa
-  in
-  match Pattern.match_function ssa with
-  | Error msg -> [ Diag.errorf ~code:"P-OVF-004" "no match: %s" msg ]
-  | Ok graph -> (
-      let _, ovf = Interval.analyze graph in
-      match P.Compiler.Lower.program_of_graph graph with
-      | Error e ->
-          [ Diag.errorf ~code:"P-OVF-004" "%s" (P.Error.to_string e) ]
-      | Ok prog ->
-          let tasks = prog.Program.tasks in
-          ssa_d @ ovf
-          @ Isa_check.check_program tasks
-          @ Liveness.check_program tasks
-          @ Timing_check.check_program tasks)
+  (P.Compiler.Pipeline.lint_kernel ~target:k.Dsl.name k).Lint.diags
 
 (* random geometry shared by the soundness properties *)
 let random_kernel (rows, cols, op) =
@@ -1001,13 +984,8 @@ let test_example_kernels_lint_clean () =
 let test_benchmarks_lint_clean () =
   List.iter
     (fun (b : B.t) ->
-      let tasks = b.B.per_decision_program.Program.tasks in
-      let isa = Isa_check.check_program tasks in
-      let dce = Liveness.check_program tasks in
-      let tim = Timing_check.check_program tasks in
-      let _, ovf = Interval.analyze b.B.graph in
       check int (b.B.name ^ " has no diagnostics") 0
-        (List.length (isa @ dce @ tim @ ovf)))
+        (List.length (B.lint b).Lint.diags))
     (B.fig10_suite () @ [ B.dnn B.D1 ])
 
 let () =

@@ -249,19 +249,14 @@ let test_cache_hit () =
   let p2 = fok (P.Compiler.Pipeline.codegen g2) in
   check bool "cached program structurally equal" true (p1 = p2)
 
-let test_cache_disable () =
+let test_cache_recompile () =
+  (* two compiles around a clear share no cache entry and must agree *)
   Cache.clear ();
-  Cache.set_enabled false;
-  Fun.protect
-    ~finally:(fun () -> Cache.set_enabled true)
-    (fun () ->
-      check bool "disabled" false (Cache.is_enabled ());
-      let g1 = fok (P.compile tm_kernel) in
-      let g2 = fok (P.compile tm_kernel) in
-      let s = Cache.stats () in
-      check int "no entries while disabled" 0 s.Cache.entries;
-      check int "no hits while disabled" 0 s.Cache.hits;
-      check bool "recomputation agrees" true (g1 = g2))
+  let g1 = fok (P.compile tm_kernel) in
+  Cache.clear ();
+  let g2 = fok (P.compile tm_kernel) in
+  check int "second compile recomputes" 0 (Cache.stats ()).Cache.hits;
+  check bool "recomputation agrees" true (g1 = g2)
 
 let test_cache_concurrent () =
   (* hammer one key from four domains: every result must be the same
@@ -310,7 +305,8 @@ let () =
         [
           Alcotest.test_case "hit returns the structurally equal graph" `Quick
             test_cache_hit;
-          Alcotest.test_case "disable stops caching" `Quick test_cache_disable;
+          Alcotest.test_case "recompile after clear agrees" `Quick
+            test_cache_recompile;
           Alcotest.test_case "concurrent compilations agree" `Quick
             test_cache_concurrent;
         ] );

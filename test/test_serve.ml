@@ -2,16 +2,13 @@
    incident), coalescing (flush-by-size, flush-by-deadline on a fake
    clock), per-request watchdog timeouts, the batched ≡ single
    bit-identity contract through the whole service path (noisy twin
-   machines), percentile math of the log-linear histogram, the bounded
-   FIFO's accounting and the compilation cache's LRU eviction. *)
+   machines), percentile math of the log-linear histogram and the
+   bounded FIFO's accounting. *)
 
 module P = Promise
 module Serve = P.Serve
 module Qb = P.Queue_bounded
 module H = P.Histogram
-module Pipeline = P.Compiler.Pipeline
-module Cache = Pipeline.Cache
-module Dsl = P.Ir.Dsl
 module E = P.Error
 
 let check = Alcotest.check
@@ -103,69 +100,6 @@ let test_histogram_log_bounds () =
   H.add h 1000.0;
   let total = List.fold_left (fun a (_, c) -> a + c) 0 (H.buckets h) in
   check int "buckets account for every sample" 2 total
-
-(* ------------------------------------------------------------------ *)
-(* Pipeline.Cache LRU eviction                                          *)
-(* ------------------------------------------------------------------ *)
-
-let kernel_of_rows rows =
-  Dsl.kernel
-    ~name:(Printf.sprintf "serve_lru_%d" rows)
-    ~decls:
-      [
-        Dsl.matrix "W" ~rows ~cols:128;
-        Dsl.vector "x" ~len:128;
-        Dsl.out_vector "out" ~len:rows;
-      ]
-    [
-      Dsl.for_store ~iterations:rows ~out:"out" (Dsl.l1_distance "W" "x");
-      Dsl.argmin "out";
-    ]
-
-let with_bounded_cache cap f =
-  Cache.clear ();
-  Cache.set_capacity (Some cap);
-  Fun.protect
-    ~finally:(fun () ->
-      Cache.set_capacity None;
-      Cache.clear ())
-    f
-
-let test_cache_lru_eviction () =
-  with_bounded_cache 2 (fun () ->
-      let a = kernel_of_rows 8
-      and b = kernel_of_rows 16
-      and c = kernel_of_rows 24 in
-      let ga = fok (Pipeline.compile a) in
-      let _gb = fok (Pipeline.compile b) in
-      (* hit A: refreshes its recency, so B is now the LRU entry *)
-      let ga2 = fok (Pipeline.compile a) in
-      check bool "hit serves the identical graph" true (ga == ga2);
-      let _gc = fok (Pipeline.compile c) in
-      let s = Cache.stats () in
-      check int "one eviction at capacity 2" 1 s.Cache.evictions;
-      check int "entries bounded" 2 s.Cache.entries;
-      (* A survived (recency refreshed): compiling it again is a hit *)
-      let before = (Cache.stats ()).Cache.hits in
-      let ga3 = fok (Pipeline.compile a) in
-      check bool "A retained after eviction" true (ga == ga3);
-      check int "A was a cache hit" (before + 1) (Cache.stats ()).Cache.hits;
-      (* B was evicted: recompiling is a miss, and the result is equal *)
-      let misses_before = (Cache.stats ()).Cache.misses in
-      let gb2 = fok (Pipeline.compile b) in
-      check int "B recompiles as a miss" (misses_before + 1)
-        (Cache.stats ()).Cache.misses;
-      let gb3 = fok (Pipeline.compile b) in
-      check bool "recompiled B is served from cache" true (gb2 == gb3))
-
-let test_cache_capacity_validation () =
-  (match Cache.set_capacity (Some 0) with
-  | exception Invalid_argument _ -> ()
-  | () -> Alcotest.fail "capacity 0 must raise");
-  Cache.set_capacity (Some 3);
-  check (Alcotest.option int) "capacity readable" (Some 3) (Cache.capacity ());
-  Cache.set_capacity None;
-  check (Alcotest.option int) "unbounded again" None (Cache.capacity ())
 
 (* ------------------------------------------------------------------ *)
 (* Serve engine (fake clock)                                            *)
@@ -395,13 +329,6 @@ let () =
             test_histogram_exact_small;
           Alcotest.test_case "log-bucket upper bounds" `Quick
             test_histogram_log_bounds;
-        ] );
-      ( "cache_lru",
-        [
-          Alcotest.test_case "LRU eviction with recency refresh" `Quick
-            test_cache_lru_eviction;
-          Alcotest.test_case "capacity validation" `Quick
-            test_cache_capacity_validation;
         ] );
       ( "engine",
         [
