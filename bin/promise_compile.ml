@@ -75,7 +75,7 @@ let ir_arg =
 let swing_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some (Cli.validated_int ~what:"--swing" ~min:0 ~max:7)) None
     & info [ "swing" ] ~docv:"N" ~doc:"Force SWING code 0-7 on every task.")
 
 let lint_arg =

@@ -87,7 +87,10 @@ let name_arg =
     & info [] ~docv:"BENCHMARK" ~doc:"Benchmark name (e.g. template-l1).")
 
 let swing_arg =
-  Arg.(value & opt int 7 & info [ "swing" ] ~docv:"N" ~doc:"SWING code 0-7.")
+  Arg.(
+    value
+    & opt (Cli.validated_int ~what:"--swing" ~min:0 ~max:7) 7
+    & info [ "swing" ] ~docv:"N" ~doc:"SWING code 0-7.")
 
 let pm_arg =
   Arg.(

@@ -46,9 +46,9 @@ let () =
   let stats = P.Compiler.Precision.of_mlp model (Array.sub test 0 40) in
   Format.printf "back-prop statistics: %a@." P.Compiler.Precision.pp_stats stats;
   let optimized, bits =
-    match P.Compiler.Pipeline.optimize graph ~stats ~pm:0.01 with
+    match P.Compiler.Swing_opt.optimize_graph graph ~stats ~pm:0.01 with
     | Ok r -> r
-    | Error e -> failwith (P.Error.to_string e)
+    | Error msg -> failwith msg
   in
   Printf.printf "precision target: %d bits\n" bits;
 

@@ -10,11 +10,6 @@ let writes_xreg (t : Task.t) =
   Opcode.equal_destination t.op_param.Op_param.des Opcode.Des_xreg
   && Task.uses_adc t
 
-let check_task ?(span = Diag.No_span) t =
-  match Task.validate t with
-  | Ok _ -> []
-  | Error d -> [ Diag.with_span d span ]
-
 let check_tasks ~spans tasks =
   let arr = Array.of_list tasks in
   let n = Array.length arr in

@@ -14,10 +14,6 @@
     - [P-ISA-005] X_PRD out of phase with ACC_NUM (groups mix segments)
     - [P-ISA-006] inconsistent or undrained DES=acc accumulator chain *)
 
-val check_task :
-  ?span:Promise_core.Diag.span -> Promise_isa.Task.t -> Promise_core.Diag.t list
-(** Per-Task legality as a diagnostic list ([[]] when valid). *)
-
 val check_tasks :
   spans:(int -> Promise_core.Diag.span) ->
   Promise_isa.Task.t list ->

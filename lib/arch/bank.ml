@@ -31,7 +31,6 @@ let stage_write_code t code =
     invalid_arg "Bank.stage_write_code: code not 8-bit";
   t.staged_writes <- code :: t.staged_writes
 
-let staged_write_count t = List.length t.staged_writes
 
 let set_faults t f =
   t.faults <- f;
@@ -67,7 +66,6 @@ let array t = t.array
 let xreg t = t.xreg
 let profile t = t.profile
 let noise t = t.noise
-let transient_rng t = t.fault_rng
 let set_write_data t codes = t.write_data <- Some codes
 
 type step =

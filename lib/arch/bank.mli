@@ -34,12 +34,6 @@ val profile : t -> profile
     identical to the scalar path's. *)
 val noise : t -> Promise_analog.Noise.t
 
-(** [transient_rng t] — the X-REG transient-upset stream seeded by
-    {!set_faults} ([None] when no flip fault is injected). Exposed for
-    {!Kernel}, which must consume the same stream in the same order as
-    the scalar path. *)
-val transient_rng : t -> Promise_analog.Rng.t option
-
 (** [set_faults t f] — inject hard faults ({!Faults}): stuck/dead lanes
     corrupt every analog read, a dead bank zeroes both read paths, the
     ADC offset shifts every conversion, swing drift degrades the
@@ -57,9 +51,6 @@ val set_write_data : t -> int array -> unit
     data buffer (the [DES = 11] Class-4 destination, paper Fig. 5(b));
     the next Class-1 [write] consumes the buffered lanes. *)
 val stage_write_code : t -> int -> unit
-
-(** [staged_write_count t]. *)
-val staged_write_count : t -> int
 
 (** The result of one iteration's analog chain. *)
 type step =

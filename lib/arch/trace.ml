@@ -22,10 +22,6 @@ let record t r =
 let records_in_order t = List.rev t.records
 let total_cycles t = t.total_cycles
 
-let sum f t = List.fold_left (fun acc r -> acc + f r) 0 t.records
-
-let total_task_iterations t = sum (fun r -> r.iterations) t
-let total_adc_conversions t = sum (fun r -> r.adc_conversions * r.banks) t
 let elapsed_ns t = float_of_int t.total_cycles *. Params.cycle_ns
 
 let pp ppf t =

@@ -30,8 +30,6 @@ val records_in_order : t -> task_record list
 (** Oldest first. *)
 
 val total_cycles : t -> int
-val total_task_iterations : t -> int
-val total_adc_conversions : t -> int
 
 (** Wall-clock time in ns ([total_cycles * cycle_ns]). *)
 val elapsed_ns : t -> float

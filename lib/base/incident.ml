@@ -62,7 +62,6 @@ let make sink =
   { mutex = Mutex.create (); sink; seq = 0; opened_ns = Clock.monotonic_ns () }
 
 let null = make Null
-let is_null t = t.sink = Null
 
 (* A retry storm in a week-long fleet run must not fill the disk: the
    file sink rotates once it crosses the cap, keeping one [.1] backup

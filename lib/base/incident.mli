@@ -45,8 +45,6 @@ val null : t
 (** Discards everything; the default when no [--incidents] path is
     given. *)
 
-val is_null : t -> bool
-
 val default_max_bytes : int
 (** The rotation cap of a file sink: 64 MiB. *)
 

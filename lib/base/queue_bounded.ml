@@ -33,11 +33,6 @@ let create ~capacity =
         max_depth = 0;
       }
 
-let create_exn ~capacity =
-  match create ~capacity with
-  | Ok t -> t
-  | Error e -> invalid_arg (Error.to_string e)
-
 let capacity t = t.capacity
 let length t = Mutex.protect t.lock (fun () -> Queue.length t.q)
 

@@ -16,9 +16,6 @@ val create : capacity:int -> ('a t, Error.t) result
 (** [create ~capacity] — an empty queue admitting at most [capacity]
     items at once. [Invalid_operand] unless [1 <= capacity <= 1_048_576]. *)
 
-val create_exn : capacity:int -> 'a t
-(** [create] for static configurations; raises [Invalid_argument]. *)
-
 val capacity : 'a t -> int
 val length : 'a t -> int
 

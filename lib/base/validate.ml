@@ -13,8 +13,6 @@ let int_in_range ~what ~min ~max s =
         (Printf.sprintf "must be in %d..%d" min max)
   | Some v -> Ok v
 
-let positive_int ~what s = int_in_range ~what ~min:1 ~max:max_int s
-
 let non_negative_float ~what s =
   let s = String.trim s in
   match float_of_string_opt s with

@@ -13,9 +13,6 @@ val int_in_range :
     decimal integer in [[min, max]]. [what] names the flag or variable
     in the error ("--jobs", "PROMISE_JOBS"). *)
 
-val positive_int : what:string -> string -> (int, Error.t) result
-(** [int_in_range ~min:1 ~max:max_int]. *)
-
 val non_negative_float : what:string -> string -> (float, Error.t) result
 (** Parse a finite float [>= 0] (deadlines in milliseconds). *)
 

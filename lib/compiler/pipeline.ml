@@ -24,9 +24,6 @@ module Cache = struct
 
   let frontend_tbl : (string, Promise_ir.Graph.t) Hashtbl.t = Hashtbl.create 64
 
-  let optimize_tbl : (string, Promise_ir.Graph.t * int) Hashtbl.t =
-    Hashtbl.create 64
-
   let codegen_tbl : (string, Promise_isa.Program.t) Hashtbl.t =
     Hashtbl.create 64
 
@@ -35,7 +32,6 @@ module Cache = struct
   let clear () =
     Mutex.protect lock (fun () ->
         Hashtbl.reset frontend_tbl;
-        Hashtbl.reset optimize_tbl;
         Hashtbl.reset codegen_tbl;
         hits := 0;
         misses := 0)
@@ -45,10 +41,7 @@ module Cache = struct
         {
           hits = !hits;
           misses = !misses;
-          entries =
-            Hashtbl.length frontend_tbl
-            + Hashtbl.length optimize_tbl
-            + Hashtbl.length codegen_tbl;
+          entries = Hashtbl.length frontend_tbl + Hashtbl.length codegen_tbl;
         })
 
   (* [memo tbl key f] — serve [Ok] from [tbl], else compute.  The
@@ -97,14 +90,6 @@ let compile_uncached kernel =
 let compile kernel =
   Cache.memo Cache.frontend_tbl (Cache.digest kernel) (fun () ->
       compile_uncached kernel)
-
-let optimize ?guard_bits g ~stats ~pm =
-  Cache.memo Cache.optimize_tbl
-    (Cache.digest (g, guard_bits, stats, pm))
-    (fun () ->
-      Result.map_error
-        (E.of_string ~layer:"optimizer")
-        (Swing_opt.optimize_graph ?guard_bits g ~stats ~pm))
 
 let codegen g =
   Cache.memo Cache.codegen_tbl (Cache.digest g) (fun () ->

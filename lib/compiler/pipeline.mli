@@ -1,14 +1,14 @@
 (** The end-to-end compiler driver (paper Fig. 6): DSL ("Julia") →
-    SSA → PROMISE pass (pattern match) → compiler IR → energy
-    optimization → ISA code generation → runtime execution. *)
+    SSA → PROMISE pass (pattern match) → compiler IR → ISA code
+    generation. The energy optimization between IR and code generation
+    is {!Swing_opt}; execution is {!Runtime}. *)
 
 (** Content-addressed compilation cache.
 
-    Every stage below is memoized on an MD5 digest of its marshalled
-    inputs (kernel for the frontend, graph for codegen, graph +
-    precision stats + swing parameters for the optimizer), so repeated
+    Both stages below are memoized on an MD5 digest of their marshalled
+    input (kernel for the frontend, graph for codegen), so repeated
     compilations in sweeps return the previously computed — immutable —
-    result instead of re-running lowering and swing optimization.
+    result instead of re-running lowering.
     Thread-safe; only successful results are cached. *)
 module Cache : sig
   type stats = { hits : int; misses : int; entries : int }
@@ -22,15 +22,6 @@ end
     swings at maximum (0b111). *)
 val compile :
   Promise_ir.Dsl.kernel -> (Promise_ir.Graph.t, Promise_core.Error.t) result
-
-(** [optimize ?guard_bits g ~stats ~pm] — the analytic energy
-    optimization ({!Swing_opt.optimize_graph}). *)
-val optimize :
-  ?guard_bits:int ->
-  Promise_ir.Graph.t ->
-  stats:Precision.stats ->
-  pm:float ->
-  (Promise_ir.Graph.t * int, Promise_core.Error.t) result
 
 (** [codegen g] — the binary-encodable ISA program. *)
 val codegen :

@@ -956,13 +956,6 @@ let run ?machine ?recovery ?pool ?kernel_mode g b =
   let* rs = run_batch ?machine ?recovery ?pool ?kernel_mode g b ~batch:1 in
   Ok rs.(0)
 
-let output_of r id =
-  match List.assoc_opt id r.outputs with
-  | Some o -> Ok o
-  | None ->
-      E.fail ~layer:"runtime" ~code:E.Internal
-        (Printf.sprintf "no output for node %d" id)
-
 let final_output r =
   match List.rev r.outputs with
   | (_, o) :: _ -> Ok o

@@ -198,8 +198,6 @@ val run_batch :
   batch:int ->
   (run_result array, Promise_core.Error.t) result
 
-val output_of : run_result -> int -> (task_output, Promise_core.Error.t) result
-
 (** [final_output r] — output of the last node in topological order. *)
 val final_output : run_result -> (task_output, Promise_core.Error.t) result
 

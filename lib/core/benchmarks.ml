@@ -8,7 +8,6 @@ module Machine = Promise_arch.Machine
 module Bank = Promise_arch.Bank
 module Runtime = Promise_compiler.Runtime
 module Pipeline = Promise_compiler.Pipeline
-module Lower = Promise_compiler.Lower
 module Precision = Promise_compiler.Precision
 module Swing_opt = Promise_compiler.Swing_opt
 module Rng = Promise_analog.Rng
@@ -31,7 +30,6 @@ type t = {
   conv_workload : Conv.workload;
   conv_opt_bits : int;
   reference_accuracy : float;
-  is_classifier : bool;
   evaluate :
     ?seed:int ->
     ?profile:Bank.profile ->
@@ -69,62 +67,27 @@ let apply_swings g swings =
   List.iter2 (fun id s -> Hashtbl.replace table id s) order swings;
   Graph.map_tasks g (fun id task -> At.with_swing task (Hashtbl.find table id))
 
-let silicon_machine ?(profile = Bank.Silicon) ~banks ~seed () =
-  Machine.create { Machine.banks; profile; noise_seed = Some seed }
-
 let run_exn = function
   | Ok v -> v
   | Error e -> invalid_arg ("benchmark batch run failed: " ^ err_string e)
 
 (* One runtime session per evaluation: the machine keeps the static W
    resident and each test vector streams only its X. The returned
-   [query ~bind_query ~batch] runs [batch] decisions of one test vector,
-   bit-identical to [batch] sequential [Runtime.run] calls on bindings
-   holding both (so [batch = 1] is exactly the historical
-   single-decision evaluation); the session dies with the evaluation. *)
+   [query x ~batch] binds [x] to the kernel's vector "x" and runs
+   [batch] decisions of it, bit-identical to [batch] sequential
+   [Runtime.run] calls on bindings holding both (so [batch = 1] is
+   exactly the historical single-decision evaluation); the session dies
+   with the evaluation. *)
 let session_exn ?recovery ?pool ?kernel_mode machine g ~bind_static =
   let static = Runtime.bindings () in
   bind_static static;
   let s =
     run_exn (Runtime.session ?recovery ?pool ?kernel_mode machine g static)
   in
-  fun ~bind_query ~batch ->
+  fun x ~batch ->
     let b = Runtime.bindings () in
-    bind_query b;
+    Runtime.bind_vector b "x" x;
     run_exn (Runtime.query s b ~batch)
-
-(* Generic classification evaluation: one machine and one runtime
-   session for the whole test set, one query per test vector.
-   [prepare] runs on the freshly-created machine (fault injection
-   hook); [recovery] is forwarded to the runtime; [banks] overrides the
-   default machine size (lane sparing may need spare banks). *)
-let make_classifier_eval ~graph ~bind_static ~bind_query ~queries ~labels
-    ~decide ~reference_accuracy =
- fun ?(seed = 42) ?(profile = Bank.Silicon) ?prepare ?recovery ?banks ?pool
-     ?kernel_mode ?(batch = 1) ~swings () ->
-  let g = apply_swings graph swings in
-  let banks =
-    match banks with Some b -> b | None -> Runtime.required_banks g
-  in
-  let machine = silicon_machine ~profile ~banks ~seed () in
-  (match prepare with Some f -> f machine | None -> ());
-  let query = session_exn ?recovery ?pool ?kernel_mode machine g ~bind_static in
-  (* [batch] noise realizations per query, accuracy over Q × batch
-     decisions; batch 1 is bit-identical to the historical path. *)
-  let correct = ref 0 in
-  Array.iteri
-    (fun i q ->
-      let rs = query ~bind_query:(fun b -> bind_query b q) ~batch in
-      Array.iter (fun r -> if decide r = labels.(i) then incr correct) rs)
-    queries;
-  let promise_accuracy =
-    float_of_int !correct /. float_of_int (Array.length queries * batch)
-  in
-  {
-    promise_accuracy;
-    reference_accuracy;
-    mismatch = Float.max 0.0 (reference_accuracy -. promise_accuracy);
-  }
 
 let final_values r =
   match Runtime.final_output r with
@@ -156,22 +119,14 @@ let requantize_mat ~bits m =
   let k = Float.max 1e-12 (Ml.Linalg.mat_max_abs m) in
   Array.map (Array.map (fun x -> Fx.quantize_to_bits (x /. k) ~bits *. k)) m
 
-(* Builder memoization must be domain-safe now that suites fan out
-   across a pool: the mutex is held while [f] runs, so a benchmark is
-   trained exactly once no matter how many domains ask for it. *)
-let memo f =
-  let lock = Mutex.create () in
-  let cache = ref None in
-  fun () ->
-    Mutex.protect lock (fun () ->
-        match !cache with
-        | Some v -> v
-        | None ->
-            let v = f () in
-            cache := Some v;
-            v)
+let requantize_samples ~bits =
+  Array.map (fun s ->
+      { s with Ml.Dataset.features = requantize ~bits s.Ml.Dataset.features })
 
-(* memoization keyed by a size configuration *)
+(* Builder memoization, keyed by a size configuration (or [()]). It
+   must be domain-safe now that suites fan out across a pool: the mutex
+   is held while [f] runs, so a benchmark is trained exactly once no
+   matter how many domains ask for it. *)
 let memo_by f =
   let lock = Mutex.create () in
   let cache = Hashtbl.create 8 in
@@ -183,6 +138,119 @@ let memo_by f =
             let v = f key in
             Hashtbl.add cache key v;
             v)
+
+(* ------------------------------------------------------------------ *)
+(* The one benchmark constructor and evaluation protocol               *)
+(* ------------------------------------------------------------------ *)
+
+(* A benchmark's score: its accuracy (or fidelity) over the test set,
+   run on [machine] for [graph] at the evaluated swings, with [batch]
+   noise realizations of every decision. *)
+type score =
+  ?recovery:Runtime.recovery ->
+  ?pool:Promise_core.Pool.t ->
+  ?kernel_mode:Machine.kernel_mode ->
+  batch:int ->
+  Graph.t ->
+  Machine.t ->
+  float
+
+(* A family supplies only what is its own: names, DSL kernel, CONV
+   size, reference accuracy, CONV-OPT precision, Sakr statistics and
+   score. [make] compiles and lowers the kernel and derives the rest.
+   Its [evaluate] is the one evaluation protocol: apply the swings, size
+   a fresh seeded machine ([Runtime.required_banks] unless [~banks]),
+   hand it to [prepare], score on it, clamp the mismatch at 0. *)
+let make ~name ~short ~kernel ~macs ~fetch_words ~reference_accuracy
+    ~conv_opt_bits ?stats (score : score) =
+  let graph = compile_exn kernel in
+  let per_decision_program = codegen_exn graph in
+  let banks = Program.max_banks per_decision_program in
+  let evaluate ?(seed = 42) ?(profile = Bank.Silicon) ?prepare ?recovery
+      ?banks ?pool ?kernel_mode ?(batch = 1) ~swings () =
+    let g = apply_swings graph swings in
+    let banks =
+      match banks with Some b -> b | None -> Runtime.required_banks g
+    in
+    let machine =
+      Machine.create { Machine.banks; profile; noise_seed = Some seed }
+    in
+    Option.iter (fun f -> f machine) prepare;
+    let promise_accuracy = score ?recovery ?pool ?kernel_mode ~batch g machine in
+    {
+      promise_accuracy;
+      reference_accuracy;
+      mismatch = Float.max 0.0 (reference_accuracy -. promise_accuracy);
+    }
+  in
+  {
+    name;
+    short;
+    abstract_tasks = Graph.n_tasks graph;
+    graph;
+    per_decision_program;
+    banks;
+    conv_workload = { Conv.macs; fetch_words; banks };
+    conv_opt_bits;
+    reference_accuracy;
+    evaluate;
+    stats;
+  }
+
+(* The classifier score: one session per evaluation, one query per test
+   vector, accuracy over Q × batch decisions. *)
+let classify ~bind_static ~queries ~labels ~decide : score =
+ fun ?recovery ?pool ?kernel_mode ~batch g machine ->
+  let query = session_exn ?recovery ?pool ?kernel_mode machine g ~bind_static in
+  let correct = ref 0 in
+  Array.iteri
+    (fun i q ->
+      Array.iter
+        (fun r -> if decide r = labels.(i) then incr correct)
+        (query q ~batch))
+    queries;
+  float_of_int !correct /. float_of_int (Array.length queries * batch)
+
+let bind_w w b = Runtime.bind_matrix b "W" w
+let features = Array.map (fun s -> s.Ml.Dataset.features)
+let labels_of = Array.map (fun s -> s.Ml.Dataset.label)
+
+(* The binary detectors (matched filter, SVM): one thresholded dot
+   product of [n] dims, decision 1 when it fires. *)
+let detector_kernel ~name ~n ~threshold =
+  Dsl.kernel ~name
+    ~decls:
+      [
+        Dsl.matrix "W" ~rows:1 ~cols:n;
+        Dsl.vector "x" ~len:n;
+        Dsl.out_vector "out" ~len:1;
+      ]
+    [
+      Dsl.for_store ~iterations:1 ~out:"out"
+        (Dsl.sthreshold threshold (Dsl.dot "W" "x"));
+    ]
+
+let detected r = if (final_values r).(0) > 0.5 then 1 else 0
+
+(* [rows] L1/L2 distances of x to the rows of W. *)
+let distance_kernel ~name ~metric ~rows ~dims stmts =
+  let body =
+    match metric with
+    | `L1 -> Dsl.l1_distance "W" "x"
+    | `L2 -> Dsl.l2_distance "W" "x"
+  in
+  Dsl.kernel ~name
+    ~decls:
+      [
+        Dsl.matrix "W" ~rows ~cols:dims;
+        Dsl.vector "x" ~len:dims;
+        Dsl.out_vector "out" ~len:rows;
+      ]
+    (Dsl.for_store ~iterations:rows ~out:"out" body :: stmts)
+
+let sized_short base (width, height) =
+  if (width, height) = (16, 16) then base
+  else Printf.sprintf "%s-%dx%d" base width height
 
 (* ------------------------------------------------------------------ *)
 (* Matched filter: gunshot detection, N = 512                          *)
@@ -199,62 +267,22 @@ let matched_filter_sized =
       let filt = Ml.Matched_filter.make ~template ~threshold in
       let test = Ml.Dataset.Gunshot.windows rng ~template ~n:100 ~snr:1.0 in
       let reference_accuracy = Ml.Matched_filter.accuracy filt test in
-      let kernel =
-        Dsl.kernel ~name:"matched_filter"
-          ~decls:
-            [
-              Dsl.matrix "W" ~rows:1 ~cols:n;
-              Dsl.vector "x" ~len:n;
-              Dsl.out_vector "out" ~len:1;
-            ]
-          [
-            Dsl.for_store ~iterations:1 ~out:"out"
-              (Dsl.sthreshold threshold (Dsl.dot "W" "x"));
-          ]
-      in
-      let graph = compile_exn kernel in
-      let program = codegen_exn graph in
-      let queries = Array.map (fun s -> s.Ml.Dataset.features) test in
-      let labels = Array.map (fun s -> s.Ml.Dataset.label) test in
-      let bind_static b = Runtime.bind_matrix b "W" [| template |] in
-      let bind_query b q = Runtime.bind_vector b "x" q in
-      let decide r = if (final_values r).(0) > 0.5 then 1 else 0 in
-      let evaluate =
-        make_classifier_eval ~graph ~bind_static ~bind_query ~queries ~labels
-          ~decide ~reference_accuracy
-      in
       let acc_at_bits bits =
-        let tq = requantize ~bits template in
-        let f = Ml.Matched_filter.make ~template:tq ~threshold in
-        let testq =
-          Array.map
-            (fun s ->
-              { s with Ml.Dataset.features = requantize ~bits s.Ml.Dataset.features })
-            test
+        let f =
+          Ml.Matched_filter.make ~template:(requantize ~bits template)
+            ~threshold
         in
-        Ml.Matched_filter.accuracy f testq
+        Ml.Matched_filter.accuracy f (requantize_samples ~bits test)
       in
-      {
-        name = Printf.sprintf "Matched filter (gunshot detection, N=%d)" n;
-        short = (if n = 512 then "Match.Filt." else Printf.sprintf "MF-%d" n);
-        abstract_tasks = Graph.n_tasks graph;
-        graph;
-        per_decision_program = program;
-        banks = Program.max_banks program;
-        conv_workload =
-          {
-            Conv.name = "Match.Filt.";
-            macs = n;
-            fetch_words = n;
-            banks = Program.max_banks program;
-          };
-        conv_opt_bits =
-          conv_opt_bits_for ~ref_acc:reference_accuracy ~acc_at_bits;
-        reference_accuracy;
-        is_classifier = true;
-        evaluate;
-        stats = None;
-      })
+      make
+        ~name:(Printf.sprintf "Matched filter (gunshot detection, N=%d)" n)
+        ~short:(if n = 512 then "Match.Filt." else Printf.sprintf "MF-%d" n)
+        ~kernel:
+          (detector_kernel ~name:"matched_filter" ~n ~threshold)
+        ~macs:n ~fetch_words:n ~reference_accuracy
+        ~conv_opt_bits:(conv_opt_bits_for ~ref_acc:reference_accuracy ~acc_at_bits)
+        (classify ~bind_static:(bind_w [| template |]) ~queries:(features test)
+           ~labels:(labels_of test) ~decide:detected))
 
 let matched_filter () = matched_filter_sized 512
 
@@ -262,84 +290,51 @@ let matched_filter () = matched_filter_sized 512
 (* Template matching L1 / L2: face recognition, 64 candidates          *)
 (* ------------------------------------------------------------------ *)
 
-let template_bench (metric, (width, height)) =
-  let n_candidates = 64 and n_queries = 80 in
-  let rng = Rng.create (202 + (width * height)) in
-  let candidates =
-    Ml.Dataset.Faces.identities rng ~width ~height ~n:n_candidates
-  in
-  let queries =
-    Array.init n_queries (fun i ->
-        let identity = i mod n_candidates in
-        ( Ml.Dataset.Faces.query rng ~width ~height candidates ~identity,
-          identity ))
-  in
-  let ml_metric = match metric with `L1 -> Ml.Template.L1 | `L2 -> Ml.Template.L2 in
-  let reference_accuracy =
-    Ml.Template.recognition_accuracy ~metric:ml_metric ~candidates queries
-  in
-  let dims = width * height in
-  let body =
-    match metric with
-    | `L1 -> Dsl.l1_distance "W" "x"
-    | `L2 -> Dsl.l2_distance "W" "x"
-  in
-  let kernel =
-    Dsl.kernel
-      ~name:(match metric with `L1 -> "template_l1" | `L2 -> "template_l2")
-      ~decls:
-        [
-          Dsl.matrix "W" ~rows:n_candidates ~cols:dims;
-          Dsl.vector "x" ~len:dims;
-          Dsl.out_vector "out" ~len:n_candidates;
-        ]
-      [ Dsl.for_store ~iterations:n_candidates ~out:"out" body; Dsl.argmin "out" ]
-  in
-  let graph = compile_exn kernel in
-  let program = codegen_exn graph in
-  let query_features = Array.map fst queries in
-  let labels = Array.map snd queries in
-  let evaluate =
-    make_classifier_eval ~graph
-      ~bind_static:(fun b -> Runtime.bind_matrix b "W" candidates)
-      ~bind_query:(fun b q -> Runtime.bind_vector b "x" q)
-      ~queries:query_features ~labels ~decide:final_decision
-      ~reference_accuracy
-  in
-  let acc_at_bits bits =
-    let cq = requantize_mat ~bits candidates in
-    let qq = Array.map (fun (q, l) -> (requantize ~bits q, l)) queries in
-    Ml.Template.recognition_accuracy ~metric:ml_metric ~candidates:cq qq
-  in
-  let short =
-    let base =
-      match metric with `L1 -> "Temp.Match.L1" | `L2 -> "Temp.Match.L2"
-    in
-    if (width, height) = (16, 16) then base
-    else Printf.sprintf "%s-%dx%d" base width height
-  in
-  {
-    name = "Template matching (" ^ short ^ ")";
-    short;
-    abstract_tasks = Graph.n_tasks graph;
-    graph;
-    per_decision_program = program;
-    banks = Program.max_banks program;
-    conv_workload =
-      {
-        Conv.name = short;
-        macs = n_candidates * dims;
-        fetch_words = n_candidates * dims;
-        banks = Program.max_banks program;
-      };
-    conv_opt_bits = conv_opt_bits_for ~ref_acc:reference_accuracy ~acc_at_bits;
-    reference_accuracy;
-    is_classifier = true;
-    evaluate;
-    stats = None;
-  }
+let template_sized =
+  memo_by (fun (metric, (width, height)) ->
+      let n_candidates = 64 and n_queries = 80 in
+      let rng = Rng.create (202 + (width * height)) in
+      let candidates =
+        Ml.Dataset.Faces.identities rng ~width ~height ~n:n_candidates
+      in
+      let queries =
+        Array.init n_queries (fun i ->
+            let identity = i mod n_candidates in
+            ( Ml.Dataset.Faces.query rng ~width ~height candidates ~identity,
+              identity ))
+      in
+      let ml_metric =
+        match metric with `L1 -> Ml.Template.L1 | `L2 -> Ml.Template.L2
+      in
+      let reference_accuracy =
+        Ml.Template.recognition_accuracy ~metric:ml_metric ~candidates queries
+      in
+      let acc_at_bits bits =
+        let cq = requantize_mat ~bits candidates in
+        let qq = Array.map (fun (q, l) -> (requantize ~bits q, l)) queries in
+        Ml.Template.recognition_accuracy ~metric:ml_metric ~candidates:cq qq
+      in
+      let dims = width * height in
+      let short =
+        sized_short
+          (match metric with `L1 -> "Temp.Match.L1" | `L2 -> "Temp.Match.L2")
+          (width, height)
+      in
+      make ~name:("Template matching (" ^ short ^ ")") ~short
+        ~kernel:
+          (distance_kernel
+             ~name:
+               (match metric with
+               | `L1 -> "template_l1"
+               | `L2 -> "template_l2")
+             ~metric ~rows:n_candidates ~dims [ Dsl.argmin "out" ])
+        ~macs:(n_candidates * dims) ~fetch_words:(n_candidates * dims)
+        ~reference_accuracy
+        ~conv_opt_bits:(conv_opt_bits_for ~ref_acc:reference_accuracy ~acc_at_bits)
+        (classify ~bind_static:(bind_w candidates)
+           ~queries:(Array.map fst queries) ~labels:(Array.map snd queries)
+           ~decide:final_decision))
 
-let template_sized = memo_by template_bench
 let template_l1 () = template_sized (`L1, (16, 16))
 let template_l2 () = template_sized (`L2, (16, 16))
 
@@ -348,7 +343,7 @@ let template_l2 () = template_sized (`L2, (16, 16))
 (* ------------------------------------------------------------------ *)
 
 let svm =
-  memo (fun () ->
+  memo_by (fun () ->
       let width = 16 and height = 16 in
       let rng = Rng.create 303 in
       let data = Ml.Dataset.Faces.detection rng ~width ~height ~n:600 in
@@ -357,32 +352,10 @@ let svm =
       let reference_accuracy = Ml.Svm.accuracy model test in
       let dims = (width * height) + 1 in
       let weights = Ml.Svm.augmented_weights model in
-      let kernel =
-        Dsl.kernel ~name:"svm"
-          ~decls:
-            [
-              Dsl.matrix "W" ~rows:1 ~cols:dims;
-              Dsl.vector "x" ~len:dims;
-              Dsl.out_vector "out" ~len:1;
-            ]
-          [
-            Dsl.for_store ~iterations:1 ~out:"out"
-              (Dsl.sthreshold 0.0 (Dsl.dot "W" "x"));
-          ]
+      let queries =
+        Array.map (fun s -> Array.append s.Ml.Dataset.features [| 1.0 |]) test
       in
-      let graph = compile_exn kernel in
-      let program = codegen_exn graph in
-      let augment q = Array.append q [| 1.0 |] in
-      let queries = Array.map (fun s -> augment s.Ml.Dataset.features) test in
-      let labels = Array.map (fun s -> s.Ml.Dataset.label) test in
-      let evaluate =
-        make_classifier_eval ~graph
-          ~bind_static:(fun b -> Runtime.bind_matrix b "W" [| weights |])
-          ~bind_query:(fun b q -> Runtime.bind_vector b "x" q)
-          ~queries ~labels
-          ~decide:(fun r -> if (final_values r).(0) > 0.5 then 1 else 0)
-          ~reference_accuracy
-      in
+      let labels = labels_of test in
       let acc_at_bits bits =
         let wq = requantize ~bits weights in
         let correct = ref 0 in
@@ -394,115 +367,54 @@ let svm =
           queries;
         float_of_int !correct /. float_of_int (Array.length queries)
       in
-      {
-        name = "Linear SVM (face detection)";
-        short = "Linear SVM";
-        abstract_tasks = Graph.n_tasks graph;
-        graph;
-        per_decision_program = program;
-        banks = Program.max_banks program;
-        conv_workload =
-          {
-            Conv.name = "Linear SVM";
-            macs = dims;
-            fetch_words = dims;
-            banks = Program.max_banks program;
-          };
-        conv_opt_bits =
-          conv_opt_bits_for ~ref_acc:reference_accuracy ~acc_at_bits;
-        reference_accuracy;
-        is_classifier = true;
-        evaluate;
-        stats = None;
-      })
+      make ~name:"Linear SVM (face detection)" ~short:"Linear SVM"
+        ~kernel:(detector_kernel ~name:"svm" ~n:dims ~threshold:0.0)
+        ~macs:dims ~fetch_words:dims ~reference_accuracy
+        ~conv_opt_bits:(conv_opt_bits_for ~ref_acc:reference_accuracy ~acc_at_bits)
+        (classify ~bind_static:(bind_w [| weights |]) ~queries ~labels
+           ~decide:detected))
 
 (* ------------------------------------------------------------------ *)
 (* k-NN L1 / L2: character recognition, 128 stored samples, 16x16      *)
 (* ------------------------------------------------------------------ *)
 
-let knn_bench (metric, (width, height)) =
-  let n_train = 128 and n_test = 80 and k = 5 in
-  let rng = Rng.create (404 + (width * height)) in
-  let data =
-    Ml.Dataset.Digits.generate rng ~width ~height ~n:(n_train + n_test)
-  in
-  let train = Array.sub data 0 n_train in
-  let test = Array.sub data n_train n_test in
-  let ml_metric = match metric with `L1 -> Ml.Knn.L1 | `L2 -> Ml.Knn.L2 in
-  let reference_accuracy = Ml.Knn.accuracy ~metric:ml_metric ~k ~train test in
-  let dims = width * height in
-  let body =
-    match metric with
-    | `L1 -> Dsl.l1_distance "W" "x"
-    | `L2 -> Dsl.l2_distance "W" "x"
-  in
-  let kernel =
-    Dsl.kernel
-      ~name:(match metric with `L1 -> "knn_l1" | `L2 -> "knn_l2")
-      ~decls:
-        [
-          Dsl.matrix "W" ~rows:n_train ~cols:dims;
-          Dsl.vector "x" ~len:dims;
-          Dsl.out_vector "out" ~len:n_train;
-        ]
-      [ Dsl.for_store ~iterations:n_train ~out:"out" body ]
-  in
-  let graph = compile_exn kernel in
-  let program = codegen_exn graph in
-  let stored = Array.map (fun s -> s.Ml.Dataset.features) train in
-  let queries = Array.map (fun s -> s.Ml.Dataset.features) test in
-  let labels = Array.map (fun s -> s.Ml.Dataset.label) test in
-  let decide r =
-    Ml.Knn.classify_from_distances ~k ~train (final_values r)
-  in
-  let evaluate =
-    make_classifier_eval ~graph
-      ~bind_static:(fun b -> Runtime.bind_matrix b "W" stored)
-      ~bind_query:(fun b q -> Runtime.bind_vector b "x" q)
-      ~queries ~labels ~decide ~reference_accuracy
-  in
-  let acc_at_bits bits =
-    let trainq =
-      Array.map
-        (fun s ->
-          { s with Ml.Dataset.features = requantize ~bits s.Ml.Dataset.features })
-        train
-    in
-    let testq =
-      Array.map
-        (fun s ->
-          { s with Ml.Dataset.features = requantize ~bits s.Ml.Dataset.features })
-        test
-    in
-    Ml.Knn.accuracy ~metric:ml_metric ~k ~train:trainq testq
-  in
-  let short =
-    let base = match metric with `L1 -> "k-NN L1" | `L2 -> "k-NN L2" in
-    if (width, height) = (16, 16) then base
-    else Printf.sprintf "%s-%dx%d" base width height
-  in
-  {
-    name = "k-NN (" ^ short ^ ", character recognition)";
-    short;
-    abstract_tasks = Graph.n_tasks graph;
-    graph;
-    per_decision_program = program;
-    banks = Program.max_banks program;
-    conv_workload =
-      {
-        Conv.name = short;
-        macs = n_train * dims;
-        fetch_words = n_train * dims;
-        banks = Program.max_banks program;
-      };
-    conv_opt_bits = conv_opt_bits_for ~ref_acc:reference_accuracy ~acc_at_bits;
-    reference_accuracy;
-    is_classifier = true;
-    evaluate;
-    stats = None;
-  }
+let knn_sized =
+  memo_by (fun (metric, (width, height)) ->
+      let n_train = 128 and n_test = 80 and k = 5 in
+      let rng = Rng.create (404 + (width * height)) in
+      let data =
+        Ml.Dataset.Digits.generate rng ~width ~height ~n:(n_train + n_test)
+      in
+      let train = Array.sub data 0 n_train in
+      let test = Array.sub data n_train n_test in
+      let ml_metric = match metric with `L1 -> Ml.Knn.L1 | `L2 -> Ml.Knn.L2 in
+      let reference_accuracy =
+        Ml.Knn.accuracy ~metric:ml_metric ~k ~train test
+      in
+      let acc_at_bits bits =
+        Ml.Knn.accuracy ~metric:ml_metric ~k
+          ~train:(requantize_samples ~bits train)
+          (requantize_samples ~bits test)
+      in
+      let dims = width * height in
+      let short =
+        sized_short
+          (match metric with `L1 -> "k-NN L1" | `L2 -> "k-NN L2")
+          (width, height)
+      in
+      make ~name:("k-NN (" ^ short ^ ", character recognition)") ~short
+        ~kernel:
+          (distance_kernel
+             ~name:(match metric with `L1 -> "knn_l1" | `L2 -> "knn_l2")
+             ~metric ~rows:n_train ~dims [])
+        ~macs:(n_train * dims) ~fetch_words:(n_train * dims)
+        ~reference_accuracy
+        ~conv_opt_bits:(conv_opt_bits_for ~ref_acc:reference_accuracy ~acc_at_bits)
+        (classify ~bind_static:(bind_w (features train)) ~queries:(features test)
+           ~labels:(labels_of test)
+           ~decide:(fun r ->
+             Ml.Knn.classify_from_distances ~k ~train (final_values r))))
 
-let knn_sized = memo_by knn_bench
 let knn_l1 () = knn_sized (`L1, (16, 16))
 let knn_l2 () = knn_sized (`L2, (16, 16))
 
@@ -511,50 +423,26 @@ let knn_l2 () = knn_sized (`L2, (16, 16))
 (* ------------------------------------------------------------------ *)
 
 let pca =
-  memo (fun () ->
+  memo_by (fun () ->
       let width = 16 and height = 16 in
       let rng = Rng.create 505 in
       let data = Ml.Dataset.Faces.detection rng ~width ~height ~n:200 in
-      let samples = Array.map (fun s -> s.Ml.Dataset.features) data in
+      let samples = features data in
       let model = Ml.Pca.fit rng ~data:samples ~n_components:4 ~iterations:30 in
       let dims = width * height in
-      let kernel =
-        Dsl.kernel ~name:"pca"
-          ~decls:
-            [
-              Dsl.matrix "W" ~rows:4 ~cols:dims;
-              Dsl.vector "x" ~len:dims;
-              Dsl.out_vector "out" ~len:4;
-            ]
-          [ Dsl.for_store ~iterations:4 ~out:"out" (Dsl.dot "W" "x") ]
-      in
-      let graph = compile_exn kernel in
-      let program = codegen_exn graph in
       let test = Array.sub samples 0 40 in
       (* Accuracy proxy for a non-classifier: 1 − mean relative feature
          error against the float reference. *)
-      let feature_fidelity ?(seed = 42) ?(profile = Bank.Silicon) ?prepare
-          ?recovery ?banks ?pool ?kernel_mode ?(batch = 1) ~swings () =
-        let g = apply_swings graph swings in
-        let banks =
-          match banks with Some b -> b | None -> Runtime.required_banks g
-        in
-        let machine = silicon_machine ~profile ~banks ~seed () in
-        (match prepare with Some f -> f machine | None -> ());
+      let feature_fidelity ?recovery ?pool ?kernel_mode ~batch g machine =
         let query =
           session_exn ?recovery ?pool ?kernel_mode machine g
-            ~bind_static:(fun b ->
-              Runtime.bind_matrix b "W" model.Ml.Pca.components)
+            ~bind_static:(bind_w model.Ml.Pca.components)
         in
         let total_err = ref 0.0 in
         Array.iter
           (fun x ->
             let centered = Ml.Linalg.sub x model.Ml.Pca.mean in
             let reference = Ml.Pca.project model x in
-            let rs =
-              query ~bind_query:(fun b -> Runtime.bind_vector b "x" centered)
-                ~batch
-            in
             let scale = Float.max 1e-6 (Ml.Linalg.max_abs reference) in
             Array.iter
               (fun r ->
@@ -563,45 +451,30 @@ let pca =
                   Ml.Linalg.max_abs (Ml.Linalg.sub got reference) /. scale
                 in
                 total_err := !total_err +. err)
-              rs)
+              (query centered ~batch))
           test;
-        let fidelity =
-          Float.max 0.0
-            (1.0 -. (!total_err /. float_of_int (Array.length test * batch)))
-        in
-        {
-          promise_accuracy = fidelity;
-          reference_accuracy = 1.0;
-          mismatch = 1.0 -. fidelity;
-        }
+        Float.max 0.0
+          (1.0 -. (!total_err /. float_of_int (Array.length test * batch)))
       in
-      {
-        name = "Feature extraction (PCA, face detection)";
-        short = "PCA";
-        abstract_tasks = Graph.n_tasks graph;
-        graph;
-        per_decision_program = program;
-        banks = Program.max_banks program;
-        conv_workload =
-          {
-            Conv.name = "PCA";
-            macs = 4 * dims;
-            fetch_words = 4 * dims;
-            banks = Program.max_banks program;
-          };
-        conv_opt_bits = 8;
-        reference_accuracy = 1.0;
-        is_classifier = false;
-        evaluate = feature_fidelity;
-        stats = None;
-      })
+      make ~name:"Feature extraction (PCA, face detection)" ~short:"PCA"
+        ~kernel:
+          (Dsl.kernel ~name:"pca"
+             ~decls:
+               [
+                 Dsl.matrix "W" ~rows:4 ~cols:dims;
+                 Dsl.vector "x" ~len:dims;
+                 Dsl.out_vector "out" ~len:4;
+               ]
+             [ Dsl.for_store ~iterations:4 ~out:"out" (Dsl.dot "W" "x") ])
+        ~macs:(4 * dims) ~fetch_words:(4 * dims) ~reference_accuracy:1.0
+        ~conv_opt_bits:8 feature_fidelity)
 
 (* ------------------------------------------------------------------ *)
 (* Linear regression: 4 AbstractTasks over 8192 2-D samples            *)
 (* ------------------------------------------------------------------ *)
 
 let linreg =
-  memo (fun () ->
+  memo_by (fun () ->
       let n = 8192 and cols = 4096 in
       let rng = Rng.create 606 in
       let u, v =
@@ -610,28 +483,6 @@ let linreg =
       in
       let reference = Ml.Linreg.fit u v in
       let rows = n / cols in
-      let kernel =
-        Dsl.kernel ~name:"linreg"
-          ~decls:
-            [
-              Dsl.matrix "U" ~rows ~cols;
-              Dsl.matrix "V" ~rows ~cols;
-              Dsl.vector "Vvec" ~len:n;
-            ]
-          [
-            Dsl.mean "U";
-            Dsl.mean "V";
-            Dsl.mean_square "U";
-            Dsl.mean_product "U" "Vvec";
-          ]
-      in
-      let graph = compile_exn kernel in
-      let program = codegen_exn graph in
-      let bind b =
-        Runtime.bind_flat b "U" u ~cols;
-        Runtime.bind_flat b "V" v ~cols;
-        Runtime.bind_vector b "Vvec" v
-      in
       let fit_of_run r =
         match
           List.map (fun (_, o) -> o.Runtime.values.(0)) r.Runtime.outputs
@@ -640,23 +491,18 @@ let linreg =
             Ml.Linreg.of_statistics ~mean_u ~mean_v ~mean_u2 ~mean_uv
         | _ -> invalid_arg "linreg: expected four statistics"
       in
-      let evaluate ?(seed = 42) ?(profile = Bank.Silicon) ?prepare ?recovery
-          ?banks ?pool ?kernel_mode ?(batch = 1) ~swings () =
-        let g = apply_swings graph swings in
-        let banks =
-          match banks with Some b -> b | None -> Runtime.required_banks g
-        in
-        let machine = silicon_machine ~profile ~banks ~seed () in
-        (match prepare with Some f -> f machine | None -> ());
+      (* Mean parameter fidelity over the batch's fits; batch 1 is the
+         historical single-fit evaluation. *)
+      let parameter_fidelity ?recovery ?pool ?kernel_mode ~batch g machine =
         let b = Runtime.bindings () in
-        bind b;
+        Runtime.bind_flat b "U" u ~cols;
+        Runtime.bind_flat b "V" v ~cols;
+        Runtime.bind_vector b "Vvec" v;
         let rs =
           run_exn
             (Runtime.run_batch ~machine ?recovery ?pool ?kernel_mode g b ~batch)
         in
         let rel a b = Float.abs (a -. b) /. Float.max 0.05 (Float.abs b) in
-        (* mean fidelity over the batch's fits; batch 1 is the
-           historical single-fit evaluation. *)
         let total = ref 0.0 in
         Array.iter
           (fun r ->
@@ -668,33 +514,25 @@ let linreg =
             in
             total := !total +. Float.max 0.0 (1.0 -. err))
           rs;
-        let fidelity = !total /. float_of_int batch in
-        {
-          promise_accuracy = fidelity;
-          reference_accuracy = 1.0;
-          mismatch = 1.0 -. fidelity;
-        }
+        !total /. float_of_int batch
       in
-      {
-        name = "Linear regression (2-D synthetic)";
-        short = "Linear Reg.";
-        abstract_tasks = Graph.n_tasks graph;
-        graph;
-        per_decision_program = program;
-        banks = Program.max_banks program;
-        conv_workload =
-          {
-            Conv.name = "Linear Reg.";
-            macs = 4 * n;
-            fetch_words = 2 * n;
-            banks = Program.max_banks program;
-          };
-        conv_opt_bits = 8;
-        reference_accuracy = 1.0;
-        is_classifier = false;
-        evaluate;
-        stats = None;
-      })
+      make ~name:"Linear regression (2-D synthetic)" ~short:"Linear Reg."
+        ~kernel:
+          (Dsl.kernel ~name:"linreg"
+             ~decls:
+               [
+                 Dsl.matrix "U" ~rows ~cols;
+                 Dsl.matrix "V" ~rows ~cols;
+                 Dsl.vector "Vvec" ~len:n;
+               ]
+             [
+               Dsl.mean "U";
+               Dsl.mean "V";
+               Dsl.mean_square "U";
+               Dsl.mean_product "U" "Vvec";
+             ])
+        ~macs:(4 * n) ~fetch_words:(2 * n) ~reference_accuracy:1.0
+        ~conv_opt_bits:8 parameter_fidelity)
 
 (* ------------------------------------------------------------------ *)
 (* DNN-1/2/3: MNIST-like digit recognition                             *)
@@ -720,6 +558,18 @@ let dnn_build variant =
   Ml.Mlp.train model rng ~data:train ~epochs:3 ~lr:0.15;
   let reference_accuracy = Ml.Mlp.accuracy model test in
   let stats = Precision.of_mlp model (Array.sub test 0 (min 40 (Array.length test))) in
+  let acc_at_bits bits =
+    let q =
+      {
+        Ml.Mlp.layers =
+          Array.map
+            (fun l ->
+              { l with Ml.Mlp.weights = requantize_mat ~bits l.Ml.Mlp.weights })
+            model.Ml.Mlp.layers;
+      }
+    in
+    Ml.Mlp.accuracy q test
+  in
   (* One for_store loop per layer; intermediate activations chain tasks. *)
   let n_layers = List.length sizes - 1 in
   let layer_out i = if i = n_layers - 1 then "y" else Printf.sprintf "h%d" i in
@@ -748,61 +598,28 @@ let dnn_build variant =
             (Dsl.sigmoid body))
     @ [ Dsl.argmax (layer_out (n_layers - 1)) ]
   in
-  let kernel = Dsl.kernel ~name:(dnn_name variant) ~decls stmts in
-  let graph = compile_exn kernel in
-  let program = codegen_exn graph in
-  let queries = Array.map (fun s -> s.Ml.Dataset.features) test in
-  let labels = Array.map (fun s -> s.Ml.Dataset.label) test in
   let bind_static b =
-    List.iteri
+    Array.iteri
       (fun i layer ->
         Runtime.bind_matrix b (Printf.sprintf "W%d" i) layer.Ml.Mlp.weights)
-      (Array.to_list model.Ml.Mlp.layers)
-  in
-  let evaluate =
-    make_classifier_eval ~graph ~bind_static
-      ~bind_query:(fun b q -> Runtime.bind_vector b "x" q)
-      ~queries ~labels ~decide:final_decision ~reference_accuracy
+      model.Ml.Mlp.layers
   in
   let macs =
     List.fold_left ( + ) 0 (List.init n_layers (fun i -> fan_in i * fan_out i))
   in
-  let acc_at_bits bits =
-    let q =
-      {
-        Ml.Mlp.layers =
-          Array.map
-            (fun l ->
-              { l with Ml.Mlp.weights = requantize_mat ~bits l.Ml.Mlp.weights })
-            model.Ml.Mlp.layers;
-      }
-    in
-    Ml.Mlp.accuracy q test
-  in
-  {
-    name = dnn_name variant ^ " (multilayer perceptron, digits)";
-    short = dnn_name variant;
-    abstract_tasks = Graph.n_tasks graph;
-    graph;
-    per_decision_program = program;
-    banks = Program.max_banks program;
-    conv_workload =
-      {
-        Conv.name = dnn_name variant;
-        macs;
-        fetch_words = macs;
-        banks = Program.max_banks program;
-      };
-    conv_opt_bits = conv_opt_bits_for ~ref_acc:reference_accuracy ~acc_at_bits;
-    reference_accuracy;
-    is_classifier = true;
-    evaluate;
-    stats = Some stats;
-  }
+  make
+    ~name:(dnn_name variant ^ " (multilayer perceptron, digits)")
+    ~short:(dnn_name variant)
+    ~kernel:(Dsl.kernel ~name:(dnn_name variant) ~decls stmts)
+    ~macs ~fetch_words:macs ~reference_accuracy
+    ~conv_opt_bits:(conv_opt_bits_for ~ref_acc:reference_accuracy ~acc_at_bits)
+    ~stats
+    (classify ~bind_static ~queries:(features test) ~labels:(labels_of test)
+       ~decide:final_decision)
 
-let dnn1 = memo (fun () -> dnn_build D1)
-let dnn2 = memo (fun () -> dnn_build D2)
-let dnn3 = memo (fun () -> dnn_build D3)
+let dnn1 = memo_by (fun () -> dnn_build D1)
+let dnn2 = memo_by (fun () -> dnn_build D2)
+let dnn3 = memo_by (fun () -> dnn_build D3)
 
 let dnn = function D1 -> dnn1 () | D2 -> dnn2 () | D3 -> dnn3 ()
 
@@ -858,8 +675,6 @@ let program_at_swings b swings =
 let promise_energy b ~swings =
   Model.program_energy (program_at_swings b swings)
 
-let promise_cycles b = Model.program_cycles b.per_decision_program
-
 let lint ?pm ?adc_units b =
   Pipeline.lint_program ?pm ?stats:b.stats ?adc_units
     ~target:("benchmark:" ^ b.name) b.graph b.per_decision_program
@@ -901,22 +716,9 @@ let optimize ?pool b ~pm =
 (* ------------------------------------------------------------------ *)
 
 let knn_soa_program ~metric =
-  let body =
-    match metric with
-    | `L1 -> Dsl.l1_distance "W" "x"
-    | `L2 -> Dsl.l2_distance "W" "x"
-  in
-  let kernel =
-    Dsl.kernel ~name:"knn_soa"
-      ~decls:
-        [
-          Dsl.matrix "W" ~rows:128 ~cols:128;
-          Dsl.vector "x" ~len:128;
-          Dsl.out_vector "out" ~len:128;
-        ]
-      [ Dsl.for_store ~iterations:128 ~out:"out" body ]
-  in
-  codegen_exn (compile_exn kernel)
+  codegen_exn
+    (compile_exn
+       (distance_kernel ~name:"knn_soa" ~metric ~rows:128 ~dims:128 []))
 
 let dnn_soa () =
   let b = dnn D3 in

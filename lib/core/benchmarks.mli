@@ -3,6 +3,15 @@
     compiled IR graph → PROMISE execution → accuracy, energy and
     throughput — plus the CONV-8b / CONV-OPT baseline workloads of §5.
 
+    Every benchmark is built by one constructor from what is its own:
+    its names, its DSL kernel, the CONV datapath size of one decision
+    ([macs], [fetch_words]), its float reference accuracy, its CONV-OPT
+    precision, its Sakr statistics (DNNs) and its score, the accuracy
+    proxy it computes on a machine. The constructor derives the rest:
+    the compiled [graph], the [per_decision_program], [abstract_tasks],
+    [banks] and the CONV workload's banks. It also owns the one
+    evaluation protocol behind [evaluate].
+
     Every benchmark is deterministic (seeded). Constructors are lazy
     and memoized per configuration: building a benchmark trains its
     model once. *)
@@ -30,7 +39,8 @@ type t = {
   conv_workload : Conv.workload;  (** same decision on CONV *)
   conv_opt_bits : int;  (** minimum digital precision (CONV-OPT) *)
   reference_accuracy : float;
-  is_classifier : bool;
+      (** float accuracy; 1.0 for PCA and LinReg, whose scores are
+          fidelities to the float result *)
   evaluate :
     ?seed:int ->
     ?profile:Promise_arch.Bank.profile ->
@@ -43,19 +53,26 @@ type t = {
     swings:int list ->
     unit ->
     eval;
-      (** run the benchmark's test set ([profile] defaults to
-          [Silicon]; pass [Custom _] for the error-source ablation);
-          [swings] has one entry per AbstractTask. [prepare] runs on
-          the freshly-created machine before any query — the
-          fault-injection hook; [recovery] enables the runtime's
-          graceful-degradation path; [banks] overrides the machine
-          size (sparing lanes shrinks per-bank capacity); [pool]
-          parallelizes multi-bank task execution (bit-identical at any
-          job count); [kernel_mode] selects the fused or reference
-          analog datapath (also bit-identical); [batch] (default 1)
-          runs that many noise realizations of every query through
-          {!Promise_compiler.Runtime.run_batch} and scores all of them
-          — batch 1 is bit-identical to the historical evaluation. *)
+      (** the evaluation protocol, one for every benchmark: apply
+          [swings] (one entry per AbstractTask, in topological order)
+          to [graph]; create a fresh machine of [banks] banks (default
+          {!Promise_compiler.Runtime.required_banks} of that graph;
+          sparing lanes shrinks per-bank capacity, so fault scenarios
+          pass more), of [profile] (default [Silicon]; pass [Custom _]
+          for the error-source ablation) and noise seed [seed]
+          (default 42); run [prepare] on it once, before any query —
+          the fault-injection hook; score the test set on it; return
+          the score with [mismatch = max 0 (reference − promise)].
+          [recovery] enables the runtime's graceful-degradation path;
+          [pool] parallelizes multi-bank task execution and
+          [kernel_mode] selects the fused or reference analog datapath
+          (both bit-identical). [batch] (default 1) scores that many
+          noise realizations of every decision: the classifiers and
+          PCA open one {!Promise_compiler.Runtime.session} per
+          evaluation and run one [query ~batch] per test vector;
+          LinReg runs its four statistics through
+          {!Promise_compiler.Runtime.run_batch}. Batch 1 is
+          bit-identical to one decision per test vector. *)
   stats : Promise_compiler.Precision.stats option;
       (** Sakr back-prop statistics (DNNs only) *)
 }
@@ -86,10 +103,12 @@ val knn_sized : [ `L1 | `L2 ] * (int * int) -> t
 (** Table-2 size variants: 16×16, 22×23, 32×33. *)
 
 val pca : unit -> t
-(** Four-component feature extraction, 16×16 faces (not a classifier). *)
+(** Four-component feature extraction, 16×16 faces (not a classifier:
+    its score is feature fidelity). *)
 
 val linreg : unit -> t
-(** 2-D linear regression over 8192 samples: 4 AbstractTasks. *)
+(** 2-D linear regression over 8192 samples: 4 AbstractTasks; its score
+    is parameter fidelity. *)
 
 (** {2 The Figure-12 DNNs (MNIST-like 28×28 digits)} *)
 
@@ -119,7 +138,6 @@ val program_at_swings : t -> int list -> Program.t
 (** [promise_energy b ~swings] — Eq. (6) per decision. *)
 val promise_energy : t -> swings:int list -> Model.breakdown
 
-val promise_cycles : t -> int
 val max_swings : t -> int list
 
 (** [optimize ?pool b ~pm] — the compiler energy optimization: analytic

@@ -6,7 +6,7 @@ let precision = function
       if b < 2 || b > 8 then invalid_arg "Conv: precision must be in [2, 8]";
       b
 
-type workload = { name : string; macs : int; fetch_words : int; banks : int }
+type workload = { macs : int; fetch_words : int; banks : int }
 
 let t_sram_cycles = 2
 let words_per_access ~precision = max 1 (Promise_arch.Params.n_col / 4 / precision)

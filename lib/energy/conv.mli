@@ -13,14 +13,16 @@ type variant = Conv_8b | Conv_opt of int  (** precision bits, 2..8 *)
 
 val precision : variant -> int
 
-(** Abstract workload, derived from the same kernel the PROMISE program
-    implements. [fetch_words] counts W words the CONV design must read
-    from SRAM (register reuse collapses multi-pass kernels); [macs]
-    counts datapath scalar ops. *)
+(** Abstract workload: one decision of the kernel the PROMISE program
+    implements, sized on the digital datapath. The benchmark supplies
+    [macs] and [fetch_words] from its kernel's shape; [banks] is the
+    PROMISE program's bank count ({!Promise_isa.Program.max_banks}), so
+    both designs spread the same W over the same banks. *)
 type workload = {
-  name : string;
-  macs : int;
+  macs : int;  (** datapath scalar ops *)
   fetch_words : int;
+      (** W words read from SRAM; X is held in the pipeline register, so
+          a multi-pass kernel fetches each W word once *)
   banks : int;  (** SRAM banks, matched to the PROMISE configuration *)
 }
 

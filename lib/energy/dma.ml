@@ -39,11 +39,6 @@ let x_bytes_per_decision g =
     (fun acc (id, at) -> acc + x_bytes_of_task g id at)
     0 (Graph.tasks g)
 
-let weight_bytes g =
-  List.fold_left
-    (fun acc (_, at) -> acc + (at.At.vector_len * at.At.loop_iterations))
-    0 (Graph.tasks g)
-
 let decision_overhead g =
   let bytes = x_bytes_per_decision g in
   (transfer_cycles ~bytes, transfer_energy_pj ~bytes)

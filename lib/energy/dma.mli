@@ -26,10 +26,6 @@ val transfer_energy_pj : bytes:int -> float
     (element-wise reductions). 8-bit elements = 1 byte each. *)
 val x_bytes_per_decision : Promise_ir.Graph.t -> int
 
-(** [weight_bytes g] — one-time W footprint (pre-stored; not charged
-    per decision). *)
-val weight_bytes : Promise_ir.Graph.t -> int
-
 (** [decision_overhead g] — (extra cycles, extra pJ) per decision from
     the X traffic. *)
 val decision_overhead : Promise_ir.Graph.t -> int * float

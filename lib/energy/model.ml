@@ -112,12 +112,5 @@ let element_ops (p : Program.t) =
     (fun acc t -> acc + (Task.iterations t * Params.lanes * Task.banks t))
     0 p.Program.tasks
 
-let throughput_ops_per_s p =
-  let cycles = program_cycles p in
-  if cycles = 0 then 0.0
-  else
-    float_of_int (element_ops p)
-    /. (float_of_int cycles *. Params.cycle_ns *. 1e-9)
-
 let energy_delay_product b ~cycles =
   total b *. float_of_int cycles *. Params.cycle_ns

@@ -62,8 +62,5 @@ val program_cycles_at_worst_case_tp : Promise_isa.Program.t -> int
     performs: Σ iterations × 128 × banks. *)
 val element_ops : Promise_isa.Program.t -> int
 
-(** [throughput_ops_per_s p] — element ops / (program_cycles × 1 ns). *)
-val throughput_ops_per_s : Promise_isa.Program.t -> float
-
 (** [energy_delay_product b ~cycles] — EDP in pJ·ns. *)
 val energy_delay_product : breakdown -> cycles:int -> float

@@ -3,8 +3,6 @@ let scale = Promise_core.Quant.scale
 let quantize = Promise_core.Quant.quantize8
 let dequantize = Promise_core.Quant.dequantize8
 let quantize_vec = Array.map quantize
-let dequantize_vec = Array.map dequantize
-let quantize_mat = Array.map quantize_vec
 
 let normalize_by max_abs ?(headroom = 0.99) scale_fn data =
   if max_abs <= 0.0 then (scale_fn 1.0 data, 1.0)
@@ -16,9 +14,6 @@ let normalize_mat ?headroom m =
   normalize_by (Linalg.mat_max_abs m) ?headroom
     (fun k -> Array.map (Linalg.scale k))
     m
-
-let normalize_vec ?headroom v =
-  normalize_by (Linalg.max_abs v) ?headroom Linalg.scale v
 
 let quantization_step ~bits = 2.0 ** float_of_int (-(bits - 1))
 

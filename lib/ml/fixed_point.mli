@@ -14,13 +14,8 @@ val quantize : float -> int
 (** [dequantize code]. *)
 val dequantize : int -> float
 
-(** [quantize_vec v] / [dequantize_vec codes]. *)
+(** [quantize_vec v]. *)
 val quantize_vec : float array -> int array
-
-val dequantize_vec : int array -> float array
-
-(** [quantize_mat m] — row-wise. *)
-val quantize_mat : float array array -> int array array
 
 (** [normalize_mat m] — scale a float matrix so its max |entry| becomes
     [headroom] (default 0.99), returning the scaled matrix and the
@@ -28,9 +23,6 @@ val quantize_mat : float array array -> int array array
     k = 1. Quantizing the scaled matrix loses at most 1/256 per entry. *)
 val normalize_mat :
   ?headroom:float -> float array array -> float array array * float
-
-(** [normalize_vec v] — same for a vector. *)
-val normalize_vec : ?headroom:float -> float array -> float array * float
 
 (** [quantization_step ~bits] — Δ = 2^-(bits-1), as in the Sakr bound. *)
 val quantization_step : bits:int -> float

@@ -1,7 +1,6 @@
 type vec = float array
 type mat = float array array
 
-let vec_create n = Array.make n 0.0
 let mat_create ~rows ~cols = Array.make_matrix rows cols 0.0
 
 let check_lengths a b =

@@ -4,7 +4,6 @@
 type vec = float array
 type mat = float array array  (** rows of equal length *)
 
-val vec_create : int -> vec
 val mat_create : rows:int -> cols:int -> mat
 
 val dot : vec -> vec -> float

@@ -16,12 +16,3 @@ let fit u v =
   of_statistics ~mean_u ~mean_v ~mean_u2 ~mean_uv
 
 let predict f u = (f.slope *. u) +. f.intercept
-
-let mse f u v =
-  let n = Array.length u in
-  let acc = ref 0.0 in
-  for i = 0 to n - 1 do
-    let e = predict f u.(i) -. v.(i) in
-    acc := !acc +. (e *. e)
-  done;
-  !acc /. float_of_int n

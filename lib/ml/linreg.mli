@@ -16,6 +16,3 @@ val fit : Linalg.vec -> Linalg.vec -> fit
 
 (** [predict f u]. *)
 val predict : fit -> float -> float
-
-(** [mse f u v]. *)
-val mse : fit -> Linalg.vec -> Linalg.vec -> float

@@ -69,7 +69,6 @@ let test_knn_l2 () =
 let test_pca () =
   let b = B.pca () in
   check_benchmark_shape b ~tasks:1;
-  check bool "pca is not a classifier" false b.B.is_classifier;
   let e = full_swing_eval b in
   check bool "feature fidelity > 0.9" true (e.B.promise_accuracy > 0.9)
 
@@ -124,12 +123,32 @@ let test_optimize_rejects_multi_task_brute_force () =
   | Error _ -> ()
   | Ok _ -> fail "multi-task brute force should be rejected"
 
+(* The one evaluation protocol, on every Figure-10 benchmark (PCA and
+   LinReg included): the same seed gives the same bits, and [prepare]
+   runs once per evaluation, on a fresh machine of the [~banks] it was
+   given. *)
 let test_evaluate_deterministic () =
-  let b = B.knn_l1 () in
-  let a = b.B.evaluate ~seed:7 ~swings:[ 5 ] () in
-  let c = b.B.evaluate ~seed:7 ~swings:[ 5 ] () in
-  check bool "same seed, same accuracy" true
-    (a.B.promise_accuracy = c.B.promise_accuracy)
+  List.iter
+    (fun (b : B.t) ->
+      let swings = List.map (fun _ -> 5) (B.max_swings b) in
+      let banks = Promise.Compiler.Runtime.required_banks b.B.graph + 1 in
+      let calls = ref 0 in
+      let prepare m =
+        incr calls;
+        check int (b.B.short ^ " prepared machine banks") banks
+          (Promise.Arch.Machine.n_banks m);
+        check bool (b.B.short ^ " prepared machine trace empty") true
+          ((Promise.Arch.Machine.trace m).Promise.Arch.Trace.records = [])
+      in
+      let run () = b.B.evaluate ~seed:7 ~prepare ~banks ~swings () in
+      let a = run () in
+      check int (b.B.short ^ " prepare ran once") 1 !calls;
+      let c = run () in
+      check int (b.B.short ^ " prepare ran once more") 2 !calls;
+      check bool (b.B.short ^ " same seed, same accuracy") true
+        (Int64.bits_of_float a.B.promise_accuracy
+        = Int64.bits_of_float c.B.promise_accuracy))
+    (B.fig10_suite ())
 
 let test_accuracy_monotone_in_swing_roughly () =
   (* accuracy at max swing is not worse than at min swing by more than

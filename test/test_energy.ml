@@ -160,7 +160,7 @@ let test_edp () =
 (* ------------------------------------------------------------------ *)
 
 let workload =
-  { Conv.name = "w"; macs = 1024; fetch_words = 1024; banks = 1 }
+  { Conv.macs = 1024; fetch_words = 1024; banks = 1 }
 
 let test_conv_eq5 () =
   (* f_CONV = (NCOL/L)/B / T_SRAM = 8 words / 2 ns at 8 bits *)
@@ -202,8 +202,7 @@ let test_promise_beats_conv_energy () =
   let conv =
     Model.total
       (Conv.energy Conv.Conv_8b
-         { Conv.name = "dot"; macs = 128 * 128; fetch_words = 128 * 128;
-           banks = 1 })
+         { Conv.macs = 128 * 128; fetch_words = 128 * 128; banks = 1 })
   in
   let ratio = conv /. promise in
   check bool "energy ratio in the paper band" true (ratio > 2.5 && ratio < 8.0)
@@ -289,7 +288,7 @@ let qcheck_conv_energy_monotone_in_macs =
     (QCheck.pair (QCheck.int_range 1 100000) (QCheck.int_range 1 100000))
     (fun (a, b) ->
       let lo = min a b and hi = max a b in
-      let w m = { Conv.name = "w"; macs = m; fetch_words = m; banks = 1 } in
+      let w m = { Conv.macs = m; fetch_words = m; banks = 1 } in
       Model.total (Conv.energy Conv.Conv_8b (w lo))
       <= Model.total (Conv.energy Conv.Conv_8b (w hi)) +. 1e-9)
 
