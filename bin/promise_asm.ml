@@ -83,7 +83,7 @@ let validate file lint =
 open Cmdliner
 
 let file_arg =
-  Arg.(value & pos 0 (some string) None & info [] ~docv:"FILE"
+  Arg.(value & pos 0 (some non_dir_file) None & info [] ~docv:"FILE"
          ~doc:"Input file; standard input when omitted.")
 
 let lint_arg =

@@ -60,7 +60,7 @@ open Cmdliner
 let path_arg =
   Arg.(
     required
-    & pos 0 (some file) None
+    & pos 0 (some non_dir_file) None
     & info [] ~docv:"KERNEL" ~doc:"S-expression kernel file.")
 
 let binary_arg =

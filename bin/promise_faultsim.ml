@@ -13,7 +13,9 @@
    per-cell deadlines (--timeout-ms) retry with seeded backoff
    (--max-retries, --seed) and quarantine exhausted cells without
    aborting their siblings, and every supervision event lands in a
-   JSONL incident log (--incidents).
+   JSONL incident log (--incidents). Queries score PROMISE_BATCH noise
+   realizations each (default 1), the width promise-fleet campaign's
+   --batch defaults to, so the two campaigns print the same table.
 
    Usage: promise_faultsim [--quick] [--jobs N] [--checkpoint FILE]
                            [--resume] [--incidents FILE] [--timeout-ms T]
@@ -62,7 +64,9 @@ let run quick jobs seed timeout_ms max_retries max_residual checkpoint resume
           let outcome =
             P.Pool.with_pool ~jobs (fun pool ->
                 P.Workload.run_local ~pool ~on_checkpoint session
-                  (P.Campaign.workload ~scenarios ~benchmarks ()))
+                  (P.Campaign.workload
+                     ~batch:(P.Arch.Machine.default_batch ())
+                     ~scenarios ~benchmarks ()))
           in
           P.Incident.close incidents;
           match outcome with

@@ -15,7 +15,3 @@ let dequantize code =
   float_of_int (code - (levels / 2)) *. lsb
 
 let convert v = dequantize (quantize v)
-
-let sustained_rate_hz =
-  (* 8 pipelined units, one result each per 138 cycles at 1 GHz. *)
-  float_of_int units_per_bank /. (float_of_int conversion_delay_cycles *. 1e-9)

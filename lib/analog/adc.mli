@@ -5,9 +5,6 @@
     preventing analog noise from accumulating across Task iterations and
     enabling reliable cross-bank transfers. *)
 
-val bits : int
-(** 8. *)
-
 val levels : int
 (** 256. *)
 
@@ -32,7 +29,3 @@ val convert : float -> float
 
 (** [lsb] — quantization step (2 / 256). *)
 val lsb : float
-
-(** [sustained_rate_hz] — conversions per second per bank with all eight
-    units pipelined, at a 1 ns cycle. *)
-val sustained_rate_hz : float

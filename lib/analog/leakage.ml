@@ -15,5 +15,7 @@ let bitline ~idle_ns v = droop ~rate_per_ns:bitline_rate_per_ns ~ns:idle_ns v
 
 let bitline_factor ~idle_ns =
   droop_factor ~rate_per_ns:bitline_rate_per_ns ~ns:idle_ns
-let stage_hold ~idle_ns v =
-  droop ~rate_per_ns:capacitor_rate_per_ns ~ns:idle_ns v
+module For_tests = struct
+  let bitline_rate_per_ns = bitline_rate_per_ns
+  let droop = droop
+end

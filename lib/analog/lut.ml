@@ -49,3 +49,9 @@ module Silicon = struct
   let mult = compressive ~alpha:0.02
   let compare_ = with_offset ~offset:0.002 identity
 end
+
+module For_tests = struct
+  let of_function = of_function
+  let compressive = compressive
+  let with_offset = with_offset
+end

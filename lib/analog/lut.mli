@@ -14,20 +14,6 @@ type t
 (** [identity] — the ideal transfer curve. *)
 val identity : t
 
-(** [of_function ?entries f] — tabulate [f] over [[-1, 1]].
-    [entries] defaults to 256 (8-bit resolution). *)
-val of_function : ?entries:int -> (float -> float) -> t
-
-(** [compressive ~alpha] — odd-symmetric cubic compression
-    [x -> x - alpha * x^3], the dominant INL shape of charge-domain
-    multipliers; [alpha] around 0.02 matches the <2% deviation of the
-    silicon-validated blocks. *)
-val compressive : alpha:float -> t
-
-(** [with_offset ~offset t] — adds a constant offset (e.g. comparator
-    offset) after [t]. *)
-val with_offset : offset:float -> t -> t
-
 (** [apply t v] — look up [v] (clamped to [[-1, 1]]) with linear
     interpolation. *)
 val apply : t -> float -> float
@@ -36,12 +22,6 @@ val apply : t -> float -> float
     [[-1, 1]], for callers that pre-sample or inline the interpolation
     ({!Promise_arch.Kernel}). [apply_raw (table t) v ≡ apply t v]. *)
 val table : t -> float array
-
-(** [apply_raw entries v] — the exact interpolation arithmetic of
-    {!apply} over a raw entry table. This is the single definition of
-    the lookup rule: any fast path that inlines it must reproduce these
-    operations in this order to stay bit-identical. *)
-val apply_raw : float array -> float -> float
 
 (** [max_deviation t] — max |apply t v - v| over the table entries. *)
 val max_deviation : t -> float
@@ -53,4 +33,22 @@ module Silicon : sig
   val square : t
   val mult : t
   val compare_ : t
+end
+
+(** {2 Test hooks} *)
+
+module For_tests : sig
+  (** [of_function ?entries f] — tabulate [f] over [[-1, 1]].
+      [entries] defaults to 256 (8-bit resolution). *)
+  val of_function : ?entries:int -> (float -> float) -> t
+
+  (** [compressive ~alpha] — odd-symmetric cubic compression
+      [x -> x - alpha * x^3], the dominant INL shape of charge-domain
+      multipliers; [alpha] around 0.02 matches the <2% deviation of the
+      silicon-validated blocks. *)
+  val compressive : alpha:float -> t
+
+  (** [with_offset ~offset t] — adds a constant offset (e.g. comparator
+      offset) after [t]. *)
+  val with_offset : offset:float -> t -> t
 end

@@ -14,8 +14,6 @@ val create : rng:Rng.t -> unit -> t
     validation runs (paper §5, "architecture-level validation"). *)
 val disabled : t
 
-val is_enabled : t -> bool
-
 (** [rng t] — the underlying stream ([None] when disabled), for fast
     paths that pre-compute {!sigma} per stored code and then draw
     [Rng.gaussian_scaled rng ~mu ~sigma] themselves; with the same
@@ -28,10 +26,14 @@ val sigma : swing:int -> w:float -> float
 (** [aread t ~swing w] — one noisy analog read sample of [w]. *)
 val aread : t -> swing:int -> float -> float
 
-(** [aread_vector t ~swing ws] — element-wise {!aread} (fresh noise per
-    element, modeling independent per-column process variation). *)
-val aread_vector : t -> swing:int -> float array -> float array
-
 (** [aggregate_sigma ~swing ~n] — σ of the charge-shared mean of [n]
     worst-case (|w| = 1) reads: [f(swing) /. sqrt n] (paper Eq. 3). *)
 val aggregate_sigma : swing:int -> n:int -> float
+
+(** {2 Test hooks} *)
+
+module For_tests : sig
+  (** [aread_vector t ~swing ws] — element-wise {!aread} (fresh noise per
+      element, modeling independent per-column process variation). *)
+  val aread_vector : t -> swing:int -> float array -> float array
+end

@@ -40,3 +40,9 @@ let subranged_read code8 =
 let max_pulse_units ~bits =
   check_bits bits;
   1 lsl (bits - 1)
+
+module For_tests = struct
+  let pulses = pulses
+  let bitline_drop = bitline_drop
+  let max_pulse_units = max_pulse_units
+end

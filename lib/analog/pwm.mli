@@ -17,26 +17,26 @@
 (** Pulse schedule of one word line: asserted for [duration] units. *)
 type pulse = { bit : int; weight : int; duration : int }
 
-(** [pulses ~bits code] — the per-bit schedule for an unsigned [code]
-    (0 ≤ code < 2^bits): bit i's word line drives for 2^i units when
-    the bit is set, 0 otherwise. *)
-val pulses : bits:int -> int -> pulse list
-
-(** [bitline_drop ~bits ~mv_per_lsb code] — total ΔV_BL in mV: the sum
-    of the pulse durations times the per-LSB swing. Linear in [code]. *)
-val bitline_drop : bits:int -> mv_per_lsb:float -> int -> float
-
-(** [read_value ~bits code] — the normalized analog value the PWM read
-    produces for unsigned [code]: [code / 2^bits ∈ [0, 1)]. *)
-val read_value : bits:int -> int -> float
-
 (** [subranged_read code8] — the sub-ranged two-column read of a signed
     8-bit code (two's complement): MSB nibble read at full weight, LSB
     nibble attenuated 16:1, recombined and re-centered. Equals
     [code8 / 128] exactly in the ideal model. *)
 val subranged_read : int -> float
 
-(** [max_pulse_units ~bits] — duration of the longest pulse (2^(bits-1)
-    units): the component of the aREAD stage delay that scales with
-    word precision. *)
-val max_pulse_units : bits:int -> int
+(** {2 Test hooks} *)
+
+module For_tests : sig
+  (** [pulses ~bits code] — the per-bit schedule for an unsigned [code]
+      (0 ≤ code < 2^bits): bit i's word line drives for 2^i units when
+      the bit is set, 0 otherwise. *)
+  val pulses : bits:int -> int -> pulse list
+
+  (** [bitline_drop ~bits ~mv_per_lsb code] — total ΔV_BL in mV: the sum
+      of the pulse durations times the per-LSB swing. Linear in [code]. *)
+  val bitline_drop : bits:int -> mv_per_lsb:float -> int -> float
+
+  (** [max_pulse_units ~bits] — duration of the longest pulse (2^(bits-1)
+      units): the component of the aREAD stage delay that scales with
+      word precision. *)
+  val max_pulse_units : bits:int -> int
+end

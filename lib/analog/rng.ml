@@ -191,3 +191,9 @@ let shuffle t arr =
     arr.(i) <- arr.(j);
     arr.(j) <- tmp
   done
+
+module For_tests = struct
+  let split = split
+  let copy = copy
+  let bits64 = bits64
+end

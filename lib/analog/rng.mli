@@ -9,20 +9,11 @@ type t
 (** [create seed] — a fresh generator. Equal seeds give equal streams. *)
 val create : int -> t
 
-(** [split t] derives an independent generator (and advances [t]). *)
-val split : t -> t
-
 (** [split_n t n] — [n] independent generators, identical to calling
     [split t] [n] times in ascending order. Used to give each bank of
     a machine its own stream so parallel bank simulation draws the
     same noise samples as sequential simulation. *)
 val split_n : t -> int -> t array
-
-(** [copy t] duplicates the current state without advancing it. *)
-val copy : t -> t
-
-(** [bits64 t] — next raw 64-bit value. *)
-val bits64 : t -> int64
 
 (** [int t bound] — uniform in [\[0, bound)]. Raises on [bound <= 0]. *)
 val int : t -> int -> int
@@ -54,3 +45,16 @@ val gaussian_fill_ba : t -> ba -> len:int -> unit
 
 (** [shuffle t arr] — in-place Fisher-Yates shuffle. *)
 val shuffle : t -> 'a array -> unit
+
+(** {2 Test hooks} *)
+
+module For_tests : sig
+  (** [split t] derives an independent generator (and advances [t]). *)
+  val split : t -> t
+
+  (** [copy t] duplicates the current state without advancing it. *)
+  val copy : t -> t
+
+  (** [bits64 t] — next raw 64-bit value. *)
+  val bits64 : t -> int64
+end

@@ -38,3 +38,8 @@ let of_mv mv =
     else search (code + 1)
   in
   search min_code
+
+module For_tests = struct
+  let of_mv = of_mv
+  let validate = validate
+end

@@ -5,7 +5,6 @@
     aREAD noise factor f(SWING), which the paper reports ranging over
     0.08 (max swing) .. 0.75 (min swing), inversely monotone in the code. *)
 
-val min_code : int
 val max_code : int
 val all_codes : int list
 
@@ -24,8 +23,12 @@ val noise_factor : int -> float
     [0.5 +. 0.5 *. mv_per_lsb code /. 30.]. *)
 val read_energy_scale : int -> float
 
-(** [of_mv mv] — smallest code whose swing is at least [mv] mV/LSB, or
-    [max_code] when none reaches it. *)
-val of_mv : float -> int
+(** {2 Test hooks} *)
 
-val validate : int -> (int, string) result
+module For_tests : sig
+  (** [of_mv mv] — smallest code whose swing is at least [mv] mV/LSB, or
+      [max_code] when none reaches it. *)
+  val of_mv : float -> int
+
+  val validate : int -> (int, string) result
+end

@@ -240,3 +240,8 @@ let render_sarif ?(tool_version = "1.0.0") rs =
     (Diag.json_escape tool_version)
     (String.concat "," (List.map rule_json rules))
     (String.concat "," results)
+
+module For_tests = struct
+  let errors = errors
+  let warnings = warnings
+end

@@ -11,11 +11,6 @@
 
 type report = { target : string; diags : Promise_core.Diag.t list }
 
-val dedupe : Promise_core.Diag.t list -> Promise_core.Diag.t list
-(** Sort (span, then code, then severity) and drop structural
-    duplicates — the byte-reproducible order cram and baseline diffs
-    depend on. *)
-
 val make : target:string -> Promise_core.Diag.t list -> report
 (** Sorts and dedupes the diagnostics. *)
 
@@ -50,8 +45,6 @@ val lint_pasm : ?adc_units:int -> target:string -> string -> report
     Task spans moved onto source lines. A parse failure becomes the
     report's single diagnostic. *)
 
-val errors : report -> int
-val warnings : report -> int
 val total_errors : report list -> int
 val total_warnings : report list -> int
 
@@ -66,9 +59,6 @@ val summary : report list -> string
 val apply_deny : deny:string list -> report list -> report list
 (** Promote every warning whose code starts with one of the [deny]
     prefixes (e.g. ["P-TIM"]) to an error. *)
-
-val fingerprint : report -> Promise_core.Diag.t -> string
-(** {!Promise_core.Diag.fingerprint} salted with the report target. *)
 
 val baseline_of_reports : report list -> string
 (** The baseline JSON ([{"version":1,"fingerprints":[…]}]) covering
@@ -94,3 +84,11 @@ val render_sarif : ?tool_version:string -> report list -> string
 (** SARIF 2.1.0 with one run; each result carries its rule id, level,
     location and the fingerprint under
     [partialFingerprints.promiseLint/v1]. *)
+
+(** {2 Test hooks} *)
+
+module For_tests : sig
+  val errors : report -> int
+
+  val warnings : report -> int
+end

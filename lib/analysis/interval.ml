@@ -290,3 +290,8 @@ let check_stats ~ea ~ew ~pm =
           pm ba;
       ]
   | Ok _ -> []
+
+module For_tests = struct
+  let weight_bits = weight_bits
+  let min_bits = min_bits
+end

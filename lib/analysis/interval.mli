@@ -31,15 +31,19 @@ val analyze :
   Promise_ir.Graph.t -> node_report list * Promise_core.Diag.t list
 (** Per-node bounds (topological order) and the diagnostics. *)
 
-val weight_bits : int
-(** 7 — the datapath's fixed weight precision, as in
-    [Promise_compiler.Precision.weight_bits]. *)
-
-val min_bits : ea:float -> ew:float -> pm:float -> (int, string) result
-(** Minimum activation bits meeting the Sakr bound at {!weight_bits}
-    weight bits. Mirrors [Precision.min_activation_bits] (the compiler
-    depends on this library, not vice versa); [test_lint] asserts the
-    two agree. *)
-
 val check_stats : ea:float -> ew:float -> pm:float -> Promise_core.Diag.t list
 (** [P-OVF-003] when {!min_bits} fails or exceeds the 8-bit datapath. *)
+
+(** {2 Test hooks} *)
+
+module For_tests : sig
+  val weight_bits : int
+  (** 7 — the datapath's fixed weight precision, as in
+      [Promise_compiler.Precision.weight_bits]. *)
+
+  val min_bits : ea:float -> ew:float -> pm:float -> (int, string) result
+  (** Minimum activation bits meeting the Sakr bound at {!weight_bits}
+      weight bits. Mirrors [Precision.min_activation_bits] (the compiler
+      depends on this library, not vice versa); [test_lint] asserts the
+      two agree. *)
+end

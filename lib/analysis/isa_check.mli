@@ -14,16 +14,10 @@
     - [P-ISA-005] X_PRD out of phase with ACC_NUM (groups mix segments)
     - [P-ISA-006] inconsistent or undrained DES=acc accumulator chain *)
 
-val check_tasks :
-  spans:(int -> Promise_core.Diag.span) ->
-  Promise_isa.Task.t list ->
-  Promise_core.Diag.t list
-(** Full per-Task + whole-program check with caller-chosen spans. *)
-
 val check_program : Promise_isa.Task.t list -> Promise_core.Diag.t list
-(** {!check_tasks} with [Task i] spans. *)
+(** Full per-Task + whole-program check, with [Task i] spans. *)
 
 val check_program_located :
   (int * Promise_isa.Task.t) list -> Promise_core.Diag.t list
-(** {!check_tasks} over [Asm.parse_program_located] output, with
+(** The same check over [Asm.parse_program_located] output, with
     [Line n] spans. *)

@@ -206,3 +206,7 @@ let check_program tasks =
       arr;
     List.rev !diags
   end
+
+module For_tests = struct
+  let ssa_liveness = ssa_liveness
+end

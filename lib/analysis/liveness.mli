@@ -29,9 +29,6 @@ type ssa_liveness = {
   live_out : IntSet.t array;
 }
 
-val ssa_liveness : Promise_ir.Ssa.func -> ssa_liveness
-(** Solve backward liveness over the function's CFG. *)
-
 val live_after : Promise_ir.Ssa.func -> (int -> IntSet.t)
 (** [live_after f] — per global instruction index, the set of vregs
     live immediately after that instruction (block terminator uses and
@@ -43,3 +40,10 @@ val check : Promise_ir.Ssa.func -> Promise_core.Diag.t list
 val check_program : Promise_isa.Task.t list -> Promise_core.Diag.t list
 (** [P-DCE-002] for every X-REG store shadowed by a later store before
     any X read. *)
+
+(** {2 Test hooks} *)
+
+module For_tests : sig
+  val ssa_liveness : Promise_ir.Ssa.func -> ssa_liveness
+  (** Solve backward liveness over the function's CFG. *)
+end

@@ -104,3 +104,7 @@ let check_allocation allocs =
     done
   done;
   List.rev !diags
+
+module For_tests = struct
+  let max_pressure = max_pressure
+end

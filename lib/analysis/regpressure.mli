@@ -19,10 +19,6 @@
     [Task.t] payload so the dependency keeps pointing compiler →
     analysis. *)
 
-val max_pressure : Promise_ir.Ssa.func -> int
-(** Peak number of simultaneously-live vector-typed vregs across every
-    program point. *)
-
 val check_function : Promise_ir.Ssa.func -> Promise_core.Diag.t list
 (** [P-REG-001] when {!max_pressure} exceeds the X-REG depth. *)
 
@@ -38,3 +34,11 @@ type alloc = {
 val check_allocation : alloc list -> Promise_core.Diag.t list
 (** [P-REG-002] for every pair of assignments whose cycle intervals
     (half-open) and bank ranges both intersect. *)
+
+(** {2 Test hooks} *)
+
+module For_tests : sig
+  val max_pressure : Promise_ir.Ssa.func -> int
+  (** Peak number of simultaneously-live vector-typed vregs across every
+      program point. *)
+end

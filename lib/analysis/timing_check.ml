@@ -154,3 +154,7 @@ let check_program ?(leakage_mult = 1.0) ?(adc_units = Adc.units_per_bank)
          tasks)
   in
   per_task @ check_chains ~batch tasks
+
+module For_tests = struct
+  let leakage_budget_ns = leakage_budget_ns
+end

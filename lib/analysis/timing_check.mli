@@ -7,7 +7,7 @@
     cycles an analog accumulation dwells before its ADC read, and
     compares the droop over that dwell against a leakage budget
     derived from the energy model's precision envelope: the held value
-    may lose at most {!droop_tolerance} (3 ADC LSBs) of full scale —
+    may lose at most 3 ADC LSBs of full scale —
     beyond that the Table-3 energy spent on the sample bought fewer
     effective bits than the datapath's 8.
 
@@ -30,20 +30,6 @@
       the full complement — at eight units the paper's throughput
       model treats the ADC as fully pipelined. *)
 
-val droop_tolerance : float
-(** Tolerated full-scale droop before digitization: 3 ×
-    {!Promise_analog.Adc.lsb}. *)
-
-val leakage_budget_ns : ?leakage_mult:float -> unit -> float
-(** Dwell budget: the time for an exponential droop at
-    [capacitor_rate × leakage_mult] to lose {!droop_tolerance} of the
-    held value. ≈ 47 ns at the nominal rate. *)
-
-val worst_dwell_cycles : ?adc_units:int -> Promise_isa.Task.t -> int
-(** [ACC_NUM × TP] plus, when [adc_units] is below the full
-    complement, the worst per-conversion ADC stall observed by the
-    discrete-event scheduler. *)
-
 val check_program :
   ?leakage_mult:float ->
   ?adc_units:int ->
@@ -54,3 +40,12 @@ val check_program :
     droop rate (a {!Promise_arch.Faults} excess-leakage profile);
     [adc_units] models dead ADC units; [batch] (default 2, must be
     ≥ 2) sets the drift horizon quoted by [P-TIM-002]. *)
+
+(** {2 Test hooks} *)
+
+module For_tests : sig
+  val leakage_budget_ns : ?leakage_mult:float -> unit -> float
+  (** Dwell budget: the time for an exponential droop at
+      [capacitor_rate × leakage_mult] to lose 3 ADC LSBs of the held
+      value. ≈ 47 ns at the nominal rate. *)
+end

@@ -31,7 +31,6 @@ let stage_write_code t code =
     invalid_arg "Bank.stage_write_code: code not 8-bit";
   t.staged_writes <- code :: t.staged_writes
 
-
 let set_faults t f =
   t.faults <- f;
   t.fault_rng <-
@@ -230,3 +229,7 @@ let run_iteration ?lane_mask t ~task ~iteration ~active_lanes ~adc_gain =
           Digital_vector
             (Array.map (fun v -> A.Adc.quantize v) values)
       | false, false -> Analog_vector values)
+
+module For_tests = struct
+  let set_write_data = set_write_data
+end

@@ -44,9 +44,6 @@ val set_faults : t -> Faults.t -> unit
 
 val faults : t -> Faults.t
 
-(** [set_write_data t codes] — stage digital data for a Class-1 [write]. *)
-val set_write_data : t -> int array -> unit
-
 (** [stage_write_code t code] — append one 8-bit code into the write
     data buffer (the [DES = 11] Class-4 destination, paper Fig. 5(b));
     the next Class-1 [write] consumes the buffered lanes. *)
@@ -96,5 +93,9 @@ val run_iteration :
   adc_gain:float ->
   step
 
-(** [w_row_of t ~task ~iteration] — the word row the iteration touches. *)
-val w_row_of : task:Promise_isa.Task.t -> iteration:int -> int
+(** {2 Test hooks} *)
+
+module For_tests : sig
+  (** [set_write_data t codes] — stage digital data for a Class-1 [write]. *)
+  val set_write_data : t -> int array -> unit
+end

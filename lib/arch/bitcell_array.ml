@@ -59,3 +59,9 @@ let msb_lsb_view t ~word_row ~lane =
   let code = read_lane t ~word_row ~lane in
   let unsigned = code land 0xff in
   (unsigned lsr 4, unsigned land 0xf)
+
+module For_tests = struct
+  let read_lane = read_lane
+  let msb_lsb_view = msb_lsb_view
+  let quantize = quantize
+end

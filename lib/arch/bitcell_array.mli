@@ -29,9 +29,6 @@ val epoch : t -> int
 (** [read t ~word_row] — digital read of the 128 stored codes. *)
 val read : t -> word_row:int -> int array
 
-(** [read_lane t ~word_row ~lane] — one stored code. *)
-val read_lane : t -> word_row:int -> lane:int -> int
-
 (** [aread t ~word_row ~swing ~noise ~lut] — analog read: each code is
     converted to its normalized value, passed through the deterministic
     transfer curve [lut] and perturbed by the spatial random error model
@@ -44,22 +41,26 @@ val aread :
   lut:Promise_analog.Lut.t ->
   float array
 
-(** [msb_lsb_view t ~word_row ~lane] — the (msb, lsb) 4-bit halves the
-    sub-ranged layout stores for a lane, for layout-level tests.
-    The 8-bit unsigned pattern is [msb * 16 + lsb]. *)
-val msb_lsb_view : t -> word_row:int -> lane:int -> int * int
-
-(** [normalized code] — [code / 128.]. *)
-val normalized : int -> float
-
-(** [quantize v] — nearest 8-bit code for [v], clamped to [[-1, 1)];
-    delegates to {!Promise_core.Quant.quantize8}, the one quantizer
-    shared by every storage path. *)
-val quantize : float -> int
-
 (** [row_unsafe t ~word_row] — the live storage row itself, NOT a copy:
     the caller must treat it as read-only and must not hold it across a
     {!write}. This is the zero-allocation read the fused iteration
     kernels ({!Kernel}) are built on; everything else should use
     {!read}. *)
 val row_unsafe : t -> word_row:int -> int array
+
+(** {2 Test hooks} *)
+
+module For_tests : sig
+  (** [read_lane t ~word_row ~lane] — one stored code. *)
+  val read_lane : t -> word_row:int -> lane:int -> int
+
+  (** [msb_lsb_view t ~word_row ~lane] — the (msb, lsb) 4-bit halves the
+      sub-ranged layout stores for a lane, for layout-level tests.
+      The 8-bit unsigned pattern is [msb * 16 + lsb]. *)
+  val msb_lsb_view : t -> word_row:int -> lane:int -> int * int
+
+  (** [quantize v] — nearest 8-bit code for [v], clamped to [[-1, 1)];
+      delegates to {!Promise_core.Quant.quantize8}, the one quantizer
+      shared by every storage path. *)
+  val quantize : float -> int
+end

@@ -11,17 +11,6 @@ type signal =
   | Write_enable
   | Read_enable
 
-let pp_signal ppf = function
-  | Precharge -> Format.pp_print_string ppf "precharge"
-  | Wl_pwm { bits } -> Format.fprintf ppf "wl_pwm[%d]" bits
-  | X_drive -> Format.pp_print_string ppf "x_drive"
-  | Sd_enable asd -> Format.fprintf ppf "sd_%s" (Opcode.asd_name asd)
-  | Avd_share -> Format.pp_print_string ppf "avd_share"
-  | Adc_start -> Format.pp_print_string ppf "adc_start"
-  | Th_strobe op -> Format.fprintf ppf "th_%s" (Opcode.class4_name op)
-  | Write_enable -> Format.pp_print_string ppf "write_en"
-  | Read_enable -> Format.pp_print_string ppf "read_en"
-
 let equal_signal a b = a = b
 
 type step = { cycle : int; duration : int; signal : signal }
@@ -99,3 +88,8 @@ let signal_counts task =
   let schedule = iteration_schedule task in
   let iterations = Task.iterations task in
   List.map (fun s -> (s.signal, iterations)) schedule
+
+module For_tests = struct
+  let equal_signal = equal_signal
+  let signal_counts = signal_counts
+end

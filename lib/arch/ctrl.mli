@@ -21,9 +21,6 @@ type signal =
   | Write_enable  (** digital write path *)
   | Read_enable  (** digital read path (sense amps) *)
 
-val pp_signal : Format.formatter -> signal -> unit
-val equal_signal : signal -> signal -> bool
-
 (** One scheduled assertion: [cycle] is relative to iteration issue;
     the signal stays asserted for [duration] cycles. *)
 type step = { cycle : int; duration : int; signal : signal }
@@ -36,7 +33,13 @@ val iteration_schedule : Promise_isa.Task.t -> step list
 (** [last_cycle steps] — the cycle after the final deassertion. *)
 val last_cycle : step list -> int
 
-(** [signal_counts task] — how many times each signal asserts over the
-    whole task (iterations included): the activity factors the energy
-    model's per-op costs summarize. *)
-val signal_counts : Promise_isa.Task.t -> (signal * int) list
+(** {2 Test hooks} *)
+
+module For_tests : sig
+  val equal_signal : signal -> signal -> bool
+
+  (** [signal_counts task] — how many times each signal asserts over the
+      whole task (iterations included): the activity factors the energy
+      model's per-op costs summarize. *)
+  val signal_counts : Promise_isa.Task.t -> (signal * int) list
+end

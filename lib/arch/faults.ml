@@ -129,11 +129,7 @@ let stuck_lanes t = t.stuck
 let dead_lanes t = t.dead_lanes
 let is_dead_bank t = t.dead_bank
 let adc_offset t = t.adc_offset
-let dead_adc_units t = t.dead_adc_units
 let xreg_flip t = t.xreg_flip
-let swing_drift t = t.swing_drift
-let leakage_mult t = t.leakage_mult
-
 let faulty_lanes t =
   List.sort_uniq compare (t.dead_lanes @ List.map fst t.stuck)
 
@@ -175,8 +171,6 @@ let to_string t =
     stuck dead
     (if t.dead_bank then "dead" else "ok")
     t.adc_offset t.dead_adc_units flip t.swing_drift t.leakage_mult
-
-let pp ppf t = Format.pp_print_string ppf (to_string t)
 
 let of_string s =
   let parse_error detail =
@@ -254,3 +248,11 @@ let of_string s =
           leakage_mult = float_of_string leak_s;
         }
     with Failure msg -> parse_error msg
+
+module For_tests = struct
+  let is_none = is_none
+  let compose = compose
+  let faulty_lanes = faulty_lanes
+  let to_string = to_string
+  let of_string = of_string
+end

@@ -19,7 +19,6 @@ type t
 (** No faults. *)
 val none : t
 
-val is_none : t -> bool
 val equal : t -> t -> bool
 
 (** [with_stuck_lane t ~lane ~code] — lane [lane] of every word row
@@ -66,11 +65,6 @@ val with_swing_drift : t -> int -> (t, Promise_core.Error.t) result
     unless [m >= 1]. *)
 val with_leakage_mult : t -> float -> (t, Promise_core.Error.t) result
 
-(** [compose a b] — both fault sets at once; where they conflict
-    (stuck codes, flip parameters), [b] wins. Offsets add, drifts add
-    (saturating at 7), leakage multipliers multiply. *)
-val compose : t -> t -> t
-
 (** {2 Accessors} *)
 
 val stuck_lanes : t -> (int * int) list
@@ -79,13 +73,7 @@ val stuck_lanes : t -> (int * int) list
 val dead_lanes : t -> int list
 val is_dead_bank : t -> bool
 val adc_offset : t -> float
-val dead_adc_units : t -> int
 val xreg_flip : t -> transient option
-val swing_drift : t -> int
-val leakage_mult : t -> float
-
-(** [faulty_lanes t] — every stuck or dead lane, sorted. *)
-val faulty_lanes : t -> int list
 
 (** [adc_units_available t] — [8 - dead_adc_units]. *)
 val adc_units_available : t -> int
@@ -107,9 +95,22 @@ val effective_idle_ns : t -> idle_ns:float -> float
 
 (** {2 Textual form} *)
 
-(** [to_string t] — a canonical one-line description; {!of_string}
-    inverts it exactly. *)
-val to_string : t -> string
+(** {2 Test hooks} *)
 
-val of_string : string -> (t, Promise_core.Error.t) result
-val pp : Format.formatter -> t -> unit
+module For_tests : sig
+  val is_none : t -> bool
+
+  (** [compose a b] — both fault sets at once; where they conflict
+      (stuck codes, flip parameters), [b] wins. Offsets add, drifts add
+      (saturating at 7), leakage multipliers multiply. *)
+  val compose : t -> t -> t
+
+  (** [faulty_lanes t] — every stuck or dead lane, sorted. *)
+  val faulty_lanes : t -> int list
+
+  (** [to_string t] — a canonical one-line description; {!of_string}
+      inverts it exactly. *)
+  val to_string : t -> string
+
+  val of_string : string -> (t, Promise_core.Error.t) result
+end

@@ -81,8 +81,6 @@ let lane_mask_of_map map ~used =
   mask
 
 let x_prd p = p.segments - 1
-let total_banks p = p.banks * p.tasks
-
 let chunk_rows p k =
   if k < 0 || k >= p.tasks then invalid_arg "Layout.chunk_rows: bad chunk";
   if k = p.tasks - 1 then p.rows - (k * p.rows_per_task) else p.rows_per_task

@@ -35,10 +35,6 @@ val plan_exn : ?max_lanes:int -> vector_len:int -> rows:int -> unit -> plan
 (** [x_prd p] — [segments - 1]. *)
 val x_prd : plan -> int
 
-(** [total_banks p] — banks needed to hold every row chunk resident
-    simultaneously: [banks × tasks]. *)
-val total_banks : plan -> int
-
 (** [chunk_rows p k] — rows covered by row-chunk [k] (the last chunk may
     be short). *)
 val chunk_rows : plan -> int -> int

@@ -197,20 +197,6 @@ let excess_adc_stalls (task : Task.t) ~avail =
             Hashtbl.add stall_memo key excess;
             excess)
 
-module For_tests = struct
-  let stall_memo_stats () =
-    Mutex.protect stall_memo_mutex (fun () ->
-        (!stall_memo_hits, !stall_memo_misses))
-
-  let reset_stall_memo () =
-    Mutex.protect stall_memo_mutex (fun () ->
-        Hashtbl.reset stall_memo;
-        stall_memo_hits := 0;
-        stall_memo_misses := 0)
-
-  let cached_kernel t ~bank = t.kernel_cache.(bank)
-end
-
 (* A launch reads its own staged writes only when it routes emits into
    an X-REG row the task itself reads. X addressing wraps at X_PRD + 1,
    so a task reads rows 0..X_PRD at most. Only such a launch needs the
@@ -757,3 +743,18 @@ let load_x ?lane_map t ~group ~xreg_base ~plan x =
         ~index:(xreg_base + segment) slice
     done
   done
+
+module For_tests = struct
+  let stall_memo_stats () =
+    Mutex.protect stall_memo_mutex (fun () ->
+        (!stall_memo_hits, !stall_memo_misses))
+
+  let reset_stall_memo () =
+    Mutex.protect stall_memo_mutex (fun () ->
+        Hashtbl.reset stall_memo;
+        stall_memo_hits := 0;
+        stall_memo_misses := 0)
+
+  let cached_kernel t ~bank = t.kernel_cache.(bank)
+  let execute_exn = execute_exn
+end

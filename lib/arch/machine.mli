@@ -96,17 +96,6 @@ val execute :
   launch ->
   (result, Promise_core.Error.t) Stdlib.result
 
-(** [execute_exn ?lane_mask ?pool ?kernel_mode t launch] — {!execute},
-    raising [Invalid_argument] with the rendered error (assembler-level
-    paths and tests). *)
-val execute_exn :
-  ?lane_mask:bool array ->
-  ?pool:Promise_core.Pool.t ->
-  ?kernel_mode:kernel_mode ->
-  t ->
-  launch ->
-  result
-
 (** [default_launch task] — a launch with ISA-level defaults for raw
     (assembler-driven) execution: bank group 0, all 128 lanes, unit ADC
     gain, TH pre-gain = 128 × the task's analog scale (so emitted
@@ -233,6 +222,17 @@ module For_tests : sig
       the last kernel specialized for it, [None] when its last launch
       had none. *)
   val cached_kernel : t -> bank:int -> Kernel.t option
+
+  (** [execute_exn ?lane_mask ?pool ?kernel_mode t launch] — {!execute},
+      raising [Invalid_argument] with the rendered error (assembler-level
+      paths and tests). *)
+  val execute_exn :
+    ?lane_mask:bool array ->
+    ?pool:Promise_core.Pool.t ->
+    ?kernel_mode:kernel_mode ->
+    t ->
+    launch ->
+    result
 end
 
 (** {2 Data staging} *)

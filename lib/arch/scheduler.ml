@@ -106,3 +106,8 @@ let batch_matches_closed_form task ~batch =
   s.completion
   = Timing.task_cycles task
     + ((batch - 1) * Task.iterations task * Timing.task_tp task)
+
+module For_tests = struct
+  let run_batch = run_batch
+  let batch_matches_closed_form = batch_matches_closed_form
+end

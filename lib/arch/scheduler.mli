@@ -41,26 +41,30 @@ val run : ?ideal_adc:bool -> ?adc_units:int -> Promise_isa.Task.t -> schedule
     does not stall. *)
 val throughput_interval : schedule -> int option
 
-(** [run_batch ?ideal_adc ?adc_units task ~batch] — simulate [batch]
-    back-to-back decisions of [task] through the pipeline with no drain
-    between them: a new iteration issues every TP cycles straight
-    across decision boundaries, so only the first decision pays the
-    fill latency. This is the timing model of
-    {!Machine.execute_batch_into}'s batch trace record. Raises
-    [Invalid_argument] when [batch < 1]. *)
-val run_batch :
-  ?ideal_adc:bool ->
-  ?adc_units:int ->
-  Promise_isa.Task.t ->
-  batch:int ->
-  schedule
-
 (** [matches_closed_form task] — the discrete-event completion time
     equals {!Timing.task_cycles} (no-stall case); used by property
     tests. *)
 val matches_closed_form : Promise_isa.Task.t -> bool
 
-(** [batch_matches_closed_form task ~batch] — {!run_batch}'s ideal-ADC
-    completion equals [task_cycles + (batch − 1) × iterations × TP];
-    the closed form the batched machine path records. *)
-val batch_matches_closed_form : Promise_isa.Task.t -> batch:int -> bool
+(** {2 Test hooks} *)
+
+module For_tests : sig
+  (** [run_batch ?ideal_adc ?adc_units task ~batch] — simulate [batch]
+      back-to-back decisions of [task] through the pipeline with no drain
+      between them: a new iteration issues every TP cycles straight
+      across decision boundaries, so only the first decision pays the
+      fill latency. This is the timing model of
+      {!Machine.execute_batch_into}'s batch trace record. Raises
+      [Invalid_argument] when [batch < 1]. *)
+  val run_batch :
+    ?ideal_adc:bool ->
+    ?adc_units:int ->
+    Promise_isa.Task.t ->
+    batch:int ->
+    schedule
+
+  (** [batch_matches_closed_form task ~batch] — {!run_batch}'s ideal-ADC
+      completion equals [task_cycles + (batch − 1) × iterations × TP];
+      the closed form the batched machine path records. *)
+  val batch_matches_closed_form : Promise_isa.Task.t -> batch:int -> bool
+end

@@ -25,32 +25,6 @@ let kind_name = function
   | Swing_degraded _ -> "swing-degraded"
   | Excess_leakage _ -> "excess-leakage"
 
-let pp_kind ppf = function
-  | Stuck_lane { lane; code } ->
-      Format.fprintf ppf "stuck-lane lane=%d code=%d" lane code
-  | Dead_lane { lane } -> Format.fprintf ppf "dead-lane lane=%d" lane
-  | Dead_bank -> Format.fprintf ppf "dead-bank"
-  | Adc_offset { offset } -> Format.fprintf ppf "adc-offset %.4f" offset
-  | Dead_adc { stall_cycles } ->
-      if stall_cycles = max_int then Format.fprintf ppf "dead-adc (no units)"
-      else Format.fprintf ppf "dead-adc stalls=%d" stall_cycles
-  | Xreg_transient { events; trials } ->
-      Format.fprintf ppf "xreg-transient %d/%d" events trials
-  | Swing_degraded { measured_sigma; expected_sigma } ->
-      Format.fprintf ppf "swing-degraded sigma=%.4f (expected %.4f)"
-        measured_sigma expected_sigma
-  | Excess_leakage { ratio } ->
-      Format.fprintf ppf "excess-leakage ratio=%.3f" ratio
-
-let pp_finding ppf f = Format.fprintf ppf "bank %d: %a" f.bank pp_kind f.kind
-
-let pp ppf r =
-  Format.fprintf ppf "@[<v>selftest: %d banks, %d findings@,"
-    r.banks_tested
-    (List.length r.findings);
-  List.iter (fun f -> Format.fprintf ppf "  %a@," pp_finding f) r.findings;
-  Format.fprintf ppf "@]"
-
 let findings_for r ~bank =
   List.filter_map
     (fun f -> if f.bank = bank then Some f.kind else None)

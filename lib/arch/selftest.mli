@@ -40,9 +40,6 @@ type report = { findings : finding list; banks_tested : int }
 val kind_name : kind -> string
 (** Short tag: ["stuck-lane"], ["dead-adc"], ... *)
 
-val pp_finding : Format.formatter -> finding -> unit
-val pp : Format.formatter -> report -> unit
-
 val findings_for : report -> bank:int -> kind list
 
 (** [run ?trials m] — test every bank; [trials] (default 32) sets the

@@ -59,3 +59,8 @@ let unpipelined_iteration_cycles (t : Task.t) = max 1 (fill_cycles t)
 
 let throughput_ops_per_ns t =
   float_of_int Params.lanes /. (float_of_int (task_tp t) *. Params.cycle_ns)
+
+module For_tests = struct
+  let unpipelined_iteration_cycles = unpipelined_iteration_cycles
+  let throughput_ops_per_ns = throughput_ops_per_ns
+end

@@ -37,21 +37,21 @@ val fill_cycles : Promise_isa.Task.t -> int
     [fill_cycles + (iterations - 1) * task_tp]. *)
 val task_cycles : Promise_isa.Task.t -> int
 
-(** [task_cycles_at ~tp task] — same, with an externally imposed clock
-    (used by the worst-case-TP ablation and by the CM baseline). *)
-val task_cycles_at : tp:int -> Promise_isa.Task.t -> int
-
 (** [task_steady_cycles task] — steady-state duration with the pipeline
     fill amortized across back-to-back decisions:
     [iterations * task_tp]. The paper's throughput model (f = 128/TP)
     is steady-state. *)
 val task_steady_cycles : Promise_isa.Task.t -> int
 
-(** [unpipelined_iteration_cycles task] — latency of one iteration with
-    no pipelining: the sum of stage delays. The original compute-memory
-    (CM) baseline runs at this rate. *)
-val unpipelined_iteration_cycles : Promise_isa.Task.t -> int
+(** {2 Test hooks} *)
 
-(** [throughput_ops_per_ns task] — steady-state element operations per ns
-    per bank: [lanes / (task_tp * cycle_ns)] (paper: f = 128 / TP). *)
-val throughput_ops_per_ns : Promise_isa.Task.t -> float
+module For_tests : sig
+  (** [unpipelined_iteration_cycles task] — latency of one iteration with
+      no pipelining: the sum of stage delays. The original compute-memory
+      (CM) baseline runs at this rate. *)
+  val unpipelined_iteration_cycles : Promise_isa.Task.t -> int
+
+  (** [throughput_ops_per_ns task] — steady-state element operations per ns
+      per bank: [lanes / (task_tp * cycle_ns)] (paper: f = 128 / TP). *)
+  val throughput_ops_per_ns : Promise_isa.Task.t -> float
+end

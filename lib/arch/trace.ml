@@ -24,17 +24,6 @@ let total_cycles t = t.total_cycles
 
 let elapsed_ns t = float_of_int t.total_cycles *. Params.cycle_ns
 
-let pp ppf t =
-  Format.fprintf ppf "@[<v>trace: %d tasks, %d cycles@,"
-    (List.length t.records) t.total_cycles;
-  List.iteri
-    (fun i r ->
-      Format.fprintf ppf "  [%d] %s iters=%d banks=%d tp=%d cycles=%d@," i
-        (Promise_isa.Opcode.class1_name r.task.Promise_isa.Task.class1)
-        r.iterations r.banks r.tp r.cycles)
-    (records_in_order t);
-  Format.fprintf ppf "@]"
-
 let to_csv t =
   let buf = Buffer.create 256 in
   Buffer.add_string buf

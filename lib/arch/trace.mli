@@ -34,8 +34,6 @@ val total_cycles : t -> int
 (** Wall-clock time in ns ([total_cycles * cycle_ns]). *)
 val elapsed_ns : t -> float
 
-val pp : Format.formatter -> t -> unit
-
 (** [to_csv t] — one line per task record (oldest first) with a header:
     [class1,class2,class4,swing,iterations,banks,tp,fill,cycles,adc,rail,th,stalls].
     For offline analysis/plotting of executions. *)

@@ -32,8 +32,12 @@ val get_normalized : t -> index:int -> float array
     lane and wrap (so a following task can use it as its X operand). *)
 val stage_element : t -> index:int -> int -> unit
 
-(** [staged_count t ~index] — lanes written by {!stage_element} since the
-    last [load]/[reset_staging]. *)
-val staged_count : t -> index:int -> int
+(** {2 Test hooks} *)
 
-val reset_staging : t -> index:int -> unit
+module For_tests : sig
+  (** [staged_count t ~index] — lanes written by {!stage_element} since the
+      last [load]/[reset_staging]. *)
+  val staged_count : t -> index:int -> int
+
+  val reset_staging : t -> index:int -> unit
+end

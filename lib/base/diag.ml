@@ -153,3 +153,8 @@ let to_json t =
 
 let list_to_json ds =
   "[" ^ String.concat "," (List.map to_json ds) ^ "]"
+
+module For_tests = struct
+  let skeleton = skeleton
+  let to_json = to_json
+end

@@ -42,9 +42,6 @@ val with_span : t -> span -> t
 (** Attach or replace the span (checks often discover the position
     after the fact, e.g. the assembler adding the line number). *)
 
-val severity_name : severity -> string
-(** ["info"], ["warning"], ["error"]. *)
-
 val span_to_string : span -> string
 (** Human rendering, e.g. ["line 3"], ["task 2"]; [""] for {!No_span}. *)
 
@@ -55,7 +52,6 @@ val render : t -> string
 val to_string : t -> string
 (** Full one-line rendering: ["error[P-ISA-003] task 2: message"]. *)
 
-val is_error : t -> bool
 val count_errors : t list -> int
 val count_warnings : t list -> int
 val first_error : t list -> t option
@@ -63,11 +59,6 @@ val first_error : t list -> t option
 val sort : t list -> t list
 (** Stable report order: span position, then code, then severity
     (errors before warnings at the same position). *)
-
-val skeleton : string -> string
-(** Message skeleton: every run of decimal digits collapses to ['#'],
-    so messages differing only in numeric payload (bounds, cycle
-    counts) share an identity. *)
 
 val fingerprint : ?salt:string -> t -> string
 (** Stable 16-hex-char identity of a diagnostic — MD5 of
@@ -80,11 +71,21 @@ val to_error : layer:string -> t -> Error.t
 (** Lift into the typed error channel ([Invalid_operand], with the
     diagnostic code and span in the context) so pipelines fail closed. *)
 
-val to_json : t -> string
-(** One JSON object: [{"code":…,"severity":…,"span":…,"message":…}]. *)
-
 val list_to_json : t list -> string
 (** JSON array of {!to_json} objects. *)
 
 val json_escape : string -> string
 (** Escape a string for embedding in a JSON string literal. *)
+
+(** {2 Test hooks} *)
+
+module For_tests : sig
+  val skeleton : string -> string
+  (** Message skeleton: every run of decimal digits collapses to ['#'],
+      so messages differing only in numeric payload (bounds, cycle
+      counts) share an identity. *)
+
+  val to_json : t -> string
+  (** One JSON object:
+      [{"code":…,"severity":…,"span":…,"message":…}]. *)
+end

@@ -48,8 +48,6 @@ let to_string t =
   in
   Printf.sprintf "%s: %s%s" t.layer t.message ctx
 
-let pp ppf t = Format.pp_print_string ppf (to_string t)
-
 let to_invalid_arg = function
   | Ok v -> v
   | Error e -> invalid_arg (to_string e)

@@ -54,8 +54,6 @@ val code_name : code -> string
 (** [to_string t] — ["layer: message [k=v, ...]"]. *)
 val to_string : t -> string
 
-val pp : Format.formatter -> t -> unit
-
 (** [to_invalid_arg r] — unwrap, raising [Invalid_argument (to_string e)]
     on [Error e]: the bridge for callers that still want the legacy
     exception behavior. *)

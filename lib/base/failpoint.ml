@@ -235,3 +235,9 @@ let configure_spec ?seed spec =
   match parse_spec spec with
   | Error _ as e -> e
   | Ok assignments -> configure ?seed assignments
+
+module For_tests = struct
+  let parse_spec = parse_spec
+  let enabled = enabled
+  let stats = stats
+end

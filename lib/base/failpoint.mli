@@ -15,8 +15,11 @@
 
     Site names are a {e stable interface}, like the [P-*] diagnostic
     codes: tests, chaos schedules and CI greps depend on them. The
-    catalog lives in {!sites}; configuring an unknown site is a typed
-    error (a typo must not silently arm nothing).
+    catalog: [ipc.read], [ipc.write], [checkpoint.save],
+    [incident.write], [incident.rotate], [queue.admit], [serve.flush],
+    [serve.dispatch], [machine.execute], [runtime.run]. Configuring an
+    unknown site is a typed error (a typo must not silently arm
+    nothing).
 
     Configuration comes from direct {!configure} calls (tests, the
     chaos soak) or from [promise-serve --failpoints], which uses the
@@ -45,12 +48,6 @@ type fire =
   | Delay of int64  (** sleep that many ns, then proceed *)
   | Interrupt  (** simulate EINTR or a 1-byte short transfer, retry *)
 
-val sites : string list
-(** The stable site catalog. Current sites:
-    [ipc.read], [ipc.write], [checkpoint.save], [incident.write],
-    [incident.rotate], [queue.admit], [serve.flush], [serve.dispatch],
-    [machine.execute], [runtime.run]. *)
-
 val configure :
   ?seed:int -> (string * policy) list -> (unit, Error.t) result
 (** [configure ~seed assignments] — arm the listed sites (replacing the
@@ -59,10 +56,6 @@ val configure :
     errors, and leave the previous configuration untouched. [seed]
     (default 0) roots every site's decision stream. *)
 
-val parse_spec : string -> ((string * policy) list, Error.t) result
-(** Parse the [site:policy,...] grammar above. Typed errors name the
-    offending clause; an empty spec is [Ok []]. *)
-
 val configure_spec : ?seed:int -> string -> (unit, Error.t) result
 (** [parse_spec] then [configure]. *)
 
@@ -70,11 +63,8 @@ val check : string -> fire option
 (** [check site] — consult the site. [None] (proceed normally) unless
     failpoints are enabled {e and} [site] is armed {e and} its policy
     fires. The disabled fast path is one atomic load, no lock, no
-    allocation. Checking a site that is not in {!sites} is allowed and
+    allocation. Checking a site that is not in the catalog is allowed and
     always [None] — callers never validate, only {!configure} does. *)
-
-val enabled : unit -> bool
-(** Whether any site is armed ({!check}'s fast-path gate). *)
 
 val reset : unit -> unit
 (** Disarm everything and drop all stats; {!enabled} becomes false. *)
@@ -82,5 +72,16 @@ val reset : unit -> unit
 type stat = { site : string; hits : int; fires : int }
 (** Per-site accounting: [hits] checks consulted, [fires] triggered. *)
 
-val stats : unit -> stat list
-(** Stats of every armed site, in configuration order. *)
+(** {2 Test hooks} *)
+
+module For_tests : sig
+  val parse_spec : string -> ((string * policy) list, Error.t) result
+  (** Parse the [site:policy,...] grammar above. Typed errors name the
+      offending clause; an empty spec is [Ok []]. *)
+
+  val enabled : unit -> bool
+  (** Whether any site is armed ({!check}'s fast-path gate). *)
+
+  val stats : unit -> stat list
+  (** Stats of every armed site, in configuration order. *)
+end

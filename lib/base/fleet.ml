@@ -701,3 +701,7 @@ let run ?(on_shard_done = fun ~shard:_ ~completed:_ ~total:_ -> ())
           loop ()
         end
   end
+
+module For_tests = struct
+  let shard_seed = shard_seed
+end

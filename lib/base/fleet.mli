@@ -71,10 +71,6 @@ val config :
     [workers] in 1..64, [heartbeat_ms] > 0, [max_restarts] >= 0,
     timeouts positive when given. *)
 
-val shard_seed : seed:int -> shard:int -> int
-(** A per-shard split of a campaign seed (splitmix64 finalizer):
-    deterministic, and distinct shards get decorrelated streams. *)
-
 val ranges : shards:int -> items:int -> (int * int) array
 (** [ranges ~shards ~items] — [items] split into at most [shards]
     contiguous [(offset, length)] slices whose lengths differ by at
@@ -137,3 +133,11 @@ val run :
     {!Supervisor} live watchdog exists in the process. The workers'
     own heartbeat domains live in the children and do not restrict the
     parent. *)
+
+(** {2 Test hooks} *)
+
+module For_tests : sig
+  val shard_seed : seed:int -> shard:int -> int
+  (** A per-shard split of a campaign seed (splitmix64 finalizer):
+      deterministic, and distinct shards get decorrelated streams. *)
+end

@@ -10,19 +10,11 @@ type t = {
   counts : int array;
   mutable total : int;
   mutable sum : float;
-  mutable minv : int;
   mutable maxv : int;
 }
 
 let create () =
-  { counts = Array.make n_buckets 0; total = 0; sum = 0.0; minv = 0; maxv = 0 }
-
-let clear t =
-  Array.fill t.counts 0 n_buckets 0;
-  t.total <- 0;
-  t.sum <- 0.0;
-  t.minv <- 0;
-  t.maxv <- 0
+  { counts = Array.make n_buckets 0; total = 0; sum = 0.0; maxv = 0 }
 
 let msb n =
   let r = ref 0 and v = ref n in
@@ -50,14 +42,11 @@ let bound_of idx =
 let add t v =
   let n = max 0 (Float.to_int v) in
   t.counts.(index_of n) <- t.counts.(index_of n) + 1;
-  if t.total = 0 || n < t.minv then t.minv <- n;
   if n > t.maxv then t.maxv <- n;
   t.total <- t.total + 1;
   t.sum <- t.sum +. float_of_int n
 
-let count t = t.total
 let mean t = if t.total = 0 then 0.0 else t.sum /. float_of_int t.total
-let min_value t = float_of_int t.minv
 let max_value t = float_of_int t.maxv
 
 let percentile t q =

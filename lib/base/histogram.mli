@@ -17,16 +17,13 @@
 type t
 
 val create : unit -> t
-val clear : t -> unit
 
 val add : t -> float -> unit
 (** Record one sample ([Float.to_int], clamped to [>= 0]). *)
 
-val count : t -> int
 val mean : t -> float
 (** Exact mean of the recorded samples (0 when empty). *)
 
-val min_value : t -> float
 val max_value : t -> float
 (** Exact extremes of the recorded samples (0 when empty). *)
 

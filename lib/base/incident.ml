@@ -95,22 +95,6 @@ let to_buffer buf = make (Buf buf)
 
 (* Minimal JSON string escaping: the fields are short ASCII-ish
    diagnostics, but junk must still not break the line format. *)
-let escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let iso8601_utc () =
   let tm = Unix.gmtime (Unix.gettimeofday ()) in
   Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" (tm.Unix.tm_year + 1900)
@@ -127,7 +111,9 @@ let render t kind fields =
     (Clock.elapsed_ms ~since:t.opened_ns)
     (iso8601_utc ()) (kind_name kind);
   List.iter
-    (fun (k, v) -> Printf.bprintf b ",\"%s\":\"%s\"" (escape k) (escape v))
+    (fun (k, v) ->
+      Printf.bprintf b ",\"%s\":\"%s\"" (Diag.json_escape k)
+        (Diag.json_escape v))
     fields;
   Buffer.add_string b "}\n";
   Buffer.contents b
@@ -210,3 +196,10 @@ let close t =
           t.sink <- Null;
           (try close_out f.oc with Sys_error _ -> ())
       | Buf _ | Null -> ())
+
+module For_tests = struct
+  let to_buffer = to_buffer
+  let count = count
+  let degraded = degraded
+  let dropped = dropped
+end

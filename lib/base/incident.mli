@@ -37,26 +37,18 @@ type kind =
       (** this sink itself failed (e.g. ENOSPC) and later recovered;
           the [dropped] field counts the lines lost in between *)
 
-val kind_name : kind -> string
-
 type t
 
 val null : t
 (** Discards everything; the default when no [--incidents] path is
     given. *)
 
-val default_max_bytes : int
-(** The rotation cap of a file sink: 64 MiB. *)
-
 val to_file : ?max_bytes:int -> string -> (t, Error.t) result
 (** Append-mode sink on [path] (created if missing). Once the live
-    file would cross [max_bytes] (default {!default_max_bytes}) it is
+    file would cross [max_bytes] (default 64 MiB) it is
     rotated to [path ^ ".1"] — overwriting the previous backup — and a
     fresh file is started, so a retry storm in a long fleet run keeps
     at most ~2 x [max_bytes] of log on disk. *)
-
-val to_buffer : Buffer.t -> t
-(** In-memory sink, for tests. *)
 
 val record : t -> kind -> (string * string) list -> unit
 (** [record t kind fields] — append one JSONL line. Keys [seq],
@@ -68,16 +60,23 @@ val record : t -> kind -> (string * string) list -> unit
     of lines lost — losing incidents must not kill the campaign they
     describe, but the loss itself is an incident. *)
 
-val count : t -> int
-(** Lines recorded through this sink so far (0 for {!null}). *)
-
-val degraded : t -> bool
-(** Whether a file sink is currently in the counting-drop state. *)
-
-val dropped : t -> int
-(** Lines lost in the {e current} outage (0 once recovered — the total
-    was written into the [Sink_degraded] marker). *)
-
 val close : t -> unit
 (** Flush and close a file sink — subsequent {!record}s through it are
     dropped. Idempotent; a no-op for null and buffer sinks. *)
+
+(** {2 Test hooks} *)
+
+module For_tests : sig
+  val to_buffer : Buffer.t -> t
+  (** In-memory sink, for tests. *)
+
+  val count : t -> int
+  (** Lines recorded through this sink so far (0 for {!null}). *)
+
+  val degraded : t -> bool
+  (** Whether a file sink is currently in the counting-drop state. *)
+
+  val dropped : t -> int
+  (** Lines lost in the {e current} outage (0 once recovered — the total
+      was written into the [Sink_degraded] marker). *)
+end

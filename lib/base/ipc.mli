@@ -17,14 +17,11 @@
     than a signal, so callers must have [SIGPIPE] ignored (fleet
     parents do this around the run). *)
 
-val max_frame_bytes : int
-(** Upper bound on one payload (256 MiB): a length field beyond it is
-    treated as corruption, not an allocation request. *)
-
 val write : Unix.file_descr -> 'a -> (unit, Error.t) result
 (** [write fd v] — marshal [v] and send one frame. Errors: the peer
     closed its end ([EPIPE]), the descriptor is invalid, or the
-    payload exceeds {!max_frame_bytes}. *)
+    payload exceeds 256 MiB (a length field beyond it is treated as
+    corruption, not an allocation request). *)
 
 val read : Unix.file_descr -> ('a option, Error.t) result
 (** [read fd] — block until one full frame arrives and unmarshal it.

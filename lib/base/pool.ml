@@ -261,3 +261,9 @@ let map_array t f arr =
       else parallel_map_array sh f arr
 
 let map_list t f l = Array.to_list (map_array t f (Array.of_list l))
+
+module For_tests = struct
+  let create = create
+  let default_jobs = default_jobs
+  let shutdown = shutdown
+end

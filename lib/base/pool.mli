@@ -35,21 +35,11 @@ exception
 val sequential : t
 (** The jobs = 1 pool: no domains, inline execution. *)
 
-val create : jobs:int -> t
-(** [create ~jobs] — a pool running at most [jobs] tasks concurrently
-    ([jobs - 1] worker domains plus the calling domain). Raises
-    [Invalid_argument] unless [1 <= jobs <= 64]. [create ~jobs:1]
-    returns a pool equivalent to {!sequential}. *)
-
 val jobs : t -> int
 (** Concurrency of the pool (1 for {!sequential}). *)
 
 val is_parallel : t -> bool
 (** [jobs t > 1]. *)
-
-val default_jobs : unit -> int
-(** [PROMISE_JOBS] from the environment when set and positive,
-    otherwise [Domain.recommended_domain_count ()], clamped to 64. *)
 
 val map_array : t -> ('a -> 'b) -> 'a array -> 'b array
 (** [map_array t f arr] — apply [f] to every element, possibly
@@ -61,9 +51,23 @@ val map_array : t -> ('a -> 'b) -> 'a array -> 'b array
 val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
 (** List analogue of {!map_array}. *)
 
-val shutdown : t -> unit
-(** Join the worker domains. Idempotent; {!sequential} is a no-op.
-    Using the pool after [shutdown] raises [Invalid_argument]. *)
-
 val with_pool : jobs:int -> (t -> 'a) -> 'a
 (** [with_pool ~jobs f] — [create], run [f], always [shutdown]. *)
+
+(** {2 Test hooks} *)
+
+module For_tests : sig
+  val create : jobs:int -> t
+  (** [create ~jobs] — a pool running at most [jobs] tasks concurrently
+      ([jobs - 1] worker domains plus the calling domain). Raises
+      [Invalid_argument] unless [1 <= jobs <= 64]. [create ~jobs:1]
+      returns a pool equivalent to {!sequential}. *)
+
+  val default_jobs : unit -> int
+  (** [PROMISE_JOBS] from the environment when set and positive,
+      otherwise [Domain.recommended_domain_count ()], clamped to 64. *)
+
+  val shutdown : t -> unit
+  (** Join the worker domains. Idempotent; {!sequential} is a no-op.
+      Using the pool after [shutdown] raises [Invalid_argument]. *)
+end

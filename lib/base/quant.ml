@@ -4,7 +4,6 @@
    signed code grid. Bitcell_array, Machine and Ml.Fixed_point all
    delegate here so the three layers can never drift apart. *)
 
-let bits = 8
 let scale = 128.0
 
 let quantize8 v =

@@ -7,12 +7,6 @@
     module, so a change to the rounding rule cannot desynchronize the
     layers. *)
 
-val bits : int
-(** 8. *)
-
-val scale : float
-(** 128.0 — one LSB is [1 / scale]. *)
-
 val quantize8 : float -> int
 (** [quantize8 v] — nearest signed 8-bit code for normalized [v]
     ([Float.round (v * 128)]), clamped to [[-128, 127]]. *)

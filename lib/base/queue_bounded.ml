@@ -33,7 +33,6 @@ let create ~capacity =
         max_depth = 0;
       }
 
-let capacity t = t.capacity
 let length t = Mutex.protect t.lock (fun () -> Queue.length t.q)
 
 let try_push t v =
@@ -81,20 +80,6 @@ let pop_opt t =
           t.popped <- t.popped + 1;
           Some v
       | None -> None)
-
-let drain ?max t =
-  Mutex.protect t.lock (fun () ->
-      let limit = match max with Some m -> m | None -> Queue.length t.q in
-      let rec go acc n =
-        if n = 0 then List.rev acc
-        else
-          match Queue.take_opt t.q with
-          | None -> List.rev acc
-          | Some v ->
-              t.popped <- t.popped + 1;
-              go (v :: acc) (n - 1)
-      in
-      go [] (Stdlib.max 0 limit))
 
 let stats t =
   Mutex.protect t.lock (fun () ->

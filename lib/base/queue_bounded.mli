@@ -16,7 +16,6 @@ val create : capacity:int -> ('a t, Error.t) result
 (** [create ~capacity] — an empty queue admitting at most [capacity]
     items at once. [Invalid_operand] unless [1 <= capacity <= 1_048_576]. *)
 
-val capacity : 'a t -> int
 val length : 'a t -> int
 
 val try_push : 'a t -> 'a -> (unit, Error.t) result
@@ -30,10 +29,6 @@ val peek_opt : 'a t -> 'a option
 
 val pop_opt : 'a t -> 'a option
 (** Remove and return the oldest item, [None] when empty. *)
-
-val drain : ?max:int -> 'a t -> 'a list
-(** [drain ?max t] — pop up to [max] items (default: everything),
-    oldest first. *)
 
 type stats = {
   pushed : int;  (** admissions *)

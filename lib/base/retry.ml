@@ -87,3 +87,7 @@ let run ?(sleep = Clock.sleep_ms) ?(on_retry = fun ~attempt:_ ~delay_ms:_ _ -> (
            else e)
   in
   go 1
+
+module For_tests = struct
+  let schedule = schedule
+end

@@ -41,9 +41,6 @@ val backoff_ms : policy -> attempt:int -> float
     Deterministic and non-negative; at most
     [max_delay_ms * (1 + jitter)]. *)
 
-val schedule : policy -> float list
-(** All [max_attempts - 1] backoffs, in order. *)
-
 val run :
   ?sleep:(float -> unit) ->
   ?on_retry:(attempt:int -> delay_ms:float -> Error.t -> unit) ->
@@ -57,3 +54,10 @@ val run :
     the code promoted to [Retry_exhausted] when more than one attempt
     was allowed. [sleep] defaults to {!Clock.sleep_ms}; tests inject
     a recorder. [f] must not raise — supervised wrappers catch. *)
+
+(** {2 Test hooks} *)
+
+module For_tests : sig
+  val schedule : policy -> float list
+  (** All [max_attempts - 1] backoffs, in order. *)
+end

@@ -197,3 +197,7 @@ let session ?sup:(c = config ()) ?checkpoint ?(resume = false) ?stop () =
   }
 
 let plain = session ()
+
+module For_tests = struct
+  let request_stop = request_stop
+end

@@ -87,9 +87,6 @@ val install_stop_signals : unit -> stop
 (** Install [Signal_handle]s for SIGINT and SIGTERM that set the flag.
     Call once, from a CLI main, before starting supervised work. *)
 
-val request_stop : stop -> unit
-(** Set the flag programmatically (tests, embedding). *)
-
 val stop_requested : stop -> bool
 
 val stop_signal : stop -> int option
@@ -128,3 +125,10 @@ val plain : session
 (** No deadline, no retries, no checkpoint, no stop: supervised
     drivers behave exactly like their unsupervised ancestors under
     this session. *)
+
+(** {2 Test hooks} *)
+
+module For_tests : sig
+  val request_stop : stop -> unit
+  (** Set the flag programmatically (tests, embedding). *)
+end

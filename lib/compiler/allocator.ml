@@ -157,5 +157,6 @@ let of_program ?excluded ~total_banks ~levels (program : Program.t) =
   in
   plan ?excluded ~total_banks tagged
 
-let decisions_per_second p =
-  1e9 /. (float_of_int (max 1 p.pipelined_interval) *. Promise_arch.Params.cycle_ns)
+module For_tests = struct
+  let plan = plan
+end

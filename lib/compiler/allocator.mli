@@ -28,19 +28,6 @@ type plan = {
           pipeline across levels: the slowest level's span *)
 }
 
-(** [plan ?excluded ~total_banks tasks] — greedy left-to-right packing
-    of each level's tasks onto bank groups; a level's tasks that do not
-    fit simultaneously serialize in waves. [excluded] lists faulted
-    banks no task may occupy (graceful degradation: placement skips
-    over them). [Error] when a single task needs more contiguous
-    healthy banks than the machine has. Tasks use their steady-state
-    duration ({!Promise_arch.Timing.task_steady_cycles}). *)
-val plan :
-  ?excluded:int list ->
-  total_banks:int ->
-  (Promise_isa.Task.t * int) list ->
-  (plan, string) result
-
 (** [of_program ~total_banks ~levels program] — attach levels to a
     lowered program (e.g. the chunk counts per layer from the
     compiler) and plan it. [levels] lists how many consecutive tasks
@@ -52,5 +39,19 @@ val of_program :
   Promise_isa.Program.t ->
   (plan, string) result
 
-(** [decisions_per_second p] — 1e9 / (pipelined_interval × 1 ns). *)
-val decisions_per_second : plan -> float
+(** {2 Test hooks} *)
+
+module For_tests : sig
+  (** [plan ?excluded ~total_banks tasks] — greedy left-to-right packing
+      of each level's tasks onto bank groups; a level's tasks that do not
+      fit simultaneously serialize in waves. [excluded] lists faulted
+      banks no task may occupy (graceful degradation: placement skips
+      over them). [Error] when a single task needs more contiguous
+      healthy banks than the machine has. Tasks use their steady-state
+      duration ({!Promise_arch.Timing.task_steady_cycles}). *)
+  val plan :
+    ?excluded:int list ->
+    total_banks:int ->
+    (Promise_isa.Task.t * int) list ->
+    (plan, string) result
+end

@@ -128,3 +128,9 @@ let program_of_graph g =
   with
   | Some d -> Error (Promise_core.Diag.to_error ~layer:"compiler" d)
   | None -> Ok (Program.make ~name tasks)
+
+module For_tests = struct
+  let classes_of = classes_of
+  let threshold_code = threshold_code
+  let lower = lower
+end

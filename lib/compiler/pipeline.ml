@@ -36,14 +36,6 @@ module Cache = struct
         hits := 0;
         misses := 0)
 
-  let stats () =
-    Mutex.protect lock (fun () ->
-        {
-          hits = !hits;
-          misses = !misses;
-          entries = Hashtbl.length frontend_tbl + Hashtbl.length codegen_tbl;
-        })
-
   (* [memo tbl key f] — serve [Ok] from [tbl], else compute.  The
      compute runs outside the lock: two domains racing on the same cold
      key duplicate work once rather than serializing all compilation. *)
@@ -67,6 +59,16 @@ module Cache = struct
                 if not (Hashtbl.mem tbl key) then Hashtbl.add tbl key v);
             ok
         | Error _ as err -> err)
+
+  module For_tests = struct
+    let stats () =
+      Mutex.protect lock (fun () ->
+          {
+            hits = !hits;
+            misses = !misses;
+            entries = Hashtbl.length frontend_tbl + Hashtbl.length codegen_tbl;
+          })
+  end
 end
 
 (* ------------------------------------------------------------------ *)

@@ -13,9 +13,12 @@
 module Cache : sig
   type stats = { hits : int; misses : int; entries : int }
 
-  val stats : unit -> stats
   val clear : unit -> unit
   (** Drop every entry and zero the hit/miss counters. *)
+
+  module For_tests : sig
+    val stats : unit -> stats
+  end
 end
 
 (** [compile kernel] — frontend + PROMISE pass: the IR graph with all

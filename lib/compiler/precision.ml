@@ -33,3 +33,8 @@ let min_activation_bits s ~pm ~bw =
       search 1
 
 let aggregate_bits = min_activation_bits
+
+module For_tests = struct
+  let bound = bound
+  let min_activation_bits = min_activation_bits
+end

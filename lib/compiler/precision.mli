@@ -16,19 +16,23 @@ val pp_stats : Format.formatter -> stats -> unit
     ({!Promise_ml.Mlp.sakr_stats}). *)
 val of_mlp : Promise_ml.Mlp.t -> Promise_ml.Dataset.labeled array -> stats
 
-(** [bound stats ~ba ~bw] — the Eq. (4) right-hand side. *)
-val bound : stats -> ba:int -> bw:int -> float
-
 val weight_bits : int
 (** 7 (8-bit storage including sign). *)
-
-(** [min_activation_bits stats ~pm ~bw] — smallest B_A (in 1..16) with
-    [bound ≤ pm]; [Error] when even B_A = 16 cannot meet [pm] (the
-    weight term alone exceeds the budget). *)
-val min_activation_bits : stats -> pm:float -> bw:int -> (int, string) result
 
 (** [aggregate_bits stats ~pm ~bw] — the output precision B the
     aggregation must deliver: [min_activation_bits], since each Task's
     digitized aggregate becomes the next Task's (or decision's)
     activation. *)
 val aggregate_bits : stats -> pm:float -> bw:int -> (int, string) result
+
+(** {2 Test hooks} *)
+
+module For_tests : sig
+  (** [bound stats ~ba ~bw] — the Eq. (4) right-hand side. *)
+  val bound : stats -> ba:int -> bw:int -> float
+
+  (** [min_activation_bits stats ~pm ~bw] — smallest B_A (in 1..16) with
+      [bound ≤ pm]; [Error] when even B_A = 16 cannot meet [pm] (the
+      weight term alone exceeds the budget). *)
+  val min_activation_bits : stats -> pm:float -> bw:int -> (int, string) result
+end

@@ -59,3 +59,7 @@ let search_space_size ~tasks =
   if tasks < 0 then invalid_arg "Swing_opt.search_space_size: negative";
   let rec pow acc n = if n = 0 then acc else pow (acc * 8) (n - 1) in
   pow 1 tasks
+
+module For_tests = struct
+  let meets_eq3 = meets_eq3
+end

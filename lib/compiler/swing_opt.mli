@@ -12,9 +12,6 @@
     [None] when even the maximum swing fails (caller falls back to 7). *)
 val min_swing_for : bits:int -> n:int -> int option
 
-(** [meets_eq3 ~swing ~bits ~n] — the Eq. (3) predicate. *)
-val meets_eq3 : swing:int -> bits:int -> n:int -> bool
-
 (** [optimize_graph ?guard_bits g ~stats ~pm] — the analytic path:
     solve B_A from the Sakr bound ({!Precision}), then set each task's
     swing from its vector length. [guard_bits] (default 1) adds a
@@ -53,3 +50,10 @@ val optimize_single :
 
 (** [search_space_size ~tasks] — 8^tasks (Figure 12's secondary axis). *)
 val search_space_size : tasks:int -> int
+
+(** {2 Test hooks} *)
+
+module For_tests : sig
+  (** [meets_eq3 ~swing ~bits ~n] — the Eq. (3) predicate. *)
+  val meets_eq3 : swing:int -> bits:int -> n:int -> bool
+end

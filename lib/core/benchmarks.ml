@@ -749,3 +749,7 @@ let dnn_soa () =
     | Error _ -> float_of_int (Model.program_steady_cycles program)
   in
   (program, energy, delay_ns)
+
+module For_tests = struct
+  let matched_filter_sized = matched_filter_sized
+end

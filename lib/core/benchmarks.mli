@@ -82,15 +82,9 @@ type t = {
 val matched_filter : unit -> t
 (** Gunshot detection, N = 512, 100 windows. *)
 
-val matched_filter_sized : int -> t
-(** Table-2 size variants: N ∈ {256, 512, 1024}. *)
-
 val template_l1 : unit -> t
 val template_l2 : unit -> t
 (** Face recognition, 64 candidates of 16×16. *)
-
-val template_sized : [ `L1 | `L2 ] * (int * int) -> t
-(** Table-2 size variants: 16×16, 22×23, 32×33. *)
 
 val svm : unit -> t
 (** Face detection, 16×16 + bias, linear SVM. *)
@@ -98,9 +92,6 @@ val svm : unit -> t
 val knn_l1 : unit -> t
 val knn_l2 : unit -> t
 (** Character recognition, 128 stored 16×16 samples, k = 5. *)
-
-val knn_sized : [ `L1 | `L2 ] * (int * int) -> t
-(** Table-2 size variants: 16×16, 22×23, 32×33. *)
 
 val pca : unit -> t
 (** Four-component feature extraction, 16×16 faces (not a classifier:
@@ -131,9 +122,6 @@ val size_variants : unit -> t list
     22×23 and 32×33. *)
 
 (** {2 Derived metrics} *)
-
-(** [program_at_swings b swings] — re-lower with per-task swings. *)
-val program_at_swings : t -> int list -> Program.t
 
 (** [promise_energy b ~swings] — Eq. (6) per decision. *)
 val promise_energy : t -> swings:int list -> Model.breakdown
@@ -166,3 +154,10 @@ val knn_soa_program :
     chunks on concurrent bank groups and layers pipelined across the
     decision stream (the paper's 36-bank configuration). *)
 val dnn_soa : unit -> Program.t * float * float
+
+(** {2 Test hooks} *)
+
+module For_tests : sig
+  val matched_filter_sized : int -> t
+  (** Table-2 size variants: N ∈ {256, 512, 1024}. *)
+end

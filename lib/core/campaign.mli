@@ -44,9 +44,6 @@ type cell = {
   recovered_ok : bool;
 }
 
-val residual_budget : float
-(** Accuracy loss a recovered part may keep (0.06). *)
-
 val fast_benchmarks : unit -> Benchmarks.t list
 (** Matched filter, template matching L1, k-NN L1. *)
 

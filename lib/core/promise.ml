@@ -107,7 +107,6 @@ module Ml = struct
   module Matched_filter = Promise_ml.Matched_filter
   module Linreg = Promise_ml.Linreg
   module Kmeans = Promise_ml.Kmeans
-  module Random_forest = Promise_ml.Random_forest
   module Metrics = Promise_ml.Metrics
 end
 

@@ -591,3 +591,7 @@ let print ppf names results =
     names;
   Format.pp_print_flush ppf ();
   !quarantined
+
+module For_tests = struct
+  let sections = sections
+end

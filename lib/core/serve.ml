@@ -1495,3 +1495,9 @@ let load_run ?(jobs = 1) ?(incidents = Incident.null) ?deadline_ms ~mode
           l_max_queue_depth = s.queue.Queue_bounded.max_depth;
           l_digest = digest;
         })
+
+module For_tests = struct
+  let flush_due = flush_due
+  let next_deadline_ns = next_deadline_ns
+  let stats = stats
+end

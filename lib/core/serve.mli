@@ -38,7 +38,7 @@
     both enforce it).
 
     The engine is deliberately passive: {!submit}, {!pump} and
-    {!flush_due} are called by one driver (the socket daemon's select
+    [flush_due] are called by one driver (the socket daemon's select
     loop, or a load generator), the clock is injectable, and nothing
     spawns threads — which is what makes flush-by-deadline and
     watchdog-timeout behavior unit-testable with a fake clock. *)
@@ -148,17 +148,8 @@ val pump : t -> unit
 (** Drain the admission queue into the per-model pending sets, flushing
     every set that reaches [batch_max] (flush-by-size). *)
 
-val flush_due : t -> unit
-(** Flush every pending set whose oldest request has waited [flush_us]
-    (flush-by-deadline), answering watchdog-overdue requests with
-    [Timeout] first. Reads the engine clock. *)
-
 val flush_all : t -> unit
 (** Dispatch everything pending regardless of age (shutdown / drain). *)
-
-val next_deadline_ns : t -> int64 option
-(** Engine-clock instant of the earliest pending flush deadline — the
-    select-loop timeout. [None] when nothing is pending. *)
 
 type stats = {
   submitted : int;  (** admitted requests *)
@@ -174,8 +165,6 @@ type stats = {
   latency_ns : Promise_core.Histogram.t;  (** admission → response *)
   batch_sizes : Promise_core.Histogram.t;  (** decisions per dispatched batch *)
 }
-
-val stats : t -> stats
 
 (** {2 The socket daemon} *)
 
@@ -215,11 +204,12 @@ val daemon :
     {!wire_response} frames through a {!Batched} engine on the
     monotonic clock, whose knobs and defaults are {!create}'s. One
     select loop drives admission, coalescing and dispatch; the select
-    timeout is {!next_deadline_ns}, so flush-by-deadline holds within a
-    poll quantum. Returns after [stop] is requested (SIGINT/SIGTERM) or
-    after [max_requests] responses when positive — the drain flushes
-    every pending batch first. A dead client's responses are dropped
-    (and logged), never fatal ([SIGPIPE] is ignored for the loop). *)
+    timeout is the earliest pending flush deadline, so
+    flush-by-deadline holds within a poll quantum. Returns after [stop]
+    is requested (SIGINT/SIGTERM) or after [max_requests] responses
+    when positive — the drain flushes every pending batch first. A dead
+    client's responses are dropped (and logged), never fatal ([SIGPIPE]
+    is ignored for the loop). *)
 
 type probe_summary = {
   p_sent : int;
@@ -349,3 +339,18 @@ val load_run :
     [l_digest] fingerprints every served value bitwise: two runs in
     different {!mode}s over twin models must produce equal digests —
     the identity contract through the whole service path. *)
+
+(** {2 Test hooks} *)
+
+module For_tests : sig
+  val flush_due : t -> unit
+  (** Flush every pending set whose oldest request has waited [flush_us]
+      (flush-by-deadline), answering watchdog-overdue requests with
+      [Timeout] first. Reads the engine clock. *)
+
+  val next_deadline_ns : t -> int64 option
+  (** Engine-clock instant of the earliest pending flush deadline — the
+      select-loop timeout. [None] when nothing is pending. *)
+
+  val stats : t -> stats
+end

@@ -8,31 +8,14 @@
     structure against this repository's own ground truths: the
     published Table-3 numbers, the float reference implementations, and
     the benchmark accuracy budgets. [promise-report validation] runs
-    it; the result is also a single boolean for CI-style gating. *)
+    it; the result is also a single boolean for CI-style gating.
 
-type check = {
-  name : string;
-  passed : bool;
-  detail : string;  (** measured-vs-expected summary *)
-}
-
-type level = { title : string; checks : check list }
-
-(** Component level: Table-3 energies/delays, the noise σ model, LUT
-    deviation bounds, ADC quantization error, PWM/sub-ranged read
-    exactness. *)
-val component_level : unit -> level
-
-(** Architecture level: ideal-machine kernels vs the float references
-    (dot / L1 / argmin), the discrete-event scheduler vs the closed
-    form, CTRL signal ordering. *)
-val architecture_level : unit -> level
-
-(** Application level: benchmark accuracy at maximum swing within the
-    mismatch budgets (the fast benchmarks only). *)
-val application_level : unit -> level
-
-val all_levels : unit -> level list
+    The levels: component (Table-3 energies/delays, the noise σ model,
+    LUT deviation bounds, ADC quantization error, PWM/sub-ranged read
+    exactness); architecture (ideal-machine kernels vs the float
+    references, the discrete-event scheduler vs the closed form, CTRL
+    signal ordering); application (benchmark accuracy at maximum swing
+    within the mismatch budgets, fast benchmarks only). *)
 
 (** [report ppf] — print every level; returns whether every check
     passed. *)

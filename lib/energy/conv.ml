@@ -23,11 +23,6 @@ let delay_ns v w =
   float_of_int (accesses v w * t_sram_cycles)
   *. Promise_arch.Params.cycle_ns /. float_of_int (max 1 w.banks)
 
-let throughput_macs_per_ns v w =
-  let b = precision v in
-  float_of_int (words_per_access ~precision:b * w.banks)
-  /. (float_of_int t_sram_cycles *. Promise_arch.Params.cycle_ns)
-
 let energy v w =
   let b = precision v in
   let read = float_of_int (accesses v w) *. sram_access_energy_pj in
@@ -40,3 +35,8 @@ let energy v w =
   { Model.read; compute; leak; ctrl }
 
 let edp v w = Model.total (energy v w) *. delay_ns v w
+
+module For_tests = struct
+  let precision = precision
+  let words_per_access = words_per_access
+end

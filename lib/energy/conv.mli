@@ -11,8 +11,6 @@
 
 type variant = Conv_8b | Conv_opt of int  (** precision bits, 2..8 *)
 
-val precision : variant -> int
-
 (** Abstract workload: one decision of the kernel the PROMISE program
     implements, sized on the digital datapath. The benchmark supplies
     [macs] and [fetch_words] from its kernel's shape; [banks] is the
@@ -26,26 +24,8 @@ type workload = {
   banks : int;  (** SRAM banks, matched to the PROMISE configuration *)
 }
 
-val t_sram_cycles : int
-(** 2 (Table 3 digital read). *)
-
-val words_per_access : precision:int -> int
-(** 64 / B, at least 1. *)
-
-val sram_access_energy_pj : float
-(** 33 pJ per 64-bit bank access (Table 3 digital read). *)
-
-val mac_energy_pj : precision:int -> float
-(** 0.9 pJ at 8 bits, scaling as (B/8)^1.6 (DESIGN.md calibration). *)
-
-val ctrl_pj_per_ns : float
-(** Clock/control/dataflow power of the synthesized datapath, 3.4 pJ/ns. *)
-
 (** [delay_ns v w] — fetch-bound execution time across [w.banks] banks. *)
 val delay_ns : variant -> workload -> float
-
-(** [throughput_macs_per_ns v w] — Eq. (5) × banks. *)
-val throughput_macs_per_ns : variant -> workload -> float
 
 (** [energy v w] — read / compute / leak / ctrl decomposition, comparable
     with {!Model.breakdown} for PROMISE (Figure 11). *)
@@ -53,3 +33,12 @@ val energy : variant -> workload -> Model.breakdown
 
 (** [edp v w] — energy-delay product, pJ·ns. *)
 val edp : variant -> workload -> float
+
+(** {2 Test hooks} *)
+
+module For_tests : sig
+  val precision : variant -> int
+
+  val words_per_access : precision:int -> int
+  (** 64 / B, at least 1. *)
+end

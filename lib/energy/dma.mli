@@ -8,18 +8,6 @@
     fidelity section shows both — which matters most for Linear
     Regression, whose X-REG must be reloaded every Task (§6.2). *)
 
-val bytes_per_cycle : int
-(** 16 — a 128-bit rail at the 1 ns cycle. *)
-
-val energy_pj_per_byte : float
-(** 1.0 pJ/byte moved (interconnect + buffer write). *)
-
-(** [transfer_cycles ~bytes] — ceil (bytes / bandwidth). *)
-val transfer_cycles : bytes:int -> int
-
-(** [transfer_energy_pj ~bytes]. *)
-val transfer_energy_pj : bytes:int -> float
-
 (** [x_bytes_per_decision g] — X traffic one inference decision moves
     into X-REGs: for each task consuming an X operand, its vector
     length per row chunk (broadcast) or the whole streamed array

@@ -19,19 +19,6 @@ let add a b =
     ctrl = a.ctrl +. b.ctrl;
   }
 
-let scale k b =
-  {
-    read = k *. b.read;
-    compute = k *. b.compute;
-    leak = k *. b.leak;
-    ctrl = k *. b.ctrl;
-  }
-
-let pp_breakdown ppf b =
-  Format.fprintf ppf
-    "read %.1f pJ + compute %.1f pJ + leak %.1f pJ + ctrl %.1f pJ = %.1f pJ"
-    b.read b.compute b.leak b.ctrl (total b)
-
 let record_energy ~task ~iterations ~banks ~cycles ~adc_conversions
     ~crossbank_transfers ~th_ops =
   let p = task.Task.op_param in
@@ -85,9 +72,6 @@ let task_energy_steady = task_energy_with ~cycles_of:Timing.task_steady_cycles
 let program_energy (p : Program.t) =
   List.fold_left (fun acc t -> add acc (task_energy t)) zero p.Program.tasks
 
-let program_cycles (p : Program.t) =
-  List.fold_left (fun acc t -> acc + Timing.task_cycles t) 0 p.Program.tasks
-
 let program_steady_cycles (p : Program.t) =
   List.fold_left (fun acc t -> acc + Timing.task_steady_cycles t) 0
     p.Program.tasks
@@ -102,15 +86,10 @@ let program_steady_cycles_at_worst_case_tp (p : Program.t) =
     (fun acc t -> acc + (Promise_isa.Task.iterations t * tp))
     0 p.Program.tasks
 
-let program_cycles_at_worst_case_tp (p : Program.t) =
-  let tp = Timing.worst_case_tp () in
-  List.fold_left (fun acc t -> acc + Timing.task_cycles_at ~tp t) 0
-    p.Program.tasks
-
-let element_ops (p : Program.t) =
-  List.fold_left
-    (fun acc t -> acc + (Task.iterations t * Params.lanes * Task.banks t))
-    0 p.Program.tasks
-
 let energy_delay_product b ~cycles =
   total b *. float_of_int cycles *. Params.cycle_ns
+
+module For_tests = struct
+  let energy_delay_product = energy_delay_product
+  let task_energy = task_energy
+end

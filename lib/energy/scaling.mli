@@ -11,9 +11,6 @@ val n14_finfet : node
 val n28_planar : node
 val n65_planar : node
 
-val finfet_to_planar_energy_factor : float
-(** 2.1. *)
-
 (** [energy_scale ~from_ ~to_] — multiply an energy measured at [from_]
     by this to estimate it at [to_]. *)
 val energy_scale : from_:node -> to_:node -> float

@@ -1,8 +1,8 @@
 type vec_op = Vo_none | Vo_add | Vo_sub | Vo_mul_signed | Vo_mul_unsigned
-[@@deriving eq, show { with_path = false }]
+[@@deriving show { with_path = false }]
 
 type red_op = Ro_sum | Ro_sum_abs | Ro_sum_square | Ro_sum_compare
-[@@deriving eq, show { with_path = false }]
+[@@deriving show { with_path = false }]
 
 type digital_op =
   | Do_none
@@ -27,7 +27,6 @@ type t = {
   threshold : float;
   swing : int;
 }
-[@@deriving eq, show { with_path = false }]
 
 let make ?(name = "task") ?(threshold = 0.0) ?(swing = 7) ~w ~x ~output ~vec_op
     ~red_op ~digital_op ~vector_len ~loop_iterations () =
@@ -59,5 +58,3 @@ let uses_x t =
   match t.vec_op with
   | Vo_none -> false
   | Vo_add | Vo_sub | Vo_mul_signed | Vo_mul_unsigned -> true
-
-let macs t = t.vector_len * t.loop_iterations

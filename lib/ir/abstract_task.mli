@@ -40,10 +40,6 @@ type t = {
   swing : int;  (** F10 — 0..7, initialized to 7 *)
 }
 
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
-val equal_vec_op : vec_op -> vec_op -> bool
-val equal_red_op : red_op -> red_op -> bool
 val equal_digital_op : digital_op -> digital_op -> bool
 val pp_vec_op : Format.formatter -> vec_op -> unit
 val pp_red_op : Format.formatter -> red_op -> unit
@@ -70,6 +66,3 @@ val with_swing : t -> int -> t
 
 (** [uses_x t] — the task consumes an X operand. *)
 val uses_x : t -> bool
-
-(** [macs t] — scalar distance operations: vector_len × iterations. *)
-val macs : t -> int

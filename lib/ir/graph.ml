@@ -136,3 +136,11 @@ let pp ppf g =
         e.port)
     g.edges;
   Format.fprintf ppf "@]"
+
+module For_tests = struct
+  let empty = empty
+  let add_task = add_task
+  let edges = edges
+  let connect = connect
+  let is_linear_pipeline = is_linear_pipeline
+end

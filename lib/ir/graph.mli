@@ -7,27 +7,16 @@
 type port = W_input | X_input
 
 val equal_port : port -> port -> bool
-val pp_port : Format.formatter -> port -> unit
 
 type edge = { producer : int; consumer : int; port : port }
 
 type t
-
-val empty : t
-
-(** [add_task g task] — returns the node id and the extended graph. *)
-val add_task : t -> Abstract_task.t -> int * t
 
 (** [task g id]. Raises [Not_found]. *)
 val task : t -> int -> Abstract_task.t
 
 val n_tasks : t -> int
 val tasks : t -> (int * Abstract_task.t) list
-val edges : t -> edge list
-
-(** [connect g ~producer ~consumer ~port] — add a dataflow edge.
-    [Error] if it would create a cycle or an id is unknown. *)
-val connect : t -> producer:int -> consumer:int -> port:port -> (t, string) result
 
 (** [of_tasks tasks] — build a graph from tasks in order, inferring
     edges by array-name matching (producer.output = consumer.w / .x). *)
@@ -40,11 +29,27 @@ val topological_order : t -> int list
 val predecessors : t -> int -> (int * port) list
 val successors : t -> int -> (int * port) list
 
-(** [is_linear_pipeline g] — every node has ≤1 predecessor and ≤1
-    successor (the DNN shape: a sequential pipeline of layers). *)
-val is_linear_pipeline : t -> bool
-
 (** [map_tasks g f] — rewrite every task (e.g. assign swings). *)
 val map_tasks : t -> (int -> Abstract_task.t -> Abstract_task.t) -> t
 
 val pp : Format.formatter -> t -> unit
+
+(** {2 Test hooks} *)
+
+module For_tests : sig
+  val empty : t
+
+  (** [add_task g task] — returns the node id and the extended graph. *)
+  val add_task : t -> Abstract_task.t -> int * t
+
+  val edges : t -> edge list
+
+  (** [connect g ~producer ~consumer ~port] — add a dataflow edge.
+      [Error] if it would create a cycle or an id is unknown. *)
+  val connect :
+    t -> producer:int -> consumer:int -> port:port -> (t, string) result
+
+  (** [is_linear_pipeline g] — every node has ≤1 predecessor and ≤1
+      successor (the DNN shape: a sequential pipeline of layers). *)
+  val is_linear_pipeline : t -> bool
+end

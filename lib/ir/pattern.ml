@@ -7,10 +7,6 @@ type loop_info = {
   iterations : int;
 }
 
-let pp_loop_info ppf l =
-  Format.fprintf ppf "loop %S iv=%%%d start=%d iterations=%d" l.block l.iv_phi
-    l.start l.iterations
-
 let in_block (b : block) = function
   | Vreg id -> id >= b.first_index && id < b.first_index + Array.length b.instrs
   | Arg _ | Const_int _ | Const_float _ -> false
@@ -363,3 +359,7 @@ let match_function f =
   in
   if fused = [] then Error "no offloadable computation found"
   else Graph.of_tasks fused
+
+module For_tests = struct
+  let find_loops = find_loops
+end

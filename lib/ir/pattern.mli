@@ -24,19 +24,13 @@ type loop_info = {
   iterations : int;
 }
 
-val pp_loop_info : Format.formatter -> loop_info -> unit
-
-(** [canonical_loop f block] — recognize [block] as a single-basic-block
-    natural loop (a conditional self-branch with a ±1 induction
-    variable), normalizing decrementing loops. *)
-val canonical_loop : Ssa.func -> Ssa.block -> loop_info option
-
-(** [find_loops f]. *)
-val find_loops : Ssa.func -> loop_info list
-
-(** [match_loop f info] — Figure-7 extraction for one loop. *)
-val match_loop : Ssa.func -> loop_info -> (Abstract_task.t, string) result
-
 (** [match_function f] — the whole pass: [Error] when a loop or
     reduction call fails to match (the computation cannot be offloaded). *)
 val match_function : Ssa.func -> (Graph.t, string) result
+
+(** {2 Test hooks} *)
+
+module For_tests : sig
+  (** [find_loops f]. *)
+  val find_loops : Ssa.func -> loop_info list
+end

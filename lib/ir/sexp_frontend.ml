@@ -213,3 +213,8 @@ let parse_file path =
       let src = really_input_string ic n in
       close_in ic;
       parse src
+
+module For_tests = struct
+  let sexp_of_string = sexp_of_string
+  let pp_sexp = pp_sexp
+end

@@ -37,5 +37,10 @@ val parse_file : string -> (Dsl.kernel, string) result
 
 type sexp = Atom of string | List of sexp list
 
-val sexp_of_string : string -> (sexp list, string) result
-val pp_sexp : Format.formatter -> sexp -> unit
+(** {2 Test hooks} *)
+
+module For_tests : sig
+  val sexp_of_string : string -> (sexp list, string) result
+
+  val pp_sexp : Format.formatter -> sexp -> unit
+end

@@ -9,22 +9,20 @@ type ty =
 type value = Vreg of int | Const_int of int | Const_float of float | Arg of string
 [@@deriving eq, show { with_path = false }]
 
-type vec_binop = Vadd | Vsub | Vmul [@@deriving eq, show { with_path = false }]
+type vec_binop = Vadd | Vsub | Vmul
 
 type vec_unop = Vabs | Vsquare | Vcompare
-[@@deriving eq, show { with_path = false }]
 
-type reduce_op = Rsum [@@deriving eq, show { with_path = false }]
+type reduce_op = Rsum
 
 type scalar_unop = Usigmoid | Urelu | Uneg | Uabs | Uthreshold of float
-[@@deriving eq, show { with_path = false }]
+[@@deriving show { with_path = false }]
 
-type int_binop = Iadd | Isub | Imul [@@deriving eq, show { with_path = false }]
+type int_binop = Iadd | Isub | Imul
 
 type icmp_pred = Lt | Le | Gt | Ge | Eq | Ne
-[@@deriving eq, show { with_path = false }]
 
-type label = string [@@deriving eq, show { with_path = false }]
+type label = string
 
 type instr =
   | Getindex of { matrix : value; index : value }
@@ -39,13 +37,11 @@ type instr =
   | Load of { ptr : value }
   | Phi of { incoming : (label * value) list }
   | Call of { fn : string; args : value list }
-[@@deriving eq, show { with_path = false }]
 
 type terminator =
   | Br of label
   | Cond_br of { cond : value; if_true : label; if_false : label }
   | Ret of value option
-[@@deriving show { with_path = false }]
 
 type block = {
   label : label;
@@ -55,23 +51,6 @@ type block = {
 }
 
 type func = { name : string; params : (string * ty) list; blocks : block list }
-
-let pp_func ppf f =
-  Format.fprintf ppf "@[<v>func %s(%a):@," f.name
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
-       (fun ppf (n, ty) -> Format.fprintf ppf "%s : %a" n pp_ty ty))
-    f.params;
-  List.iter
-    (fun b ->
-      Format.fprintf ppf "%s:@," b.label;
-      Array.iteri
-        (fun i instr ->
-          Format.fprintf ppf "  %%%d = %a@," (b.first_index + i) pp_instr instr)
-        b.instrs;
-      Format.fprintf ppf "  %a@," pp_terminator b.terminator)
-    f.blocks;
-  Format.fprintf ppf "@]"
 
 let param_ty f name =
   List.find_opt (fun (n, _) -> String.equal n name) f.params
@@ -248,4 +227,10 @@ module Builder = struct
     | Ok () -> ()
     | Error msg -> invalid_arg ("Ssa.Builder.finish: " ^ msg));
     f
+end
+
+module For_tests = struct
+  module Builder = Builder
+
+  let def_of = def_of
 end

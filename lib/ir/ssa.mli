@@ -37,18 +37,7 @@ type scalar_unop = Usigmoid | Urelu | Uneg | Uabs | Uthreshold of float
 type int_binop = Iadd | Isub | Imul
 type icmp_pred = Lt | Le | Gt | Ge | Eq | Ne
 
-val equal_vec_binop : vec_binop -> vec_binop -> bool
-val equal_vec_unop : vec_unop -> vec_unop -> bool
-val equal_reduce_op : reduce_op -> reduce_op -> bool
-val equal_scalar_unop : scalar_unop -> scalar_unop -> bool
-val equal_int_binop : int_binop -> int_binop -> bool
-val equal_icmp_pred : icmp_pred -> icmp_pred -> bool
-val pp_vec_binop : Format.formatter -> vec_binop -> unit
-val pp_vec_unop : Format.formatter -> vec_unop -> unit
-val pp_reduce_op : Format.formatter -> reduce_op -> unit
 val pp_scalar_unop : Format.formatter -> scalar_unop -> unit
-val pp_int_binop : Format.formatter -> int_binop -> unit
-val pp_icmp_pred : Format.formatter -> icmp_pred -> unit
 
 type label = string
 
@@ -69,15 +58,10 @@ type instr =
       (** opaque library call (e.g. [argmin], [argmax], [majority_vote]
           applied to a computed output vector after the loop) *)
 
-val equal_instr : instr -> instr -> bool
-val pp_instr : Format.formatter -> instr -> unit
-
 type terminator =
   | Br of label
   | Cond_br of { cond : value; if_true : label; if_false : label }
   | Ret of value option
-
-val pp_terminator : Format.formatter -> terminator -> unit
 
 (** A basic block: instructions are numbered globally within the
     function ([first_index] is the Vreg id of the first one). *)
@@ -94,17 +78,11 @@ type func = {
   blocks : block list;  (** entry first *)
 }
 
-val pp_func : Format.formatter -> func -> unit
-
 (** [param_ty f name] — declared type of parameter [name]. *)
 val param_ty : func -> string -> ty option
 
 (** [find_block f label]. *)
 val find_block : func -> label -> block option
-
-(** [def_block f vreg] — the block defining a virtual register, with the
-    instruction. *)
-val def_of : func -> int -> (block * instr) option
 
 (** [instr_operands i] — the values an instruction reads (phi incoming
     values included, labels excluded). *)
@@ -116,22 +94,28 @@ val instr_operands : instr -> value list
     [Promise_analysis.Ssa_check]. *)
 val verify : func -> (unit, string) result
 
-(** {2 Builder} *)
+(** {2 Test hooks} *)
 
-module Builder : sig
-  type t
+module For_tests : sig
+  module Builder : sig
+    type t
 
-  val create : name:string -> params:(string * ty) list -> t
+    val create : name:string -> params:(string * ty) list -> t
 
-  (** [block b label] — start (or switch back to) a block. Finishing
-      the previous block without a terminator raises
-      [Invalid_argument] tagged with diagnostic code [P-SSA-005] (the
-      same code {!Promise_analysis.Ssa_check} reports). *)
-  val block : t -> label -> unit
+    (** [block b label] — start (or switch back to) a block. Finishing
+        the previous block without a terminator raises
+        [Invalid_argument] tagged with diagnostic code [P-SSA-005] (the
+        same code {!Promise_analysis.Ssa_check} reports). *)
+    val block : t -> label -> unit
 
-  (** [instr b i] — append; returns the new register as a value. *)
-  val instr : t -> instr -> value
+    (** [instr b i] — append; returns the new register as a value. *)
+    val instr : t -> instr -> value
 
-  val terminate : t -> terminator -> unit
-  val finish : t -> func
+    val terminate : t -> terminator -> unit
+    val finish : t -> func
+  end
+
+  (** [def_block f vreg] — the block defining a virtual register, with the
+      instruction. *)
+  val def_of : func -> int -> (block * instr) option
 end

@@ -185,3 +185,7 @@ let parse_program src =
   | Error d ->
       let lineno = match Diag.span d with Diag.Line n -> n | _ -> 0 in
       Error (Printf.sprintf "line %d: %s" lineno (Diag.render d))
+
+module For_tests = struct
+  let parse_task = parse_task
+end

@@ -21,11 +21,6 @@ val print_task : Task.t -> string
 (** [print_program tasks] renders a whole program, one line per task. *)
 val print_program : Task.t list -> string
 
-(** [parse_task line] parses a single [task ...] line. Syntax errors
-    carry code [P-ASM-001]; task-legality errors carry the [P-TSK-*]
-    code assigned by {!Task.validate}. *)
-val parse_task : string -> (Task.t, Promise_core.Diag.t) result
-
 (** [parse_program_located src] parses a whole source file, pairing
     each task with the 1-based source line it started on (for lint
     spans). Errors carry a [Line] span. *)
@@ -36,3 +31,12 @@ val parse_program_located :
     legacy string-error interface; errors render as
     ["line N: [CODE] message"]. *)
 val parse_program : string -> (Task.t list, string) result
+
+(** {2 Test hooks} *)
+
+module For_tests : sig
+  (** [parse_task line] parses a single [task ...] line. Syntax errors
+      carry code [P-ASM-001]; task-legality errors carry the [P-TSK-*]
+      code assigned by {!Task.validate}. *)
+  val parse_task : string -> (Task.t, Promise_core.Diag.t) result
+end

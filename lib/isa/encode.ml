@@ -91,3 +91,10 @@ let task_of_hex s =
       if bits < 0 || bits >= 1 lsl task_bits then
         Error (Printf.sprintf "hex task %S exceeds 48 bits" s)
       else of_int bits
+
+module For_tests = struct
+  let to_int = to_int
+  let of_int = of_int
+  let to_bytes = to_bytes
+  let of_bytes = of_bytes
+end

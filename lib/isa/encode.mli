@@ -12,26 +12,6 @@
     v}
     Programs are serialized as consecutive 6-byte big-endian words. *)
 
-val task_bits : int
-(** 48. *)
-
-val task_bytes : int
-(** 6. *)
-
-(** [to_int t] packs a validated task into the low 48 bits of an int.
-    Raises [Invalid_argument] when [Task.validate] rejects [t]. *)
-val to_int : Task.t -> int
-
-(** [of_int bits] decodes the low 48 bits; [Error] on reserved opcodes or
-    an illegal composition. *)
-val of_int : int -> (Task.t, string) result
-
-(** [to_bytes t] is the 6-byte big-endian encoding of [t]. *)
-val to_bytes : Task.t -> bytes
-
-(** [of_bytes b ~pos] decodes 6 bytes at [pos]. *)
-val of_bytes : bytes -> pos:int -> (Task.t, string) result
-
 (** [program_to_bytes tasks] concatenates the encodings of [tasks]. *)
 val program_to_bytes : Task.t list -> bytes
 
@@ -44,3 +24,21 @@ val hex_of_task : Task.t -> string
 
 (** [task_of_hex s] parses the output of {!hex_of_task}. *)
 val task_of_hex : string -> (Task.t, string) result
+
+(** {2 Test hooks} *)
+
+module For_tests : sig
+  (** [to_int t] packs a validated task into the low 48 bits of an int.
+      Raises [Invalid_argument] when [Task.validate] rejects [t]. *)
+  val to_int : Task.t -> int
+
+  (** [of_int bits] decodes the low 48 bits; [Error] on reserved opcodes or
+      an illegal composition. *)
+  val of_int : int -> (Task.t, string) result
+
+  (** [to_bytes t] is the 6-byte big-endian encoding of [t]. *)
+  val to_bytes : Task.t -> bytes
+
+  (** [of_bytes b ~pos] decodes 6 bytes at [pos]. *)
+  val of_bytes : bytes -> pos:int -> (Task.t, string) result
+end

@@ -8,9 +8,8 @@ type t = {
   des : Opcode.destination;
   thres_val : int;
 }
-[@@deriving eq, show { with_path = false }]
+[@@deriving eq]
 
-let swing_min = 0
 let swing_max = 7
 
 let default =
@@ -24,8 +23,6 @@ let default =
     des = Opcode.Des_output_buffer;
     thres_val = 0;
   }
-
-let bit_width = 28
 
 module Diag = Promise_core.Diag
 

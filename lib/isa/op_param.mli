@@ -24,14 +24,10 @@ type t = {
 }
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
 
 (** Default parameters: maximum swing (111), everything else zero,
     destination the output buffer. *)
 val default : t
-
-val swing_min : int
-val swing_max : int
 
 (** [validate t] is [Ok t] when every field is within its bit-field range,
     and [Error d] (diagnostic code [P-TSK-001]) otherwise. *)
@@ -43,9 +39,6 @@ val to_bits : t -> int
 
 (** [of_bits bits] unpacks the low 28 bits. *)
 val of_bits : int -> t
-
-val bit_width : int
-(** 28. *)
 
 (** [x_addr_at t ~base ~iteration] is the circulating X address for a given
     Task [iteration]: [(base + iteration) mod (x_prd + 1)] (paper §3.3,

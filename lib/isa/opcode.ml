@@ -1,5 +1,5 @@
 type class1 = C1_none | C1_write | C1_read | C1_aread | C1_asubt | C1_aadd
-[@@deriving eq, show { with_path = false }]
+[@@deriving eq]
 
 type asd =
   | Asd_none
@@ -8,12 +8,12 @@ type asd =
   | Asd_square
   | Asd_sign_mult
   | Asd_unsign_mult
-[@@deriving eq, show { with_path = false }]
+[@@deriving eq]
 
 type class2 = { asd : asd; avd : bool }
-[@@deriving eq, show { with_path = false }]
+[@@deriving eq]
 
-type class3 = C3_none | C3_adc [@@deriving eq, show { with_path = false }]
+type class3 = C3_none | C3_adc [@@deriving eq]
 
 type class4 =
   | C4_accumulate
@@ -23,10 +23,10 @@ type class4 =
   | C4_min
   | C4_sigmoid
   | C4_relu
-[@@deriving eq, show { with_path = false }]
+[@@deriving eq]
 
 type destination = Des_acc | Des_output_buffer | Des_xreg | Des_write_buffer
-[@@deriving eq, show { with_path = false }]
+[@@deriving eq]
 
 let class1_to_code = function
   | C1_none -> 0b000

@@ -53,12 +53,6 @@ val equal_class3 : class3 -> class3 -> bool
 val equal_class4 : class4 -> class4 -> bool
 val equal_destination : destination -> destination -> bool
 
-val pp_class1 : Format.formatter -> class1 -> unit
-val pp_class2 : Format.formatter -> class2 -> unit
-val pp_class3 : Format.formatter -> class3 -> unit
-val pp_class4 : Format.formatter -> class4 -> unit
-val pp_destination : Format.formatter -> destination -> unit
-
 (** {2 Numeric encodings (Fig. 5(c))} *)
 
 val class1_to_code : class1 -> int
@@ -93,7 +87,6 @@ val all_asd : asd list
 val all_class2 : class2 list
 val all_class3 : class3 list
 val all_class4 : class4 list
-val all_destinations : destination list
 
 (** [class1_reads_x c1] is true when the Class-1 operation consumes the X
     operand addressed by [X_ADDR1] (fused add/subtract). *)

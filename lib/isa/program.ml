@@ -1,5 +1,5 @@
 type t = { name : string; tasks : Task.t list }
-[@@deriving eq, show { with_path = false }]
+[@@deriving eq]
 
 let make ~name tasks =
   List.iteri
@@ -14,9 +14,6 @@ let make ~name tasks =
   { name; tasks }
 
 let length t = List.length t.tasks
-
-let total_iterations t =
-  List.fold_left (fun acc task -> acc + Task.iterations task) 0 t.tasks
 
 let max_banks t =
   List.fold_left (fun acc task -> max acc (Task.banks task)) 1 t.tasks
@@ -46,3 +43,10 @@ let to_binary t = Encode.program_to_bytes t.tasks
 
 let of_binary ~name b =
   Result.map (fun tasks -> { name; tasks }) (Encode.program_of_bytes b)
+
+module For_tests = struct
+  let equal = equal
+  let swings = swings
+  let with_swings = with_swings
+  let of_binary = of_binary
+end

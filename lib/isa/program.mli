@@ -5,27 +5,14 @@
 
 type t = { name : string; tasks : Task.t list }
 
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
-
 (** [make ~name tasks] validates every task. Raises [Invalid_argument]
     with the failing task index on error. *)
 val make : name:string -> Task.t list -> t
 
 val length : t -> int
 
-(** Total Task iterations summed over all tasks (host-visible work). *)
-val total_iterations : t -> int
-
 (** Maximum number of banks used by any task. *)
 val max_banks : t -> int
-
-(** Distinct swings used, ascending. *)
-val swings : t -> int list
-
-(** [with_swings t ss] returns a copy of [t] where task [i] uses swing
-    [List.nth ss i]. Raises [Invalid_argument] on length mismatch. *)
-val with_swings : t -> int list -> t
 
 (** Serialize via {!Asm.print_program}. *)
 val to_asm : t -> string
@@ -36,5 +23,18 @@ val of_asm : name:string -> string -> (t, string) result
 (** Serialize via {!Encode.program_to_bytes}. *)
 val to_binary : t -> bytes
 
-(** Parse via {!Encode.program_of_bytes}. *)
-val of_binary : name:string -> bytes -> (t, string) result
+(** {2 Test hooks} *)
+
+module For_tests : sig
+  val equal : t -> t -> bool
+
+  (** Distinct swings used, ascending. *)
+  val swings : t -> int list
+
+  (** [with_swings t ss] returns a copy of [t] where task [i] uses swing
+      [List.nth ss i]. Raises [Invalid_argument] on length mismatch. *)
+  val with_swings : t -> int list -> t
+
+  (** Parse via {!Encode.program_of_bytes}. *)
+  val of_binary : name:string -> bytes -> (t, string) result
+end

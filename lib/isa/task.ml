@@ -7,7 +7,7 @@ type t = {
   class3 : Opcode.class3;
   class4 : Opcode.class4;
 }
-[@@deriving eq, show { with_path = false }]
+[@@deriving eq]
 
 let iterations t = t.rpt_num + 1
 let banks t = 1 lsl t.multi_bank

@@ -17,7 +17,6 @@ type t = {
 }
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
 
 (** Number of times the Task body executes ([rpt_num + 1]). *)
 val iterations : t -> int

@@ -57,6 +57,10 @@ module Digits = struct
         let dx = Rng.int rng 3 - 1 and dy = Rng.int rng 3 - 1 in
         let img = translate ~width ~height ~dx ~dy protos.(label) in
         { features = add_noise rng ~sigma:0.25 img; label })
+
+  module For_tests = struct
+    let prototype = prototype
+  end
 end
 
 module Faces = struct

@@ -10,16 +10,15 @@ type labeled = { features : float array; label : int }
     pattern (a sum of Gaussian bumps drawn from a class-seeded stream);
     samples perturb it by translation and pixel noise. *)
 module Digits : sig
-  val n_classes : int
-  (** 10. *)
-
-  (** [prototype ~cls ~width ~height] — the class template. *)
-  val prototype : cls:int -> width:int -> height:int -> float array
-
   (** [generate rng ~width ~height ~n] — [n] labeled samples, classes
       round-robin. *)
   val generate :
     Promise_analog.Rng.t -> width:int -> height:int -> n:int -> labeled array
+
+  module For_tests : sig
+    (** [prototype ~cls ~width ~height] — the class template. *)
+    val prototype : cls:int -> width:int -> height:int -> float array
+  end
 end
 
 (** Face-like data for recognition (identities) and detection

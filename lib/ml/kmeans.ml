@@ -80,3 +80,7 @@ let inertia t data =
   Array.fold_left
     (fun acc x -> acc +. Linalg.l2_distance t.centroids.(assign t x) x)
     0.0 data
+
+module For_tests = struct
+  let assign = assign
+end

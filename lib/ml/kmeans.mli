@@ -20,12 +20,6 @@ val fit :
   iterations:int ->
   t
 
-(** [assign t x] — index of the nearest centroid (L2). *)
-val assign : t -> Linalg.vec -> int
-
-(** [assignments t data]. *)
-val assignments : t -> Linalg.vec array -> int array
-
 (** [update ~k ~data ~assignments] — the host-side centroid update:
     mean of each cluster's members (empty clusters keep a zero
     vector and are reported). *)
@@ -35,3 +29,10 @@ val update :
 
 (** [inertia t data] — Σ squared distance to the assigned centroid. *)
 val inertia : t -> Linalg.vec array -> float
+
+(** {2 Test hooks} *)
+
+module For_tests : sig
+  (** [assign t x] — index of the nearest centroid (L2). *)
+  val assign : t -> Linalg.vec -> int
+end

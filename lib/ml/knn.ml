@@ -39,3 +39,7 @@ let accuracy ~metric ~k ~train test =
       0 test
   in
   float_of_int correct /. float_of_int (Array.length test)
+
+module For_tests = struct
+  let classify = classify
+end

@@ -4,16 +4,6 @@
 
 type metric = L1 | L2
 
-(** [distances ~metric ~train x] — distance from [x] to every training
-    sample, in training order (exactly what the PROMISE Task computes). *)
-val distances :
-  metric:metric -> train:Dataset.labeled array -> Linalg.vec -> float array
-
-(** [classify ~metric ~k ~train x] — majority vote over the [k] nearest
-    (ties broken toward the nearer neighbor). *)
-val classify :
-  metric:metric -> k:int -> train:Dataset.labeled array -> Linalg.vec -> int
-
 (** [classify_from_distances ~k ~train dists] — host-side sorting +
     majority vote on externally computed distances (the PROMISE path). *)
 val classify_from_distances :
@@ -25,3 +15,12 @@ val accuracy :
   train:Dataset.labeled array ->
   Dataset.labeled array ->
   float
+
+(** {2 Test hooks} *)
+
+module For_tests : sig
+  (** [classify ~metric ~k ~train x] — majority vote over the [k] nearest
+      (ties broken toward the nearer neighbor). *)
+  val classify :
+    metric:metric -> k:int -> train:Dataset.labeled array -> Linalg.vec -> int
+end

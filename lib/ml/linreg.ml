@@ -14,5 +14,3 @@ let fit u v =
   let mean_u2 = Linalg.mean (Array.map (fun x -> x *. x) u) in
   let mean_uv = Linalg.mean (Array.map2 ( *. ) u v) in
   of_statistics ~mean_u ~mean_v ~mean_u2 ~mean_uv
-
-let predict f u = (f.slope *. u) +. f.intercept

@@ -13,6 +13,3 @@ val of_statistics :
 
 (** [fit u v] — reference float implementation. *)
 val fit : Linalg.vec -> Linalg.vec -> fit
-
-(** [predict f u]. *)
-val predict : fit -> float -> float

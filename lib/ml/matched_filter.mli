@@ -8,12 +8,6 @@ type t = { weights : Linalg.vec; threshold : float }
 (** [make ~template ~threshold] — filter for a known template. *)
 val make : template:Linalg.vec -> threshold:float -> t
 
-(** [correlate t x] — w · x. *)
-val correlate : t -> Linalg.vec -> float
-
-(** [detect t x] — 1 when the correlation exceeds the threshold. *)
-val detect : t -> Linalg.vec -> int
-
 (** [calibrate_threshold ~template data] — midpoint between mean
     positive and mean negative correlation over labeled windows. *)
 val calibrate_threshold : template:Linalg.vec -> Dataset.labeled array -> float

@@ -3,32 +3,11 @@ let check_lengths a b =
     invalid_arg "Metrics: array length mismatch";
   if Array.length a = 0 then invalid_arg "Metrics: empty arrays"
 
-let accuracy ~truth ~predicted =
-  check_lengths truth predicted;
-  let correct = ref 0 in
-  Array.iteri (fun i t -> if t = predicted.(i) then incr correct) truth;
-  float_of_int !correct /. float_of_int (Array.length truth)
-
 let mismatch_probability ~reference ~promise =
   check_lengths reference promise;
   let changed = ref 0 in
   Array.iteri (fun i r -> if r <> promise.(i) then incr changed) reference;
   float_of_int !changed /. float_of_int (Array.length reference)
-
-let accuracy_drop ~reference_acc ~promise_acc =
-  Float.max 0.0 (reference_acc -. promise_acc)
-
-let confusion ~n_classes ~truth ~predicted =
-  check_lengths truth predicted;
-  let m = Array.make_matrix n_classes n_classes 0 in
-  Array.iteri
-    (fun i t ->
-      let p = predicted.(i) in
-      if t < 0 || t >= n_classes || p < 0 || p >= n_classes then
-        invalid_arg "Metrics.confusion: label out of range";
-      m.(t).(p) <- m.(t).(p) + 1)
-    truth;
-  m
 
 let geometric_mean xs =
   match xs with

@@ -2,19 +2,10 @@
     p_m (Eq. (2)): the accuracy an algorithm loses when it runs on
     PROMISE instead of the exact model. *)
 
-(** [accuracy ~truth ~predicted] — fraction equal. *)
-val accuracy : truth:int array -> predicted:int array -> float
-
 (** [mismatch_probability ~reference ~promise] — fraction of samples
     whose decision changed between the exact model and the PROMISE run
     (an upper bound witness for p_model − p_PROMISE ≤ p_m). *)
 val mismatch_probability : reference:int array -> promise:int array -> float
-
-(** [accuracy_drop ~reference_acc ~promise_acc] — max 0. *)
-val accuracy_drop : reference_acc:float -> promise_acc:float -> float
-
-(** [confusion ~n_classes ~truth ~predicted] — counts[t][p]. *)
-val confusion : n_classes:int -> truth:int array -> predicted:int array -> int array array
 
 (** [geometric_mean xs] — of positive values. *)
 val geometric_mean : float list -> float

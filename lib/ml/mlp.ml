@@ -41,10 +41,6 @@ let create rng ~sizes ~hidden_activation =
 
 let n_layers t = Array.length t.layers
 
-let layer_sizes t =
-  let fan_in = Linalg.mat_cols t.layers.(0).weights in
-  fan_in :: (Array.to_list t.layers |> List.map (fun l -> Linalg.mat_rows l.weights))
-
 let forward t x =
   let acts = Array.make (n_layers t + 1) x in
   Array.iteri
@@ -206,5 +202,7 @@ let sakr_stats t data =
     let c = float_of_int !count in
     (!sum_ea /. c, !sum_ew /. c)
 
-let per_layer_fanin t =
-  Array.to_list t.layers |> List.map (fun l -> Linalg.mat_cols l.weights)
+module For_tests = struct
+  let forward = forward
+  let logits = logits
+end

@@ -22,18 +22,6 @@ type t = { layers : layer array }
 val create :
   Promise_analog.Rng.t -> sizes:int list -> hidden_activation:activation -> t
 
-val n_layers : t -> int
-val layer_sizes : t -> int list
-
-(** [forward t x] — activations of every layer, input first
-    (length [n_layers + 1]); the last entry is the output. *)
-val forward : t -> Linalg.vec -> Linalg.vec array
-
-(** [logits t x] — final pre-activation values. *)
-val logits : t -> Linalg.vec -> Linalg.vec
-
-val predict : t -> Linalg.vec -> int
-
 (** [train t rng ~data ~epochs ~lr] — in-place SGD with softmax
     cross-entropy on the logits; data order shuffled each epoch. *)
 val train :
@@ -53,5 +41,13 @@ val accuracy : t -> Dataset.labeled array -> float
     and weights (E_W), normalized by 12·margin². *)
 val sakr_stats : t -> Dataset.labeled array -> float * float
 
-(** [per_layer_fanin t] — vector length N of each layer's AbstractTask. *)
-val per_layer_fanin : t -> int list
+(** {2 Test hooks} *)
+
+module For_tests : sig
+  (** [forward t x] — activations of every layer, input first
+      (length [n_layers + 1]); the last entry is the output. *)
+  val forward : t -> Linalg.vec -> Linalg.vec array
+
+  (** [logits t x] — final pre-activation values. *)
+  val logits : t -> Linalg.vec -> Linalg.vec
+end

@@ -44,14 +44,3 @@ let fit rng ~data ~n_components ~iterations =
   { components; mean }
 
 let project t x = Linalg.mat_vec t.components (Linalg.sub x t.mean)
-
-let explained_ratio t ~data =
-  let total = ref 0.0 and captured = ref 0.0 in
-  Array.iter
-    (fun x ->
-      let c = Linalg.sub x t.mean in
-      total := !total +. Linalg.dot c c;
-      let p = Linalg.mat_vec t.components c in
-      captured := !captured +. Linalg.dot p p)
-    data;
-  if !total <= 0.0 then 0.0 else !captured /. !total

@@ -21,6 +21,3 @@ val fit :
 
 (** [project t x] — the [n_components] features of (x − mean). *)
 val project : t -> Linalg.vec -> Linalg.vec
-
-(** [explained_ratio t ~data] — fraction of total variance captured. *)
-val explained_ratio : t -> data:Linalg.vec array -> float

@@ -14,12 +14,6 @@ val train :
   lambda:float ->
   t
 
-(** [decision t x] — w·x + b. *)
-val decision : t -> Linalg.vec -> float
-
-(** [predict t x] — 1 when the decision is positive. *)
-val predict : t -> Linalg.vec -> int
-
 val accuracy : t -> Dataset.labeled array -> float
 
 (** [augmented_weights t] — weights with the bias appended, for running

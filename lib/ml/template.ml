@@ -19,3 +19,7 @@ let recognition_accuracy ~metric ~candidates queries =
       0 queries
   in
   float_of_int correct /. float_of_int (Array.length queries)
+
+module For_tests = struct
+  let nearest = nearest
+end

@@ -3,13 +3,6 @@
 
 type metric = L1 | L2
 
-(** [nearest ~metric ~candidates x] — (index, distance) of the closest
-    candidate (the paper's j_opt = argmin_j Σ |x - w_j|). *)
-val nearest : metric:metric -> candidates:Linalg.mat -> Linalg.vec -> int * float
-
-(** [all_distances ~metric ~candidates x]. *)
-val all_distances : metric:metric -> candidates:Linalg.mat -> Linalg.vec -> float array
-
 (** [recognition_accuracy ~metric ~candidates queries] — fraction of
     (query, true identity) pairs resolved to the right candidate. *)
 val recognition_accuracy :
@@ -17,3 +10,12 @@ val recognition_accuracy :
   candidates:Linalg.mat ->
   (Linalg.vec * int) array ->
   float
+
+(** {2 Test hooks} *)
+
+module For_tests : sig
+  (** [nearest ~metric ~candidates x] — (index, distance) of the closest
+      candidate (the paper's j_opt = argmin_j Σ |x - w_j|). *)
+  val nearest :
+    metric:metric -> candidates:Linalg.mat -> Linalg.vec -> int * float
+end

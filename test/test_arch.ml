@@ -79,12 +79,12 @@ let test_knn_decision_rate () =
 let test_throughput_formula () =
   (* f = 128 / TP per bank *)
   check (close 1e-9) "128/7" (128.0 /. 7.0)
-    (Timing.throughput_ops_per_ns (l1_task ~class4:Opcode.C4_min ()))
+    (Timing.For_tests.throughput_ops_per_ns (l1_task ~class4:Opcode.C4_min ()))
 
 let test_unpipelined_cm_latency () =
   let l1 = l1_task ~class4:Opcode.C4_min () in
   check int "CM iteration = S1+S2+ADC+TH" (7 + 6 + 138 + 4)
-    (Timing.unpipelined_iteration_cycles l1)
+    (Timing.For_tests.unpipelined_iteration_cycles l1)
 
 (* ------------------------------------------------------------------ *)
 (* Bit-cell array                                                      *)
@@ -100,8 +100,8 @@ let test_bitcell_write_read () =
 let test_bitcell_partial_write_zero_pads () =
   let a = Bitcell_array.create () in
   Bitcell_array.write a ~word_row:0 [| 1; 2; 3 |];
-  check int "lane 3 zero" 0 (Bitcell_array.read_lane a ~word_row:0 ~lane:3);
-  check int "lane 127 zero" 0 (Bitcell_array.read_lane a ~word_row:0 ~lane:127)
+  check int "lane 3 zero" 0 (Bitcell_array.For_tests.read_lane a ~word_row:0 ~lane:3);
+  check int "lane 127 zero" 0 (Bitcell_array.For_tests.read_lane a ~word_row:0 ~lane:127)
 
 let test_bitcell_bad_inputs () =
   let a = Bitcell_array.create () in
@@ -116,7 +116,7 @@ let test_bitcell_msb_lsb_view () =
   let a = Bitcell_array.create () in
   Bitcell_array.write a ~word_row:3 [| 0x5A - 128 |];
   (* code -38 = 0xDA as unsigned byte: MSB nibble 0xD, LSB 0xA *)
-  let msb, lsb = Bitcell_array.msb_lsb_view a ~word_row:3 ~lane:0 in
+  let msb, lsb = Bitcell_array.For_tests.msb_lsb_view a ~word_row:3 ~lane:0 in
   check int "msb nibble" 0xD msb;
   check int "lsb nibble" 0xA lsb
 
@@ -133,9 +133,9 @@ let test_bitcell_aread_ideal () =
   check (close 1e-6) "-1" (-1.0) v.(3)
 
 let test_bitcell_quantize () =
-  check int "0.5 -> 64" 64 (Bitcell_array.quantize 0.5);
-  check int "clamps" 127 (Bitcell_array.quantize 2.0);
-  check int "clamps low" (-128) (Bitcell_array.quantize (-2.0))
+  check int "0.5 -> 64" 64 (Bitcell_array.For_tests.quantize 0.5);
+  check int "clamps" 127 (Bitcell_array.For_tests.quantize 2.0);
+  check int "clamps low" (-128) (Bitcell_array.For_tests.quantize (-2.0))
 
 (* ------------------------------------------------------------------ *)
 (* X-REG                                                               *)
@@ -155,12 +155,12 @@ let test_xreg_staging () =
   let x = Xreg.create () in
   Xreg.stage_element x ~index:0 5;
   Xreg.stage_element x ~index:0 6;
-  check int "staged 2" 2 (Xreg.staged_count x ~index:0);
+  check int "staged 2" 2 (Xreg.For_tests.staged_count x ~index:0);
   let v = Xreg.get x ~index:0 in
   check int "lane 0" 5 v.(0);
   check int "lane 1" 6 v.(1);
-  Xreg.reset_staging x ~index:0;
-  check int "reset" 0 (Xreg.staged_count x ~index:0)
+  Xreg.For_tests.reset_staging x ~index:0;
+  check int "reset" 0 (Xreg.For_tests.staged_count x ~index:0)
 
 let test_xreg_staging_wraps () =
   let x = Xreg.create () in
@@ -364,7 +364,7 @@ let test_bank_digital_read () =
 
 let test_bank_write () =
   let b = ideal_bank () in
-  Bank.set_write_data b [| 7; 8 |];
+  Bank.For_tests.set_write_data b [| 7; 8 |];
   let task =
     Task.make ~class1:Opcode.C1_write
       ~class2:{ Opcode.asd = Opcode.Asd_none; avd = false }
@@ -376,7 +376,7 @@ let test_bank_write () =
   | Bank.Idle -> ()
   | _ -> fail "write is idle on the analog path");
   check int "written" 7
-    (Bitcell_array.read_lane (Bank.array b) ~word_row:0 ~lane:0)
+    (Bitcell_array.For_tests.read_lane (Bank.array b) ~word_row:0 ~lane:0)
 
 let test_bank_adc_gain_reduces_quantization () =
   let b = ideal_bank () in
@@ -411,10 +411,10 @@ let test_bitcell_epoch () =
   | exception Invalid_argument _ -> ()
   | () -> fail "code 200 must be rejected");
   ignore (Bitcell_array.read a ~word_row:0);
-  ignore (Bitcell_array.read_lane a ~word_row:0 ~lane:1);
+  ignore (Bitcell_array.For_tests.read_lane a ~word_row:0 ~lane:1);
   check int "reads and rejected writes leave it" 2 (Bitcell_array.epoch a);
   let b = ideal_bank () in
-  Bank.set_write_data b [| 7 |];
+  Bank.For_tests.set_write_data b [| 7 |];
   let write_task =
     Task.make ~class1:Opcode.C1_write
       ~class2:{ Opcode.asd = Opcode.Asd_none; avd = false }
@@ -553,7 +553,7 @@ let test_machine_multibank_dot () =
       dest_xreg = 7;
     }
   in
-  let r = Machine.execute_exn m launch in
+  let r = Machine.For_tests.execute_exn m launch in
   (* sum w*x = 0 by symmetry *)
   (match r.Machine.emitted with
   | [ v ] -> check (close 0.05) "zero dot" 0.0 v
@@ -579,7 +579,7 @@ let test_machine_trace_accumulates () =
       dest_xreg = 7;
     }
   in
-  let r = Machine.execute_exn m launch in
+  let r = Machine.For_tests.execute_exn m launch in
   check int "4 emissions" 4 (List.length r.Machine.emitted);
   check int "adc conversions" 4 r.Machine.record.Trace.adc_conversions;
   check int "trace cycles" (Timing.task_cycles task)
@@ -607,7 +607,7 @@ let test_machine_argmin_decision () =
       dest_xreg = 7;
     }
   in
-  let r = Machine.execute_exn m launch in
+  let r = Machine.For_tests.execute_exn m launch in
   match r.Machine.argext with
   | Some (i, _) -> check int "argmin is the exact match" 1 i
   | None -> fail "decision expected"
@@ -649,7 +649,7 @@ let test_machine_determinism () =
         dest_xreg = 7;
       }
     in
-    (Machine.execute_exn m launch).Machine.emitted
+    (Machine.For_tests.execute_exn m launch).Machine.emitted
   in
   check bool "same seed, same result" true (run () = run ())
 
@@ -658,7 +658,7 @@ let test_machine_determinism () =
 (* ------------------------------------------------------------------ *)
 
 let find_step steps signal =
-  List.find_opt (fun s -> Ctrl.equal_signal s.Ctrl.signal signal) steps
+  List.find_opt (fun s -> Ctrl.For_tests.equal_signal s.Ctrl.signal signal) steps
 
 let test_ctrl_l1_schedule () =
   let task = l1_task ~class4:Opcode.C4_min () in
@@ -712,12 +712,12 @@ let test_ctrl_digital_ops () =
 
 let test_ctrl_signal_counts () =
   let task = dot_task ~rpt_num:9 () in
-  let counts = Ctrl.signal_counts task in
+  let counts = Ctrl.For_tests.signal_counts task in
   List.iter
     (fun (_, n) -> check int "every signal fires per iteration" 10 n)
     counts;
   check bool "adc counted" true
-    (List.exists (fun (sg, _) -> Ctrl.equal_signal sg Ctrl.Adc_start) counts)
+    (List.exists (fun (sg, _) -> Ctrl.For_tests.equal_signal sg Ctrl.Adc_start) counts)
 
 let test_ctrl_ordering_property () =
   (* for every legal analog composition: precharge < WL < SD < ADC < TH *)
@@ -777,7 +777,7 @@ let test_machine_writeback_path () =
       dest_xreg = 7;
     }
   in
-  let r = Machine.execute_exn m compute in
+  let r = Machine.For_tests.execute_exn m compute in
   check int "three codes staged" 3 (List.length r.Machine.write_buffer);
   let write_task =
     Task.make
@@ -789,7 +789,7 @@ let test_machine_writeback_path () =
   let wlaunch =
     { compute with Machine.task = write_task }
   in
-  ignore (Machine.execute_exn m wlaunch);
+  ignore (Machine.For_tests.execute_exn m wlaunch);
   let stored = Bitcell_array.read (Bank.array (Machine.bank m 0)) ~word_row:50 in
   List.iteri
     (fun i code -> check int "stored = staged" code stored.(i))

@@ -6,7 +6,7 @@
    ragged chained batches), every destination included. Plus: the
    [machine.execute] failpoint on the plane and the [runtime.run]
    failpoint on batched runs, the zero-allocation serving path's Gc
-   property, the pipelined-timing closed form (Scheduler.run_batch),
+   property, the pipelined-timing closed form (Scheduler.For_tests.run_batch),
    runtime sessions (queries on resident W == fresh runs), and typed
    validation of --batch / PROMISE_BATCH. *)
 
@@ -405,7 +405,7 @@ let test_into_bitwise () =
       check int (Printf.sprintf "shape %d: returned epd" shape) epd n;
       let m = machine_of c in
       for d = 0 to c.batch - 1 do
-        let r = Machine.execute_exn ~kernel_mode:Machine.Fused m launch in
+        let r = Machine.For_tests.execute_exn ~kernel_mode:Machine.Fused m launch in
         let want =
           match r.Machine.argext with
           | Some (_, v) -> [ v ]
@@ -554,17 +554,17 @@ let test_scheduler_closed_form () =
             (Printf.sprintf "shape %d batch %d matches closed form" shape
                batch)
             true
-            (Scheduler.batch_matches_closed_form task ~batch))
+            (Scheduler.For_tests.batch_matches_closed_form task ~batch))
         [ 1; 2; 7; 16 ])
     [ 0; 1; 2; 3; 4; 5 ];
-  (match Scheduler.run_batch (task_of (serving_case 0)) ~batch:0 with
+  (match Scheduler.For_tests.run_batch (task_of (serving_case 0)) ~batch:0 with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "Scheduler.run_batch accepted batch 0");
+  | _ -> Alcotest.fail "Scheduler.For_tests.run_batch accepted batch 0");
   (* batch 1 degenerates to the single-decision schedule *)
   let task = task_of (serving_case 2) in
   check int "batch 1 == run"
     (Scheduler.run task).Scheduler.completion
-    (Scheduler.run_batch task ~batch:1).Scheduler.completion
+    (Scheduler.For_tests.run_batch task ~batch:1).Scheduler.completion
 
 (* ------------------------------------------------------------------ *)
 (* Program- and runtime-level batching                                  *)

@@ -162,10 +162,10 @@ let test_per_decision_program_encodable () =
   List.iter
     (fun (b : B.t) ->
       let bytes = Program.to_binary b.B.per_decision_program in
-      match Program.of_binary ~name:b.B.per_decision_program.Program.name bytes with
+      match Program.For_tests.of_binary ~name:b.B.per_decision_program.Program.name bytes with
       | Ok p ->
           check bool (b.B.short ^ " binary roundtrip") true
-            (Program.equal p b.B.per_decision_program)
+            (Program.For_tests.equal p b.B.per_decision_program)
       | Error msg -> fail msg)
     [ B.matched_filter (); B.template_l1 (); B.svm (); B.linreg () ]
 
@@ -184,11 +184,11 @@ let test_size_variants () =
   let variants = B.size_variants () in
   check int "nine variants" 9 (List.length variants);
   (* the small matched-filter variant evaluates cleanly *)
-  let mf = B.matched_filter_sized 256 in
+  let mf = B.For_tests.matched_filter_sized 256 in
   let e = mf.B.evaluate ~swings:(B.max_swings mf) () in
   check bool "MF-256 accurate" true (e.B.promise_accuracy > 0.9);
   (* bank usage grows with the problem size *)
-  let banks_of n = (B.matched_filter_sized n).B.banks in
+  let banks_of n = (B.For_tests.matched_filter_sized n).B.banks in
   check bool "wider filters use more banks" true
     (banks_of 256 < banks_of 1024)
 

@@ -34,7 +34,7 @@ let with_failpoints ?seed assignments f =
 let test_spec_grammar () =
   let parsed =
     fok
-      (Fp.parse_spec
+      (Fp.For_tests.parse_spec
          "ipc.read:fail_prob=0.25, serve.flush:FAIL_ONCE,queue.admit:eintr, \
           machine.execute:delay_ns=100,checkpoint.save:off")
   in
@@ -47,11 +47,11 @@ let test_spec_grammar () =
     (List.assoc "machine.execute" parsed = Fp.Delay_ns 100L);
   check (Alcotest.list (Alcotest.pair string Alcotest.reject))
     "empty spec is no assignments" []
-    (List.map (fun (s, _) -> (s, ())) (fok (Fp.parse_spec "  ")));
+    (List.map (fun (s, _) -> (s, ())) (fok (Fp.For_tests.parse_spec "  ")));
   List.iter
     (fun spec ->
       check bool (spec ^ " rejected") true
-        (code_of (Fp.parse_spec spec) = E.Invalid_operand))
+        (code_of (Fp.For_tests.parse_spec spec) = E.Invalid_operand))
     [
       "nope.site:fail_once";
       "ipc.read";
@@ -63,17 +63,17 @@ let test_spec_grammar () =
 
 let test_fail_once_and_stats () =
   with_failpoints [ ("serve.flush", Fp.Fail_once) ] (fun () ->
-      check bool "armed" true (Fp.enabled ());
+      check bool "armed" true (Fp.For_tests.enabled ());
       check bool "first check fires" true (Fp.check "serve.flush" = Some Fp.Fail);
       check bool "self-disarms" true (Fp.check "serve.flush" = None);
       check bool "unarmed site never fires" true (Fp.check "ipc.read" = None);
-      match Fp.stats () with
+      match Fp.For_tests.stats () with
       | [ s ] ->
           check string "site" "serve.flush" s.Fp.site;
           check int "hits" 2 s.Fp.hits;
           check int "fires" 1 s.Fp.fires
       | l -> Alcotest.failf "expected one stat, got %d" (List.length l));
-  check bool "reset disarms the fast path" false (Fp.enabled ());
+  check bool "reset disarms the fast path" false (Fp.For_tests.enabled ());
   check bool "after reset nothing fires" true (Fp.check "serve.flush" = None)
 
 let test_seeded_determinism () =
@@ -174,11 +174,11 @@ let test_incident_sink_degrades_and_recovers () =
       with_failpoints [ ("incident.write", Fp.Fail_once) ] (fun () ->
           P.Incident.record inc P.Incident.Chaos [ ("n", "1") ];
           check bool "sink degraded on injected ENOSPC" true
-            (P.Incident.degraded inc);
-          check int "one line dropped" 1 (P.Incident.dropped inc);
+            (P.Incident.For_tests.degraded inc);
+          check int "one line dropped" 1 (P.Incident.For_tests.dropped inc);
           P.Incident.record inc P.Incident.Chaos [ ("n", "2") ];
           check bool "recovered on the next good write" false
-            (P.Incident.degraded inc));
+            (P.Incident.For_tests.degraded inc));
       P.Incident.close inc;
       let ic = open_in path in
       let rec lines acc =
@@ -206,7 +206,7 @@ let test_incident_sink_degrades_and_recovers () =
       | _ -> Alcotest.fail "unexpected log shape");
       (* two records plus the recovery marker all draw sequence numbers *)
       check int "count tracks recorded, not persisted" 3
-        (P.Incident.count inc))
+        (P.Incident.For_tests.count inc))
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoint fsync failure, admission failure                          *)
@@ -266,7 +266,7 @@ let engine ?(queue = 16) ?(batch_max = 4) ?(flush_us = 1000)
 let test_breaker_trips_sheds_recovers () =
   let now = ref 0L in
   let buf = Buffer.create 512 in
-  let incidents = P.Incident.to_buffer buf in
+  let incidents = P.Incident.For_tests.to_buffer buf in
   let m = quiet_model () in
   let name = Serve.model_name m in
   let eng, outs =
@@ -303,7 +303,7 @@ let test_breaker_trips_sheds_recovers () =
   (match List.filter (fun o -> o.Serve.o_rid = 3) (outs ()) with
   | [ o ] -> check bool "probe request served" true (Result.is_ok o.Serve.o_result)
   | _ -> Alcotest.fail "request 3 must get exactly one outcome");
-  let s = Serve.stats eng in
+  let s = Serve.For_tests.stats eng in
   check bool "shed accounted" true (s.Serve.shed >= 1);
   let log = Buffer.contents buf in
   let has needle =
@@ -335,7 +335,7 @@ let test_dwell_shedding () =
       check bool "typed Overloaded" true (e.E.code = E.Overloaded);
       check bool "retry-after hint" true
         (List.mem_assoc "retry-after-ms" e.E.context));
-  check int "shed accounted" 1 (Serve.stats eng).Serve.shed;
+  check int "shed accounted" 1 (Serve.For_tests.stats eng).Serve.shed;
   (* the stalled head itself is still served once the engine resumes *)
   Serve.pump eng;
   Serve.flush_all eng;

@@ -1,6 +1,6 @@
 (* Tests for the post-reproduction extensions: the discrete-event
    pipeline scheduler, hardware fault injection, the §3.3 omitted-ops
-   analysis, and the k-means / random-forest substrate. *)
+   analysis, and the k-means substrate. *)
 
 module P = Promise
 open P.Isa
@@ -107,10 +107,10 @@ let test_faults_construction () =
   let f =
     Arch.Faults.(with_adc_offset (fok (with_stuck_lane none ~lane:3 ~code:127)) 0.05)
   in
-  check bool "not none" false (Arch.Faults.is_none f);
+  check bool "not none" false (Arch.Faults.For_tests.is_none f);
   check (close 1e-9) "offset" 0.05 (Arch.Faults.adc_offset f);
   check int "one stuck lane" 1 (List.length (Arch.Faults.stuck_lanes f));
-  check bool "none is none" true (Arch.Faults.is_none Arch.Faults.none)
+  check bool "none is none" true (Arch.Faults.For_tests.is_none Arch.Faults.none)
 
 let test_faults_stuck_overrides () =
   let f = fok Arch.Faults.(with_stuck_lane none ~lane:1 ~code:64) in
@@ -154,7 +154,7 @@ let fault_free_and_faulty ~faults =
       dest_xreg = 7;
     }
   in
-  match (Arch.Machine.execute_exn machine launch).Arch.Machine.emitted with
+  match (Arch.Machine.For_tests.execute_exn machine launch).Arch.Machine.emitted with
   | [ v ] -> v
   | _ -> fail "one value expected"
 
@@ -257,7 +257,7 @@ let test_kmeans_recovers_blobs () =
   (* every true center has a centroid within 3 sigma *)
   Array.iter
     (fun c ->
-      let nearest = m.Ml.Kmeans.centroids.(Ml.Kmeans.assign m c) in
+      let nearest = m.Ml.Kmeans.centroids.(Ml.Kmeans.For_tests.assign m c) in
       check bool "center recovered" true
         (Ml.Linalg.l2_distance nearest c < 0.1))
     centers
@@ -284,39 +284,6 @@ let test_kmeans_inertia_decreases () =
   check bool "iterations reduce inertia" true
     (Ml.Kmeans.inertia m5 data <= Ml.Kmeans.inertia m0 data +. 1e-9)
 
-(* ------------------------------------------------------------------ *)
-(* Random forest                                                       *)
-(* ------------------------------------------------------------------ *)
-
-let test_forest_learns () =
-  let rng = Rng.create 33 in
-  let data = Ml.Dataset.Digits.generate rng ~width:8 ~height:8 ~n:300 in
-  let train, test = Ml.Dataset.train_test_split data ~test_fraction:0.2 in
-  let f =
-    Ml.Random_forest.train rng ~data:train ~n_trees:15 ~max_depth:6
-      ~feature_fraction:0.4
-  in
-  check int "15 trees" 15 (Ml.Random_forest.n_trees f);
-  check bool "nodes exist" true (Ml.Random_forest.node_count f > 15);
-  check bool "test accuracy > 0.6" true (Ml.Random_forest.accuracy f test > 0.6);
-  check bool "train accuracy high" true (Ml.Random_forest.accuracy f train > 0.85)
-
-let test_forest_bad_inputs () =
-  let rng = Rng.create 34 in
-  (match
-     Ml.Random_forest.train rng ~data:[||] ~n_trees:1 ~max_depth:2
-       ~feature_fraction:0.5
-   with
-  | exception Invalid_argument _ -> ()
-  | _ -> fail "empty data must be rejected");
-  let data = Ml.Dataset.Digits.generate rng ~width:4 ~height:4 ~n:10 in
-  match
-    Ml.Random_forest.train rng ~data ~n_trees:0 ~max_depth:2
-      ~feature_fraction:0.5
-  with
-  | exception Invalid_argument _ -> ()
-  | _ -> fail "zero trees must be rejected"
-
 let suite =
   [
     ("scheduler matches closed form", `Quick, test_scheduler_matches_closed_form);
@@ -336,8 +303,6 @@ let suite =
     ("kmeans update means", `Quick, test_kmeans_update_means);
     ("kmeans empty clusters", `Quick, test_kmeans_empty_cluster_reported);
     ("kmeans inertia decreases", `Quick, test_kmeans_inertia_decreases);
-    ("random forest learns", `Slow, test_forest_learns);
-    ("random forest bad inputs", `Quick, test_forest_bad_inputs);
     QCheck_alcotest.to_alcotest qcheck_scheduler_closed_form;
   ]
 

@@ -148,13 +148,13 @@ let qcheck_ranges_partition =
       && List.for_all (fun l -> l > 0) lens)
 
 let test_shard_seed () =
-  check int "deterministic" (Fleet.shard_seed ~seed:7 ~shard:3)
-    (Fleet.shard_seed ~seed:7 ~shard:3);
+  check int "deterministic" (Fleet.For_tests.shard_seed ~seed:7 ~shard:3)
+    (Fleet.For_tests.shard_seed ~seed:7 ~shard:3);
   check bool "shards decorrelated" true
-    (Fleet.shard_seed ~seed:7 ~shard:3 <> Fleet.shard_seed ~seed:7 ~shard:4);
+    (Fleet.For_tests.shard_seed ~seed:7 ~shard:3 <> Fleet.For_tests.shard_seed ~seed:7 ~shard:4);
   check bool "seeds decorrelated" true
-    (Fleet.shard_seed ~seed:7 ~shard:3 <> Fleet.shard_seed ~seed:8 ~shard:3);
-  check bool "non-negative" true (Fleet.shard_seed ~seed:0 ~shard:0 >= 0)
+    (Fleet.For_tests.shard_seed ~seed:7 ~shard:3 <> Fleet.For_tests.shard_seed ~seed:8 ~shard:3);
+  check bool "non-negative" true (Fleet.For_tests.shard_seed ~seed:0 ~shard:0 >= 0)
 
 let test_config_validation () =
   let bad = function
@@ -227,7 +227,7 @@ let self_kill_once ~marker ~shard =
 let test_fleet_worker_crash_restart () =
   let marker = tmp_path ".marker" in
   let buf = Buffer.create 256 in
-  let inc = Inc.to_buffer buf in
+  let inc = Inc.For_tests.to_buffer buf in
   let cfg = fleet_config ~workers:2 ~incidents:inc () in
   let slots, summary =
     expect_done
@@ -248,7 +248,7 @@ let test_fleet_worker_crash_restart () =
 
 let test_fleet_quarantine () =
   let buf = Buffer.create 256 in
-  let inc = Inc.to_buffer buf in
+  let inc = Inc.For_tests.to_buffer buf in
   let cfg = fleet_config ~workers:2 ~max_restarts:1 ~incidents:inc () in
   let slots, summary =
     expect_done
@@ -390,7 +390,7 @@ let test_fleet_interrupt_and_resume () =
   let outcome =
     Fleet.run
       ~on_shard_done:(fun ~shard:_ ~completed ~total:_ ->
-        if completed = 1 then Sup.request_stop stop)
+        if completed = 1 then Sup.For_tests.request_stop stop)
       cfg ~digest:"interrupt" ~shards:3
       ~f:(fun ~shard -> Ok (shard * 7))
   in
@@ -474,7 +474,7 @@ let test_fleet_all_resumed_no_fork () =
 
 let test_fleet_chaos_kill_one () =
   let buf = Buffer.create 256 in
-  let inc = Inc.to_buffer buf in
+  let inc = Inc.For_tests.to_buffer buf in
   let cfg =
     fleet_config ~workers:2 ~chaos:Fleet.Kill_one ~incidents:inc ()
   in
@@ -524,7 +524,7 @@ let test_campaign_fleet_batch_chaos () =
   let w = P.Campaign.workload ~batch:8 ~scenarios ~benchmarks () in
   let plain = expect_items (P.Workload.run_local Sup.plain w) in
   let buf = Buffer.create 256 in
-  let inc = Inc.to_buffer buf in
+  let inc = Inc.For_tests.to_buffer buf in
   let cfg =
     fleet_config ~workers:2 ~chaos:Fleet.Kill_one ~incidents:inc ()
   in

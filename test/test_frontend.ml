@@ -18,31 +18,31 @@ let ok_or_fail = function Ok v -> v | Error msg -> fail msg
 (* ------------------------------------------------------------------ *)
 
 let test_reader_atoms_and_lists () =
-  match Sexp.sexp_of_string "(a (b 12) c)" with
+  match Sexp.For_tests.sexp_of_string "(a (b 12) c)" with
   | Ok [ Sexp.List [ Sexp.Atom "a"; Sexp.List [ Sexp.Atom "b"; Sexp.Atom "12" ]; Sexp.Atom "c" ] ] ->
       ()
   | Ok other ->
       fail
         (Format.asprintf "unexpected parse: %a"
-           (Format.pp_print_list Sexp.pp_sexp)
+           (Format.pp_print_list Sexp.For_tests.pp_sexp)
            other)
   | Error msg -> fail msg
 
 let test_reader_comments () =
-  match Sexp.sexp_of_string "; header\n(a) ; trailing\n(b)" with
+  match Sexp.For_tests.sexp_of_string "; header\n(a) ; trailing\n(b)" with
   | Ok [ Sexp.List [ Sexp.Atom "a" ]; Sexp.List [ Sexp.Atom "b" ] ] -> ()
   | _ -> fail "comments must be skipped"
 
 let test_reader_unbalanced () =
-  (match Sexp.sexp_of_string "(a (b)" with
+  (match Sexp.For_tests.sexp_of_string "(a (b)" with
   | Error _ -> ()
   | Ok _ -> fail "missing ')' must fail");
-  match Sexp.sexp_of_string "a))" with
+  match Sexp.For_tests.sexp_of_string "a))" with
   | Error _ -> ()
   | Ok _ -> fail "stray ')' must fail"
 
 let test_reader_whitespace_robust () =
-  match Sexp.sexp_of_string "(\n  a\t( b\r\n12 )\n)" with
+  match Sexp.For_tests.sexp_of_string "(\n  a\t( b\r\n12 )\n)" with
   | Ok [ Sexp.List [ Sexp.Atom "a"; Sexp.List [ Sexp.Atom "b"; Sexp.Atom "12" ] ] ] ->
       ()
   | _ -> fail "whitespace handling"
@@ -65,8 +65,7 @@ let test_parse_template_kernel () =
   match Graph.tasks g with
   | [ (_, t) ] ->
       check bool "L1" true
-        (Abstract_task.equal_red_op t.Abstract_task.red_op
-           Abstract_task.Ro_sum_abs);
+        (t.Abstract_task.red_op = Abstract_task.Ro_sum_abs);
       check bool "argmin fused" true
         (Abstract_task.equal_digital_op t.Abstract_task.digital_op
            Abstract_task.Do_min);
@@ -92,7 +91,7 @@ let test_sexp_equals_embedded_dsl () =
   let from_dsl = ok_or_fail (Pattern.match_function (Dsl.lower embedded)) in
   match (Graph.tasks from_sexp, Graph.tasks from_dsl) with
   | [ (_, a) ], [ (_, b) ] ->
-      check bool "identical AbstractTask" true (Abstract_task.equal a b)
+      check bool "identical AbstractTask" true (a = b)
   | _ -> fail "one task each expected"
 
 let test_parse_multilayer () =
@@ -107,7 +106,7 @@ let test_parse_multilayer () =
       (Pattern.match_function (Dsl.lower (ok_or_fail (Sexp.parse src))))
   in
   check int "two tasks" 2 (Graph.n_tasks g);
-  check bool "pipeline" true (Graph.is_linear_pipeline g)
+  check bool "pipeline" true (Graph.For_tests.is_linear_pipeline g)
 
 let test_parse_reductions () =
   let src =
@@ -151,8 +150,7 @@ let test_parse_vexpr_forms () =
   match Graph.tasks g with
   | [ (_, t) ] ->
       check bool "L2 via explicit vexprs" true
-        (Abstract_task.equal_red_op t.Abstract_task.red_op
-           Abstract_task.Ro_sum_square)
+        (t.Abstract_task.red_op = Abstract_task.Ro_sum_square)
   | _ -> fail "one task expected"
 
 (* ------------------------------------------------------------------ *)

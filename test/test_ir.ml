@@ -18,21 +18,21 @@ let ok_or_fail = function Ok v -> v | Error msg -> fail msg
 
 let simple_func () =
   let b =
-    Ssa.Builder.create ~name:"f"
+    Ssa.For_tests.Builder.create ~name:"f"
       ~params:[ ("W", Ssa.Matrix (4, 8)); ("x", Ssa.Vector 8) ]
   in
-  Ssa.Builder.block b "entry";
+  Ssa.For_tests.Builder.block b "entry";
   let row =
-    Ssa.Builder.instr b
+    Ssa.For_tests.Builder.instr b
       (Ssa.Getindex { matrix = Ssa.Arg "W"; index = Ssa.Const_int 0 })
   in
   let prod =
-    Ssa.Builder.instr b
+    Ssa.For_tests.Builder.instr b
       (Ssa.Vec_binop { op = Ssa.Vmul; lhs = row; rhs = Ssa.Arg "x" })
   in
-  let sum = Ssa.Builder.instr b (Ssa.Reduce { op = Ssa.Rsum; operand = prod }) in
-  Ssa.Builder.terminate b (Ssa.Ret (Some sum));
-  Ssa.Builder.finish b
+  let sum = Ssa.For_tests.Builder.instr b (Ssa.Reduce { op = Ssa.Rsum; operand = prod }) in
+  Ssa.For_tests.Builder.terminate b (Ssa.Ret (Some sum));
+  Ssa.For_tests.Builder.finish b
 
 let test_builder_produces_valid_ssa () =
   let f = simple_func () in
@@ -49,40 +49,40 @@ let test_param_ty () =
 
 let test_def_of () =
   let f = simple_func () in
-  match Ssa.def_of f 1 with
+  match Ssa.For_tests.def_of f 1 with
   | Some (_, Ssa.Vec_binop { op = Ssa.Vmul; _ }) -> ()
   | _ -> fail "register 1 should be the multiply"
 
 let test_verify_rejects_undefined_register () =
-  let b = Ssa.Builder.create ~name:"g" ~params:[] in
-  Ssa.Builder.block b "entry";
-  ignore (Ssa.Builder.instr b (Ssa.Load { ptr = Ssa.Vreg 99 }));
-  Ssa.Builder.terminate b (Ssa.Ret None);
-  match Ssa.Builder.finish b with
+  let b = Ssa.For_tests.Builder.create ~name:"g" ~params:[] in
+  Ssa.For_tests.Builder.block b "entry";
+  ignore (Ssa.For_tests.Builder.instr b (Ssa.Load { ptr = Ssa.Vreg 99 }));
+  Ssa.For_tests.Builder.terminate b (Ssa.Ret None);
+  match Ssa.For_tests.Builder.finish b with
   | exception Invalid_argument _ -> ()
   | _ -> fail "undefined register must be rejected"
 
 let test_verify_rejects_unknown_label () =
-  let b = Ssa.Builder.create ~name:"g" ~params:[] in
-  Ssa.Builder.block b "entry";
-  Ssa.Builder.terminate b (Ssa.Br "nowhere");
-  match Ssa.Builder.finish b with
+  let b = Ssa.For_tests.Builder.create ~name:"g" ~params:[] in
+  Ssa.For_tests.Builder.block b "entry";
+  Ssa.For_tests.Builder.terminate b (Ssa.Br "nowhere");
+  match Ssa.For_tests.Builder.finish b with
   | exception Invalid_argument _ -> ()
   | _ -> fail "unknown branch target must be rejected"
 
 let test_builder_requires_terminator () =
-  let b = Ssa.Builder.create ~name:"g" ~params:[] in
-  Ssa.Builder.block b "entry";
-  match Ssa.Builder.finish b with
+  let b = Ssa.For_tests.Builder.create ~name:"g" ~params:[] in
+  Ssa.For_tests.Builder.block b "entry";
+  match Ssa.For_tests.Builder.finish b with
   | exception Invalid_argument _ -> ()
   | _ -> fail "missing terminator must be rejected"
 
 let test_verify_rejects_unknown_arg () =
-  let b = Ssa.Builder.create ~name:"g" ~params:[] in
-  Ssa.Builder.block b "entry";
-  ignore (Ssa.Builder.instr b (Ssa.Load { ptr = Ssa.Arg "mystery" }));
-  Ssa.Builder.terminate b (Ssa.Ret None);
-  match Ssa.Builder.finish b with
+  let b = Ssa.For_tests.Builder.create ~name:"g" ~params:[] in
+  Ssa.For_tests.Builder.block b "entry";
+  ignore (Ssa.For_tests.Builder.instr b (Ssa.Load { ptr = Ssa.Arg "mystery" }));
+  Ssa.For_tests.Builder.terminate b (Ssa.Ret None);
+  match Ssa.For_tests.Builder.finish b with
   | exception Invalid_argument _ -> ()
   | _ -> fail "unknown argument must be rejected"
 
@@ -156,7 +156,7 @@ let test_dsl_multi_statement_chain () =
 
 let test_find_loops () =
   let f = Dsl.lower (tm_kernel ~countdown:false) in
-  match Pattern.find_loops f with
+  match Pattern.For_tests.find_loops f with
   | [ info ] ->
       check int "iterations" 64 info.Pattern.iterations;
       check int "start" 0 info.Pattern.start
@@ -166,7 +166,7 @@ let test_countdown_canonicalized () =
   (* the paper: pattern matching must survive "the loop index variable
      being incremented instead of decremented" *)
   let f = Dsl.lower (tm_kernel ~countdown:true) in
-  match Pattern.find_loops f with
+  match Pattern.For_tests.find_loops f with
   | [ info ] -> check int "iterations" 64 info.Pattern.iterations
   | _ -> fail "countdown loop not canonicalized"
 
@@ -179,9 +179,9 @@ let extract_single kernel =
 let test_match_l1_with_argmin_fusion () =
   let t = extract_single (tm_kernel ~countdown:false) in
   check bool "vec sub" true
-    (Abstract_task.equal_vec_op t.Abstract_task.vec_op Abstract_task.Vo_sub);
+    (t.Abstract_task.vec_op = Abstract_task.Vo_sub);
   check bool "red sum_abs" true
-    (Abstract_task.equal_red_op t.Abstract_task.red_op Abstract_task.Ro_sum_abs);
+    (t.Abstract_task.red_op = Abstract_task.Ro_sum_abs);
   check bool "argmin fused into Class-4 min" true
     (Abstract_task.equal_digital_op t.Abstract_task.digital_op
        Abstract_task.Do_min);
@@ -197,8 +197,7 @@ let test_match_threshold () =
     (Abstract_task.equal_digital_op t.Abstract_task.digital_op
        Abstract_task.Do_threshold);
   check bool "mul vec op" true
-    (Abstract_task.equal_vec_op t.Abstract_task.vec_op
-       Abstract_task.Vo_mul_signed)
+    (t.Abstract_task.vec_op = Abstract_task.Vo_mul_signed)
 
 let test_match_l2 () =
   let k =
@@ -213,8 +212,7 @@ let test_match_l2 () =
   in
   let t = extract_single k in
   check bool "red sum_square" true
-    (Abstract_task.equal_red_op t.Abstract_task.red_op
-       Abstract_task.Ro_sum_square)
+    (t.Abstract_task.red_op = Abstract_task.Ro_sum_square)
 
 let test_match_sigmoid_relu () =
   let mk act =
@@ -262,18 +260,18 @@ let test_match_whole_array_reductions () =
   check bool "mean is a plain sum" true
     (List.exists
        (fun (v, r) ->
-         Abstract_task.equal_vec_op v Abstract_task.Vo_none
-         && Abstract_task.equal_red_op r Abstract_task.Ro_sum)
+         v = Abstract_task.Vo_none
+         && r = Abstract_task.Ro_sum)
        ops);
   check bool "mean_square squares" true
     (List.exists
        (fun (v, r) ->
-         Abstract_task.equal_vec_op v Abstract_task.Vo_none
-         && Abstract_task.equal_red_op r Abstract_task.Ro_sum_square)
+         v = Abstract_task.Vo_none
+         && r = Abstract_task.Ro_sum_square)
        ops);
   check bool "mean_product multiplies" true
     (List.exists
-       (fun (v, _) -> Abstract_task.equal_vec_op v Abstract_task.Vo_mul_signed)
+       (fun (v, _) -> v = Abstract_task.Vo_mul_signed)
        ops)
 
 let test_match_dnn_chain_builds_pipeline () =
@@ -294,29 +292,29 @@ let test_match_dnn_chain_builds_pipeline () =
   in
   let g = ok_or_fail (Pattern.match_function (Dsl.lower k)) in
   check int "two tasks" 2 (Graph.n_tasks g);
-  check int "one dataflow edge" 1 (List.length (Graph.edges g));
-  check bool "linear pipeline" true (Graph.is_linear_pipeline g);
-  match Graph.edges g with
+  check int "one dataflow edge" 1 (List.length (Graph.For_tests.edges g));
+  check bool "linear pipeline" true (Graph.For_tests.is_linear_pipeline g);
+  match Graph.For_tests.edges g with
   | [ e ] ->
       check bool "X edge" true (Graph.equal_port e.Graph.port Graph.X_input)
   | _ -> fail "edge expected"
 
 let test_unsupported_call_rejected () =
   let b =
-    Ssa.Builder.create ~name:"f" ~params:[ ("W", Ssa.Matrix (2, 4)) ]
+    Ssa.For_tests.Builder.create ~name:"f" ~params:[ ("W", Ssa.Matrix (2, 4)) ]
   in
-  Ssa.Builder.block b "entry";
-  ignore (Ssa.Builder.instr b (Ssa.Call { fn = "fft"; args = [ Ssa.Arg "W" ] }));
-  Ssa.Builder.terminate b (Ssa.Ret None);
-  match Pattern.match_function (Ssa.Builder.finish b) with
+  Ssa.For_tests.Builder.block b "entry";
+  ignore (Ssa.For_tests.Builder.instr b (Ssa.Call { fn = "fft"; args = [ Ssa.Arg "W" ] }));
+  Ssa.For_tests.Builder.terminate b (Ssa.Ret None);
+  match Pattern.match_function (Ssa.For_tests.Builder.finish b) with
   | Error _ -> ()
   | Ok _ -> fail "unknown library call must be rejected"
 
 let test_no_offloadable_computation () =
-  let b = Ssa.Builder.create ~name:"f" ~params:[] in
-  Ssa.Builder.block b "entry";
-  Ssa.Builder.terminate b (Ssa.Ret None);
-  match Pattern.match_function (Ssa.Builder.finish b) with
+  let b = Ssa.For_tests.Builder.create ~name:"f" ~params:[] in
+  Ssa.For_tests.Builder.block b "entry";
+  Ssa.For_tests.Builder.terminate b (Ssa.Ret None);
+  match Pattern.match_function (Ssa.For_tests.Builder.finish b) with
   | Error _ -> ()
   | Ok _ -> fail "empty function cannot be offloaded"
 
@@ -359,7 +357,6 @@ let test_abstract_task_validation () =
 
 let test_abstract_task_helpers () =
   let t = task "t" ~w:"W" ~x:"x" ~output:"o" in
-  check int "macs" 32 (Abstract_task.macs t);
   check bool "uses x" true (Abstract_task.uses_x t);
   let t' =
     Abstract_task.make ~w:"W" ~x:"" ~output:"o" ~vec_op:Abstract_task.Vo_none
@@ -379,17 +376,17 @@ let test_graph_topological_order () =
          ])
   in
   check (Alcotest.list int) "topo order" [ 0; 1; 2 ] (Graph.topological_order g);
-  check int "two edges" 2 (List.length (Graph.edges g));
-  check bool "pipeline" true (Graph.is_linear_pipeline g)
+  check int "two edges" 2 (List.length (Graph.For_tests.edges g));
+  check bool "pipeline" true (Graph.For_tests.is_linear_pipeline g)
 
 let test_graph_cycle_rejected () =
-  let g = Graph.empty in
-  let a, g = Graph.add_task g (task "a" ~w:"W" ~x:"x" ~output:"oa") in
-  let b, g = Graph.add_task g (task "b" ~w:"W" ~x:"oa" ~output:"ob") in
+  let g = Graph.For_tests.empty in
+  let a, g = Graph.For_tests.add_task g (task "a" ~w:"W" ~x:"x" ~output:"oa") in
+  let b, g = Graph.For_tests.add_task g (task "b" ~w:"W" ~x:"oa" ~output:"ob") in
   let g =
-    ok_or_fail (Graph.connect g ~producer:a ~consumer:b ~port:Graph.X_input)
+    ok_or_fail (Graph.For_tests.connect g ~producer:a ~consumer:b ~port:Graph.X_input)
   in
-  match Graph.connect g ~producer:b ~consumer:a ~port:Graph.X_input with
+  match Graph.For_tests.connect g ~producer:b ~consumer:a ~port:Graph.X_input with
   | Error _ -> ()
   | Ok _ -> fail "cycle must be rejected"
 

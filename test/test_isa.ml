@@ -243,20 +243,20 @@ let test_encode_roundtrip_examples () =
   in
   List.iter
     (fun t ->
-      match Encode.of_int (Encode.to_int t) with
+      match Encode.For_tests.of_int (Encode.For_tests.to_int t) with
       | Ok t' -> check bool "binary roundtrip" true (Task.equal t t')
       | Error msg -> fail msg)
     tasks
 
 let test_encode_width () =
   let t = dot_task ~rpt_num:127 ~multi_bank:3 () in
-  let bits = Encode.to_int t in
+  let bits = Encode.For_tests.to_int t in
   check bool "fits in 48 bits" true (bits < 1 lsl 48);
-  check int "6 bytes" 6 (Bytes.length (Encode.to_bytes t))
+  check int "6 bytes" 6 (Bytes.length (Encode.For_tests.to_bytes t))
 
 let test_encode_bytes_roundtrip () =
   let t = dot_task ~rpt_num:42 () in
-  match Encode.of_bytes (Encode.to_bytes t) ~pos:0 with
+  match Encode.For_tests.of_bytes (Encode.For_tests.to_bytes t) ~pos:0 with
   | Ok t' -> check bool "bytes roundtrip" true (Task.equal t t')
   | Error msg -> fail msg
 
@@ -275,7 +275,7 @@ let test_bad_binary_rejected () =
   | Error _ -> ()
   | Ok _ -> fail "truncated program must be rejected");
   (* Class-1 opcode 111 is reserved *)
-  match Encode.of_int (0b111 lsl 8) with
+  match Encode.For_tests.of_int (0b111 lsl 8) with
   | Error _ -> ()
   | Ok _ -> fail "reserved opcode must be rejected"
 
@@ -316,7 +316,7 @@ let qcheck_encode_roundtrip =
   in
   QCheck.Test.make ~name:"task encode/decode roundtrip" ~count:500
     (QCheck.make gen) (fun t ->
-      match Encode.of_int (Encode.to_int t) with
+      match Encode.For_tests.of_int (Encode.For_tests.to_int t) with
       | Ok t' -> Task.equal t t'
       | Error _ -> false)
 
@@ -332,9 +332,9 @@ let qcheck_decode_encode_identity =
           (fun (a, b) -> ((a land 0xffffff) lsl 24) lor (b land 0xffffff))
           (QCheck.Gen.pair QCheck.Gen.nat QCheck.Gen.nat)))
     (fun bits ->
-      match Encode.of_int bits with
+      match Encode.For_tests.of_int bits with
       | Error _ -> true
-      | Ok t -> Encode.to_int t = bits)
+      | Ok t -> Encode.For_tests.to_int t = bits)
 
 let qcheck_asm_parser_total =
   (* the assembler never raises on arbitrary printable junk *)
@@ -350,12 +350,12 @@ let test_asm_roundtrip () =
       ~class2:{ Opcode.asd = Opcode.Asd_absolute; avd = true }
       ~class3:Opcode.C3_adc ~class4:Opcode.C4_min ()
   in
-  match Asm.parse_task (Asm.print_task t) with
+  match Asm.For_tests.parse_task (Asm.print_task t) with
   | Ok t' -> check bool "asm roundtrip" true (Task.equal t t')
   | Error d -> fail (Promise_core.Diag.to_string d)
 
 let test_asm_defaults () =
-  match Asm.parse_task "task c1=aREAD c2=sign_mult.avd c3=ADC c4=accumulate" with
+  match Asm.For_tests.parse_task "task c1=aREAD c2=sign_mult.avd c3=ADC c4=accumulate" with
   | Ok t ->
       check int "default rpt" 0 t.Task.rpt_num;
       check int "default swing" 7 t.Task.op_param.Op_param.swing
@@ -373,10 +373,10 @@ let test_asm_comments_and_continuation () =
   | Error msg -> fail msg
 
 let test_asm_errors () =
-  (match Asm.parse_task "task c1=bogus" with
+  (match Asm.For_tests.parse_task "task c1=bogus" with
   | Error _ -> ()
   | Ok _ -> fail "unknown mnemonic must fail");
-  (match Asm.parse_task "tusk c1=aREAD" with
+  (match Asm.For_tests.parse_task "tusk c1=aREAD" with
   | Error _ -> ()
   | Ok _ -> fail "bad keyword must fail");
   match Asm.parse_program "task c1=read c2=square c3=ADC c4=min rpt=5\n" with
@@ -390,20 +390,20 @@ let test_program_roundtrip () =
     Program.make ~name:"p" [ dot_task (); dot_task ~rpt_num:3 ~multi_bank:1 () ]
   in
   (match Program.of_asm ~name:"p" (Program.to_asm p) with
-  | Ok p' -> check bool "program asm roundtrip" true (Program.equal p p')
+  | Ok p' -> check bool "program asm roundtrip" true (Program.For_tests.equal p p')
   | Error msg -> fail msg);
-  match Program.of_binary ~name:"p" (Program.to_binary p) with
-  | Ok p' -> check bool "program binary roundtrip" true (Program.equal p p')
+  match Program.For_tests.of_binary ~name:"p" (Program.to_binary p) with
+  | Ok p' -> check bool "program binary roundtrip" true (Program.For_tests.equal p p')
   | Error msg -> fail msg
 
 let test_asm_duplicate_field_last_wins () =
-  match Asm.parse_task "task c1=aREAD c2=sign_mult.avd c3=ADC c4=accumulate rpt=3 rpt=9" with
+  match Asm.For_tests.parse_task "task c1=aREAD c2=sign_mult.avd c3=ADC c4=accumulate rpt=3 rpt=9" with
   | Ok t -> check int "last rpt wins" 9 t.Task.rpt_num
   | Error d -> fail (Promise_core.Diag.to_string d)
 
 let test_with_swings_mismatch () =
   let p = Program.make ~name:"p" [ dot_task () ] in
-  match Program.with_swings p [ 1; 2 ] with
+  match Program.For_tests.with_swings p [ 1; 2 ] with
   | exception Invalid_argument _ -> ()
   | _ -> fail "length mismatch must be rejected"
 
@@ -412,12 +412,11 @@ let test_program_helpers () =
     Program.make ~name:"p"
       [ dot_task ~rpt_num:9 () ; dot_task ~rpt_num:4 ~multi_bank:2 () ]
   in
-  check int "total iterations" 15 (Program.total_iterations p);
   check int "max banks" 4 (Program.max_banks p);
-  check (Alcotest.list Alcotest.int) "swings" [ 7 ] (Program.swings p);
-  let p' = Program.with_swings p [ 2; 5 ] in
+  check (Alcotest.list Alcotest.int) "swings" [ 7 ] (Program.For_tests.swings p);
+  let p' = Program.For_tests.with_swings p [ 2; 5 ] in
   check (Alcotest.list Alcotest.int) "updated swings" [ 2; 5 ]
-    (Program.swings p')
+    (Program.For_tests.swings p')
 
 let suite =
   [

@@ -53,7 +53,6 @@ let test_diag_render () =
   let d = Diag.errorf ~code:"P-ISA-003" ~span:(Diag.Task 2) "dropped" in
   check str "render" "[P-ISA-003] dropped" (Diag.render d);
   check str "to_string" "error[P-ISA-003] task 2: dropped" (Diag.to_string d);
-  check bool "is_error" true (Diag.is_error d);
   let w = Diag.warningf ~code:"P-OVF-002" "w" in
   check int "count_errors" 1 (Diag.count_errors [ w; d ]);
   check int "count_warnings" 1 (Diag.count_warnings [ w; d ])
@@ -77,7 +76,7 @@ let test_diag_to_error () =
 
 let test_diag_json () =
   let d = Diag.errorf ~code:"P-SSA-006" ~span:(Diag.Instr { block = "b"; vreg = 3 }) {|say "hi"|} in
-  let j = Diag.to_json d in
+  let j = Diag.For_tests.to_json d in
   check bool "code in json" true (contains ~sub:{|"code":"P-SSA-006"|} j);
   check bool "message escaped" true (contains ~sub:{|say \"hi\"|} j)
 
@@ -86,7 +85,7 @@ let test_diag_json () =
 (* ------------------------------------------------------------------ *)
 
 let parse_task_code line =
-  match Asm.parse_task line with
+  match Asm.For_tests.parse_task line with
   | Ok _ -> fail ("expected a diagnostic for: " ^ line)
   | Error d -> Diag.code d
 
@@ -244,9 +243,9 @@ let test_ssa_mutations () =
 let test_ssa_builder_missing_terminator () =
   (* satellite (f): the Builder rejects an unterminated block eagerly,
      tagged with the validator's code *)
-  let b = Ssa.Builder.create ~name:"g" ~params:[] in
-  Ssa.Builder.block b "entry";
-  match Ssa.Builder.finish b with
+  let b = Ssa.For_tests.Builder.create ~name:"g" ~params:[] in
+  Ssa.For_tests.Builder.block b "entry";
+  match Ssa.For_tests.Builder.finish b with
   | exception Invalid_argument msg ->
       check bool "message carries P-SSA-005" true
         (contains ~sub:"P-SSA-005" msg)
@@ -321,10 +320,10 @@ let test_min_bits_matches_precision () =
         (fun ew ->
           List.iter
             (fun pm ->
-              let ours = Interval.min_bits ~ea ~ew ~pm in
+              let ours = Interval.For_tests.min_bits ~ea ~ew ~pm in
               let theirs =
-                Precision.min_activation_bits { Precision.ea; ew } ~pm
-                  ~bw:Interval.weight_bits
+                Precision.For_tests.min_activation_bits { Precision.ea; ew } ~pm
+                  ~bw:Interval.For_tests.weight_bits
               in
               match (ours, theirs) with
               | Ok a, Ok b ->
@@ -448,7 +447,7 @@ let test_liveness_loop_phi () =
   in
   check int "loop-carried phi operand is live" 0
     (List.length (Liveness.check f));
-  let lv = Liveness.ssa_liveness f in
+  let lv = Liveness.For_tests.ssa_liveness f in
   (* the increment must be live out of the body (consumed by the phi
      at the end of that edge) *)
   check bool "phi use is live out of the predecessor" true
@@ -559,10 +558,10 @@ let test_allocation_overlap () =
 (* ------------------------------------------------------------------ *)
 
 let test_timing_budget () =
-  let b = Timing_check.leakage_budget_ns () in
+  let b = Timing_check.For_tests.leakage_budget_ns () in
   check bool "nominal budget is ~47 ns" true (b > 40.0 && b < 55.0);
   check bool "budget shrinks with excess leakage" true
-    (Timing_check.leakage_budget_ns ~leakage_mult:10.0 () < b /. 9.0)
+    (Timing_check.For_tests.leakage_budget_ns ~leakage_mult:10.0 () < b /. 9.0)
 
 let test_timing_dwell () =
   (* seeded mutation: a 128-iteration accumulation on a single
@@ -639,7 +638,7 @@ let test_timing_validation () =
 let test_driver_pasm_report () =
   let bad = "task c1=aREAD c2=square c4=accumulate\n" in
   let r = Lint.lint_pasm ~target:"bad.pasm" bad in
-  check int "one error" 1 (Lint.errors r);
+  check int "one error" 1 (Lint.For_tests.errors r);
   check int "exit code 1" 1 (Lint.exit_code [ r ]);
   check bool "text names the target and line" true
     (contains ~sub:"bad.pasm: error[P-ISA-003] line 1" (Lint.render_text r));
@@ -648,14 +647,14 @@ let test_driver_pasm_report () =
 
 let test_driver_clean_report () =
   let r = Lint.lint_pasm ~target:"ok.pasm" "task c1=read\n" in
-  check int "clean" 0 (Lint.errors r + Lint.warnings r);
+  check int "clean" 0 (Lint.For_tests.errors r + Lint.For_tests.warnings r);
   check int "exit code 0" 0 (Lint.exit_code [ r ]);
   check str "summary" "0 error(s), 0 warning(s) in 1 target(s)"
     (Lint.summary [ r ])
 
 let test_diag_fingerprint () =
   check str "digit runs collapse to #" "task # drifts # cycles"
-    (Diag.skeleton "task 12 drifts 507 cycles");
+    (Diag.For_tests.skeleton "task 12 drifts 507 cycles");
   let at msg = Diag.warningf ~code:"P-TIM-003" ~span:(Diag.Task 3) "%s" msg in
   let d = at "dwell grows by 17 cycles" in
   let fp = Diag.fingerprint d in
@@ -808,7 +807,7 @@ let term_values = function
    earlier in the same block or live into the block; every phi operand
    is live out of its incoming predecessor. *)
 let liveness_covers_uses f =
-  let lv = Liveness.ssa_liveness f in
+  let lv = Liveness.For_tests.ssa_liveness f in
   let index_of = Hashtbl.create 8 in
   List.iteri
     (fun i (b : Ssa.block) -> Hashtbl.replace index_of b.Ssa.label i)
@@ -888,7 +887,7 @@ let qcheck_pressure_exact =
     (QCheck.make QCheck.Gen.(int_range 1 12))
     (fun k ->
       let f = pressure_func k in
-      let reported = Regpressure.max_pressure f in
+      let reported = Regpressure.For_tests.max_pressure f in
       reported = k
       && reported = naive_vector_peak f
       && (k <= P.Arch.Params.xreg_depth)

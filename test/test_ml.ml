@@ -25,16 +25,13 @@ let test_distances () =
   let a = [| 1.0; -2.0 |] and b = [| -1.0; 1.0 |] in
   check (close 1e-9) "l1" 5.0 (Linalg.l1_distance a b);
   check (close 1e-9) "l2 squared" 13.0 (Linalg.l2_distance a b);
-  check (close 1e-9) "self distance" 0.0 (Linalg.l1_distance a a);
-  check (close 1e-9) "hamming" 2.0 (Linalg.hamming a b)
+  check (close 1e-9) "self distance" 0.0 (Linalg.l1_distance a a)
 
 let test_vector_ops () =
-  check (close 1e-9) "add" 3.0 (Linalg.add [| 1.0 |] [| 2.0 |]).(0);
   check (close 1e-9) "sub" (-1.0) (Linalg.sub [| 1.0 |] [| 2.0 |]).(0);
   check (close 1e-9) "scale" 4.0 (Linalg.scale 2.0 [| 2.0 |]).(0);
   check (close 1e-9) "norm" 5.0 (Linalg.norm2 [| 3.0; 4.0 |]);
-  check (close 1e-9) "mean" 2.0 (Linalg.mean [| 1.0; 2.0; 3.0 |]);
-  check (close 1e-9) "variance" (2.0 /. 3.0) (Linalg.variance [| 1.0; 2.0; 3.0 |])
+  check (close 1e-9) "mean" 2.0 (Linalg.mean [| 1.0; 2.0; 3.0 |])
 
 let test_arg_extrema () =
   check int "argmin" 2 (Linalg.argmin [| 3.0; 2.0; 1.0; 5.0 |]);
@@ -46,17 +43,7 @@ let test_mat_ops () =
   let v = Linalg.mat_vec m [| 1.0; 1.0 |] in
   check (close 1e-9) "row 0" 3.0 v.(0);
   check (close 1e-9) "row 1" 7.0 v.(1);
-  let t = Linalg.mat_transpose m in
-  check (close 1e-9) "transpose" 3.0 t.(0).(1);
-  check int "rows" 2 (Linalg.mat_rows m);
-  check int "cols" 2 (Linalg.mat_cols m);
   check (close 1e-9) "max abs" 4.0 (Linalg.mat_max_abs m)
-
-let test_outer_accumulate () =
-  let acc = Linalg.mat_create ~rows:2 ~cols:2 in
-  Linalg.outer_accumulate acc [| 1.0; 2.0 |] [| 3.0; 4.0 |] 2.0;
-  check (close 1e-9) "acc[0][0]" 6.0 acc.(0).(0);
-  check (close 1e-9) "acc[1][1]" 16.0 acc.(1).(1)
 
 (* ------------------------------------------------------------------ *)
 (* Fixed point                                                         *)
@@ -65,7 +52,7 @@ let test_outer_accumulate () =
 let test_fixed_point_roundtrip () =
   List.iter
     (fun v ->
-      let err = Float.abs (Fixed_point.dequantize (Fixed_point.quantize v) -. v) in
+      let err = Float.abs (Promise.Quant.dequantize8 (Fixed_point.quantize v) -. v) in
       check bool "within half lsb" true (err <= 0.5 /. 128.0 +. 1e-9))
     [ -0.99; -0.5; 0.0; 0.123; 0.7 ]
 
@@ -73,24 +60,14 @@ let test_fixed_point_clamps () =
   check int "high clamp" 127 (Fixed_point.quantize 2.0);
   check int "low clamp" (-128) (Fixed_point.quantize (-2.0))
 
-let test_normalize_mat () =
-  let m = [| [| 3.0; -6.0 |] |] in
-  let scaled, k = Fixed_point.normalize_mat m in
-  check (close 1e-9) "max is headroom" 0.99 (Linalg.mat_max_abs scaled);
-  check (close 1e-9) "k recovers original" 3.0 (k *. scaled.(0).(0));
-  let z, kz = Fixed_point.normalize_mat [| [| 0.0 |] |] in
-  check (close 1e-9) "zero matrix k=1" 1.0 kz;
-  check (close 1e-9) "zero stays zero" 0.0 z.(0).(0)
-
 let test_quantize_to_bits () =
   check (close 1e-9) "4-bit grid" 0.125 (Fixed_point.quantize_to_bits 0.1 ~bits:4);
-  check (close 1e-9) "step" 0.125 (Fixed_point.quantization_step ~bits:4);
   check bool "clamps below 1" true (Fixed_point.quantize_to_bits 0.999 ~bits:2 < 1.0)
 
 let qcheck_fixed_roundtrip =
   QCheck.Test.make ~name:"8-bit quantization error bound" ~count:500
     (QCheck.float_range (-0.996) 0.996) (fun v ->
-      Float.abs (Fixed_point.dequantize (Fixed_point.quantize v) -. v)
+      Float.abs (Promise.Quant.dequantize8 (Fixed_point.quantize v) -. v)
       <= (0.5 /. 128.0) +. 1e-9)
 
 (* ------------------------------------------------------------------ *)
@@ -122,8 +99,8 @@ let test_digits_range () =
 
 let test_digits_classes_distinguishable () =
   (* prototypes of distinct classes are far apart relative to noise *)
-  let p0 = Dataset.Digits.prototype ~cls:0 ~width:16 ~height:16 in
-  let p1 = Dataset.Digits.prototype ~cls:1 ~width:16 ~height:16 in
+  let p0 = Dataset.Digits.For_tests.prototype ~cls:0 ~width:16 ~height:16 in
+  let p1 = Dataset.Digits.For_tests.prototype ~cls:1 ~width:16 ~height:16 in
   check bool "classes differ" true (Linalg.l2_distance p0 p1 > 1.0)
 
 let test_faces_identities () =
@@ -185,10 +162,7 @@ let small_mlp_data () =
 let test_mlp_shapes () =
   let rng = Rng.create 12 in
   let m = Mlp.create rng ~sizes:[ 64; 32; 10 ] ~hidden_activation:Mlp.Sigmoid in
-  check int "2 layers" 2 (Mlp.n_layers m);
-  check (Alcotest.list int) "sizes" [ 64; 32; 10 ] (Mlp.layer_sizes m);
-  check (Alcotest.list int) "fanins" [ 64; 32 ] (Mlp.per_layer_fanin m);
-  let acts = Mlp.forward m (Array.make 64 0.1) in
+  let acts = Mlp.For_tests.forward m (Array.make 64 0.1) in
   check int "3 activation arrays" 3 (Array.length acts);
   check int "output width" 10 (Array.length acts.(2))
 
@@ -216,7 +190,7 @@ let test_mlp_gradient_check () =
   let x = [| 0.3; -0.2; 0.5; 0.1 |] in
   let label = 1 in
   let loss () =
-    let z = Mlp.logits m x in
+    let z = Mlp.For_tests.logits m x in
     let mx = Array.fold_left Float.max neg_infinity z in
     let logsum = mx +. log (Array.fold_left (fun a v -> a +. exp (v -. mx)) 0.0 z) in
     logsum -. z.(label)
@@ -272,9 +246,7 @@ let test_svm_augmented_weights () =
   let m = { Svm.weights = [| 1.0; 2.0 |]; bias = 0.5 } in
   let aug = Svm.augmented_weights m in
   check int "length" 3 (Array.length aug);
-  check (close 1e-9) "bias appended" 0.5 aug.(2);
-  check (close 1e-9) "decision" 3.5 (Svm.decision m [| 1.0; 1.0 |]);
-  check int "predict positive" 1 (Svm.predict m [| 1.0; 1.0 |])
+  check (close 1e-9) "bias appended" 0.5 aug.(2)
 
 (* ------------------------------------------------------------------ *)
 (* PCA                                                                 *)
@@ -293,8 +265,7 @@ let test_pca_recovers_dominant_direction () =
   let p = Pca.fit rng ~data ~n_components:1 ~iterations:50 in
   let c = p.Pca.components.(0) in
   check (close 0.02) "aligned with the true axis" 1.0
-    (Float.abs (Linalg.dot c dir));
-  check bool "explains most variance" true (Pca.explained_ratio p ~data > 0.95)
+    (Float.abs (Linalg.dot c dir))
 
 let test_pca_orthonormal_components () =
   let rng = Rng.create 19 in
@@ -344,7 +315,7 @@ let test_knn_from_distances () =
 
 let test_template_nearest () =
   let candidates = [| [| 0.0; 0.0 |]; [| 1.0; 1.0 |]; [| -1.0; 0.5 |] |] in
-  let i, d = Template.nearest ~metric:Template.L2 ~candidates [| 0.9; 0.9 |] in
+  let i, d = Template.For_tests.nearest ~metric:Template.L2 ~candidates [| 0.9; 0.9 |] in
   check int "nearest" 1 i;
   check (close 1e-9) "distance" 0.02 d
 
@@ -367,15 +338,9 @@ let test_linreg_of_statistics () =
   | _ -> fail "zero variance must be rejected"
 
 let test_metrics () =
-  check (close 1e-9) "accuracy" 0.75
-    (Metrics.accuracy ~truth:[| 0; 1; 1; 0 |] ~predicted:[| 0; 1; 0; 0 |]);
   check (close 1e-9) "mismatch" 0.25
     (Metrics.mismatch_probability ~reference:[| 0; 1; 1; 0 |]
        ~promise:[| 0; 1; 0; 0 |]);
-  check (close 1e-9) "drop clamps" 0.0
-    (Metrics.accuracy_drop ~reference_acc:0.9 ~promise_acc:0.95);
-  let c = Metrics.confusion ~n_classes:2 ~truth:[| 0; 1; 1 |] ~predicted:[| 0; 1; 0 |] in
-  check int "c[1][0]" 1 c.(1).(0);
   check (close 1e-9) "geomean" 2.0 (Metrics.geometric_mean [ 1.0; 4.0 ])
 
 let qcheck_knn_self_consistent =
@@ -384,7 +349,7 @@ let qcheck_knn_self_consistent =
       let rng = Rng.create seed in
       let data = Dataset.Digits.generate rng ~width:6 ~height:6 ~n:20 in
       Array.for_all
-        (fun s -> Knn.classify ~metric:Knn.L1 ~k:1 ~train:data s.Dataset.features
+        (fun s -> Knn.For_tests.classify ~metric:Knn.L1 ~k:1 ~train:data s.Dataset.features
                   = s.Dataset.label)
         data)
 
@@ -395,10 +360,8 @@ let suite =
     ("vector ops", `Quick, test_vector_ops);
     ("arg extrema", `Quick, test_arg_extrema);
     ("matrix ops", `Quick, test_mat_ops);
-    ("outer accumulate", `Quick, test_outer_accumulate);
     ("fixed point roundtrip", `Quick, test_fixed_point_roundtrip);
     ("fixed point clamps", `Quick, test_fixed_point_clamps);
-    ("normalize mat", `Quick, test_normalize_mat);
     ("quantize to bits", `Quick, test_quantize_to_bits);
     ("digits deterministic", `Quick, test_digits_deterministic);
     ("digits labels", `Quick, test_digits_labels_round_robin);

@@ -75,18 +75,18 @@ let test_pool_nested () =
         out)
 
 let test_pool_lifecycle () =
-  (match Pool.create ~jobs:0 with
+  (match Pool.For_tests.create ~jobs:0 with
   | _ -> fail "jobs:0 must be rejected"
   | exception Invalid_argument _ -> ());
-  (match Pool.create ~jobs:65 with
+  (match Pool.For_tests.create ~jobs:65 with
   | _ -> fail "jobs:65 must be rejected"
   | exception Invalid_argument _ -> ());
   check bool "jobs:1 is sequential" false
-    (Pool.is_parallel (Pool.create ~jobs:1));
-  check bool "default_jobs is positive" true (Pool.default_jobs () >= 1);
-  let pool = Pool.create ~jobs:2 in
-  Pool.shutdown pool;
-  Pool.shutdown pool;
+    (Pool.is_parallel (Pool.For_tests.create ~jobs:1));
+  check bool "default_jobs is positive" true (Pool.For_tests.default_jobs () >= 1);
+  let pool = Pool.For_tests.create ~jobs:2 in
+  Pool.For_tests.shutdown pool;
+  Pool.For_tests.shutdown pool;
   (* idempotent *)
   match Pool.map_array pool (fun i -> i) [| 1 |] with
   | _ -> fail "map on a shut-down pool must be rejected"
@@ -99,18 +99,18 @@ let test_pool_lifecycle () =
 let test_split_n () =
   let a = Rng.create 2024 and b = Rng.create 2024 in
   let streams = Rng.split_n a 8 in
-  let manual = Array.init 8 (fun _ -> Rng.split b) in
+  let manual = Array.init 8 (fun _ -> Rng.For_tests.split b) in
   Array.iteri
     (fun i s ->
       for draw = 0 to 15 do
         check Alcotest.int64
           (Printf.sprintf "stream %d draw %d" i draw)
-          (Rng.bits64 manual.(i)) (Rng.bits64 s)
+          (Rng.For_tests.bits64 manual.(i)) (Rng.For_tests.bits64 s)
       done)
     streams;
   (* parents stay in lock-step too *)
-  check Alcotest.int64 "parent advanced identically" (Rng.bits64 b)
-    (Rng.bits64 a)
+  check Alcotest.int64 "parent advanced identically" (Rng.For_tests.bits64 b)
+    (Rng.For_tests.bits64 a)
 
 (* ------------------------------------------------------------------ *)
 (* Machine-level determinism (QCheck)                                  *)
@@ -181,9 +181,9 @@ let qcheck_machine_determinism =
   QCheck.Test.make ~name:"execute jobs:1 == jobs:4 bit-for-bit" ~count:25
     (QCheck.make ~print:print_case gen_case) (fun c ->
       let launch = Arch.Machine.default_launch (task_of c) in
-      let r_seq = Arch.Machine.execute_exn (machine_of c) launch in
+      let r_seq = Arch.Machine.For_tests.execute_exn (machine_of c) launch in
       Pool.with_pool ~jobs:4 (fun pool ->
-          let r_par = Arch.Machine.execute_exn ~pool (machine_of c) launch in
+          let r_par = Arch.Machine.For_tests.execute_exn ~pool (machine_of c) launch in
           same_result r_seq r_par))
 
 (* ------------------------------------------------------------------ *)
@@ -234,14 +234,14 @@ let test_runtime_determinism () =
 
 let test_cache_hit () =
   Cache.clear ();
-  let s0 = Cache.stats () in
+  let s0 = Cache.For_tests.stats () in
   check int "clear zeroes entries" 0 s0.Cache.entries;
   let g1 = fok (P.compile tm_kernel) in
-  let s1 = Cache.stats () in
+  let s1 = Cache.For_tests.stats () in
   check bool "first compile misses" true (s1.Cache.misses > s0.Cache.misses);
   check bool "first compile populates" true (s1.Cache.entries > 0);
   let g2 = fok (P.compile tm_kernel) in
-  let s2 = Cache.stats () in
+  let s2 = Cache.For_tests.stats () in
   check bool "second compile hits" true (s2.Cache.hits > s1.Cache.hits);
   check int "no new entries on a hit" s1.Cache.entries s2.Cache.entries;
   check bool "cached graph structurally equal" true (g1 = g2);
@@ -255,7 +255,7 @@ let test_cache_recompile () =
   let g1 = fok (P.compile tm_kernel) in
   Cache.clear ();
   let g2 = fok (P.compile tm_kernel) in
-  check int "second compile recomputes" 0 (Cache.stats ()).Cache.hits;
+  check int "second compile recomputes" 0 (Cache.For_tests.stats ()).Cache.hits;
   check bool "recomputation agrees" true (g1 = g2)
 
 let test_cache_concurrent () =

@@ -50,12 +50,12 @@ let gen_faults st =
   f := ok (Faults.with_leakage_mult !f (float_range 1.0 16.0 st));
   !f
 
-let arb_faults = QCheck.make ~print:Faults.to_string gen_faults
+let arb_faults = QCheck.make ~print:Faults.For_tests.to_string gen_faults
 
 let qcheck_string_roundtrip =
   QCheck.Test.make ~name:"faults to_string/of_string round-trip" ~count:300
     arb_faults (fun f ->
-      match Faults.of_string (Faults.to_string f) with
+      match Faults.For_tests.of_string (Faults.For_tests.to_string f) with
       | Ok f' -> Faults.equal f f'
       | Error _ -> false)
 
@@ -72,33 +72,33 @@ let qcheck_apply_stuck_idempotent =
 let qcheck_compose_none_identity =
   QCheck.Test.make ~name:"compose with none is the identity" ~count:300
     arb_faults (fun f ->
-      Faults.equal (Faults.compose f Faults.none) f
-      && Faults.equal (Faults.compose Faults.none f) f)
+      Faults.equal (Faults.For_tests.compose f Faults.none) f
+      && Faults.equal (Faults.For_tests.compose Faults.none f) f)
 
 let qcheck_is_none_iff_equal_none =
   QCheck.Test.make ~name:"is_none iff equal to none" ~count:300 arb_faults
-    (fun f -> Faults.is_none f = Faults.equal f Faults.none)
+    (fun f -> Faults.For_tests.is_none f = Faults.equal f Faults.none)
 
 let test_is_none_after_add () =
-  check bool "none is none" true (Faults.is_none Faults.none);
+  check bool "none is none" true (Faults.For_tests.is_none Faults.none);
   check bool "compose none none" true
-    (Faults.is_none (Faults.compose Faults.none Faults.none));
+    (Faults.For_tests.is_none (Faults.For_tests.compose Faults.none Faults.none));
   check bool "stuck lane is a fault" false
-    (Faults.is_none (fok (Faults.with_stuck_lane Faults.none ~lane:0 ~code:1)));
+    (Faults.For_tests.is_none (fok (Faults.with_stuck_lane Faults.none ~lane:0 ~code:1)));
   check bool "dead bank is a fault" false
-    (Faults.is_none (Faults.with_dead_bank Faults.none))
+    (Faults.For_tests.is_none (Faults.with_dead_bank Faults.none))
 
 let test_compose_merges () =
   let a = fok (Faults.with_stuck_lane Faults.none ~lane:3 ~code:10) in
   let b = fok (Faults.with_dead_lane Faults.none ~lane:7) in
-  let c = Faults.compose a b in
+  let c = Faults.For_tests.compose a b in
   check (Alcotest.list Alcotest.int) "faulty lanes" [ 3; 7 ]
-    (Faults.faulty_lanes c);
+    (Faults.For_tests.faulty_lanes c);
   (* the right-hand side wins on a conflicting lane *)
   let b' = fok (Faults.with_stuck_lane Faults.none ~lane:3 ~code:99) in
   check (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int))
     "conflict resolution" [ (3, 99) ]
-    (Faults.stuck_lanes (Faults.compose a b'))
+    (Faults.stuck_lanes (Faults.For_tests.compose a b'))
 
 (* ------------------------------------------------------------------ *)
 (* Typed errors from the builders                                      *)
@@ -119,7 +119,7 @@ let test_builder_errors () =
   expect_invalid "flip rate" (Faults.with_xreg_flips Faults.none ~seed:1 ~rate:1.5);
   expect_invalid "swing drift" (Faults.with_swing_drift Faults.none 8);
   expect_invalid "leakage mult" (Faults.with_leakage_mult Faults.none 0.5);
-  expect_invalid "unparsable description" (Faults.of_string "garbage")
+  expect_invalid "unparsable description" (Faults.For_tests.of_string "garbage")
 
 (* ------------------------------------------------------------------ *)
 (* BIST localization                                                   *)

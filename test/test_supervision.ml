@@ -32,7 +32,7 @@ let qcheck_retry_deterministic =
     QCheck.(pair (int_bound 1_000_000) (int_range 2 8))
     (fun (seed, max_attempts) ->
       let p () = get_ok (Retry.policy ~max_attempts ~seed ()) in
-      Retry.schedule (p ()) = Retry.schedule (p ()))
+      Retry.For_tests.schedule (p ()) = Retry.For_tests.schedule (p ()))
 
 let qcheck_retry_bounded =
   QCheck.Test.make ~name:"every backoff is in [0, cap * (1 + jitter)]"
@@ -47,7 +47,7 @@ let qcheck_retry_bounded =
       in
       List.for_all
         (fun d -> d >= 0.0 && d <= 80.0 *. (1.0 +. jitter) +. 1e-9)
-        (Retry.schedule p))
+        (Retry.For_tests.schedule p))
 
 let qcheck_retry_attempts_bounded =
   QCheck.Test.make ~name:"run makes at most max_attempts calls" ~count:100
@@ -94,7 +94,7 @@ let test_retry_exhaustion_error () =
       check bool "attempts in context" true
         (List.mem_assoc "attempts" e.E.context));
   (* the recorded waits are exactly the published schedule *)
-  check (list (float 1e-9)) "sleeps follow the schedule" (Retry.schedule p)
+  check (list (float 1e-9)) "sleeps follow the schedule" (Retry.For_tests.schedule p)
     (List.rev !slept)
 
 let test_retry_policy_validation () =
@@ -154,11 +154,11 @@ let test_checkpoint_corrupt_and_missing () =
 
 let test_incident_jsonl () =
   let buf = Buffer.create 256 in
-  let t = Inc.to_buffer buf in
+  let t = Inc.For_tests.to_buffer buf in
   Inc.record t Inc.Retry [ ("item", "cell-7"); ("attempt", "1") ];
   Inc.record t Inc.Quarantine [ ("item", "cell \"7\"") ];
   Inc.record t Inc.Run_end [];
-  check int "count" 3 (Inc.count t);
+  check int "count" 3 (Inc.For_tests.count t);
   let lines =
     String.split_on_char '\n' (Buffer.contents buf)
     |> List.filter (fun l -> l <> "")
@@ -227,7 +227,7 @@ let test_validate_env () =
 
 let test_supervise_quarantine () =
   let buf = Buffer.create 256 in
-  let inc = Inc.to_buffer buf in
+  let inc = Inc.For_tests.to_buffer buf in
   let retry =
     get_ok
       (Retry.policy ~max_attempts:3 ~base_delay_ms:1.0 ~max_delay_ms:2.0
@@ -244,7 +244,7 @@ let test_supervise_quarantine () =
   check string "quarantined as retry-exhausted" "retry-exhausted"
     (E.code_name (code r));
   (* 2 retries + 1 quarantine in the incident trail *)
-  check int "incidents logged" 3 (Inc.count inc)
+  check int "incidents logged" 3 (Inc.For_tests.count inc)
 
 let test_supervise_catches_exceptions () =
   let cfg = Sup.config () in
@@ -265,7 +265,7 @@ let test_supervise_timeout_fake_clock () =
     !now
   in
   let buf = Buffer.create 256 in
-  let inc = Inc.to_buffer buf in
+  let inc = Inc.For_tests.to_buffer buf in
   let cfg =
     Sup.config ~timeout_ms:10.0 ~clock ~incidents:inc ~live_watchdog:false
       ~sleep:(fun _ -> ())
@@ -274,7 +274,7 @@ let test_supervise_timeout_fake_clock () =
   let r = Sup.supervise cfg ~label:"slow" (fun ~attempt:_ -> Ok 42) in
   check string "overdue attempt becomes Timeout" "timeout"
     (E.code_name (code r));
-  check bool "timeout incident logged" true (Inc.count inc >= 1)
+  check bool "timeout incident logged" true (Inc.For_tests.count inc >= 1)
 
 let test_supervise_no_deadline_is_transparent () =
   let cfg = Sup.config () in
@@ -306,14 +306,14 @@ let test_map_result_isolates () =
 let test_stop_flag () =
   let stop = Sup.never_stop () in
   check bool "initially unset" false (Sup.stop_requested stop);
-  Sup.request_stop stop;
+  Sup.For_tests.request_stop stop;
   check bool "set" true (Sup.stop_requested stop);
   check bool "no signal for programmatic stop" true (Sup.stop_signal stop = None)
 
 let test_map_result_empty_stream () =
   (* zero items: no pool work, no incidents, just [] back *)
   let buf = Buffer.create 16 in
-  let inc = Inc.to_buffer buf in
+  let inc = Inc.For_tests.to_buffer buf in
   P.Pool.with_pool ~jobs:2 (fun pool ->
       let cfg = Sup.config ~incidents:inc ~live_watchdog:false () in
       let out =
@@ -323,7 +323,7 @@ let test_map_result_empty_stream () =
           []
       in
       check (list reject) "empty in, empty out" [] out);
-  check int "no incidents for empty stream" 0 (Inc.count inc)
+  check int "no incidents for empty stream" 0 (Inc.For_tests.count inc)
 
 let test_deadline_exactly_equal_passes () =
   (* the deadline check is strict: elapsed > timeout. An attempt whose
@@ -336,7 +336,7 @@ let test_deadline_exactly_equal_passes () =
     !now
   in
   let buf = Buffer.create 64 in
-  let inc = Inc.to_buffer buf in
+  let inc = Inc.For_tests.to_buffer buf in
   let cfg =
     Sup.config ~timeout_ms:10.0 ~clock ~incidents:inc ~live_watchdog:false
       ~sleep:(fun _ -> ())
@@ -344,14 +344,14 @@ let test_deadline_exactly_equal_passes () =
   in
   let r = Sup.supervise cfg ~label:"on-time" (fun ~attempt:_ -> Ok 7) in
   check int "elapsed == deadline is not a timeout" 7 (get_ok r);
-  check int "no timeout incident" 0 (Inc.count inc)
+  check int "no timeout incident" 0 (Inc.For_tests.count inc)
 
 let test_stop_before_first_chunk () =
   (* a stop flag raised before any work: both executors must return an
      Interrupted outcome with completed = 0, before running an item (and
      the fleet before forking a worker) *)
   let stop = Sup.never_stop () in
-  Sup.request_stop stop;
+  Sup.For_tests.request_stop stop;
   let w =
     {
       P.Workload.kind = "toy";
@@ -415,7 +415,7 @@ let test_incident_rotation () =
   check bool "rotated backup exists" true (Sys.file_exists backup);
   check bool "live file stays under the cap" true
     ((Unix.stat path).Unix.st_size <= 400);
-  check int "no record lost" 50 (Inc.count t);
+  check int "no record lost" 50 (Inc.For_tests.count t);
   Sys.remove path;
   Sys.remove backup
 
@@ -455,7 +455,7 @@ let test_campaign_resume_bit_identical () =
   let interrupted =
     P.Workload.run_local session
       ~on_checkpoint:(fun ~completed ~total:_ ->
-        if completed >= 1 then Sup.request_stop stop)
+        if completed >= 1 then Sup.For_tests.request_stop stop)
       w
   in
   (match interrupted with
@@ -484,7 +484,7 @@ let test_campaign_stale_checkpoint_rejected () =
   let session = Sup.session ~checkpoint:path ~stop () in
   (match
      P.Workload.run_local session
-       ~on_checkpoint:(fun ~completed:_ ~total:_ -> Sup.request_stop stop)
+       ~on_checkpoint:(fun ~completed:_ ~total:_ -> Sup.For_tests.request_stop stop)
        (P.Campaign.workload ~scenarios ~benchmarks ())
    with
   | P.Workload.Interrupted _ -> ()
@@ -568,7 +568,7 @@ let test_report_workload_matches_plain () =
     let ppf = Format.formatter_of_buffer buf in
     List.iter
       (fun n ->
-        match List.find_opt (fun (s, _, _) -> s = n) P.Report.sections with
+        match List.find_opt (fun (s, _, _) -> s = n) P.Report.For_tests.sections with
         | Some (_, _, f) -> f ppf
         | None -> fail ("fixture section missing: " ^ n))
       names;
