@@ -1,4 +1,4 @@
-type pulse = { bit : int; weight : int; duration : int }
+type pulse = { weight : int; duration : int }
 
 let check_bits bits =
   if bits < 1 || bits > 16 then invalid_arg "Pwm: bits out of [1, 16]"
@@ -9,7 +9,7 @@ let pulses ~bits code =
     invalid_arg "Pwm.pulses: code out of range";
   List.init bits (fun bit ->
       let weight = 1 lsl bit in
-      { bit; weight; duration = (if code land weight <> 0 then weight else 0) })
+      { weight; duration = (if code land weight <> 0 then weight else 0) })
 
 let bitline_drop ~bits ~mv_per_lsb code =
   List.fold_left

@@ -15,7 +15,7 @@
     equivalence and the timing budget. *)
 
 (** Pulse schedule of one word line: asserted for [duration] units. *)
-type pulse = { bit : int; weight : int; duration : int }
+type pulse = { weight : int; duration : int }
 
 (** [subranged_read code8] — the sub-ranged two-column read of a signed
     8-bit code (two's complement): MSB nibble read at full weight, LSB

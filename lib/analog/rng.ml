@@ -54,12 +54,6 @@ let split_n t n =
   done;
   streams
 
-let copy t =
-  let c = of_state (Bigarray.Array1.unsafe_get t.state 0) in
-  c.cached.(0) <- t.cached.(0);
-  c.has_cached <- t.has_cached;
-  c
-
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   (* keep 62 bits so the conversion to a 63-bit OCaml int stays positive *)
@@ -194,6 +188,5 @@ let shuffle t arr =
 
 module For_tests = struct
   let split = split
-  let copy = copy
   let bits64 = bits64
 end

@@ -52,9 +52,6 @@ module For_tests : sig
   (** [split t] derives an independent generator (and advances [t]). *)
   val split : t -> t
 
-  (** [copy t] duplicates the current state without advancing it. *)
-  val copy : t -> t
-
   (** [bits64 t] — next raw 64-bit value. *)
   val bits64 : t -> int64
 end

@@ -38,7 +38,6 @@ type node_report = {
   node : int;
   name : string;
   emitted : bounds;
-  quantized : bool;
   saturates : bool;
 }
 
@@ -102,7 +101,6 @@ module Solver = Dataflow.Make (Env)
    it, which is what keeps the two in lockstep. *)
 type verdict = {
   emitted_v : bounds;
-  quantized_v : bool;
   saturates_v : bool;
   post : bounds;
   placed : (unit, string) result;
@@ -116,7 +114,6 @@ let step g id (env : Env.t) =
   | Error msg ->
       {
         emitted_v = full_range;
-        quantized_v = false;
         saturates_v = false;
         post = full_range;
         placed = Error msg;
@@ -182,7 +179,6 @@ let step g id (env : Env.t) =
       let out = if quantized then clamp post ~lo:(-1.0) ~hi:code_max else post in
       {
         emitted_v = out;
-        quantized_v = quantized;
         saturates_v = saturates;
         post;
         placed = Ok ();
@@ -238,7 +234,6 @@ let analyze g =
               node = id;
               name = at.At.name;
               emitted = v.emitted_v;
-              quantized = v.quantized_v;
               saturates = v.saturates_v;
             }
             :: !reports)

@@ -23,7 +23,6 @@ type node_report = {
   node : int;  (** graph node id *)
   name : string;
   emitted : bounds;  (** value interval seen by consumers *)
-  quantized : bool;  (** destination is an 8-bit register (X-REG) *)
   saturates : bool;
 }
 

@@ -5,7 +5,6 @@ type plan = {
   multi_bank : int;
   segments : int;
   lanes_per_bank : int;
-  word_rows_per_task : int;
   rows_per_task : int;
   tasks : int;
 }
@@ -50,7 +49,6 @@ let plan ?(max_lanes = Params.lanes) ~vector_len ~rows () =
           multi_bank;
           segments;
           lanes_per_bank;
-          word_rows_per_task = segments * rows_per_task;
           rows_per_task;
           tasks;
         }

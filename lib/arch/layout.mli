@@ -16,7 +16,6 @@ type plan = {
   multi_bank : int;
   segments : int;  (** word rows per vector per bank; [x_prd = segments-1] *)
   lanes_per_bank : int;
-  word_rows_per_task : int;  (** per bank: [segments * rows_per_task] *)
   rows_per_task : int;  (** ≤ 128/segments and ≤ 128 (RPT_NUM limit) *)
   tasks : int;  (** row chunks = ceil (rows / rows_per_task) *)
 }

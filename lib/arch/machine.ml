@@ -663,27 +663,6 @@ let execute_batch_into ?lane_mask ?(pool = Pool.sequential) ?kernel_mode t
               rs;
             Ok epd)
 
-let run_program_batch ?pool ?kernel_mode t (program : Program.t) ~batch =
-  if batch < 1 then invalid_batch batch
-  else
-    match program.Program.tasks with
-    | [ task ] ->
-        Result.map
-          (Array.map (fun r -> [ r ]))
-          (execute_batch ?pool ?kernel_mode t (default_launch task) ~batch)
-    | _ ->
-        (* multi-task programs may feed bank state forward between
-           tasks (X-REG / write-buffer destinations), so decisions
-           replay sequentially — the general correct path *)
-        let rec go acc d =
-          if d = batch then Ok (Array.of_list (List.rev acc))
-          else
-            match run_program ?pool ?kernel_mode t program with
-            | Ok rs -> go (rs :: acc) (d + 1)
-            | Error e -> Error e
-        in
-        go [] 0
-
 (* Scatter a dense logical slice onto the physical lanes named by
    [lane_map] (lane sparing); identity when no map. *)
 let scatter ?lane_map slice =

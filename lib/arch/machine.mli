@@ -193,20 +193,6 @@ val execute_batch_into :
   out:Promise_analog.Rng.ba ->
   (int, Promise_core.Error.t) Stdlib.result
 
-(** [run_program_batch ?pool ?kernel_mode t program ~batch] — [batch]
-    decisions of a raw ISA program with {!default_launch} semantics;
-    element [d] holds decision [d]'s per-task results. Single-task
-    programs ride {!execute_batch}; multi-task programs (which may feed
-    bank state forward between tasks) replay sequentially. Bit-identical
-    to [batch] successive {!run_program} calls either way. *)
-val run_program_batch :
-  ?pool:Promise_core.Pool.t ->
-  ?kernel_mode:kernel_mode ->
-  t ->
-  Promise_isa.Program.t ->
-  batch:int ->
-  (result list array, Promise_core.Error.t) Stdlib.result
-
 (** {2 Test hooks} *)
 
 module For_tests : sig

@@ -49,11 +49,6 @@ let staged_count t ~index =
   check_index index;
   t.staged.(index)
 
-let reset_staging t ~index =
-  check_index index;
-  t.staged.(index) <- 0
-
 module For_tests = struct
   let staged_count = staged_count
-  let reset_staging = reset_staging
 end

@@ -36,8 +36,6 @@ val stage_element : t -> index:int -> int -> unit
 
 module For_tests : sig
   (** [staged_count t ~index] — lanes written by {!stage_element} since the
-      last [load]/[reset_staging]. *)
+      last [load]. *)
   val staged_count : t -> index:int -> int
-
-  val reset_staging : t -> index:int -> unit
 end

@@ -396,273 +396,282 @@ let run ?(on_shard_done = fun ~shard:_ ~completed:_ ~total:_ -> ())
              finish_summary ())
         end
         else begin
-          (* worker death must surface as EPIPE/EOF, not kill the parent *)
-          let old_sigpipe =
-            try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore)
-            with Invalid_argument _ | Sys_error _ -> None
-          in
-          let restore_sigpipe () =
-            match old_sigpipe with
-            | Some b -> (
-                try Sys.set_signal Sys.sigpipe b
-                with Invalid_argument _ | Sys_error _ -> ())
-            | None -> ()
-          in
-          let workers = Array.make n_workers None in
-          let live_workers () =
-            Array.to_list workers
-            |> List.filter_map (fun o ->
-                   match o with Some w when w.alive -> Some w | _ -> None)
-          in
-          let spawn_into slot =
-            workers.(slot) <-
-              Some (spawn_worker cfg ~live:(live_workers ()) ~slot ~f)
-          in
-          (* a stop raised before the run forks nothing; the loop below
-             reports the interrupt *)
-          if not (Sup.stop_requested cfg.stop) then
-            for slot = 0 to n_workers - 1 do
-              spawn_into slot
-            done;
-          let chaos_fired = ref false in
-          let record_done s res ms pid =
-            if results.(s) = None then begin
-              results.(s) <- Some res;
-              ms_arr.(s) <- ms;
-              incr done_live;
-              Incident.record inc Incident.Shard_done
-                [
-                  ("shard", string_of_int s);
-                  ("ms", Printf.sprintf "%.1f" ms);
-                  ("pid", string_of_int pid);
-                  ("attempts", string_of_int (deaths.(s) + 1));
-                ];
-              (match (cfg.checkpoint_dir, res) with
-              | Some dir, Ok r -> (
-                  match
-                    Checkpoint.save ~path:(shard_path dir s)
-                      ~config_digest:(shard_digest ~digest ~shards ~shard:s)
-                      r
-                  with
-                  | Ok () ->
-                      Incident.record inc Incident.Checkpoint_write
-                        [
-                          ("path", shard_path dir s);
-                          ("shards_done", string_of_int (count_done ()));
-                          ("total", string_of_int shards);
-                        ]
-                  | Error e ->
-                      (* losing persistence degrades, it does not abort *)
-                      Incident.record inc Incident.Degradation
-                        [
-                          ("what", "shard checkpoint write failed");
-                          ("error", Error.to_string e);
-                        ])
-              | _ -> ());
-              on_shard_done ~shard:s ~completed:(count_done ()) ~total:shards
-            end
-          in
-          let handle_death w ~reason =
-            if w.alive then begin
-              w.alive <- false;
-              close_quiet w.to_w;
-              close_quiet w.from_w;
-              let status =
-                match Unix.waitpid [] w.pid with
-                | _, st -> status_string st
-                | exception Unix.Unix_error _ -> "unknown"
+          (* worker death must surface as EPIPE/EOF, not kill the parent;
+             workers fork inside this window and inherit the ignored
+             SIGPIPE *)
+          let outcome =
+            Ipc.with_sigpipe_ignored (fun () ->
+              let workers = Array.make n_workers None in
+              let live_workers () =
+                Array.to_list workers
+                |> List.filter_map (fun o ->
+                       match o with Some w when w.alive -> Some w | _ -> None)
               in
-              incr restarts;
-              Incident.record inc Incident.Worker_death
-                ([
-                   ("pid", string_of_int w.pid);
-                   ("slot", string_of_int w.slot);
-                   ("status", status);
-                   ("reason", reason);
-                 ]
-                @
-                match w.shard with
-                | Some s -> [ ("shard", string_of_int s) ]
-                | None -> []);
-              (match w.shard with
-              | None -> ()
-              | Some s ->
-                  w.shard <- None;
-                  deaths.(s) <- deaths.(s) + 1;
-                  if deaths.(s) > cfg.max_restarts then begin
-                    record_done s
-                      (Error
-                         (Error.make ~layer:"fleet" ~code:Error.Retry_exhausted
-                            ~context:
-                              [
-                                ("shard", string_of_int s);
-                                ("attempts", string_of_int deaths.(s));
-                                ("last-status", status);
-                                ("reason", reason);
-                              ]
-                            "shard workers died repeatedly; shard quarantined"))
-                      0.0 w.pid;
-                    incr quarantined;
-                    Incident.record inc Incident.Quarantine
-                      [
-                        ("shard", string_of_int s);
-                        ("attempts", string_of_int deaths.(s));
-                      ]
-                  end
-                  else begin
-                    Queue.push s pending;
-                    let delay =
-                      Retry.backoff_ms cfg.restart_backoff ~attempt:deaths.(s)
-                    in
-                    Incident.record inc Incident.Retry
-                      [
-                        ("shard", string_of_int s);
-                        ("attempt", string_of_int deaths.(s));
-                        ("delay_ms", Printf.sprintf "%.1f" delay);
-                      ];
-                    cfg.sleep delay
-                  end);
-              if count_done () < shards && not (Sup.stop_requested cfg.stop)
-              then spawn_into w.slot
-            end
-          in
-          let kill_worker w ~reason =
-            (try Unix.kill w.pid Sys.sigkill with Unix.Unix_error _ -> ());
-            handle_death w ~reason
-          in
-          let assign_idle () =
-            Array.iter
-              (fun o ->
-                match o with
-                | Some w when w.alive && w.shard = None -> (
-                    if not (Queue.is_empty pending) then
-                      let s = Queue.pop pending in
-                      match Ipc.write w.to_w (Assign s) with
+              let spawn_into slot =
+                workers.(slot) <-
+                  Some (spawn_worker cfg ~live:(live_workers ()) ~slot ~f)
+              in
+              (* a stop raised before the run forks nothing; the loop below
+                 reports the interrupt *)
+              if not (Sup.stop_requested cfg.stop) then
+                for slot = 0 to n_workers - 1 do
+                  spawn_into slot
+                done;
+              let chaos_fired = ref false in
+              let record_done s res ms pid =
+                if results.(s) = None then begin
+                  results.(s) <- Some res;
+                  ms_arr.(s) <- ms;
+                  incr done_live;
+                  Incident.record inc Incident.Shard_done
+                    [
+                      ("shard", string_of_int s);
+                      ("ms", Printf.sprintf "%.1f" ms);
+                      ("pid", string_of_int pid);
+                      ("attempts", string_of_int (deaths.(s) + 1));
+                    ];
+                  (match (cfg.checkpoint_dir, res) with
+                  | Some dir, Ok r -> (
+                      match
+                        Checkpoint.save ~path:(shard_path dir s)
+                          ~config_digest:(shard_digest ~digest ~shards ~shard:s)
+                          r
+                      with
                       | Ok () ->
-                          let now = Clock.monotonic_ns () in
-                          w.shard <- Some s;
-                          w.started_ns <- now;
-                          w.beat_ns <- now
-                      | Error _ ->
-                          Queue.push s pending;
-                          handle_death w ~reason:"assign-write-failed")
-                | _ -> ())
-              workers
-          in
-          let receive () =
-            let fds = List.map (fun w -> w.from_w) (live_workers ()) in
-            if fds = [] then ()
-            else
-              let readable =
-                match Unix.select fds [] [] 0.05 with
-                | r, _, _ -> r
-                | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
-              in
-              List.iter
-                (fun fd ->
-                  match
-                    List.find_opt
-                      (fun w -> w.alive && w.from_w == fd)
-                      (live_workers ())
-                  with
-                  | None -> ()
-                  | Some w -> (
-                      match (Ipc.read w.from_w : (_ up option, Error.t) result) with
-                      | Ok (Some Beat) -> w.beat_ns <- Clock.monotonic_ns ()
-                      | Ok (Some (Shard_result (s, res))) ->
-                          w.beat_ns <- Clock.monotonic_ns ();
-                          record_done s res (ms_since w.started_ns) w.pid;
-                          w.shard <- None
-                      | Ok None -> handle_death w ~reason:"eof"
-                      | Error _ -> handle_death w ~reason:"read-error"))
-                readable
-          in
-          let enforce_deadlines () =
-            Array.iter
-              (fun o ->
-                match o with
-                | Some w when w.alive -> (
-                    (match (w.shard, cfg.shard_timeout_ms) with
-                    | Some s, Some tmo when ms_since w.started_ns > tmo ->
-                        Incident.record inc Incident.Timeout
-                          [
-                            ("shard", string_of_int s);
-                            ("pid", string_of_int w.pid);
-                            ( "elapsed_ms",
-                              Printf.sprintf "%.1f" (ms_since w.started_ns) );
-                            ("timeout_ms", Printf.sprintf "%.1f" tmo);
-                            ("phase", "shard-deadline");
-                          ];
-                        kill_worker w ~reason:"shard-deadline"
-                    | _ -> ());
-                    if w.alive then
-                      match cfg.liveness_timeout_ms with
-                      | Some lv when ms_since w.beat_ns > lv ->
-                          Incident.record inc Incident.Timeout
+                          Incident.record inc Incident.Checkpoint_write
                             [
-                              ("pid", string_of_int w.pid);
-                              ( "silent_ms",
-                                Printf.sprintf "%.1f" (ms_since w.beat_ns) );
-                              ("timeout_ms", Printf.sprintf "%.1f" lv);
-                              ("phase", "heartbeat-liveness");
-                            ];
-                          kill_worker w ~reason:"heartbeat-liveness"
-                      | _ -> ())
-                | _ -> ())
-              workers
-          in
-          let maybe_chaos () =
-            if cfg.chaos = Kill_one && not !chaos_fired then
-              match
-                List.find_opt (fun w -> w.shard <> None) (live_workers ())
-              with
-              | Some w when !done_live >= 1 || shards = 1 ->
-                  chaos_fired := true;
-                  Incident.record inc Incident.Chaos
-                    ([ ("pid", string_of_int w.pid) ]
+                              ("path", shard_path dir s);
+                              ("shards_done", string_of_int (count_done ()));
+                              ("total", string_of_int shards);
+                            ]
+                      | Error e ->
+                          (* losing persistence degrades, it does not abort *)
+                          Incident.record inc Incident.Degradation
+                            [
+                              ("what", "shard checkpoint write failed");
+                              ("error", Error.to_string e);
+                            ])
+                  | _ -> ());
+                  on_shard_done ~shard:s ~completed:(count_done ()) ~total:shards
+                end
+              in
+              let handle_death w ~reason =
+                if w.alive then begin
+                  w.alive <- false;
+                  close_quiet w.to_w;
+                  close_quiet w.from_w;
+                  let status =
+                    match Unix.waitpid [] w.pid with
+                    | _, st -> status_string st
+                    | exception Unix.Unix_error _ -> "unknown"
+                  in
+                  incr restarts;
+                  Incident.record inc Incident.Worker_death
+                    ([
+                       ("pid", string_of_int w.pid);
+                       ("slot", string_of_int w.slot);
+                       ("status", status);
+                       ("reason", reason);
+                     ]
                     @
                     match w.shard with
                     | Some s -> [ ("shard", string_of_int s) ]
                     | None -> []);
-                  kill_worker w ~reason:"chaos-kill-one"
-              | _ -> ()
+                  (match w.shard with
+                  | None -> ()
+                  | Some s ->
+                      w.shard <- None;
+                      deaths.(s) <- deaths.(s) + 1;
+                      if deaths.(s) > cfg.max_restarts then begin
+                        record_done s
+                          (Error
+                             (Error.make ~layer:"fleet" ~code:Error.Retry_exhausted
+                                ~context:
+                                  [
+                                    ("shard", string_of_int s);
+                                    ("attempts", string_of_int deaths.(s));
+                                    ("last-status", status);
+                                    ("reason", reason);
+                                  ]
+                                "shard workers died repeatedly; shard quarantined"))
+                          0.0 w.pid;
+                        incr quarantined;
+                        Incident.record inc Incident.Quarantine
+                          [
+                            ("shard", string_of_int s);
+                            ("attempts", string_of_int deaths.(s));
+                          ]
+                      end
+                      else begin
+                        Queue.push s pending;
+                        let delay =
+                          Retry.backoff_ms cfg.restart_backoff ~attempt:deaths.(s)
+                        in
+                        Incident.record inc Incident.Retry
+                          [
+                            ("shard", string_of_int s);
+                            ("attempt", string_of_int deaths.(s));
+                            ("delay_ms", Printf.sprintf "%.1f" delay);
+                          ];
+                        cfg.sleep delay
+                      end);
+                  if count_done () < shards && not (Sup.stop_requested cfg.stop)
+                  then spawn_into w.slot
+                end
+              in
+              let kill_worker w ~reason =
+                (try Unix.kill w.pid Sys.sigkill with Unix.Unix_error _ -> ());
+                handle_death w ~reason
+              in
+              let assign_idle () =
+                Array.iter
+                  (fun o ->
+                    match o with
+                    | Some w when w.alive && w.shard = None -> (
+                        if not (Queue.is_empty pending) then
+                          let s = Queue.pop pending in
+                          match Ipc.write w.to_w (Assign s) with
+                          | Ok () ->
+                              let now = Clock.monotonic_ns () in
+                              w.shard <- Some s;
+                              w.started_ns <- now;
+                              w.beat_ns <- now
+                          | Error _ ->
+                              Queue.push s pending;
+                              handle_death w ~reason:"assign-write-failed")
+                    | _ -> ())
+                  workers
+              in
+              let receive () =
+                let fds = List.map (fun w -> w.from_w) (live_workers ()) in
+                if fds = [] then ()
+                else
+                  let readable =
+                    match Unix.select fds [] [] 0.05 with
+                    | r, _, _ -> r
+                    | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
+                  in
+                  List.iter
+                    (fun fd ->
+                      match
+                        List.find_opt
+                          (fun w -> w.alive && w.from_w == fd)
+                          (live_workers ())
+                      with
+                      | None -> ()
+                      | Some w -> (
+                          match
+                            (Ipc.read w.from_w : (_ up option, Error.t) result)
+                          with
+                          | Ok (Some Beat) -> w.beat_ns <- Clock.monotonic_ns ()
+                          | Ok (Some (Shard_result (s, res))) ->
+                              w.beat_ns <- Clock.monotonic_ns ();
+                              record_done s res (ms_since w.started_ns) w.pid;
+                              w.shard <- None
+                          | Ok None -> handle_death w ~reason:"eof"
+                          | Error _ -> handle_death w ~reason:"read-error"))
+                    readable
+              in
+              let enforce_deadlines () =
+                Array.iter
+                  (fun o ->
+                    match o with
+                    | Some w when w.alive -> (
+                        (match (w.shard, cfg.shard_timeout_ms) with
+                        | Some s, Some tmo when ms_since w.started_ns > tmo ->
+                            Incident.record inc Incident.Timeout
+                              [
+                                ("shard", string_of_int s);
+                                ("pid", string_of_int w.pid);
+                                ( "elapsed_ms",
+                                  Printf.sprintf "%.1f" (ms_since w.started_ns) );
+                                ("timeout_ms", Printf.sprintf "%.1f" tmo);
+                                ("phase", "shard-deadline");
+                              ];
+                            kill_worker w ~reason:"shard-deadline"
+                        | _ -> ());
+                        if w.alive then
+                          match cfg.liveness_timeout_ms with
+                          | Some lv when ms_since w.beat_ns > lv ->
+                              Incident.record inc Incident.Timeout
+                                [
+                                  ("pid", string_of_int w.pid);
+                                  ( "silent_ms",
+                                    Printf.sprintf "%.1f" (ms_since w.beat_ns) );
+                                  ("timeout_ms", Printf.sprintf "%.1f" lv);
+                                  ("phase", "heartbeat-liveness");
+                                ];
+                              kill_worker w ~reason:"heartbeat-liveness"
+                          | _ -> ())
+                    | _ -> ())
+                  workers
+              in
+              let maybe_chaos () =
+                if cfg.chaos = Kill_one && not !chaos_fired then
+                  match
+                    List.find_opt (fun w -> w.shard <> None) (live_workers ())
+                  with
+                  | Some w when !done_live >= 1 || shards = 1 ->
+                      chaos_fired := true;
+                      Incident.record inc Incident.Chaos
+                        ([ ("pid", string_of_int w.pid) ]
+                        @
+                        match w.shard with
+                        | Some s -> [ ("shard", string_of_int s) ]
+                        | None -> []);
+                      kill_worker w ~reason:"chaos-kill-one"
+                  | _ -> ()
+              in
+              let shutdown_workers ~graceful =
+                Array.iter
+                  (fun o ->
+                    match o with
+                    | Some w when w.alive ->
+                        if graceful then ignore (Ipc.write w.to_w Quit)
+                        else (
+                          try Unix.kill w.pid Sys.sigkill
+                          with Unix.Unix_error _ -> ());
+                        close_quiet w.to_w;
+                        close_quiet w.from_w;
+                        (try ignore (Unix.waitpid [] w.pid)
+                         with Unix.Unix_error _ -> ());
+                        w.alive <- false
+                    | _ -> ())
+                  workers
+              in
+              let interrupted () =
+                Incident.record inc Incident.Signal
+                  [
+                    ( "signal",
+                      match Sup.stop_signal cfg.stop with
+                      | Some n -> Sup.signal_name n
+                      | None -> "request" );
+                    ("shards_done", string_of_int (count_done ()));
+                    ("total", string_of_int shards);
+                  ];
+                shutdown_workers ~graceful:false;
+                `Interrupted
+              in
+              let rec loop () =
+                if Sup.stop_requested cfg.stop then interrupted ()
+                else if count_done () >= shards then begin
+                  shutdown_workers ~graceful:true;
+                  `Done
+                end
+                else begin
+                  assign_idle ();
+                  receive ();
+                  enforce_deadlines ();
+                  maybe_chaos ();
+                  loop ()
+                end
+              in
+              loop ())
           in
-          let shutdown_workers ~graceful =
-            Array.iter
-              (fun o ->
-                match o with
-                | Some w when w.alive ->
-                    if graceful then ignore (Ipc.write w.to_w Quit)
-                    else (
-                      try Unix.kill w.pid Sys.sigkill
-                      with Unix.Unix_error _ -> ());
-                    close_quiet w.to_w;
-                    close_quiet w.from_w;
-                    (try ignore (Unix.waitpid [] w.pid)
-                     with Unix.Unix_error _ -> ());
-                    w.alive <- false
-                | _ -> ())
-              workers
-          in
-          let interrupted () =
-            Incident.record inc Incident.Signal
-              [
-                ( "signal",
-                  match Sup.stop_signal cfg.stop with
-                  | Some n -> Sup.signal_name n
-                  | None -> "request" );
-                ("shards_done", string_of_int (count_done ()));
-                ("total", string_of_int shards);
-              ];
-            shutdown_workers ~graceful:false;
-            restore_sigpipe ();
-            Fleet_interrupted { completed = count_done (); total = shards }
-          in
-          let rec loop () =
-            if Sup.stop_requested cfg.stop then interrupted ()
-            else if count_done () >= shards then begin
-              shutdown_workers ~graceful:true;
-              restore_sigpipe ();
+          match outcome with
+          | `Interrupted ->
+              Fleet_interrupted { completed = count_done (); total = shards }
+          | `Done ->
               (* a fully-Ok fleet owes nothing to a resume; any Error
                  slot keeps its siblings' checkpoints so a later
                  --resume retries only the failures *)
@@ -689,16 +698,6 @@ let run ?(on_shard_done = fun ~shard:_ ~completed:_ ~total:_ -> ())
                     (function Some r -> r | None -> assert false)
                     results,
                   finish_summary () )
-            end
-            else begin
-              assign_idle ();
-              receive ();
-              enforce_deadlines ();
-              maybe_chaos ();
-              loop ()
-            end
-          in
-          loop ()
         end
   end
 

@@ -121,8 +121,9 @@ val run :
     [Error] slot (quarantined, or [f] returned [Error]) keeps its
     siblings' checkpoints so a later [resume] retries only the
     failures.
-    SIGPIPE is ignored for the duration of the run (worker death must
-    surface as a typed error, not kill the parent).
+    SIGPIPE is ignored from the first worker fork until the last
+    worker is reaped ({!Ipc.with_sigpipe_ignored}): worker death must
+    surface as a typed error, not kill the parent.
 
     [on_shard_done] fires in the parent once per shard slot as it is
     filled — computed, resumed-from-checkpoint shards excluded, or

@@ -119,3 +119,11 @@ let read fd =
               | exception Failure msg ->
                   fail ~code:Error.Invalid_operand "unmarshal failed"
                     [ ("error", msg) ])
+
+let with_sigpipe_ignored f =
+  match Sys.signal Sys.sigpipe Sys.Signal_ignore with
+  | exception (Invalid_argument _ | Sys_error _) -> f ()
+  | previous ->
+      Fun.protect f ~finally:(fun () ->
+          try Sys.set_signal Sys.sigpipe previous
+          with Invalid_argument _ | Sys_error _ -> ())

@@ -14,8 +14,8 @@
 
     Reads and writes retry on [EINTR] and loop over short transfers;
     {!write} reports a broken pipe ([EPIPE]) as a typed error rather
-    than a signal, so callers must have [SIGPIPE] ignored (fleet
-    parents do this around the run). *)
+    than a signal, so callers must have [SIGPIPE] ignored: run them
+    under {!with_sigpipe_ignored}. *)
 
 val write : Unix.file_descr -> 'a -> (unit, Error.t) result
 (** [write fd v] — marshal [v] and send one frame. Errors: the peer
@@ -28,3 +28,10 @@ val read : Unix.file_descr -> ('a option, Error.t) result
     [Ok None] is a clean EOF at a frame boundary (the peer exited
     idle); a truncated frame, bad magic or corrupt length is an
     [Error] (the peer died mid-message). *)
+
+val with_sigpipe_ignored : (unit -> 'a) -> 'a
+(** [with_sigpipe_ignored f] — run [f] with [SIGPIPE] ignored, so a
+    peer that closes mid-conversation surfaces as a typed [EPIPE] from
+    {!write} instead of killing the process, and restore the previous
+    disposition when [f] returns or raises. Where the disposition
+    cannot be set, [f] runs as is. *)

@@ -62,16 +62,6 @@ let sequential = Sequential
 let jobs = function Sequential -> 1 | Parallel sh -> sh.jobs
 let is_parallel t = jobs t > 1
 
-let default_jobs () =
-  let requested =
-    match Sys.getenv_opt "PROMISE_JOBS" with
-    | Some s -> ( match int_of_string_opt (String.trim s) with
-                  | Some n when n >= 1 -> n
-                  | _ -> Domain.recommended_domain_count ())
-    | None -> Domain.recommended_domain_count ()
-  in
-  max 1 (min max_jobs requested)
-
 (* True while the current domain is executing an item of some batch;
    used to run nested maps inline instead of deadlocking. *)
 let in_item : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
@@ -264,6 +254,5 @@ let map_list t f l = Array.to_list (map_array t f (Array.of_list l))
 
 module For_tests = struct
   let create = create
-  let default_jobs = default_jobs
   let shutdown = shutdown
 end

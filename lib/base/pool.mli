@@ -63,10 +63,6 @@ module For_tests : sig
       [Invalid_argument] unless [1 <= jobs <= 64]. [create ~jobs:1]
       returns a pool equivalent to {!sequential}. *)
 
-  val default_jobs : unit -> int
-  (** [PROMISE_JOBS] from the environment when set and positive,
-      otherwise [Domain.recommended_domain_count ()], clamped to 64. *)
-
   val shutdown : t -> unit
   (** Join the worker domains. Idempotent; {!sequential} is a no-op.
       Using the pool after [shutdown] raises [Invalid_argument]. *)

@@ -11,7 +11,7 @@ val int_in_range :
   what:string -> min:int -> max:int -> string -> (int, Error.t) result
 (** [int_in_range ~what ~min ~max s] — parse [s] (trimmed) as a
     decimal integer in [[min, max]]. [what] names the flag or variable
-    in the error ("--jobs", "PROMISE_JOBS"). *)
+    in the error ("--jobs", "PROMISE_BATCH"). *)
 
 val non_negative_float : what:string -> string -> (float, Error.t) result
 (** Parse a finite float [>= 0] (deadlines in milliseconds). *)

@@ -4,78 +4,17 @@ module Lint = Promise_analysis.Driver
 
 let ( let* ) = Result.bind
 
-(* ------------------------------------------------------------------ *)
-(* Content-addressed compilation cache                                  *)
-(* ------------------------------------------------------------------ *)
-
+(* Nothing is cached; perfbench's compile-cold workload still calls
+   [Cache.clear] before each compile. *)
 module Cache = struct
-  (* Keys are MD5 digests of the marshalled inputs (kernels, graphs and
-     optimization parameters are pure data), so a cache hit means "same
-     compilation problem" regardless of which sweep asked.  Only [Ok]
-     results are stored; errors always recompute.  A single mutex
-     guards all tables — compilation results are coarse enough that
-     contention is irrelevant next to simulation cost. *)
-
-  type stats = { hits : int; misses : int; entries : int }
-
-  let lock = Mutex.create ()
-  let hits = ref 0
-  let misses = ref 0
-
-  let frontend_tbl : (string, Promise_ir.Graph.t) Hashtbl.t = Hashtbl.create 64
-
-  let codegen_tbl : (string, Promise_isa.Program.t) Hashtbl.t =
-    Hashtbl.create 64
-
-  let digest v = Digest.to_hex (Digest.string (Marshal.to_string v []))
-
-  let clear () =
-    Mutex.protect lock (fun () ->
-        Hashtbl.reset frontend_tbl;
-        Hashtbl.reset codegen_tbl;
-        hits := 0;
-        misses := 0)
-
-  (* [memo tbl key f] — serve [Ok] from [tbl], else compute.  The
-     compute runs outside the lock: two domains racing on the same cold
-     key duplicate work once rather than serializing all compilation. *)
-  let memo tbl key f =
-    let cached =
-      Mutex.protect lock (fun () ->
-          match Hashtbl.find_opt tbl key with
-          | Some v ->
-              incr hits;
-              Some v
-          | None ->
-              incr misses;
-              None)
-    in
-    match cached with
-    | Some v -> Ok v
-    | None -> (
-        match f () with
-        | Ok v as ok ->
-            Mutex.protect lock (fun () ->
-                if not (Hashtbl.mem tbl key) then Hashtbl.add tbl key v);
-            ok
-        | Error _ as err -> err)
-
-  module For_tests = struct
-    let stats () =
-      Mutex.protect lock (fun () ->
-          {
-            hits = !hits;
-            misses = !misses;
-            entries = Hashtbl.length frontend_tbl + Hashtbl.length codegen_tbl;
-          })
-  end
+  let clear () = ()
 end
 
 (* ------------------------------------------------------------------ *)
 (* Pipeline stages                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let compile_uncached kernel =
+let compile kernel =
   let ssa = Promise_ir.Dsl.lower kernel in
   (* Fail closed: every frontend output goes through the SSA validator
      so a pattern-matcher bug surfaces as a diagnostic, not a
@@ -89,23 +28,18 @@ let compile_uncached kernel =
     (E.of_string ~layer:"frontend")
     (Promise_ir.Pattern.match_function ssa)
 
-let compile kernel =
-  Cache.memo Cache.frontend_tbl (Cache.digest kernel) (fun () ->
-      compile_uncached kernel)
-
 let codegen g =
-  Cache.memo Cache.codegen_tbl (Cache.digest g) (fun () ->
-      let* program = Lower.program_of_graph g in
-      (* Fail closed on the Task stream too: a shadowed X-REG store or
-         an analog dwell past the leakage budget is a codegen bug, not
-         a program to hand the machine. *)
-      let* () =
-        let tasks = program.Promise_isa.Program.tasks in
-        match Diag.first_error (Lint.dataflow_passes tasks) with
-        | Some d -> Error (Diag.to_error ~layer:"compiler" d)
-        | None -> Ok ()
-      in
-      Ok program)
+  let* program = Lower.program_of_graph g in
+  (* Fail closed on the Task stream too: a shadowed X-REG store or an
+     analog dwell past the leakage budget is a codegen bug, not a
+     program to hand the machine. *)
+  let* () =
+    let tasks = program.Promise_isa.Program.tasks in
+    match Diag.first_error (Lint.dataflow_passes tasks) with
+    | Some d -> Error (Diag.to_error ~layer:"compiler" d)
+    | None -> Ok ()
+  in
+  Ok program
 
 (* ------------------------------------------------------------------ *)
 (* Lints                                                                *)

@@ -3,22 +3,12 @@
     generation. The energy optimization between IR and code generation
     is {!Swing_opt}; execution is {!Runtime}. *)
 
-(** Content-addressed compilation cache.
-
-    Both stages below are memoized on an MD5 digest of their marshalled
-    input (kernel for the frontend, graph for codegen), so repeated
-    compilations in sweeps return the previously computed — immutable —
-    result instead of re-running lowering.
-    Thread-safe; only successful results are cached. *)
+(** Nothing is cached: {!compile} and {!codegen} run their stages on
+    every call. *)
 module Cache : sig
-  type stats = { hits : int; misses : int; entries : int }
-
   val clear : unit -> unit
-  (** Drop every entry and zero the hit/miss counters. *)
-
-  module For_tests : sig
-    val stats : unit -> stats
-  end
+  (** A no-op, kept only for perfbench's compile-cold workload, which
+      calls it before each compile. *)
 end
 
 (** [compile kernel] — frontend + PROMISE pass: the IR graph with all

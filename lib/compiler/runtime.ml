@@ -86,19 +86,8 @@ let recovery_of_report (r : Selftest.report) =
   in
   { default_recovery with excluded_banks = excluded; spared_lanes = spared }
 
-type recovery_stats = {
-  retries : int;
-  fallbacks : int;
-  canary_failures : int;
-  spared_lanes : int list;
-  excluded_banks : int list;
-}
-
-type counters = {
-  mutable c_retries : int;
-  mutable c_fallbacks : int;
-  mutable c_canary_failures : int;
-}
+type recovery_stats = { fallbacks : int }
+type counters = { mutable c_fallbacks : int }
 
 type run_result = {
   outputs : (int * task_output) list;
@@ -772,23 +761,17 @@ let run_node s node ~counters ~x ~batch =
                   canary_ok ~tolerance:r.canary_tolerance
                     result.Machine.emitted reference
                 then Ok (`Accepted result)
-                else begin
-                  counters.c_canary_failures <- counters.c_canary_failures + 1;
-                  if tries < r.max_retries then begin
-                    counters.c_retries <- counters.c_retries + 1;
-                    attempt (tries + 1)
-                  end
-                  else if r.digital_fallback then begin
-                    counters.c_fallbacks <- counters.c_fallbacks + 1;
-                    Ok (`Fallback (reference, ref_argext))
-                  end
-                  else
-                    fail ~code:E.Retry_exhausted
-                      ~context:
-                        [ ("task", at.At.name); ("chunk", string_of_int chunk) ]
-                      "analog result failed its canary bound %d times"
-                      (r.max_retries + 1)
+                else if tries < r.max_retries then attempt (tries + 1)
+                else if r.digital_fallback then begin
+                  counters.c_fallbacks <- counters.c_fallbacks + 1;
+                  Ok (`Fallback (reference, ref_argext))
                 end
+                else
+                  fail ~code:E.Retry_exhausted
+                    ~context:
+                      [ ("task", at.At.name); ("chunk", string_of_int chunk) ]
+                    "analog result failed its canary bound %d times"
+                    (r.max_retries + 1)
               in
               let rec decide acc d =
                 if d = batch then Ok (Array.of_list (List.rev acc))
@@ -836,18 +819,8 @@ let run_node s node ~counters ~x ~batch =
              { values; decision = None })
        values)
 
-let stats_of s counters =
-  {
-    retries = counters.c_retries;
-    fallbacks = counters.c_fallbacks;
-    canary_failures = counters.c_canary_failures;
-    spared_lanes =
-      (match s.recovery with Some r -> r.spared_lanes | None -> []);
-    excluded_banks =
-      (match s.recovery with Some r -> r.excluded_banks | None -> []);
-  }
-
-let new_counters () = { c_retries = 0; c_fallbacks = 0; c_canary_failures = 0 }
+let stats_of counters = { fallbacks = counters.c_fallbacks }
+let new_counters () = { c_fallbacks = 0 }
 
 (* One decision of the whole graph, node by node in topological order. *)
 let decide s b =
@@ -867,7 +840,7 @@ let decide s b =
     {
       outputs = List.map (fun n -> (n.id, Hashtbl.find outputs n.id)) s.nodes;
       machine = s.machine;
-      stats = stats_of s counters;
+      stats = stats_of counters;
     }
 
 (* Consulted once per decision before the query's first launch, so the
@@ -931,7 +904,7 @@ let query s b ~batch =
                    {
                      outputs = [ (node.id, o) ];
                      machine = s.machine;
-                     stats = stats_of s counters;
+                     stats = stats_of counters;
                    })
                  outs)
         | `Analog _ | `Digital -> decision_major ())

@@ -69,11 +69,7 @@ val default_recovery : recovery
 val recovery_of_report : Promise_arch.Selftest.report -> recovery
 
 type recovery_stats = {
-  retries : int;  (** chunk re-executions triggered by the canary *)
   fallbacks : int;  (** chunks served from the digital reference *)
-  canary_failures : int;  (** canary misses, including retried ones *)
-  spared_lanes : int list;
-  excluded_banks : int list;
 }
 
 type run_result = {

@@ -148,20 +148,17 @@ let energy_report = Promise_energy.Model.program_energy
     [batch] decisions (bit-identical to [batch] sequential {!run}s). *)
 let run_batch = Promise_compiler.Pipeline.run_batch
 
-(** [check_env ()] — validate the three [PROMISE_*] environment
-    variables library code reads ([PROMISE_JOBS] in [Pool],
-    [PROMISE_KERNEL_MODE] and [PROMISE_BATCH] in [Arch.Machine]), with
-    typed errors instead of the silent fallbacks those readers take: a
-    typo'd [PROMISE_JOBS=fuor] fails loudly at CLI startup rather than
-    quietly running at the default width. Every other setting is a CLI
-    flag. The kernel-mode value list mirrors
-    [Arch.Machine.default_kernel_mode]; the batch range mirrors
-    [Arch.Machine.default_batch]. *)
+(** [check_env ()] — validate the two [PROMISE_*] environment
+    variables library code reads ([PROMISE_KERNEL_MODE] and
+    [PROMISE_BATCH], both in [Arch.Machine]), with typed errors instead
+    of the silent fallbacks those readers take: a typo'd
+    [PROMISE_BATCH=fuor] fails loudly at CLI startup rather than quietly
+    running at batch width 1. Every other setting is a CLI flag. The
+    kernel-mode value list mirrors [Arch.Machine.default_kernel_mode];
+    the batch range mirrors [Arch.Machine.default_batch]. *)
 let check_env () =
   Promise_core.Validate.all
     [
-      Result.map ignore
-        (Promise_core.Validate.env_int ~name:"PROMISE_JOBS" ~min:1 ~max:64);
       Result.map ignore
         (Promise_core.Validate.env_enum ~name:"PROMISE_KERNEL_MODE"
            ~values:[ "fused"; "reference"; "ref"; "scalar" ]);

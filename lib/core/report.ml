@@ -496,7 +496,7 @@ let yield_analysis ppf =
         within n)
     [ (B.matched_filter (), 1); (B.template_l2 (), 2); (B.template_l2 (), 4) ]
 
-let validation ppf = ignore (Validation.report ppf)
+let validation = Validation.report
 
 let resilience ppf =
   let scenarios = Campaign.all_scenarios () in

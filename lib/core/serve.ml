@@ -87,7 +87,7 @@ let model_name m = m.m_name
 
 type mode = Batched | Single
 
-type reply = { values : float array; batch : int; wait_ns : int64 }
+type reply = { values : float array; batch : int }
 
 (* --- Self-healing state ------------------------------------------- *)
 
@@ -112,7 +112,6 @@ type health = {
 
 type outcome = {
   o_rid : int;
-  o_model : string;
   o_result : (reply, E.t) result;
 }
 
@@ -375,12 +374,13 @@ let values_of_results rs =
        rs)
 
 (* Dispatch [batch] decisions of [m] on [machine]: the primary, or the
-   fallback twin under [Reference] kernels. A single-task program goes
-   through [execute_batch_into], whose in-buffer loop allocates nothing
-   per decision on the fused plane ([run_program_batch] in its place
-   raised the daemon's peak RSS by a tenth). The trace is an audit
-   artifact of batch/CLI runs: a daemon serving forever must not retain
-   one record per dispatch. *)
+   fallback twin under [Reference] kernels. In [Batched] mode a
+   single-task program goes through [execute_batch_into], whose
+   in-buffer loop allocates nothing per decision on the fused plane
+   (the allocating [execute_batch] in its place raised the daemon's
+   peak RSS by a tenth); every other dispatch runs the program once per
+   decision. The trace is an audit artifact of batch/CLI runs: a daemon
+   serving forever must not retain one record per dispatch. *)
 let dispatch ?kernel_mode t m machine ~batch =
   let r =
     match (t.mode, m.m_launch) with
@@ -399,13 +399,7 @@ let dispatch ?kernel_mode t m machine ~batch =
         Ok
           (Array.init batch (fun d ->
                Array.init epd (fun g -> out.{(d * epd) + g})))
-    | Batched, None ->
-        let* arr =
-          Machine.run_program_batch ?pool:t.pool ?kernel_mode machine
-            m.m_program ~batch
-        in
-        Ok (Array.map values_of_results arr)
-    | Single, _ ->
+    | Batched, None | Single, _ ->
         let rec go acc k =
           if k = 0 then Ok (Array.of_list (List.rev acc))
           else
@@ -597,7 +591,7 @@ let flush t p =
           ("waited_ms", Printf.sprintf "%.1f" waited_ms);
         ];
       t.respond
-        { o_rid = rid; o_model = m.m_name; o_result = Error (timeout_error ~rid ~waited_ms) })
+        { o_rid = rid; o_result = Error (timeout_error ~rid ~waited_ms) })
     dropped;
   match live with
   | [] -> ()
@@ -616,7 +610,6 @@ let flush t p =
               t.respond
                 {
                   o_rid = rid;
-                  o_model = m.m_name;
                   o_result =
                     Error
                       (overloaded_error ~reason:"breaker-open"
@@ -668,24 +661,21 @@ let flush t p =
           let reply_batch = match t.mode with Batched -> n | Single -> 1 in
           List.iteri
             (fun i (rid, arrival) ->
-              let wait_ns = Int64.sub done_ns arrival in
               match dispatched with
               | Ok values ->
                   t.served <- t.served + 1;
-                  Histogram.add t.latency (Int64.to_float wait_ns);
+                  Histogram.add t.latency
+                    (Int64.to_float (Int64.sub done_ns arrival));
                   t.respond
                     {
                       o_rid = rid;
-                      o_model = m.m_name;
-                      o_result =
-                        Ok { values = values.(i); batch = reply_batch; wait_ns };
+                      o_result = Ok { values = values.(i); batch = reply_batch };
                     }
               | Error e ->
                   t.failures <- t.failures + 1;
                   t.respond
                     {
                       o_rid = rid;
-                      o_model = m.m_name;
                       o_result =
                         Error (E.with_context e [ ("rid", string_of_int rid) ]);
                     })
@@ -831,82 +821,77 @@ let daemon ?(max_requests = 0) ?(incidents = Incident.null) ?pool ?deadline_ms
         ~context:[ ("path", listen); ("errno", Unix.error_message err) ]
         "cannot bind the listening socket"
   in
-  let previous_sigpipe =
-    try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore)
-    with Invalid_argument _ -> None
-  in
-  let clients = ref [] in
-  let close_client fd =
-    clients := List.filter (fun c -> c <> fd) !clients;
-    Hashtbl.iter
-      (fun rid (cfd, _) -> if cfd = fd then Hashtbl.remove rid_tbl rid)
-      (Hashtbl.copy rid_tbl);
-    try Unix.close fd with Unix.Unix_error _ -> ()
-  in
-  let handle_client fd =
-    match Ipc.read fd with
-    | Ok None | Error _ -> close_client fd
-    | Ok (Some (req : wire_request)) -> (
-        let rid = !next_rid in
-        incr next_rid;
-        Hashtbl.replace rid_tbl rid (fd, req.w_rid);
-        match submit eng ~rid ~model:req.w_model with
-        | Ok () -> ()
-        | Error e ->
-            Hashtbl.remove rid_tbl rid;
-            incr completed;
-            ignore
-              (write_frame fd
-                 {
-                   r_rid = req.w_rid;
-                   r_values = [||];
-                   r_batch = 0;
-                   r_error = Some (E.to_string e);
-                 }))
-  in
-  Incident.record incidents Incident.Run_start
-    [ ("what", "promise-serve"); ("socket", listen) ];
-  while
-    (not (Supervisor.stop_requested stop))
-    && (max_requests = 0 || !completed < max_requests)
-  do
-    let timeout =
-      match next_deadline_ns eng with
-      | Some ns ->
-          let dt =
-            Int64.to_float (Int64.sub ns (Clock.monotonic_ns ())) /. 1e9
-          in
-          Float.max 0.0 (Float.min dt 0.05)
-      | None -> 0.05
+  (* a client that hangs up before its reply must not kill the daemon *)
+  Ipc.with_sigpipe_ignored (fun () ->
+    let clients = ref [] in
+    let close_client fd =
+      clients := List.filter (fun c -> c <> fd) !clients;
+      Hashtbl.iter
+        (fun rid (cfd, _) -> if cfd = fd then Hashtbl.remove rid_tbl rid)
+        (Hashtbl.copy rid_tbl);
+      try Unix.close fd with Unix.Unix_error _ -> ()
     in
-    let readable =
-      try
-        let r, _, _ = Unix.select (srv :: !clients) [] [] timeout in
-        r
-      with Unix.Unix_error (Unix.EINTR, _, _) -> []
+    let handle_client fd =
+      match Ipc.read fd with
+      | Ok None | Error _ -> close_client fd
+      | Ok (Some (req : wire_request)) -> (
+          let rid = !next_rid in
+          incr next_rid;
+          Hashtbl.replace rid_tbl rid (fd, req.w_rid);
+          match submit eng ~rid ~model:req.w_model with
+          | Ok () -> ()
+          | Error e ->
+              Hashtbl.remove rid_tbl rid;
+              incr completed;
+              ignore
+                (write_frame fd
+                   {
+                     r_rid = req.w_rid;
+                     r_values = [||];
+                     r_batch = 0;
+                     r_error = Some (E.to_string e);
+                   }))
     in
-    List.iter
-      (fun fd ->
-        if fd = srv then begin
-          match Unix.accept srv with
-          | client, _ -> clients := client :: !clients
-          | exception Unix.Unix_error _ -> ()
-        end
-        else if List.mem fd !clients then handle_client fd)
-      readable;
+    Incident.record incidents Incident.Run_start
+      [ ("what", "promise-serve"); ("socket", listen) ];
+    while
+      (not (Supervisor.stop_requested stop))
+      && (max_requests = 0 || !completed < max_requests)
+    do
+      let timeout =
+        match next_deadline_ns eng with
+        | Some ns ->
+            let dt =
+              Int64.to_float (Int64.sub ns (Clock.monotonic_ns ())) /. 1e9
+            in
+            Float.max 0.0 (Float.min dt 0.05)
+        | None -> 0.05
+      in
+      let readable =
+        try
+          let r, _, _ = Unix.select (srv :: !clients) [] [] timeout in
+          r
+        with Unix.Unix_error (Unix.EINTR, _, _) -> []
+      in
+      List.iter
+        (fun fd ->
+          if fd = srv then begin
+            match Unix.accept srv with
+            | client, _ -> clients := client :: !clients
+            | exception Unix.Unix_error _ -> ()
+          end
+          else if List.mem fd !clients then handle_client fd)
+        readable;
+      pump eng;
+      flush_due eng
+    done;
     pump eng;
-    flush_due eng
-  done;
-  pump eng;
-  flush_all eng;
-  Incident.record incidents Incident.Run_end
-    [ ("what", "promise-serve"); ("completed", string_of_int !completed) ];
-  List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) !clients;
-  (try Unix.close srv with Unix.Unix_error _ -> ());
-  (try Unix.unlink listen with Unix.Unix_error _ -> ());
-  (match previous_sigpipe with
-  | Some b -> Sys.set_signal Sys.sigpipe b
-  | None -> ());
+    flush_all eng;
+    Incident.record incidents Incident.Run_end
+      [ ("what", "promise-serve"); ("completed", string_of_int !completed) ];
+    List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) !clients;
+    (try Unix.close srv with Unix.Unix_error _ -> ());
+    try Unix.unlink listen with Unix.Unix_error _ -> ());
   Ok { d_completed = !completed; d_stats = stats eng }
 
 (* ------------------------------------------------------------------ *)
@@ -926,15 +911,7 @@ let probe ?(connect_timeout_ms = 10_000.0) ?(requests = 8) ~path ~model () =
      the probe with SIGPIPE — which a caller cannot tell apart from a
      hang. Ignore it for the probe's duration; writes then surface as
      typed EPIPE errors. *)
-  let previous_sigpipe =
-    try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore)
-    with Invalid_argument _ -> None
-  in
-  let restore_sigpipe () =
-    match previous_sigpipe with
-    | Some b -> Sys.set_signal Sys.sigpipe b
-    | None -> ()
-  in
+  Ipc.with_sigpipe_ignored @@ fun () ->
   let deadline =
     Int64.add (Clock.monotonic_ns ())
       (Int64.of_float (connect_timeout_ms *. 1e6))
@@ -960,13 +937,10 @@ let probe ?(connect_timeout_ms = 10_000.0) ?(requests = 8) ~path ~model () =
           "cannot connect to the daemon"
   in
   match connect () with
-  | Error e ->
-      restore_sigpipe ();
-      Error e
+  | Error e -> Error e
   | Ok fd -> (
       let finish r =
         (try Unix.close fd with Unix.Unix_error _ -> ());
-        restore_sigpipe ();
         r
       in
       let rec send i =
@@ -1023,8 +997,6 @@ let probe ?(connect_timeout_ms = 10_000.0) ?(requests = 8) ~path ~model () =
 type load = Closed_loop of int
 
 type load_report = {
-  l_mode : mode;
-  l_requests : int;
   l_served : int;
   l_rejected : int;
   l_timeouts : int;
@@ -1477,8 +1449,6 @@ let load_run ?(jobs = 1) ?(incidents = Incident.null) ?deadline_ms ~mode
       let pct q = Histogram.percentile s.latency_ns q /. 1e6 in
       Ok
         {
-          l_mode = mode;
-          l_requests = requests;
           l_served = s.served;
           l_rejected = s.rejected;
           l_timeouts = s.timeouts;

@@ -15,15 +15,15 @@
       the set reaches [batch_max] {e or} its oldest request has waited
       [flush_us] microseconds, whichever comes first.
     - {e Dispatch}: one dispatch serves the primary and its digital
-      fallback twin. A flushed batch rides the batch engine: a
-      single-task program goes through
+      fallback twin. In {!Batched} mode a single-task program's
+      flushed batch goes through
       {!Promise_arch.Machine.execute_batch_into} with its launch fixed
       when the model is built (the zero-allocation in-buffer loop
-      whenever the launch rides the fused sample plane), any other
-      program through {!Promise_arch.Machine.run_program_batch}; in
-      {!Single} mode each decision runs the program once. Execution
-      runs under {!Promise_core.Supervisor} so a failure becomes typed
-      per-request errors, never a dead daemon.
+      whenever the launch rides the fused sample plane); every other
+      dispatch — a multi-task program, or {!Single} mode — runs the
+      program once per decision ({!Promise_arch.Machine.run_program}).
+      Execution runs under {!Promise_core.Supervisor} so a failure
+      becomes typed per-request errors, never a dead daemon.
       [pool] fans multi-bank groups out across domains bank-major
       (per-bank affinity), exactly as {!Promise_arch.Machine.execute}.
     - {e Responder}: every request gets exactly one {!outcome} through
@@ -81,12 +81,10 @@ type reply = {
       (** the decision's emission stream (output-buffer + accumulator
           emissions, task order) — bitwise equal across {!mode}s *)
   batch : int;  (** decisions in the flushed batch this request rode *)
-  wait_ns : int64;  (** admission → dispatch completion, engine clock *)
 }
 
 type outcome = {
   o_rid : int;
-  o_model : string;
   o_result : (reply, Promise_core.Error.t) result;
 }
 
@@ -209,7 +207,7 @@ val daemon :
     is requested (SIGINT/SIGTERM) or after [max_requests] responses
     when positive — the drain flushes every pending batch first. A dead
     client's responses are dropped (and logged), never fatal ([SIGPIPE]
-    is ignored for the loop). *)
+    is ignored for the loop, {!Promise_core.Ipc.with_sigpipe_ignored}). *)
 
 type probe_summary = {
   p_sent : int;
@@ -234,7 +232,8 @@ val probe :
     error whose context says how many replies arrived before the close
     ([replies-before-close]/[missing]) — never mistaken for a hang —
     and [SIGPIPE] is ignored for the probe's duration so a write to the
-    closed socket surfaces as a typed error too. *)
+    closed socket surfaces as a typed error too; the caller's
+    disposition is back in place when [probe] returns or raises. *)
 
 (** {2 The chaos soak} *)
 
@@ -301,8 +300,6 @@ type load =
           batches exactly what the concurrency window holds *)
 
 type load_report = {
-  l_mode : mode;
-  l_requests : int;
   l_served : int;
   l_rejected : int;
   l_timeouts : int;

@@ -382,5 +382,4 @@ let report ppf =
         level.checks)
     (all_levels ());
   Format.fprintf ppf "@.validation %s@."
-    (if !all_passed then "PASSED" else "FAILED");
-  !all_passed
+    (if !all_passed then "PASSED" else "FAILED")

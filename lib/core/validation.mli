@@ -8,7 +8,9 @@
     structure against this repository's own ground truths: the
     published Table-3 numbers, the float reference implementations, and
     the benchmark accuracy budgets. [promise-report validation] runs
-    it; the result is also a single boolean for CI-style gating.
+    it and exits 0 either way: the gate is the cram golden of its
+    output ([test/cli/report.t]), which a [[FAIL]] line or a
+    [validation FAILED] verdict breaks.
 
     The levels: component (Table-3 energies/delays, the noise σ model,
     LUT deviation bounds, ADC quantization error, PWM/sub-ranged read
@@ -17,6 +19,5 @@
     signal ordering); application (benchmark accuracy at maximum swing
     within the mismatch budgets, fast benchmarks only). *)
 
-(** [report ppf] — print every level; returns whether every check
-    passed. *)
-val report : Format.formatter -> bool
+(** [report ppf] — print every level and the overall verdict. *)
+val report : Format.formatter -> unit

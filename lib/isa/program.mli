@@ -28,13 +28,6 @@ val to_binary : t -> bytes
 module For_tests : sig
   val equal : t -> t -> bool
 
-  (** Distinct swings used, ascending. *)
-  val swings : t -> int list
-
-  (** [with_swings t ss] returns a copy of [t] where task [i] uses swing
-      [List.nth ss i]. Raises [Invalid_argument] on length mismatch. *)
-  val with_swings : t -> int list -> t
-
   (** Parse via {!Encode.program_of_bytes}. *)
   val of_binary : name:string -> bytes -> (t, string) result
 end

@@ -55,12 +55,6 @@ let test_rng_split_independent () =
   let a = Rng.For_tests.split root and b = Rng.For_tests.split root in
   check Alcotest.bool "split streams differ" true (Rng.float a <> Rng.float b)
 
-let test_rng_copy () =
-  let a = Rng.create 5 in
-  ignore (Rng.float a);
-  let b = Rng.For_tests.copy a in
-  checkf "copy continues identically" (Rng.float a) (Rng.float b)
-
 let test_rng_shuffle_permutation () =
   let rng = Rng.create 6 in
   let arr = Array.init 50 (fun i -> i) in
@@ -315,7 +309,6 @@ let suite =
     ("rng int range", `Quick, test_rng_int_range);
     ("rng gaussian moments", `Slow, test_rng_gaussian_moments);
     ("rng split independence", `Quick, test_rng_split_independent);
-    ("rng copy", `Quick, test_rng_copy);
     ("rng shuffle is a permutation", `Quick, test_rng_shuffle_permutation);
     ("swing endpoints", `Quick, test_swing_endpoints);
     ("swing monotone", `Quick, test_swing_monotone);

@@ -570,29 +570,6 @@ let test_scheduler_closed_form () =
 (* Program- and runtime-level batching                                  *)
 (* ------------------------------------------------------------------ *)
 
-let test_run_program_batch () =
-  let c = { (serving_case 0) with banks_log = 1; mb = 0 } in
-  let program =
-    Program.make ~name:"two"
-      [ task_of c; task_of { c with shape = 2; rpt = 15 } ]
-  in
-  let batch = 5 in
-  let batched =
-    fok (Machine.run_program_batch (machine_of c) program ~batch)
-  in
-  let m = machine_of c in
-  let replayed =
-    Array.init batch (fun _ -> fok (Machine.run_program m program))
-  in
-  check int "one result list per decision" batch (Array.length batched);
-  Array.iteri
-    (fun d rs ->
-      check bool
-        (Printf.sprintf "decision %d: multi-task program identical" d)
-        true
-        (List.for_all2 same_result rs replayed.(d)))
-    batched
-
 let bt_kernel =
   Dsl.kernel ~name:"bt"
     ~decls:
@@ -1052,8 +1029,6 @@ let () =
         ] );
       ( "program+runtime",
         [
-          Alcotest.test_case "run_program_batch == N run_program" `Quick
-            test_run_program_batch;
           Alcotest.test_case "Runtime.run_batch == N Runtime.run" `Quick
             test_runtime_batch;
           QCheck_alcotest.to_alcotest qcheck_session_eq_runs;

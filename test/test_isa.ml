@@ -401,22 +401,12 @@ let test_asm_duplicate_field_last_wins () =
   | Ok t -> check int "last rpt wins" 9 t.Task.rpt_num
   | Error d -> fail (Promise_core.Diag.to_string d)
 
-let test_with_swings_mismatch () =
-  let p = Program.make ~name:"p" [ dot_task () ] in
-  match Program.For_tests.with_swings p [ 1; 2 ] with
-  | exception Invalid_argument _ -> ()
-  | _ -> fail "length mismatch must be rejected"
-
 let test_program_helpers () =
   let p =
     Program.make ~name:"p"
       [ dot_task ~rpt_num:9 () ; dot_task ~rpt_num:4 ~multi_bank:2 () ]
   in
-  check int "max banks" 4 (Program.max_banks p);
-  check (Alcotest.list Alcotest.int) "swings" [ 7 ] (Program.For_tests.swings p);
-  let p' = Program.For_tests.with_swings p [ 2; 5 ] in
-  check (Alcotest.list Alcotest.int) "updated swings" [ 2; 5 ]
-    (Program.For_tests.swings p')
+  check int "max banks" 4 (Program.max_banks p)
 
 let suite =
   [
@@ -451,7 +441,6 @@ let suite =
     ("asm errors", `Quick, test_asm_errors);
     ("program asm/binary roundtrip", `Quick, test_program_roundtrip);
     ("asm duplicate field", `Quick, test_asm_duplicate_field_last_wins);
-    ("with_swings mismatch", `Quick, test_with_swings_mismatch);
     ("program helpers", `Quick, test_program_helpers);
     QCheck_alcotest.to_alcotest qcheck_op_param_roundtrip;
     QCheck_alcotest.to_alcotest qcheck_encode_roundtrip;

@@ -2,7 +2,7 @@
    (ordering, exceptions, nesting, lifecycle), the split_n RNG contract
    behind per-bank streams, bit-for-bit determinism of parallel
    execution at machine and runtime level (QCheck, including faulty
-   machines), and the content-addressed compilation cache. *)
+   machines), and compiles that agree when repeated or concurrent. *)
 
 module P = Promise
 module Pool = P.Pool
@@ -11,7 +11,6 @@ module Faults = Arch.Faults
 module Rng = P.Analog.Rng
 module Dsl = P.Ir.Dsl
 module Rt = P.Compiler.Runtime
-module Cache = P.Compiler.Pipeline.Cache
 module E = P.Error
 
 let check = Alcotest.check
@@ -83,7 +82,6 @@ let test_pool_lifecycle () =
   | exception Invalid_argument _ -> ());
   check bool "jobs:1 is sequential" false
     (Pool.is_parallel (Pool.For_tests.create ~jobs:1));
-  check bool "default_jobs is positive" true (Pool.For_tests.default_jobs () >= 1);
   let pool = Pool.For_tests.create ~jobs:2 in
   Pool.For_tests.shutdown pool;
   Pool.For_tests.shutdown pool;
@@ -229,39 +227,31 @@ let test_runtime_determinism () =
         (o_seq.Rt.decision = o_par.Rt.decision))
 
 (* ------------------------------------------------------------------ *)
-(* Compiled-task cache                                                 *)
+(* Compilation determinism                                            *)
 (* ------------------------------------------------------------------ *)
 
-let test_cache_hit () =
-  Cache.clear ();
-  let s0 = Cache.For_tests.stats () in
-  check int "clear zeroes entries" 0 s0.Cache.entries;
+let test_repeat_compile () =
+  (* compile is not memoized: a repeated compile of one kernel (once a
+     cache hit) recomputes and must give an equal graph and program *)
   let g1 = fok (P.compile tm_kernel) in
-  let s1 = Cache.For_tests.stats () in
-  check bool "first compile misses" true (s1.Cache.misses > s0.Cache.misses);
-  check bool "first compile populates" true (s1.Cache.entries > 0);
   let g2 = fok (P.compile tm_kernel) in
-  let s2 = Cache.For_tests.stats () in
-  check bool "second compile hits" true (s2.Cache.hits > s1.Cache.hits);
-  check int "no new entries on a hit" s1.Cache.entries s2.Cache.entries;
-  check bool "cached graph structurally equal" true (g1 = g2);
+  check bool "recomputed graph structurally equal" true (g1 = g2);
   let p1 = fok (P.Compiler.Pipeline.codegen g1) in
   let p2 = fok (P.Compiler.Pipeline.codegen g2) in
-  check bool "cached program structurally equal" true (p1 = p2)
+  check bool "recomputed program structurally equal" true (p1 = p2)
 
-let test_cache_recompile () =
-  (* two compiles around a clear share no cache entry and must agree *)
-  Cache.clear ();
+let test_recompile () =
+  (* [Cache.clear] is a no-op kept for perfbench's compile-cold
+     workload; compiles around it must still agree *)
+  P.Compiler.Pipeline.Cache.clear ();
   let g1 = fok (P.compile tm_kernel) in
-  Cache.clear ();
+  P.Compiler.Pipeline.Cache.clear ();
   let g2 = fok (P.compile tm_kernel) in
-  check int "second compile recomputes" 0 (Cache.For_tests.stats ()).Cache.hits;
   check bool "recomputation agrees" true (g1 = g2)
 
-let test_cache_concurrent () =
-  (* hammer one key from four domains: every result must be the same
-     graph, and the cache must end up with a consistent entry count *)
-  Cache.clear ();
+let test_concurrent_compiles () =
+  (* compile one kernel from four domains: every result must be the
+     same graph *)
   Pool.with_pool ~jobs:4 (fun pool ->
       let graphs =
         Pool.map_list pool
@@ -304,10 +294,10 @@ let () =
       ( "cache",
         [
           Alcotest.test_case "hit returns the structurally equal graph" `Quick
-            test_cache_hit;
+            test_repeat_compile;
           Alcotest.test_case "recompile after clear agrees" `Quick
-            test_cache_recompile;
+            test_recompile;
           Alcotest.test_case "concurrent compilations agree" `Quick
-            test_cache_concurrent;
+            test_concurrent_compiles;
         ] );
     ]

@@ -229,7 +229,7 @@ let test_watchdog_timeout () =
    machines: the k-th served decision must consume the machine's RNG
    streams exactly as the k-th sequential single execution. Matched
    filter is a single-task program (the execute_batch_into dispatch),
-   LinReg a four-task one (the run_program_batch dispatch). *)
+   LinReg a four-task one (the per-decision dispatch). *)
 let batched_equals_single model =
   let n = 10 in
   let run mode =
@@ -305,6 +305,20 @@ let test_load_run_identity () =
   check bool "batched coalesced" true (b.Serve.l_mean_batch > 1.0);
   check (Alcotest.float 0.0) "single never coalesces" 1.0 s.Serve.l_max_batch
 
+(* The probe ignores SIGPIPE only while it runs: a connect that times
+   out on a missing socket hands the caller back its own handler. *)
+let test_probe_restores_sigpipe () =
+  let handler _ = () in
+  let before = Sys.signal Sys.sigpipe (Sys.Signal_handle handler) in
+  let r =
+    Serve.probe ~connect_timeout_ms:30.0 ~requests:1
+      ~path:"/nonexistent/promise-serve.sock" ~model:"mf" ()
+  in
+  let after = Sys.signal Sys.sigpipe before in
+  check bool "typed connect timeout" true (code_of r = E.Timeout);
+  check bool "handler restored" true
+    (match after with Sys.Signal_handle h -> h == handler | _ -> false)
+
 let () =
   Alcotest.run "serve"
     [
@@ -334,5 +348,7 @@ let () =
             test_batched_equals_single_bitwise;
           Alcotest.test_case "create validation" `Quick test_create_validation;
           Alcotest.test_case "load_run identity" `Quick test_load_run_identity;
+          Alcotest.test_case "probe restores the SIGPIPE disposition" `Quick
+            test_probe_restores_sigpipe;
         ] );
     ]
