@@ -18,8 +18,7 @@
             [--quick] [--shards N] [--workers M] [--batch N]
             [--checkpoint-dir DIR] [--resume] [--incidents FILE]
             [--timeout-ms T] [--liveness-ms L] [--heartbeat-ms H]
-            [--max-restarts R] [--seed S] [--chaos kill-one]
-            [--bench FILE] *)
+            [--max-restarts R] [--seed S] [--chaos kill-one] *)
 
 module P = Promise
 open Cmdliner
@@ -37,38 +36,6 @@ let chaos_conv =
           (match c with P.Fleet.Kill_one -> "kill-one" | P.Fleet.No_chaos -> "none")
     )
 
-(* BENCH_fleet.json: aggregate wall time plus the per-shard detail the
-   summary carries. *)
-let write_bench path ~workload ~quick (s : P.Fleet.summary) =
-  let oc = open_out path in
-  Printf.fprintf oc
-    "{\n\
-    \  \"benchmark\": \"fleet\",\n\
-    \  \"workload\": \"%s\",\n\
-    \  \"quick\": %b,\n\
-    \  \"host_cores\": %d,\n\
-    \  \"shards\": %d,\n\
-    \  \"workers\": %d,\n\
-    \  \"restarts\": %d,\n\
-    \  \"resumed\": %d,\n\
-    \  \"quarantined\": %d,\n\
-    \  \"aggregate_ms\": %.1f,\n\
-    \  \"per_shard\": [\n"
-    workload quick
-    (Domain.recommended_domain_count ())
-    s.P.Fleet.shards s.P.Fleet.workers s.P.Fleet.restarts s.P.Fleet.resumed
-    s.P.Fleet.quarantined s.P.Fleet.total_ms;
-  Array.iteri
-    (fun i (t : P.Fleet.shard_timing) ->
-      Printf.fprintf oc
-        "    {\"shard\": %d, \"ms\": %.1f, \"attempts\": %d, \"resumed\": %b}%s\n"
-        t.P.Fleet.t_shard t.P.Fleet.t_ms t.P.Fleet.t_attempts
-        t.P.Fleet.t_resumed
-        (if i < Array.length s.P.Fleet.timings - 1 then "," else ""))
-    s.P.Fleet.timings;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc
-
 let eprint_summary workload (s : P.Fleet.summary) =
   Format.eprintf
     "fleet: %s done — %d shards / %d workers, %d restarts, %d resumed, %d \
@@ -85,115 +52,73 @@ let resume_hint ~workload ~quick ~checkpoint_dir =
     (Option.value checkpoint_dir ~default:"DIR")
 
 let run workload_args quick shards workers batch seed timeout_ms liveness_ms
-    heartbeat_ms max_restarts checkpoint_dir resume incidents_path chaos
-    bench_path =
+    heartbeat_ms max_restarts checkpoint_dir resume incidents_path chaos =
+  (* [job] across the fleet; its header, table and verdict are the
+     in-process runner's, the fleet statistics and resume hint go to
+     stderr *)
+  let run_on_fleet workload job =
+    Cli.with_incidents incidents_path (fun incidents ->
+        match
+          P.Retry.policy ~max_attempts:16 ~base_delay_ms:50.0
+            ~max_delay_ms:1000.0 ~seed ()
+        with
+        | Error e -> `Error (false, P.Error.to_string e)
+        | Ok restart_backoff -> (
+            let stop = P.Supervisor.install_stop_signals () in
+            match
+              P.Fleet.config ~workers ?shard_timeout_ms:timeout_ms
+                ?liveness_timeout_ms:liveness_ms ~heartbeat_ms ~max_restarts
+                ~restart_backoff ~incidents ?checkpoint_dir ~resume ~chaos
+                ~stop ()
+            with
+            | Error e -> `Error (false, P.Error.to_string e)
+            | Ok cfg -> (
+                let on_shard_done ~shard ~completed ~total =
+                  Format.eprintf "fleet: shard %d done (%d/%d)@." shard
+                    completed total
+                in
+                let execute w =
+                  let outcome =
+                    P.Workload.run_fleet ~on_shard_done cfg ~shards w
+                  in
+                  (match outcome with
+                  | P.Workload.Done (_, summary) ->
+                      Option.iter (eprint_summary workload) summary
+                  | P.Workload.Interrupted _ | P.Workload.Rejected _ -> ());
+                  outcome
+                in
+                let ppf = Format.std_formatter in
+                let ending = P.Workload.run_job ppf execute job in
+                Format.pp_print_flush ppf ();
+                match ending with
+                | P.Workload.Done (Ok ()) -> `Ok ()
+                | P.Workload.Done (Error msg) -> `Error (false, msg)
+                | P.Workload.Rejected e -> `Error (false, P.Error.to_string e)
+                | P.Workload.Interrupted _ ->
+                    resume_hint ~workload ~quick ~checkpoint_dir;
+                    `Stopped (P.Supervisor.exit_code stop))))
+  in
   match P.check_env () with
   | Error e -> `Error (false, P.Error.to_string e)
   | Ok () when resume && checkpoint_dir = None ->
       `Error (false, "--resume needs --checkpoint-dir DIR to resume from")
   | Ok () -> (
-      let workload, section_names =
-        match workload_args with
-        | [] -> ("campaign", [])
-        | w :: rest -> (w, rest)
-      in
-      if workload <> "campaign" && workload <> "report" then
-        `Error
-          ( false,
-            Printf.sprintf "unknown workload %S (expected campaign or report)"
-              workload )
-      else if workload = "campaign" && section_names <> [] then
-        `Error (false, "the campaign workload takes no section arguments")
-      else begin
-        let incidents_r =
-          match incidents_path with
-          | None -> Ok P.Incident.null
-          | Some path -> P.Incident.to_file path
-        in
-        let backoff_r =
-          P.Retry.policy ~max_attempts:16 ~base_delay_ms:50.0
-            ~max_delay_ms:1000.0 ~seed ()
-        in
-        match (incidents_r, backoff_r) with
-        | Error e, _ | _, Error e -> `Error (false, P.Error.to_string e)
-        | Ok incidents, Ok restart_backoff -> (
-            let stop = P.Supervisor.install_stop_signals () in
-            let cfg_r =
-              P.Fleet.config ~workers ?shard_timeout_ms:timeout_ms
-                ?liveness_timeout_ms:liveness_ms ~heartbeat_ms ~max_restarts
-                ~restart_backoff ~incidents ?checkpoint_dir ~resume ~chaos
-                ~stop ()
-            in
-            match cfg_r with
-            | Error e ->
-                P.Incident.close incidents;
-                `Error (false, P.Error.to_string e)
-            | Ok cfg ->
-                let on_shard_done ~shard ~completed ~total =
-                  Format.eprintf "fleet: shard %d done (%d/%d)@." shard
-                    completed total
-                in
-                let ppf = Format.std_formatter in
-                let run w ~print =
-                  match P.Workload.run_fleet ~on_shard_done cfg ~shards w with
-                  | P.Workload.Interrupted _ ->
-                      resume_hint ~workload ~quick ~checkpoint_dir;
-                      `Interrupted
-                  | P.Workload.Rejected e -> `Failed (P.Error.to_string e)
-                  | P.Workload.Done (results, summary) -> (
-                      Option.iter (eprint_summary workload) summary;
-                      Option.iter
-                        (fun p ->
-                          Option.iter (write_bench p ~workload ~quick) summary)
-                        bench_path;
-                      match print results with
-                      | Ok () -> `Ok
-                      | Error msg -> `Failed msg)
-                in
-                let status =
-                  if workload = "campaign" then begin
-                    let scenarios =
-                      if quick then P.Campaign.quick_scenarios ()
-                      else P.Campaign.all_scenarios ()
-                    in
-                    let benchmarks = P.Campaign.fast_benchmarks () in
-                    P.Campaign.print_header ppf ~quick ~scenarios ~benchmarks;
-                    run
-                      (P.Campaign.workload ~batch ~scenarios ~benchmarks ())
-                      ~print:(fun results ->
-                        let cells =
-                          P.Campaign.assemble ~scenarios ~benchmarks results
-                        in
-                        P.Campaign.print ppf cells;
-                        P.Campaign.verdict ~max_residual:0 cells)
-                  end
-                  else begin
-                    let names =
-                      match section_names with
-                      | [] -> P.Report.quick_names ()
-                      | names -> names
-                    in
-                    let known = P.Report.all_names () in
-                    let unknown =
-                      List.filter (fun n -> not (List.mem n known)) names
-                    in
-                    if unknown <> [] then
-                      `Failed
-                        ("unknown sections: " ^ String.concat ", " unknown)
-                    else
-                      run (P.Report.workload names) ~print:(fun results ->
-                          match P.Report.print ppf names results with
-                          | 0 -> Ok ()
-                          | n -> Error (Printf.sprintf "%d sections quarantined" n))
-                  end
-                in
-                Format.pp_print_flush ppf ();
-                P.Incident.close incidents;
-                (match status with
-                | `Interrupted -> Stdlib.exit (P.Supervisor.exit_code stop)
-                | `Failed msg -> `Error (false, msg)
-                | `Ok -> `Ok ()))
-      end)
+      match workload_args with
+      | [] | [ "campaign" ] ->
+          (* the fleet gate forgives no residual error *)
+          run_on_fleet "campaign" (P.Campaign.job ~batch ~quick ~max_residual:0 ())
+      | "campaign" :: _ ->
+          `Error (false, "the campaign workload takes no section arguments")
+      | "report" :: names -> (
+          let names = if names = [] then P.Report.quick_names () else names in
+          match P.Report.job names with
+          | Error e -> `Error (false, P.Error.to_string e)
+          | Ok job -> run_on_fleet "report" job)
+      | w :: _ ->
+          `Error
+            ( false,
+              Printf.sprintf "unknown workload %S (expected campaign or report)"
+                w ))
 
 let workload_arg =
   Arg.(
@@ -323,15 +248,6 @@ let chaos_arg =
           "Self-test: $(b,kill-one) SIGKILLs one busy worker mid-run; \
            supervision must deliver the identical output anyway.")
 
-let bench_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "bench" ] ~docv:"FILE"
-        ~doc:
-          "Write per-shard and aggregate fleet timings as JSON to $(docv) \
-           (the BENCH_fleet.json artifact).")
-
 let () =
   let info =
     Cmd.info "promise-fleet" ~version:P.version
@@ -347,4 +263,4 @@ let () =
               (const run $ workload_arg $ quick_arg $ shards_arg $ workers_arg
              $ batch_arg $ seed_arg $ timeout_arg $ liveness_arg
              $ heartbeat_arg $ max_restarts_arg $ checkpoint_dir_arg
-             $ resume_arg $ incidents_arg $ chaos_arg $ bench_arg))))
+             $ resume_arg $ incidents_arg $ chaos_arg))))

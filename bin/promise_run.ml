@@ -2,7 +2,10 @@
    accuracy, energy and throughput against the CONV baselines.
 
    Usage: promise_run BENCHMARK [--swing N] [--pm P] [--optimize] [--jobs N]
-                      [--kernel-mode fused|reference] *)
+                      [--batch N] [--lint]
+
+   The analog datapath is PROMISE_KERNEL_MODE's (fused unless set to
+   reference); the two are bit-identical. *)
 
 module P = Promise
 module B = P.Benchmarks
@@ -27,7 +30,7 @@ let benchmarks =
 (* --lint runs promise-lint's benchmark lint, at this run's --pm,
    before simulating; the report goes to stderr and error diagnostics
    abort the run. *)
-let run name swing pm optimize jobs kernel_mode batch lint =
+let run name swing pm optimize jobs batch lint =
   match (P.check_env (), List.assoc_opt name benchmarks) with
   | Error e, _ -> `Error (false, P.Error.to_string e)
   | Ok (), None ->
@@ -62,7 +65,7 @@ let run name swing pm optimize jobs kernel_mode batch lint =
         label;
       if batch > 1 then
         Printf.printf "batch: %d decisions per query (batched engine)\n" batch;
-      let e = b.B.evaluate ~pool ~kernel_mode ~batch ~swings () in
+      let e = b.B.evaluate ~pool ~batch ~swings () in
       Printf.printf "PROMISE accuracy: %.3f (mismatch %.3f)\n"
         e.B.promise_accuracy e.B.mismatch;
       let energy = Model.total (B.promise_energy b ~swings) in
@@ -111,20 +114,6 @@ let jobs_arg =
           "Fan the per-bank simulation and swing search out across $(docv) \
            domains. Results are bit-identical at any job count.")
 
-let kernel_mode_arg =
-  let modes =
-    [ ("fused", P.Arch.Machine.Fused); ("reference", P.Arch.Machine.Reference) ]
-  in
-  Arg.(
-    value
-    & opt (enum modes) (P.Arch.Machine.default_kernel_mode ())
-    & info [ "kernel-mode" ] ~docv:"MODE"
-        ~doc:
-          "Analog datapath implementation: $(b,fused) (compiled per-task \
-           iteration kernels, the default) or $(b,reference) (the scalar \
-           path). The two are bit-identical; reference exists as the \
-           differential oracle.")
-
 let batch_arg =
   Arg.(
     value
@@ -159,4 +148,4 @@ let () =
           Term.(
             ret
               (const run $ name_arg $ swing_arg $ pm_arg $ optimize_arg
-             $ jobs_arg $ kernel_mode_arg $ batch_arg $ lint_arg))))
+             $ jobs_arg $ batch_arg $ lint_arg))))

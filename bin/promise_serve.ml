@@ -22,8 +22,8 @@
                      blackout that trips the circuit breaker) and gate
                      on the soak invariants: exactly one outcome per
                      admitted request, no crash, survivors bit-identical
-                     to a fault-free twin run (--bench BENCH_chaos.json,
-                     --events canonical transcript for replay diffing).
+                     to a fault-free twin run (--events canonical
+                     transcript for replay diffing).
 
    Usage: promise_serve (--listen P | --probe P | --selftest-load | --chaos)
             [--models A,B] [--model M] [--requests N] [--max-requests N]
@@ -158,21 +158,10 @@ let write_bench path ~model ~requests ~queue ~batch_max ~flush_us ~load
 (* Entry points                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let with_incidents path f =
-  match path with
-  | None -> f P.Incident.null
-  | Some p -> (
-      match P.Incident.to_file p with
-      | Error e -> `Error (false, P.Error.to_string e)
-      | Ok incidents ->
-          let r = f incidents in
-          P.Incident.close incidents;
-          r)
-
 let run_daemon ~listen ~models ~noise ~max_requests ~queue ~batch_max
     ~flush_us ~deadline_ms ~jobs ~breaker_threshold ~dwell_budget_us
     ~incidents_path =
-  with_incidents incidents_path (fun incidents ->
+  Cli.with_incidents incidents_path (fun incidents ->
       match models_of_names ~noise_seed:noise models with
       | Error msg -> `Error (false, msg)
       | Ok ms -> (
@@ -196,8 +185,8 @@ let run_daemon ~listen ~models ~noise ~max_requests ~queue ~batch_max
                 summary.P.Serve.d_completed
                 summary.P.Serve.d_stats.P.Serve.batches;
               if P.Supervisor.stop_requested stop then
-                Stdlib.exit (P.Supervisor.exit_code stop);
-              `Ok ()))
+                `Stopped (P.Supervisor.exit_code stop)
+              else `Ok ()))
 
 let run_probe ~path ~model ~requests ~connect_timeout_ms =
   match
@@ -213,7 +202,7 @@ let run_probe ~path ~model ~requests ~connect_timeout_ms =
 
 let run_selftest ~model ~noise ~requests ~repeats ~queue ~batch_max ~flush_us
     ~deadline_ms ~jobs ~load ~incidents_path ~bench_path =
-  with_incidents incidents_path (fun incidents ->
+  Cli.with_incidents incidents_path (fun incidents ->
       match benchmark_of_name model with
       | Error msg -> `Error (false, msg)
       | Ok b -> (
@@ -298,62 +287,7 @@ let run_selftest ~model ~noise ~requests ~repeats ~queue ~batch_max ~flush_us
 (* Chaos soak                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* The clean-vs-fault comparison load: the fault leg arms a mild
-   failpoint schedule (dispatch faults absorbed by the heal ladder,
-   admission faults surfacing as typed rejections) so BENCH_chaos.json
-   shows what self-healing costs in throughput and tail latency. *)
-let bench_fault_spec = "serve.flush:fail_prob=0.05,queue.admit:fail_prob=0.01"
-
-let write_bench_chaos path ~model ~seed (r : P.Serve.chaos_report)
-    (clean : P.Serve.load_report) (fault : P.Serve.load_report) =
-  let oc = open_out path in
-  let slowdown =
-    if fault.P.Serve.l_rps > 0.0 then
-      clean.P.Serve.l_rps /. fault.P.Serve.l_rps
-    else 0.0
-  in
-  Printf.fprintf oc
-    "{\n\
-    \  \"benchmark\": \"chaos\",\n\
-    \  \"model\": \"%s\",\n\
-    \  \"seed\": %d,\n\
-    \  \"soak\": {\n\
-    \    \"requests\": %d,\n\
-    \    \"admitted\": %d,\n\
-    \    \"served\": %d,\n\
-    \    \"timeouts\": %d,\n\
-    \    \"failed\": %d,\n\
-    \    \"shed\": %d,\n\
-    \    \"rejected\": %d,\n\
-    \    \"lost\": %d,\n\
-    \    \"multi\": %d,\n\
-    \    \"healed\": %d,\n\
-    \    \"fallback_batches\": %d,\n\
-    \    \"breaker_opens\": %d,\n\
-    \    \"survivors_checked\": %d,\n\
-    \    \"survivor_mismatches\": %d,\n\
-    \    \"ipc_faults\": %d,\n\
-    \    \"checkpoint_failures\": %d,\n\
-    \    \"sink_degraded\": %d\n\
-    \  },\n\
-    \  \"fault_spec\": \"%s\",\n\
-    \  \"clean_over_fault_speedup\": %.2f,\n"
-    model seed r.P.Serve.c_requests r.P.Serve.c_admitted r.P.Serve.c_served
-    r.P.Serve.c_timeouts r.P.Serve.c_failed r.P.Serve.c_shed
-    r.P.Serve.c_rejected r.P.Serve.c_lost r.P.Serve.c_multi
-    r.P.Serve.c_healed r.P.Serve.c_fallback_batches
-    r.P.Serve.c_breaker_opens r.P.Serve.c_survivors_checked
-    r.P.Serve.c_survivor_mismatches r.P.Serve.c_ipc_faults
-    r.P.Serve.c_checkpoint_failures r.P.Serve.c_sink_degraded
-    bench_fault_spec slowdown;
-  report_json oc "clean" clean;
-  Printf.fprintf oc ",\n";
-  report_json oc "fault" fault;
-  Printf.fprintf oc "\n}\n";
-  close_out oc
-
-let run_chaos ~model ~noise ~requests ~seed ~incidents_path ~events_path
-    ~bench_path =
+let run_chaos ~model ~noise ~requests ~seed ~incidents_path ~events_path =
   match benchmark_of_name model with
   | Error msg -> `Error (false, msg)
   | Ok b -> (
@@ -372,7 +306,7 @@ let run_chaos ~model ~noise ~requests ~seed ~incidents_path ~events_path
           ~model:thunk ()
       with
       | Error e -> `Error (false, P.Error.to_string e)
-      | Ok r -> (
+      | Ok r ->
           (try Sys.remove checkpoint_path with Sys_error _ -> ());
           Printf.printf
             "chaos: admitted=%d served=%d timeouts=%d failed=%d shed=%d \
@@ -397,49 +331,21 @@ let run_chaos ~model ~noise ~requests ~seed ~incidents_path ~events_path
               output_string oc r.P.Serve.c_events;
               close_out oc)
             events_path;
-          let bench =
-            match bench_path with
-            | None -> Ok ()
-            | Some p -> (
-                let run_load () =
-                  P.Serve.load_run ~mode:P.Serve.Batched ~queue:256
-                    ~batch_max:64 ~flush_us:2000 ~requests:256
-                    ~load:(P.Serve.Closed_loop 32) ~model:thunk ()
-                in
-                match run_load () with
-                | Error _ as e -> Result.map ignore e
-                | Ok clean -> (
-                    match P.Failpoint.configure_spec ~seed bench_fault_spec with
-                    | Error _ as e -> e
-                    | Ok () ->
-                        let fault = run_load () in
-                        P.Failpoint.reset ();
-                        Result.map
-                          (fun fault ->
-                            write_bench_chaos p ~model ~seed r clean fault)
-                          fault))
+          let violated =
+            (if r.P.Serve.c_lost > 0 then [ "lost outcomes" ] else [])
+            @ (if r.P.Serve.c_multi > 0 then [ "duplicate outcomes" ] else [])
+            @
+            if r.P.Serve.c_survivor_mismatches > 0 then
+              [ "survivor bit-identity" ]
+            else []
           in
-          match bench with
-          | Error e -> `Error (false, P.Error.to_string e)
-          | Ok () ->
-              let violated =
-                (if r.P.Serve.c_lost > 0 then [ "lost outcomes" ] else [])
-                @ (if r.P.Serve.c_multi > 0 then [ "duplicate outcomes" ]
-                   else [])
-                @
-                if r.P.Serve.c_survivor_mismatches > 0 then
-                  [ "survivor bit-identity" ]
-                else []
-              in
-              if violated <> [] then
-                `Error
-                  ( false,
-                    "chaos invariants violated: "
-                    ^ String.concat ", " violated )
-              else begin
-                Printf.printf "chaos: invariants hold\n";
-                `Ok ()
-              end))
+          if violated <> [] then
+            `Error
+              (false, "chaos invariants violated: " ^ String.concat ", " violated)
+          else begin
+            Printf.printf "chaos: invariants hold\n";
+            `Ok ()
+          end)
 
 (* --chaos installs its own failpoint schedule, which would silently
    replace a --failpoints spec: the combination is refused outright. *)
@@ -452,13 +358,25 @@ let arm_failpoints ~chaos ~seed failpoints =
         "--chaos arms its own failpoint schedule and cannot take --failpoints"
   | Some spec -> P.Failpoint.configure_spec ~seed spec
 
+(* --bench writes the selftest's BENCH_serve.json; every other entry
+   point would ignore it silently, so it is refused there too. *)
+let check_bench ~selftest bench_path =
+  match bench_path with
+  | Some _ when not selftest ->
+      P.Error.fail ~layer:"cli" ~code:P.Error.Invalid_operand
+        ~context:[ ("flag", "--bench") ]
+        "--bench writes the --selftest-load report and takes no other entry \
+         point"
+  | _ -> Ok ()
+
 let run listen probe selftest chaos models model noise max_requests requests
     repeats queue batch_max flush_us deadline_ms jobs load seed
     breaker_threshold dwell_budget_us failpoints connect_timeout_ms
     incidents_path events_path bench_path =
   match
-    Result.bind (P.check_env ()) (fun () ->
-        arm_failpoints ~chaos ~seed failpoints)
+    let* () = P.check_env () in
+    let* () = check_bench ~selftest bench_path in
+    arm_failpoints ~chaos ~seed failpoints
   with
   | Error e -> `Error (false, P.Error.to_string e)
   | Ok () -> (
@@ -476,7 +394,7 @@ let run listen probe selftest chaos models model noise max_requests requests
             ~flush_us ~deadline_ms ~jobs ~load ~incidents_path ~bench_path
       | None, None, false, true ->
           run_chaos ~model ~noise ~requests ~seed ~incidents_path
-            ~events_path ~bench_path
+            ~events_path
       | _ ->
           `Error
             ( false,
@@ -709,7 +627,8 @@ let bench_arg =
     & info [ "bench" ] ~docv:"FILE"
         ~doc:
           "Selftest: write throughput/latency/batch-histogram JSON to \
-           $(docv) (the BENCH_serve.json artifact).")
+           $(docv) (the BENCH_serve.json artifact). Refused with any other \
+           entry point.")
 
 let () =
   let info =

@@ -249,8 +249,6 @@ let spawn_worker cfg ~live ~slot ~f =
 (* ------------------------------------------------------------------ *)
 
 type shard_timing = {
-  t_shard : int;
-  t_ms : float;
   t_attempts : int;
   t_resumed : bool;
 }
@@ -304,7 +302,6 @@ let run ?(on_shard_done = fun ~shard:_ ~completed:_ ~total:_ -> ())
     let inc = cfg.incidents in
     let results = Array.make shards None in
     let deaths = Array.make shards 0 in
-    let ms_arr = Array.make shards 0.0 in
     let resumed_flag = Array.make shards false in
     let restarts = ref 0 in
     let quarantined = ref 0 in
@@ -373,8 +370,6 @@ let run ?(on_shard_done = fun ~shard:_ ~completed:_ ~total:_ -> ())
             timings =
               Array.init shards (fun s ->
                   {
-                    t_shard = s;
-                    t_ms = ms_arr.(s);
                     t_attempts = deaths.(s) + 1;
                     t_resumed = resumed_flag.(s);
                   });
@@ -421,7 +416,6 @@ let run ?(on_shard_done = fun ~shard:_ ~completed:_ ~total:_ -> ())
               let record_done s res ms pid =
                 if results.(s) = None then begin
                   results.(s) <- Some res;
-                  ms_arr.(s) <- ms;
                   incr done_live;
                   Incident.record inc Incident.Shard_done
                     [

@@ -78,8 +78,6 @@ val ranges : shards:int -> items:int -> (int * int) array
     than [shards] when [items < shards]). *)
 
 type shard_timing = {
-  t_shard : int;
-  t_ms : float;  (** wall ms of the successful attempt; 0 when resumed *)
   t_attempts : int;  (** 1 + restarts this shard consumed *)
   t_resumed : bool;  (** loaded from a checkpoint, not computed *)
 }

@@ -5,10 +5,12 @@ type 'a t = {
   run : int -> 'a;
 }
 
-type 'a outcome =
-  | Done of ('a, Error.t) result array * Fleet.summary option
+type 'r ending =
+  | Done of 'r
   | Interrupted of { completed : int; total : int }
   | Rejected of Error.t
+
+type 'a outcome = (('a, Error.t) result array * Fleet.summary option) ending
 
 (* The two executors persist different payloads: [run_local] one
    result-option array, [run_fleet] one result list per shard. Each
@@ -178,3 +180,17 @@ let run_fleet ?on_shard_done cfg ~shards w =
           ( Array.of_list (List.concat (Array.to_list (Array.mapi items slots))),
             Some summary )
   end
+
+type 'a job = {
+  workload : 'a t;
+  header : Format.formatter -> unit;
+  render :
+    Format.formatter -> ('a, Error.t) result array -> (unit, string) result;
+}
+
+let run_job ppf execute job =
+  job.header ppf;
+  match execute job.workload with
+  | Done (results, _) -> Done (job.render ppf results)
+  | Interrupted { completed; total } -> Interrupted { completed; total }
+  | Rejected e -> Rejected e

@@ -110,10 +110,10 @@ let compile_to_binary kernel =
         Swing_opt.search_space_size ~tasks:(Promise_ir.Graph.n_tasks graph);
     }
 
-let run ?machine ?recovery ?pool ?kernel_mode kernel bindings =
+let run ?machine ?recovery ?pool kernel bindings =
   let* graph = compile kernel in
-  Runtime.run ?machine ?recovery ?pool ?kernel_mode graph bindings
+  Runtime.run ?machine ?recovery ?pool graph bindings
 
-let run_batch ?machine ?recovery ?pool ?kernel_mode kernel bindings ~batch =
+let run_batch ?machine ?recovery ?pool kernel bindings ~batch =
   let* graph = compile kernel in
-  Runtime.run_batch ?machine ?recovery ?pool ?kernel_mode graph bindings ~batch
+  Runtime.run_batch ?machine ?recovery ?pool graph bindings ~batch

@@ -63,29 +63,26 @@ type report = {
 val compile_to_binary :
   Promise_ir.Dsl.kernel -> (report, Promise_core.Error.t) result
 
-(** [run ?machine ?recovery ?pool ?kernel_mode kernel bindings] —
-    compile and execute; [recovery] enables the runtime's
+(** [run ?machine ?recovery ?pool kernel bindings] — compile and
+    execute ({!Runtime.run}); [recovery] enables the runtime's
     graceful-degradation path, [pool] parallelizes multi-bank task
-    execution ({!Promise_arch.Machine.execute}), [kernel_mode] selects
-    the fused or reference analog datapath. *)
+    execution ({!Promise_arch.Machine.execute}). *)
 val run :
   ?machine:Promise_arch.Machine.t ->
   ?recovery:Runtime.recovery ->
   ?pool:Promise_core.Pool.t ->
-  ?kernel_mode:Promise_arch.Machine.kernel_mode ->
   Promise_ir.Dsl.kernel ->
   Runtime.bindings ->
   (Runtime.run_result, Promise_core.Error.t) result
 
-(** [run_batch ?machine ?recovery ?pool ?kernel_mode kernel bindings
-    ~batch] — compile and execute [batch] decisions
+(** [run_batch ?machine ?recovery ?pool kernel bindings ~batch] —
+    compile and execute [batch] decisions
     ({!Runtime.run_batch}). Bit-identical to [batch] sequential {!run}
     calls on the same machine. *)
 val run_batch :
   ?machine:Promise_arch.Machine.t ->
   ?recovery:Runtime.recovery ->
   ?pool:Promise_core.Pool.t ->
-  ?kernel_mode:Promise_arch.Machine.kernel_mode ->
   Promise_ir.Dsl.kernel ->
   Runtime.bindings ->
   batch:int ->

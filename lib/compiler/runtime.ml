@@ -86,13 +86,9 @@ let recovery_of_report (r : Selftest.report) =
   in
   { default_recovery with excluded_banks = excluded; spared_lanes = spared }
 
-type recovery_stats = { fallbacks : int }
-type counters = { mutable c_fallbacks : int }
-
 type run_result = {
   outputs : (int * task_output) list;
   machine : Machine.t;
-  stats : recovery_stats;
 }
 
 let ( let* ) = Result.bind
@@ -467,7 +463,6 @@ type session = {
   nodes : node list;  (* topological order *)
   recovery : recovery option;
   pool : Promise_core.Pool.t option;
-  kernel_mode : Machine.kernel_mode option;
   lane_map : int array option;
   no_healthy_lanes : bool;
   (* per machine bank: the token of its last staging by this session and
@@ -480,7 +475,7 @@ let original_n b (at : At.t) =
   | Some n -> n
   | None -> at.At.vector_len * at.At.loop_iterations
 
-let session ?recovery ?pool ?kernel_mode machine g static =
+let session ?recovery ?pool machine g static =
   let* nodes =
     List.fold_left
       (fun acc id ->
@@ -526,7 +521,6 @@ let session ?recovery ?pool ?kernel_mode machine g static =
       nodes = List.rev nodes;
       recovery;
       pool;
-      kernel_mode;
       lane_map;
       no_healthy_lanes;
       resident = Array.make (Machine.n_banks machine) None;
@@ -638,13 +632,13 @@ let stage s ~token ~group ~(plan : Layout.plan) w_rows =
     end
   done
 
-(* [run_node s node ~counters ~x ~batch] runs [batch] decisions of one
+(* [run_node s node ~x ~batch] runs [batch] decisions of one
    graph node, chunk by chunk: each chunk stages its W rows into the
    banks that no longer hold them, loads X once, and its decisions ride
    [Machine.execute_batch] (or, canary-checked, [Machine.execute] per
    decision and retry). Element [d] of the result is decision [d]'s
    output. At batch 1 this is the node's single run. *)
-let run_node s node ~counters ~x ~batch =
+let run_node s node ~x ~batch =
   let at = node.at in
   let* () =
     match x with
@@ -706,7 +700,6 @@ let run_node s node ~counters ~x ~batch =
       let* outcomes =
         match p.mode with
         | `Digital ->
-            counters.c_fallbacks <- counters.c_fallbacks + batch;
             let fallback = ideal_chunk at ~plan ~th ~w_rows ~x_row:x_chunk in
             Ok (Array.make batch (`Fallback fallback))
         | `Analog allowed ->
@@ -729,9 +722,7 @@ let run_node s node ~counters ~x ~batch =
                 dest_xreg = dest_xreg_index;
               }
             in
-            let lane_mask = p.lane_mask
-            and pool = s.pool
-            and kernel_mode = s.kernel_mode in
+            let lane_mask = p.lane_mask and pool = s.pool in
             (* The canary-checked retry/fallback path applies to chunks
                whose emissions go to the output buffer: re-executing
                them is side-effect-free (X-REG/write-buffer staging is
@@ -743,8 +734,7 @@ let run_node s node ~counters ~x ~batch =
             in
             if not checked then
               let* results =
-                Machine.execute_batch ?lane_mask ?pool ?kernel_mode s.machine
-                  launch ~batch
+                Machine.execute_batch ?lane_mask ?pool s.machine launch ~batch
               in
               Ok (Array.map (fun r -> `Accepted r) results)
             else
@@ -754,18 +744,15 @@ let run_node s node ~counters ~x ~batch =
               in
               let rec attempt tries =
                 let* result =
-                  Machine.execute ?lane_mask ?pool ?kernel_mode s.machine
-                    launch
+                  Machine.execute ?lane_mask ?pool s.machine launch
                 in
                 if
                   canary_ok ~tolerance:r.canary_tolerance
                     result.Machine.emitted reference
                 then Ok (`Accepted result)
                 else if tries < r.max_retries then attempt (tries + 1)
-                else if r.digital_fallback then begin
-                  counters.c_fallbacks <- counters.c_fallbacks + 1;
+                else if r.digital_fallback then
                   Ok (`Fallback (reference, ref_argext))
-                end
                 else
                   fail ~code:E.Retry_exhausted
                     ~context:
@@ -819,19 +806,15 @@ let run_node s node ~counters ~x ~batch =
              { values; decision = None })
        values)
 
-let stats_of counters = { fallbacks = counters.c_fallbacks }
-let new_counters () = { c_fallbacks = 0 }
-
 (* One decision of the whole graph, node by node in topological order. *)
 let decide s b =
-  let counters = new_counters () in
   let outputs = Hashtbl.create 8 in
   let* () =
     List.fold_left
       (fun acc node ->
         let* () = acc in
         let* x = resolve_x s.graph b outputs node.id node.at in
-        let* out = run_node s node ~counters ~x ~batch:1 in
+        let* out = run_node s node ~x ~batch:1 in
         Hashtbl.replace outputs node.id out.(0);
         Ok ())
       (Ok ()) s.nodes
@@ -840,7 +823,6 @@ let decide s b =
     {
       outputs = List.map (fun n -> (n.id, Hashtbl.find outputs n.id)) s.nodes;
       machine = s.machine;
-      stats = stats_of counters;
     }
 
 (* Consulted once per decision before the query's first launch, so the
@@ -896,16 +878,10 @@ let query s b ~batch =
         | `Analog groups
           when (not streaming) && p.plan.Layout.tasks <= Array.length groups
           ->
-            let counters = new_counters () in
-            let* outs = run_node s node ~counters ~x ~batch in
+            let* outs = run_node s node ~x ~batch in
             Ok
               (Array.map
-                 (fun o ->
-                   {
-                     outputs = [ (node.id, o) ];
-                     machine = s.machine;
-                     stats = stats_of counters;
-                   })
+                 (fun o -> { outputs = [ (node.id, o) ]; machine = s.machine })
                  outs)
         | `Analog _ | `Digital -> decision_major ())
     | _ -> decision_major ()
@@ -918,15 +894,15 @@ let default_machine g =
       noise_seed = Some 42;
     }
 
-let run_batch ?machine ?recovery ?pool ?kernel_mode g b ~batch =
+let run_batch ?machine ?recovery ?pool g b ~batch =
   let machine =
     match machine with Some m -> m | None -> default_machine g
   in
-  let* s = session ?recovery ?pool ?kernel_mode machine g b in
+  let* s = session ?recovery ?pool machine g b in
   query s b ~batch
 
-let run ?machine ?recovery ?pool ?kernel_mode g b =
-  let* rs = run_batch ?machine ?recovery ?pool ?kernel_mode g b ~batch:1 in
+let run ?machine ?recovery ?pool g b =
+  let* rs = run_batch ?machine ?recovery ?pool g b ~batch:1 in
   Ok rs.(0)
 
 let final_output r =

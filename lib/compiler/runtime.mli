@@ -68,14 +68,9 @@ val default_recovery : recovery
     findings are left to the canary + retry/fallback path. *)
 val recovery_of_report : Promise_arch.Selftest.report -> recovery
 
-type recovery_stats = {
-  fallbacks : int;  (** chunks served from the digital reference *)
-}
-
 type run_result = {
   outputs : (int * task_output) list;  (** by IR node id, topo order *)
   machine : Promise_arch.Machine.t;
-  stats : recovery_stats;
 }
 
 (** [required_banks ?max_lanes g] — banks the graph needs at one chunk
@@ -117,7 +112,7 @@ val required_banks : ?max_lanes:int -> Promise_ir.Graph.t -> int
 
 type session
 
-(** [session ?recovery ?pool ?kernel_mode machine g static] — a session
+(** [session ?recovery ?pool machine g static] — a session
     running [g] on [machine] with the W matrices bound in [static].
     Typed [Invalid_operand] errors for an unbound W, too few W rows, or
     a W row not exactly [vector_len] wide (context [task] and [row]);
@@ -126,7 +121,6 @@ type session
 val session :
   ?recovery:recovery ->
   ?pool:Promise_core.Pool.t ->
-  ?kernel_mode:Promise_arch.Machine.kernel_mode ->
   Promise_arch.Machine.t ->
   Promise_ir.Graph.t ->
   bindings ->
@@ -160,13 +154,14 @@ val query :
     the runtime behaves exactly as before (no canary, full lane/bank
     use). When recovery leaves no analog resource at all — every bank
     group excluded, or all 128 lanes spared — and [digital_fallback] is
-    on, every chunk is served by the digital reference (counted in
-    [stats.fallbacks]) instead of failing; with fallback off this is a
+    on, every chunk is served by the digital reference (the machine
+    launches no Task) instead of failing; with fallback off this is a
     typed [Capacity] error. [pool] fans multi-bank task execution out
     across domains ({!Promise_arch.Machine.execute}); results are
-    bit-identical at any job count. [kernel_mode] selects the fused
-    compiled-kernel datapath or the scalar reference path
-    ({!Promise_arch.Machine.kernel_mode}; also bit-identical). Errors
+    bit-identical at any job count. The analog datapath, fused or
+    scalar reference, is the machine's default
+    ({!Promise_arch.Machine.default_kernel_mode}; both bit-identical).
+    Errors
     are typed ({!Promise_core.Error.t}, layer ["runtime"] or
     ["compiler"]); unrecoverable canary misses surface as
     [Retry_exhausted]. *)
@@ -174,12 +169,11 @@ val run :
   ?machine:Promise_arch.Machine.t ->
   ?recovery:recovery ->
   ?pool:Promise_core.Pool.t ->
-  ?kernel_mode:Promise_arch.Machine.kernel_mode ->
   Promise_ir.Graph.t ->
   bindings ->
   (run_result, Promise_core.Error.t) result
 
-(** [run_batch ?machine ?recovery ?pool ?kernel_mode g b ~batch] — run
+(** [run_batch ?machine ?recovery ?pool g b ~batch] — run
     [batch] independent decisions of the graph on one machine: a fresh
     {!session} over [b] and one {!query} of it at [batch]. The results
     are exactly those of [batch] successive {!run} calls on the same
@@ -188,7 +182,6 @@ val run_batch :
   ?machine:Promise_arch.Machine.t ->
   ?recovery:recovery ->
   ?pool:Promise_core.Pool.t ->
-  ?kernel_mode:Promise_arch.Machine.kernel_mode ->
   Promise_ir.Graph.t ->
   bindings ->
   batch:int ->

@@ -37,7 +37,6 @@ type t = {
     ?recovery:Runtime.recovery ->
     ?banks:int ->
     ?pool:Promise_core.Pool.t ->
-    ?kernel_mode:Machine.kernel_mode ->
     ?batch:int ->
     swings:int list ->
     unit ->
@@ -78,11 +77,11 @@ let run_exn = function
    [Runtime.run] calls on bindings holding both (so [batch = 1] is
    exactly the historical single-decision evaluation); the session dies
    with the evaluation. *)
-let session_exn ?recovery ?pool ?kernel_mode machine g ~bind_static =
+let session_exn ?recovery ?pool machine g ~bind_static =
   let static = Runtime.bindings () in
   bind_static static;
   let s =
-    run_exn (Runtime.session ?recovery ?pool ?kernel_mode machine g static)
+    run_exn (Runtime.session ?recovery ?pool machine g static)
   in
   fun x ~batch ->
     let b = Runtime.bindings () in
@@ -149,7 +148,6 @@ let memo_by f =
 type score =
   ?recovery:Runtime.recovery ->
   ?pool:Promise_core.Pool.t ->
-  ?kernel_mode:Machine.kernel_mode ->
   batch:int ->
   Graph.t ->
   Machine.t ->
@@ -167,7 +165,7 @@ let make ~name ~short ~kernel ~macs ~fetch_words ~reference_accuracy
   let per_decision_program = codegen_exn graph in
   let banks = Program.max_banks per_decision_program in
   let evaluate ?(seed = 42) ?(profile = Bank.Silicon) ?prepare ?recovery
-      ?banks ?pool ?kernel_mode ?(batch = 1) ~swings () =
+      ?banks ?pool ?(batch = 1) ~swings () =
     let g = apply_swings graph swings in
     let banks =
       match banks with Some b -> b | None -> Runtime.required_banks g
@@ -176,7 +174,7 @@ let make ~name ~short ~kernel ~macs ~fetch_words ~reference_accuracy
       Machine.create { Machine.banks; profile; noise_seed = Some seed }
     in
     Option.iter (fun f -> f machine) prepare;
-    let promise_accuracy = score ?recovery ?pool ?kernel_mode ~batch g machine in
+    let promise_accuracy = score ?recovery ?pool ~batch g machine in
     {
       promise_accuracy;
       reference_accuracy;
@@ -200,8 +198,8 @@ let make ~name ~short ~kernel ~macs ~fetch_words ~reference_accuracy
 (* The classifier score: one session per evaluation, one query per test
    vector, accuracy over Q × batch decisions. *)
 let classify ~bind_static ~queries ~labels ~decide : score =
- fun ?recovery ?pool ?kernel_mode ~batch g machine ->
-  let query = session_exn ?recovery ?pool ?kernel_mode machine g ~bind_static in
+ fun ?recovery ?pool ~batch g machine ->
+  let query = session_exn ?recovery ?pool machine g ~bind_static in
   let correct = ref 0 in
   Array.iteri
     (fun i q ->
@@ -433,9 +431,9 @@ let pca =
       let test = Array.sub samples 0 40 in
       (* Accuracy proxy for a non-classifier: 1 − mean relative feature
          error against the float reference. *)
-      let feature_fidelity ?recovery ?pool ?kernel_mode ~batch g machine =
+      let feature_fidelity ?recovery ?pool ~batch g machine =
         let query =
-          session_exn ?recovery ?pool ?kernel_mode machine g
+          session_exn ?recovery ?pool machine g
             ~bind_static:(bind_w model.Ml.Pca.components)
         in
         let total_err = ref 0.0 in
@@ -493,14 +491,14 @@ let linreg =
       in
       (* Mean parameter fidelity over the batch's fits; batch 1 is the
          historical single-fit evaluation. *)
-      let parameter_fidelity ?recovery ?pool ?kernel_mode ~batch g machine =
+      let parameter_fidelity ?recovery ?pool ~batch g machine =
         let b = Runtime.bindings () in
         Runtime.bind_flat b "U" u ~cols;
         Runtime.bind_flat b "V" v ~cols;
         Runtime.bind_vector b "Vvec" v;
         let rs =
           run_exn
-            (Runtime.run_batch ~machine ?recovery ?pool ?kernel_mode g b ~batch)
+            (Runtime.run_batch ~machine ?recovery ?pool g b ~batch)
         in
         let rel a b = Float.abs (a -. b) /. Float.max 0.05 (Float.abs b) in
         let total = ref 0.0 in

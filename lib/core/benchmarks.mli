@@ -48,7 +48,6 @@ type t = {
     ?recovery:Promise_compiler.Runtime.recovery ->
     ?banks:int ->
     ?pool:Promise_core.Pool.t ->
-    ?kernel_mode:Promise_arch.Machine.kernel_mode ->
     ?batch:int ->
     swings:int list ->
     unit ->
@@ -64,9 +63,10 @@ type t = {
           the fault-injection hook; score the test set on it; return
           the score with [mismatch = max 0 (reference − promise)].
           [recovery] enables the runtime's graceful-degradation path;
-          [pool] parallelizes multi-bank task execution and
-          [kernel_mode] selects the fused or reference analog datapath
-          (both bit-identical). [batch] (default 1) scores that many
+          [pool] parallelizes multi-bank task execution. The analog
+          datapath, fused or scalar reference, is the machine's default
+          ({!Promise_arch.Machine.default_kernel_mode}; both
+          bit-identical). [batch] (default 1) scores that many
           noise realizations of every decision: the classifiers and
           PCA open one {!Promise_compiler.Runtime.session} per
           evaluation and run one [query ~batch] per test vector;

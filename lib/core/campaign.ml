@@ -350,3 +350,32 @@ let verdict ~max_residual results =
           --max-residual %d"
          residual_errors max_residual)
   else Ok ()
+
+(* ------------------------------------------------------------------ *)
+(* The campaign as a job                                               *)
+(* ------------------------------------------------------------------ *)
+
+let job_over ?batch ~quick ~max_residual ~scenarios ~benchmarks () =
+  {
+    Promise_core.Workload.workload = workload ?batch ~scenarios ~benchmarks ();
+    header = (fun ppf -> print_header ppf ~quick ~scenarios ~benchmarks);
+    render =
+      (fun ppf results ->
+        let cells = assemble ~scenarios ~benchmarks results in
+        print ppf cells;
+        verdict ~max_residual cells);
+  }
+
+let job ?batch ~quick ~max_residual () =
+  job_over ?batch ~quick ~max_residual
+    ~scenarios:(if quick then quick_scenarios () else all_scenarios ())
+    ~benchmarks:(fast_benchmarks ()) ()
+
+module For_tests = struct
+  let quick_scenarios = quick_scenarios
+
+  let job ?batch ~scenarios ~benchmarks () =
+    job_over ?batch ~quick:false ~max_residual:0 ~scenarios ~benchmarks ()
+
+  let verdict = verdict
+end

@@ -10,8 +10,8 @@
       the BIST report implies ({!Promise_compiler.Runtime.recovery_of_report}
       — lane sparing, bank exclusion, canary retry/fallback).
 
-    The campaign is a {!Promise_core.Workload}: one baseline item per
-    benchmark, then one item per benchmark × scenario cell. Every item
+    The campaign is one {!Promise_core.Workload.job}: one baseline item
+    per benchmark, then one item per benchmark × scenario cell. Every item
     is independent and deterministic (fixed seeds), so either executor
     — in-process or fleet, at any width, interrupted and resumed or not
     — assembles the same cells, bit for bit, and prints the same table
@@ -25,14 +25,6 @@ type scenario = {
       (** (bank, predicate) pairs the BIST report must satisfy *)
 }
 
-val quick_scenarios : unit -> scenario list
-(** Five scenarios, one per hard-fault kind: stuck lane, dead lanes,
-    dead bank, ADC offset, dead ADC units. *)
-
-val all_scenarios : unit -> scenario list
-(** {!quick_scenarios} plus X-REG transients, swing drift and excess
-    leakage — eight scenarios, eight distinct fault kinds. *)
-
 type cell = {
   benchmark : string;
   scenario : string;
@@ -44,27 +36,9 @@ type cell = {
   recovered_ok : bool;
 }
 
-val fast_benchmarks : unit -> Benchmarks.t list
-(** Matched filter, template matching L1, k-NN L1. *)
-
 type item
 (** One item's result: a benchmark's baseline or a cell's detection
     and accuracies before its baseline is joined in. Plain data. *)
-
-val workload :
-  ?batch:int ->
-  scenarios:scenario list ->
-  benchmarks:Benchmarks.t list ->
-  unit ->
-  item Promise_core.Workload.t
-(** The campaign's items: one fault-free baseline per benchmark, then
-    the benchmark-major benchmark × scenario grid. [batch] (default 1)
-    scores that many batched noise realizations per query
-    ({!Benchmarks}); batch 1 is bit-identical to the historical
-    campaign. The digest covers the scenario names/kinds, the benchmark
-    names, the residual budget, the batch width and the library
-    version, so a checkpoint written at one batch width is a
-    stale-checkpoint rejection at any other. *)
 
 type cell_result = {
   r_benchmark : string;
@@ -74,30 +48,47 @@ type cell_result = {
           quarantined; its siblings are unaffected *)
 }
 
-val assemble :
-  scenarios:scenario list ->
-  benchmarks:Benchmarks.t list ->
-  (item, Promise_core.Error.t) result array ->
-  cell_result list
-(** Join each cell with its benchmark's baseline ([residual =
-    max 0 (baseline − recovered)]), in grid order. A failed baseline
-    cascades an [Error] into all of its benchmark's cells. The results
-    must come from [workload ~scenarios ~benchmarks ()]. *)
+val job :
+  ?batch:int -> quick:bool -> max_residual:int -> unit -> item Promise_core.Workload.job
+(** The campaign over the matched filter, template matching L1 and k-NN
+    L1: the five hard-fault scenarios (stuck lane, dead lanes, dead
+    bank, ADC offset, dead ADC units) when [quick], all eight (plus
+    X-REG transients, swing drift and excess leakage) otherwise.
 
-val print_header :
-  Format.formatter ->
-  quick:bool ->
-  scenarios:scenario list ->
-  benchmarks:Benchmarks.t list ->
-  unit
-(** The campaign's title line; printed before the run starts. *)
+    Its workload holds one fault-free baseline item per benchmark, then
+    the benchmark-major benchmark × scenario grid. [batch] (default 1)
+    scores that many batched noise realizations per query
+    ({!Benchmarks}); batch 1 is bit-identical to the historical
+    campaign. The digest covers the scenario names/kinds, the benchmark
+    names, the residual budget, the batch width and the library
+    version, so a checkpoint written at one batch width is a
+    stale-checkpoint rejection at any other.
 
-val print : Format.formatter -> cell_result list -> unit
-(** The table (QUARANTINED rows for [Error] cells), the detection /
-    recovery / mean-residual summary over the completed cells, and a
-    quarantine count when any cell was isolated. *)
-
-val verdict : max_residual:int -> cell_result list -> (unit, string) result
-(** The campaign's pass/fail gate: [Error] when the BIST missed a fault
-    in any cell, or when more than [max_residual] cells end unrecovered
+    Its header is the campaign's title line. Its render joins each cell
+    with its benchmark's baseline ([residual = max 0 (baseline −
+    recovered)]; a quarantined baseline cascades an [Error] into all of
+    its benchmark's cells), prints the table (QUARANTINED rows for
+    [Error] cells), the detection / recovery / mean-residual summary
+    over the completed cells and a quarantine count when any cell was
+    isolated. Its verdict is [Error] when the BIST missed a fault in
+    any cell, or when more than [max_residual] cells end unrecovered
     (over the residual budget) or quarantined. *)
+
+(** {2 Test hooks} *)
+
+module For_tests : sig
+  val quick_scenarios : unit -> scenario list
+  (** The five hard-fault scenarios of a quick campaign. *)
+
+  val job :
+    ?batch:int ->
+    scenarios:scenario list ->
+    benchmarks:Benchmarks.t list ->
+    unit ->
+    item Promise_core.Workload.job
+  (** The top-level [job] over any scenario and benchmark subset, at
+      [max_residual] 0. *)
+
+  val verdict : max_residual:int -> cell_result list -> (unit, string) result
+  (** The render's verdict on assembled cells. *)
+end

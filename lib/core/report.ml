@@ -498,19 +498,14 @@ let yield_analysis ppf =
 
 let validation = Validation.report
 
+(* The campaign over all eight scenarios at batch 1, as promise-faultsim
+   runs it at PROMISE_BATCH=1; its verdict is the campaign CLI's to act
+   on, not the report's. *)
 let resilience ppf =
-  let scenarios = Campaign.all_scenarios () in
-  let benchmarks = Campaign.fast_benchmarks () in
-  Campaign.print_header ppf ~quick:false ~scenarios ~benchmarks;
-  match
-    Promise_core.Workload.run_local Promise_core.Supervisor.plain
-      (Campaign.workload ~scenarios ~benchmarks ())
-  with
-  | Promise_core.Workload.Done (results, _) ->
-      Campaign.print ppf (Campaign.assemble ~scenarios ~benchmarks results)
-  | Promise_core.Workload.Interrupted _ | Promise_core.Workload.Rejected _ ->
-      (* the plain session has no stop flag and no checkpoint *)
-      ()
+  ignore
+    (Promise_core.Workload.run_job ppf
+       (Promise_core.Workload.run_local Promise_core.Supervisor.plain)
+       (Campaign.job ~quick:false ~max_residual:0 ()))
 
 let sections =
   [
@@ -542,29 +537,10 @@ let quick_names () =
 
 let all_names () = List.map (fun (n, _, _) -> n) sections
 
-let known_names ppf names =
-  List.filter
-    (fun name ->
-      let known = List.exists (fun (n, _, _) -> n = name) sections in
-      if not known then
-        Format.fprintf ppf "unknown section %S; available: %s@." name
-          (String.concat ", " (all_names ()));
-      known)
-    names
-
 (* Each item renders one section into a private buffer; the report is
    printed only once every item is in, in list order, so it is
    byte-identical whichever executor rendered the sections. *)
-let workload names =
-  let printers =
-    Array.of_list
-      (List.map
-         (fun name ->
-           match List.find_opt (fun (n, _, _) -> n = name) sections with
-           | Some (_, _, f) -> f
-           | None -> invalid_arg ("Report.workload: unknown section " ^ name))
-         names)
-  in
+let workload printers names =
   {
     Promise_core.Workload.kind = "report";
     digest = Promise_core.Checkpoint.digest_of_config ~kind:"report-sections" names;
@@ -591,6 +567,29 @@ let print ppf names results =
     names;
   Format.pp_print_flush ppf ();
   !quarantined
+
+let job names =
+  let printer name =
+    List.find_map (fun (n, _, f) -> if n = name then Some f else None) sections
+  in
+  match List.filter (fun n -> Option.is_none (printer n)) names with
+  | _ :: _ as unknown ->
+      E.fail ~layer:"report" ~code:E.Invalid_operand
+        (Printf.sprintf "unknown sections: %s; available: %s"
+           (String.concat ", " unknown)
+           (String.concat ", " (all_names ())))
+  | [] ->
+      Ok
+        {
+          Promise_core.Workload.workload =
+            workload (Array.of_list (List.filter_map printer names)) names;
+          header = ignore;
+          render =
+            (fun ppf results ->
+              match print ppf names results with
+              | 0 -> Ok ()
+              | n -> Error (Printf.sprintf "%d sections were quarantined" n));
+        }
 
 module For_tests = struct
   let sections = sections

@@ -32,25 +32,18 @@ val quick_names : unit -> string list
 
 val all_names : unit -> string list
 
-val known_names : Format.formatter -> string list -> string list
-(** [names] without the unknown ones, each reported on [ppf] with the
-    list of available sections. *)
+(** {2 The report as a job} *)
 
-(** {2 The report as a workload} *)
-
-val workload : string list -> string Promise_core.Workload.t
-(** One item per named section (in order), rendering it to a string.
-    The digest covers the ordered names. Raises [Invalid_argument] on
-    an unknown name: filter with {!known_names} first. *)
-
-val print :
-  Format.formatter ->
+val job :
   string list ->
-  (string, Promise_core.Error.t) result array ->
-  int
-(** [print ppf names results] prints the rendered sections of
-    [workload names] in order, a [SECTION QUARANTINED] block in place
-    of each [Error], and returns the number of those. *)
+  (string Promise_core.Workload.job, Promise_core.Error.t) result
+(** The named sections, in order, one workload item each: an item
+    renders its section to a string, and the digest covers the ordered
+    names. The render prints the rendered sections in order, a
+    [SECTION QUARANTINED] block in place of each [Error], and fails its
+    verdict when any section was quarantined. The job has no header.
+    An unknown name is an [Invalid_operand] error that names every
+    unknown section and lists the available ones. *)
 
 (** {2 Test hooks} *)
 

@@ -28,7 +28,7 @@ type model = {
   m_refill : Machine.t -> unit;
       (** restore the deterministic data image (BIST is destructive) *)
   m_rebuild : unit -> Machine.t;
-      (** build a bit-for-bit twin — the digital fallback substrate *)
+      (** build a bit-for-bit twin — the fallback rung's machine *)
 }
 
 (* The deterministic data image: every bank row and X-REG slot filled
@@ -105,7 +105,7 @@ type health = {
   mutable h_consec : int;  (** consecutive batch dispatch failures *)
   mutable h_breaker : breaker;
   mutable h_digital : int option;
-      (** [Some k] = serving from the digital fallback twin, [k]
+      (** [Some k] = serving from the fallback twin, [k]
           flushes since the primary was last reprobed *)
   mutable h_fallback : Machine.t option;  (** built lazily on first use *)
 }
@@ -147,7 +147,7 @@ type t = {
   mutable batches : int;
   mutable shed : int;  (** [Overloaded] outcomes/rejections *)
   mutable healed : int;  (** batches recovered on the primary after BIST *)
-  mutable fallback_batches : int;  (** batches served by the digital twin *)
+  mutable fallback_batches : int;  (** batches served by the fallback twin *)
   latency : Histogram.t;
   batch_sizes : Histogram.t;
 }
@@ -503,13 +503,15 @@ let fallback_machine m h =
 
 (* One batch through the degradation ladder:
    analog primary → (on [Fault]) BIST + quarantine + refill, retry the
-   primary → digital fallback twin. A model parked on the fallback
-   reprobes the primary every [reprobe_interval] flushes. Requests only
-   fail if the digital rung fails too. *)
+   primary → a rebuilt twin on the scalar reference datapath. A model
+   parked on the fallback reprobes the primary every [reprobe_interval]
+   flushes. Requests only fail if the fallback rung fails too. *)
 let dispatch_with_heal t m h ~batch ~flush_fault =
-  (* [Reference] kernels make the fallback genuinely digital; its values
-     are still bitwise those of the fused analog path (the fused ≡
-     reference contract), so survivors keep the bit-identity guarantee *)
+  (* The fallback is a rebuilt twin on the scalar reference datapath.
+     It is not digital: the scalar loop over [Bank.run_iteration] draws
+     the same analog noise as the fused path, and its values are bitwise
+     those of the fused path (the fused ≡ reference contract), so
+     survivors keep the bit-identity guarantee *)
   let twin () =
     let* vs =
       dispatch t m (fallback_machine m h) ~kernel_mode:Machine.Reference ~batch
@@ -1090,7 +1092,7 @@ let chaos_run ?(seed = 0) ?(requests = 240) ~incident_path ~checkpoint_path
     ]
   in
   let blackout_schedule =
-    (* every execute faults: the ladder's digital rung fails too, which
+    (* every execute faults: the ladder's fallback rung fails too, which
        is what trips the breaker *)
     ("machine.execute", Failpoint.Fail_prob 1.0) :: base_schedule
   in

@@ -14,9 +14,9 @@
       per-model pending set and flush as one multi-decision batch when
       the set reaches [batch_max] {e or} its oldest request has waited
       [flush_us] microseconds, whichever comes first.
-    - {e Dispatch}: one dispatch serves the primary and its digital
-      fallback twin. In {!Batched} mode a single-task program's
-      flushed batch goes through
+    - {e Dispatch}: one dispatch serves the primary and its fallback
+      twin, a rebuilt twin on the scalar reference datapath. In
+      {!Batched} mode a single-task program's flushed batch goes through
       {!Promise_arch.Machine.execute_batch_into} with its launch fixed
       when the model is built (the zero-allocation in-buffer loop
       whenever the launch rides the fused sample plane); every other
@@ -119,9 +119,9 @@ val create :
     Self-healing: a hardware [Fault] during a flush walks the
     degradation ladder — destructive BIST + quarantine via
     {!Promise_compiler.Runtime.recovery_of_report}, data-image refill,
-    retry on the analog primary, then a digital fallback twin
-    (reference kernels on a bit-for-bit rebuilt machine) — so requests
-    only fail if the digital rung fails too. A per-model circuit
+    retry on the analog primary, then a rebuilt twin on the scalar
+    reference datapath (the same analog noise model, bit-identical to
+    the fused path) — so requests only fail if that rung fails too. A per-model circuit
     breaker trips after [breaker_threshold] (1..10000, default 8)
     consecutive batch failures: flushes then answer typed [Overloaded]
     (+ retry-after hint) for [breaker_cooldown_ms] (default 100)
@@ -158,7 +158,7 @@ type stats = {
   batches : int;  (** dispatched batches *)
   shed : int;  (** typed [Overloaded] outcomes (dwell shed + breaker open) *)
   healed : int;  (** batches recovered on the primary after BIST + refill *)
-  fallback_batches : int;  (** batches served by the digital twin *)
+  fallback_batches : int;  (** batches served by the fallback twin *)
   queue : Promise_core.Queue_bounded.stats;
   latency_ns : Promise_core.Histogram.t;  (** admission → response *)
   batch_sizes : Promise_core.Histogram.t;  (** decisions per dispatched batch *)
@@ -278,10 +278,10 @@ val chaos_run :
     overlaps live traffic whatever the seed draws) — one transient
     analog fault at 5% of the offered load (BIST clean → retry →
     healed in place), a bank death at
-    15% of the offered load (heal ladder → BIST → digital fallback),
+    15% of the offered load (heal ladder → BIST → fallback twin),
     revival at 40% (reprobe → analog-restored), a dispatcher stall
     through [50%, 65%) (dwell shedding and watchdog timeouts), and a
-    machine-level blackout through [75%, 90%) that defeats the digital
+    machine-level blackout through [75%, 90%) that defeats the fallback
     rung too, tripping the circuit breaker.
     Invariants checked and reported: exactly one outcome per admitted
     request ([c_lost] = [c_multi] = 0), no crash (any error is typed),

@@ -502,9 +502,9 @@ let expect_items = function
   | _ -> fail "expected the workload to complete"
 
 let test_campaign_fleet_matches_plain () =
-  let scenarios = [ List.hd (P.Campaign.quick_scenarios ()) ] in
+  let scenarios = [ List.hd (P.Campaign.For_tests.quick_scenarios ()) ] in
   let benchmarks = [ P.Benchmarks.matched_filter () ] in
-  let w = P.Campaign.workload ~scenarios ~benchmarks () in
+  let w = (P.Campaign.For_tests.job ~scenarios ~benchmarks ()).P.Workload.workload in
   let plain = expect_items (P.Workload.run_local Sup.plain w) in
   let cfg = fleet_config ~workers:2 () in
   match P.Workload.run_fleet cfg ~shards:2 w with
@@ -519,9 +519,11 @@ let test_campaign_fleet_matches_plain () =
    campaign (the shard checkpoint digest folds the batch width in, so
    the restarted worker re-executes at the same width). *)
 let test_campaign_fleet_batch_chaos () =
-  let scenarios = [ List.hd (P.Campaign.quick_scenarios ()) ] in
+  let scenarios = [ List.hd (P.Campaign.For_tests.quick_scenarios ()) ] in
   let benchmarks = [ P.Benchmarks.matched_filter () ] in
-  let w = P.Campaign.workload ~batch:8 ~scenarios ~benchmarks () in
+  let w =
+    (P.Campaign.For_tests.job ~batch:8 ~scenarios ~benchmarks ()).P.Workload.workload
+  in
   let plain = expect_items (P.Workload.run_local Sup.plain w) in
   let buf = Buffer.create 256 in
   let inc = Inc.For_tests.to_buffer buf in
@@ -540,10 +542,11 @@ let test_campaign_fleet_batch_chaos () =
 (* A checkpoint written at one batch width must be a stale checkpoint
    at another: the campaign folds the width into the config digest. *)
 let test_campaign_digest_includes_batch () =
-  let scenarios = [ List.hd (P.Campaign.quick_scenarios ()) ] in
+  let scenarios = [ List.hd (P.Campaign.For_tests.quick_scenarios ()) ] in
   let benchmarks = [ P.Benchmarks.matched_filter () ] in
   let digest ?batch () =
-    (P.Campaign.workload ?batch ~scenarios ~benchmarks ()).P.Workload.digest
+    (P.Campaign.For_tests.job ?batch ~scenarios ~benchmarks ()).P.Workload.workload
+      .P.Workload.digest
   in
   let d1 = digest ~batch:1 () in
   let d8 = digest ~batch:8 () in

@@ -425,23 +425,27 @@ let test_incident_rotation () =
 
 let campaign_fixture () =
   let scenarios =
-    match P.Campaign.quick_scenarios () with
+    match P.Campaign.For_tests.quick_scenarios () with
     | a :: b :: _ -> [ a; b ]
     | _ -> fail "expected at least two quick scenarios"
   in
   let benchmarks = [ P.Benchmarks.matched_filter () ] in
   (scenarios, benchmarks)
 
+let campaign_workload ~scenarios ~benchmarks =
+  (P.Campaign.For_tests.job ~scenarios ~benchmarks ()).P.Workload.workload
+
 let render_results ~scenarios ~benchmarks results =
   let buf = Buffer.create 1024 in
   let ppf = Format.formatter_of_buffer buf in
-  P.Campaign.print ppf (P.Campaign.assemble ~scenarios ~benchmarks results);
+  let job = P.Campaign.For_tests.job ~scenarios ~benchmarks () in
+  ignore (job.P.Workload.render ppf results);
   Format.pp_print_flush ppf ();
   Buffer.contents buf
 
 let test_campaign_resume_bit_identical () =
   let scenarios, benchmarks = campaign_fixture () in
-  let w = P.Campaign.workload ~scenarios ~benchmarks () in
+  let w = campaign_workload ~scenarios ~benchmarks in
   (* 1: uninterrupted reference run *)
   let reference =
     match P.Workload.run_local Sup.plain w with
@@ -485,16 +489,16 @@ let test_campaign_stale_checkpoint_rejected () =
   (match
      P.Workload.run_local session
        ~on_checkpoint:(fun ~completed:_ ~total:_ -> Sup.For_tests.request_stop stop)
-       (P.Campaign.workload ~scenarios ~benchmarks ())
+       (campaign_workload ~scenarios ~benchmarks)
    with
   | P.Workload.Interrupted _ -> ()
   | _ -> fail "expected an interrupted run");
   (* resuming under a different scenario set must be refused *)
-  let other_scenarios = P.Campaign.quick_scenarios () in
+  let other_scenarios = P.Campaign.For_tests.quick_scenarios () in
   let resumed_session = Sup.session ~checkpoint:path ~resume:true () in
   (match
      P.Workload.run_local resumed_session
-       (P.Campaign.workload ~scenarios:other_scenarios ~benchmarks ())
+       (campaign_workload ~scenarios:other_scenarios ~benchmarks)
    with
   | P.Workload.Rejected e ->
       check string "typed rejection" "stale-checkpoint" (E.code_name e.E.code)
@@ -521,7 +525,7 @@ let test_older_payload_format_refused () =
   (match
      P.Workload.run_local
        (Sup.session ~checkpoint:path ~resume:true ())
-       (P.Campaign.workload ~scenarios ~benchmarks ())
+       (campaign_workload ~scenarios ~benchmarks)
    with
   | P.Workload.Rejected e ->
       check string "typed rejection" "stale-checkpoint" (E.code_name e.E.code)
@@ -551,11 +555,11 @@ let test_campaign_verdict () =
   in
   let ok = cell ~recovered_ok:true and bad = cell ~recovered_ok:false in
   check bool "all-ok cells pass" true
-    (Result.is_ok (P.Campaign.verdict ~max_residual:0 [ ok; ok ]));
+    (Result.is_ok (P.Campaign.For_tests.verdict ~max_residual:0 [ ok; ok ]));
   check bool "one unrecovered cell fails" true
-    (Result.is_error (P.Campaign.verdict ~max_residual:0 [ ok; bad ]));
+    (Result.is_error (P.Campaign.For_tests.verdict ~max_residual:0 [ ok; bad ]));
   check bool "--max-residual 1 forgives it" true
-    (Result.is_ok (P.Campaign.verdict ~max_residual:1 [ ok; bad ]))
+    (Result.is_ok (P.Campaign.For_tests.verdict ~max_residual:1 [ ok; bad ]))
 
 (* ------------------------------------------------------------------ *)
 (* Report sections: supervised == plain printer                        *)
@@ -578,12 +582,13 @@ let test_report_workload_matches_plain () =
   let supervised =
     let buf = Buffer.create 4096 in
     let ppf = Format.formatter_of_buffer buf in
+    let job = get_ok (P.Report.job names) in
     (match
        P.Pool.with_pool ~jobs:2 (fun pool ->
-           P.Workload.run_local ~pool Sup.plain (P.Report.workload names))
+           P.Workload.run_job ppf (P.Workload.run_local ~pool Sup.plain) job)
      with
-    | P.Workload.Done (results, _) ->
-        check int "nothing quarantined" 0 (P.Report.print ppf names results)
+    | P.Workload.Done verdict ->
+        check bool "nothing quarantined" true (verdict = Ok ())
     | _ -> fail "supervised render did not complete");
     Buffer.contents buf
   in
